@@ -13,12 +13,21 @@ Two variational routes are implemented against two prior variants:
   alternates an exact chain solve against a tangent bound of that count
   term, monotonically decreasing an upper-bound free energy.
 
+Both chain kernels are a diagonal plus a rank-one term: (1-p) + p g_b on
+the diagonal and p g_b off it for the per-site prior, 1 and e^lambda g_b
+for the tangent sweep.  One scaled linear-space smoother (_smooth) runs
+forward-backward on that structure in O(nG) time and memory, as in the
+change-point recursions of Fearnhead (2006), over a batch of datasets at
+once; grid_posterior and fit_markov_vb are its single-dataset case and
+markov_chain_risks its batched one.  GridChain keeps the O(nG) output
+and derives marginals, pairwise tables and samples from it on demand.
+
 A dynamic-programming least-squares segmenter is included as the
 frequentist baseline.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -71,11 +80,6 @@ class UniformDensity:
         out[inside] = -math.log(self.hi - self.lo)
         return out
 
-    def lower_bound_on(self, lo: float, hi: float) -> float:
-        if lo < self.lo or hi > self.hi:
-            return 0.0
-        return 1.0 / (self.hi - self.lo)
-
 
 @dataclass(frozen=True)
 class GaussianDensity:
@@ -93,10 +97,6 @@ class GaussianDensity:
         return -0.5 * ((x - self.mean) ** 2 / self.variance) - 0.5 * math.log(
             2 * math.pi * self.variance
         )
-
-    def lower_bound_on(self, lo: float, hi: float) -> float:
-        edge = max(abs(lo - self.mean), abs(hi - self.mean))
-        return float(np.exp(self.log_pdf(self.mean + edge)))
 
 
 ValueDensity = Union[UniformDensity, GaussianDensity]
@@ -356,17 +356,53 @@ def _site_densities(prior: ChangePointPrior, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+_TINY = np.finfo(float).tiny
+
+
+def _step_factors(stay: np.ndarray, move: np.ndarray, weights: np.ndarray):
+    """Weighted kernel factors of one chain step and their row sums.
+
+    Row a of the step carries stay[b] * weights[b] on its diagonal and
+    move[b] * weights[b] everywhere else; every term is non-negative, and
+    a floating-point sum of non-negatives is no smaller than any of its
+    terms, so the row sums never go negative through cancellation.
+    """
+    st = stay * weights
+    mv = move * weights
+    return st, mv, st + (mv.sum(axis=-1, keepdims=True) - mv)
+
+
+def _dense_transitions(stay: np.ndarray, move: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row-normalized G x G matrices of the steps given by (..., G) factors."""
+    st, mv, norm = _step_factors(stay, move, weights)
+    G = st.shape[-1]
+    T = np.repeat(mv[..., None, :], G, axis=-2)
+    T[..., np.arange(G), np.arange(G)] = st
+    return T / norm[..., :, None]
+
+
 @dataclass(frozen=True)
 class GridChain:
-    """A first-order Markov chain over a fixed value grid.
+    """A first-order Markov chain over a fixed value grid, in O(nG) storage.
 
-    Canonical data are the initial distribution and the per-step
-    transition matrices; site marginals are derived by propagation.
+    Step i -> i+1 moves from value a to value b with probability
+    proportional to K_i(a, b) * weights[i, b], where the kernel K_i is
+    stay[i, b] on the diagonal and move[i, b] off it (a diagonal plus
+    rank-one kernel; stay and move may be given as one row for all
+    steps).  Under the per-site change prior the kernel is (1-p) + p g_b
+    on the diagonal and p g_b off it; the tangent sweep of fit_markov_vb
+    uses 1 on the diagonal and e^lambda g_b off it.  The weights are the
+    backward weights of the smoother: the emission at site i+1 times its
+    backward message.  Marginals, pairwise tables, change counts and
+    samples are derived on demand in O(G) per step; the dense
+    log_transitions tensor is built only when asked for.
     """
 
     grid: np.ndarray
     log_initial: np.ndarray
-    log_transitions: np.ndarray  # (n-1, G, G), rows normalized
+    stay: np.ndarray
+    move: np.ndarray
+    weights: np.ndarray  # (n-1, G)
     converged: bool = True
     objective_trace: tuple = ()
 
@@ -374,12 +410,19 @@ class GridChain:
         G = self.grid.size
         if self.log_initial.shape != (G,):
             raise InputError("initial distribution does not match the grid")
-        if self.log_transitions.ndim != 3 or self.log_transitions.shape[1:] != (G, G):
-            raise InputError("transitions must be stacked G x G matrices")
+        if self.weights.ndim != 2 or self.weights.shape[1] != G:
+            raise InputError("weights must be one row of G values per step")
+        try:
+            for name in ("stay", "move"):
+                object.__setattr__(
+                    self, name, np.broadcast_to(getattr(self, name), self.weights.shape)
+                )
+        except ValueError:
+            raise InputError("kernel factors do not match the weights") from None
 
     @property
     def n_sites(self) -> int:
-        return self.log_transitions.shape[0] + 1
+        return self.weights.shape[0] + 1
 
     @property
     def initial(self) -> np.ndarray:
@@ -387,92 +430,144 @@ class GridChain:
 
     @property
     def transitions(self) -> np.ndarray:
-        return np.exp(self.log_transitions)
+        """Dense (n-1, G, G) row-normalized transition matrices."""
+        return _dense_transitions(self.stay, self.move, self.weights)
+
+    @property
+    def log_transitions(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(self.transitions)
+
+    def _forward(self):
+        """Yield each later site's marginal and the part of it that arrived by a change."""
+        st, mv, norm = _step_factors(self.stay, self.move, self.weights)
+        np.maximum(norm, _TINY, out=norm)  # a row with zero sum is unreachable
+        m = self.initial
+        for i in range(self.n_sites - 1):
+            u = m / norm[i]
+            moved = mv[i] * (u.sum() - u)
+            m = st[i] * u + moved
+            yield m, moved
 
     def marginals(self) -> np.ndarray:
         """Site marginals by forward propagation of the transitions."""
         out = np.empty((self.n_sites, self.grid.size))
-        m = np.exp(self.log_initial)
-        out[0] = m
-        for i in range(self.log_transitions.shape[0]):
-            m = m @ np.exp(self.log_transitions[i])
-            out[i + 1] = m
+        out[0] = self.initial
+        for i, (m, _) in enumerate(self._forward(), start=1):
+            out[i] = m
         return out
 
     def pairwise(self, i: int) -> np.ndarray:
         """Joint distribution of (site i, site i+1), 0-based."""
-        m = self.marginals()[i]
-        return m[:, None] * np.exp(self.log_transitions[i])
+        T = _dense_transitions(self.stay[i], self.move[i], self.weights[i])
+        return self.marginals()[i][:, None] * T
 
     def expected_change_count(self) -> float:
-        total = 0.0
-        m = np.exp(self.log_initial)
-        for i in range(self.log_transitions.shape[0]):
-            T = np.exp(self.log_transitions[i])
-            total += 1.0 - float(np.dot(m, np.diag(T)))
-            m = m @ T
-        return total
+        return float(sum(moved.sum() for _, moved in self._forward()))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         G = self.grid.size
         out = np.empty((size, self.n_sites))
-        init = np.exp(self.log_initial)
+        init = self.initial
         states = rng.choice(G, size=size, p=init / init.sum())
         out[:, 0] = self.grid[states]
-        for i in range(self.log_transitions.shape[0]):
-            T = np.exp(self.log_transitions[i])
-            cum = np.cumsum(T[states], axis=1)
-            u = rng.random(size)
+        rows = np.arange(size)
+        for i in range(self.n_sites - 1):
+            st, mv, _ = _step_factors(self.stay[i], self.move[i], self.weights[i])
+            cum = np.tile(mv, (size, 1))
+            cum[rows, states] = st[states]
+            np.cumsum(cum, axis=1, out=cum)
+            u = rng.random(size) * cum[:, -1]
             states = (u[:, None] > cum).sum(axis=1)
             out[:, i + 1] = self.grid[states]
         return out
 
 
-def _forward_backward(log_init: np.ndarray, log_pair: np.ndarray):
-    """Exact chain decomposition of a pairwise log score.
+def _smooth(
+    log_first: np.ndarray,
+    log_emis: np.ndarray,
+    stay: np.ndarray,
+    move: np.ndarray,
+    site_loss: Optional[np.ndarray] = None,
+):
+    """Scaled backward pass for a batch of diagonal-plus-rank-one chains.
 
-    log_pair[i] combines the transition score from site i to i+1 with the
-    emission at site i+1; log_init already includes the first emission.
-    Messages are renormalized every step, accumulating log Z.
-    Returns (log_initial, log_transitions, log_Z, log_alphas, log_betas).
+    The unnormalized chain is
+        exp(log_first[x_0] + log_emis[x_0]) * prod_i K_i(x_i, x_{i+1}) exp(log_emis[x_{i+1}])
+    with K_i equal to stay[i, b] on the diagonal and move[i, b] off it
+    (both broadcastable to (n-1, G)); log_emis is (n, R, G), site-major so
+    that each step reads contiguous rows, and is overwritten.  Each
+    emission row is shifted to a maximum of one and each backward message
+    rescaled to sum one, so the pass runs in linear space at O(G) per
+    site with log Z accumulated from the scales.
+
+    With site_loss (n, G), a second backward message carries the expected
+    loss still to come given the current value, so the same pass also
+    returns E sum_i site_loss[i, x_i] without any forward pass.
+
+    Returns (first-site marginals (R, G), backward weights (n-1, R, G),
+    log Z (R,), expected loss (R,) or None); the weights with stay and
+    move define each GridChain.
     """
-    n_steps = log_pair.shape[0]
-    G = log_init.size
-    log_z = 0.0
-    la = np.empty((n_steps + 1, G))
-    cur = log_init.copy()
-    shift = logsumexp(cur)
-    if not np.isfinite(shift):
-        raise NumericError("forward pass underflowed at the first site")
-    cur -= shift
-    log_z += shift
-    la[0] = cur
-    for i in range(n_steps):
-        cur = logsumexp(cur[:, None] + log_pair[i], axis=0)
-        shift = logsumexp(cur)
-        if not np.isfinite(shift):
-            raise NumericError(f"forward pass underflowed at site {i + 1}")
-        cur -= shift
-        log_z += shift
-        la[i + 1] = cur
-    lb = np.zeros((n_steps + 1, G))
-    for i in range(n_steps - 1, -1, -1):
-        lb[i] = logsumexp(log_pair[i] + lb[i + 1][None, :], axis=1)
-        lb[i] -= np.max(lb[i])
-    log_q1 = log_init + lb[0]
-    log_q1 -= logsumexp(log_q1)
-    log_T = log_pair + lb[1:, None, :]
-    log_T -= logsumexp(log_T, axis=2, keepdims=True)
-    return log_q1, log_T, log_z, la, lb
+    n, R, G = log_emis.shape
+    stay = np.broadcast_to(stay, (n - 1, G))
+    move = np.broadcast_to(move, (n - 1, G))
+    shift = log_emis.max(axis=2, keepdims=True)
+    log_emis -= shift
+    emis = np.exp(log_emis, out=log_emis)
+    scales = np.empty((n, R, 1))
+    beta = np.ones((R, G))
+    to_come = None if site_loss is None else np.zeros((R, G))
+    for i in range(n - 2, -1, -1):
+        w = emis[i + 1]
+        w *= beta  # the emission slot now holds the backward weight of step i
+        st, mv, beta = _step_factors(stay[i], move[i], w)
+        if to_come is not None:
+            # the kernel applied to w * loss, with w already folded into st and mv
+            _, _, to_come = _step_factors(st, mv, site_loss[i + 1] + to_come)
+            to_come /= np.maximum(beta, _TINY)  # a zero row sum means an unreachable value
+        beta /= beta.sum(axis=1, keepdims=True, out=scales[i + 1])
+    first = np.exp(log_first) * emis[0] * beta
+    first /= first.sum(axis=1, keepdims=True, out=scales[0])
+    log_z = (shift + np.log(scales)).sum(axis=0)[:, 0]
+    if not np.all(np.isfinite(log_z)):
+        raise NumericError("chain smoother underflowed: the data are impossible under the prior")
+    loss = None if to_come is None else np.einsum("rg,rg->r", first, site_loss[0] + to_come)
+    return first, emis[1:], log_z, loss
 
 
-def _emissions(X: np.ndarray, sigma: float, grid: np.ndarray) -> np.ndarray:
-    return -0.5 * ((grid[None, :] - X[:, None]) / sigma) ** 2
+def _log_emissions(X: np.ndarray, sigma: float, grid: np.ndarray) -> np.ndarray:
+    """-(t - X)^2 / 2 sigma^2 on the grid, (n, R, G) for a batch X of shape (R, n)."""
+    out = grid - X.T[:, :, None]
+    out /= sigma
+    np.square(out, out=out)
+    out *= -0.5
+    return out
 
 
 def _grid_pmf(density: ValueDensity, grid: np.ndarray) -> np.ndarray:
     lp = density.log_pdf(grid)
-    return lp - logsumexp(lp)
+    total = logsumexp(lp)
+    if not np.isfinite(total):
+        raise InputError("the value density puts no mass on the grid")
+    return lp - total
+
+
+def _site_kernel(prior: MarkovSitePrior, grid: np.ndarray):
+    """log g and the (stay, move) rows of the per-site change kernel (1-p) I + p 1 g^T."""
+    p = prior.change_prob
+    log_g = _grid_pmf(prior.value_density, grid)
+    move = p * np.exp(log_g)
+    return log_g, (1.0 - p) + move, move
+
+
+def _single_chain(grid: np.ndarray, log_first: np.ndarray, log_emis: np.ndarray, stay, move):
+    """The smoother's GridChain and log Z for one dataset (log_emis is (n, 1, G))."""
+    first, weights, log_z, _ = _smooth(log_first, log_emis, stay, move)
+    with np.errstate(divide="ignore"):
+        log_initial = np.log(first[0])
+    chain = GridChain(grid=grid, log_initial=log_initial, stay=stay, move=move, weights=weights[:, 0])
+    return chain, float(log_z[0])
 
 
 def grid_posterior(
@@ -491,18 +586,8 @@ def grid_posterior(
         raise InputError("grid must be 1-d with at least 2 points")
     if not sigma > 0:
         raise InputError("sigma must be positive")
-    p = prior.change_prob
-    log_g = _grid_pmf(prior.value_density, grid)
-    G = grid.size
-    with np.errstate(divide="ignore"):
-        kernel = np.log(
-            (1.0 - p) * np.eye(G) + p * np.exp(log_g)[None, :] * np.ones((G, 1))
-        )
-    emis = _emissions(X, sigma, grid)
-    log_init = log_g + emis[0]
-    log_pair = kernel[None, :, :] + emis[1:, None, :]
-    log_q1, log_T, _, _, _ = _forward_backward(log_init, log_pair)
-    return GridChain(grid=grid, log_initial=log_q1, log_transitions=log_T)
+    log_g, stay, move = _site_kernel(prior, grid)
+    return _single_chain(grid, log_g, _log_emissions(X[None, :], sigma, grid), stay, move)[0]
 
 
 def fit_markov_vb(
@@ -540,31 +625,10 @@ def fit_markov_vb(
     slopes = np.diff(w)  # subgradients of the piecewise-linear extension
     counts = np.arange(n, dtype=float)
 
-    emis = _emissions(X, sigma, grid)
-    log_pmfs = np.stack([_grid_pmf(g, grid) for g in prior.site_densities])
-    log_init = log_pmfs[0] + emis[0]
-    G = grid.size
-
-    if n == 1:
-        log_q1 = log_init - logsumexp(log_init)
-        objective = -(float(w[0]) + float(logsumexp(log_init)))
-        return GridChain(
-            grid=grid,
-            log_initial=log_q1,
-            log_transitions=np.empty((0, G, G)),
-            converged=True,
-            objective_trace=(objective,),
-        )
-
-    def tilted_chain(lam: float):
-        # pairwise factor: copy on the diagonal, lam + fresh-draw weight off it
-        pair = np.empty((n - 1, G, G))
-        for i in range(n - 1):
-            block = np.tile(lam + log_pmfs[i + 1][None, :], (G, 1))
-            np.fill_diagonal(block, 0.0)
-            pair[i] = block + emis[i + 1][None, :]
-        log_q1, log_T, log_z, _, _ = _forward_backward(log_init, pair)
-        return GridChain(grid=grid, log_initial=log_q1, log_transitions=log_T), log_z
+    log_emis = _log_emissions(X[None, :], sigma, grid)
+    pmfs = {g: _grid_pmf(g, grid) for g in set(prior.site_densities)}
+    log_first = pmfs[prior.site_densities[0]]
+    log_fresh = np.array([pmfs[g] for g in prior.site_densities[1:]]).reshape(n - 1, grid.size)
 
     def conjugate(lam: float) -> float:
         return float(np.max(lam * counts - w))
@@ -575,22 +639,18 @@ def fit_markov_vb(
     prev = math.inf
     converged = False
     for _ in range(max_sweeps):
-        lam = float(slopes[min(int(c_bar), n - 2)])
-        chain, log_z = tilted_chain(lam)
+        # a single site has no change to tilt, and its objective is final
+        lam = float(slopes[min(int(c_bar), n - 2)]) if n > 1 else 0.0
+        # pairwise factor: copy on the diagonal, lam + fresh-draw weight off it
+        chain, log_z = _single_chain(grid, log_first, log_emis.copy(), 1.0, np.exp(lam + log_fresh))
         objective = -log_z + conjugate(lam)
         trace.append(objective)
-        if abs(prev - objective) <= tol * max(1.0, abs(objective)):
+        if n == 1 or abs(prev - objective) <= tol * max(1.0, abs(objective)):
             converged = True
             break
         prev = objective
         c_bar = chain.expected_change_count()
-    return GridChain(
-        grid=grid,
-        log_initial=chain.log_initial,
-        log_transitions=chain.log_transitions,
-        converged=converged,
-        objective_trace=tuple(trace),
-    )
+    return replace(chain, converged=converged, objective_trace=tuple(trace))
 
 
 def markov_chain_risks(
@@ -603,46 +663,27 @@ def markov_chain_risks(
 ) -> np.ndarray:
     """E_Q ||theta - theta*||^2 under grid_posterior for a batch of datasets.
 
-    Streaming evaluator for the rate experiments: the per-site change
-    kernel is a rank-one perturbation of a copy, so both smoothing passes
-    cost O(G) per site, and replications are vectorized.  Uses scaled
-    linear-space messages with per-step renormalization (equivalent to
-    the log-space recursion for this non-negative kernel); agreement with
-    grid_posterior is pinned by tests.
+    Streaming evaluator for the rate experiments: the smoother of
+    grid_posterior, run on chunks of replications at once (R x G rows per
+    step), with the risk carried as a second backward message instead of
+    building one GridChain per dataset.  Grid values outside the support
+    of the value density are dropped first: neither the first site nor a
+    change can land on them, so their posterior mass is exactly zero.
+    Memory is one (n, chunk, G) array; agreement with grid_posterior is
+    pinned by tests.
     """
     X_batch = np.atleast_2d(np.asarray(X_batch, dtype=float))
     R, n = X_batch.shape
     if signal.values.size != n:
         raise InputError("signal length does not match the data")
-    p = prior.change_prob
-    g = np.exp(_grid_pmf(prior.value_density, grid))
+    log_g, stay, move = _site_kernel(prior, grid)
+    live = np.isfinite(log_g)
+    grid, log_g, stay, move = grid[live], log_g[live], stay[live], move[live]
     sq_err = (grid[None, :] - signal.values[:, None]) ** 2  # (n, G)
     out = np.empty(R)
     for lo in range(0, R, chunk):
-        Xc = X_batch[lo : lo + chunk]
-        Rc = Xc.shape[0]
-        emis = np.exp(-0.5 * ((grid[None, None, :] - Xc[:, :, None]) / sigma) ** 2)
-        alphas = np.empty((n, Rc, grid.size))
-        a = g[None, :] * emis[:, 0]
-        a /= a.sum(axis=1, keepdims=True)
-        alphas[0] = a
-        for i in range(1, n):
-            a = emis[:, i] * ((1.0 - p) * a + p * a.sum(axis=1, keepdims=True) * g[None, :])
-            a /= a.sum(axis=1, keepdims=True)
-            alphas[i] = a
-        b = np.ones((Rc, grid.size))
-        acc = np.zeros(Rc)
-        for i in range(n - 1, 0, -1):
-            marg = alphas[i] * b
-            marg /= marg.sum(axis=1, keepdims=True)
-            acc += marg @ sq_err[i]
-            x = emis[:, i] * b
-            b = (1.0 - p) * x + p * (x @ g)[:, None]
-            b /= b.sum(axis=1, keepdims=True)
-        marg = alphas[0] * b
-        marg /= marg.sum(axis=1, keepdims=True)
-        acc += marg @ sq_err[0]
-        out[lo : lo + chunk] = acc
+        log_emis = _log_emissions(X_batch[lo : lo + chunk], sigma, grid)
+        out[lo : lo + chunk] = _smooth(log_g, log_emis, stay, move, site_loss=sq_err)[3]
     return out
 
 
@@ -652,19 +693,16 @@ def change_count_distribution(chain: GridChain) -> np.ndarray:
     Dynamic program over (site, value, count); used to audit the tangent
     bound of fit_markov_vb against the exact pattern-weight expectation.
     """
-    G = chain.grid.size
     n = chain.n_sites
-    dist = np.zeros((G, n))
-    dist[:, 0] = np.exp(chain.log_initial)
+    dist = np.zeros((chain.grid.size, n))
+    dist[:, 0] = chain.initial
     for i in range(n - 1):
-        T = np.exp(chain.log_transitions[i])
-        diag = np.diag(T)
-        moved = T.T @ dist  # (G, counts): arrive at b with count unchanged index
-        stay = diag[:, None] * dist
-        new = np.zeros_like(dist)
-        new[:, 1:] = moved[:, :-1] - stay[:, :-1]
-        new += stay
-        dist = new
+        T = _dense_transitions(chain.stay[i], chain.move[i], chain.weights[i])
+        stay = np.diag(T)[:, None] * dist
+        np.fill_diagonal(T, 0.0)
+        moved = T.T @ dist  # arrive at b by a change: one more count
+        dist = stay
+        dist[:, 1:] += moved[:, :-1]
     return dist.sum(axis=0)
 
 

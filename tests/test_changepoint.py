@@ -286,10 +286,11 @@ class TestRisk:
         G = grid.size
         with np.errstate(divide="ignore"):
             log_init = np.log(np.eye(G)[idx[0]])
-            trans = np.stack(
-                [np.log(np.tile(np.eye(G)[idx[i + 1]], (G, 1))) for i in range(5)]
-            )
-        chain = GridChain(grid=grid, log_initial=log_init, log_transitions=trans)
+        # every step jumps to (or stays at) the next signal value from any state
+        weights = np.stack([np.eye(G)[idx[i + 1]] for i in range(5)])
+        chain = GridChain(
+            grid=grid, log_initial=log_init, stay=np.ones(G), move=np.ones(G), weights=weights
+        )
         assert risk(chain, snapped) == 0.0
 
     def test_product_risk_additive(self):
