@@ -164,6 +164,8 @@ def make_prefix_signal(
     """
     if not 1 <= k_star <= n:
         raise InputError("need 1 <= k_star <= n")
+    if seg_len < 1:
+        raise InputError("seg_len must be at least 1")
     if k_star > 1 and (k_star - 1) * seg_len >= n:
         raise InputError("prefix segments do not fit")
     values = np.zeros(n)
@@ -314,6 +316,8 @@ def fit_mean_field(
     site's value density by its own likelihood and nothing else.
     """
     X = np.asarray(X, dtype=float)
+    if not sigma > 0:
+        raise InputError("sigma must be positive")
     densities = _site_densities(prior, X.size)
     if all(isinstance(g, UniformDensity) for g in densities) and len(
         {(g.lo, g.hi) for g in densities}
@@ -676,6 +680,8 @@ def markov_chain_risks(
     R, n = X_batch.shape
     if signal.values.size != n:
         raise InputError("signal length does not match the data")
+    if not sigma > 0:
+        raise InputError("sigma must be positive")
     log_g, stay, move = _site_kernel(prior, grid)
     live = np.isfinite(log_g)
     grid, log_g, stay, move = grid[live], log_g[live], stay[live], move[live]

@@ -1,96 +1,30 @@
 """Command-line entry points for the experiment harness.
 
-Every subcommand reads a JSON ExperimentConfig, runs its experiment, and
+Every subcommand reads a JSON ExperimentConfig, checks that its model is
+one harness.MODELS assigns to the subcommand, produces the model's table
+(or its rate-exponent fit with --fit, or the subcommand's report), and
 writes the result to --out in CSV or JSON.  Exit codes: 0 on success,
 2 on validation problems (bad config, bad inputs), 3 on numeric or
 optimization failures.
 """
 
 import argparse
+import dataclasses
 import sys
 
+from . import harness
 from .errors import DomainError, InputError, NumericError, OptimizationError
-from .harness import (
-    ExperimentConfig,
-    divergence_chain_report,
-    emit,
-    fit_rate_exponent,
-    run_experiment,
-    trunc_curve_rows,
-)
 
-_TABLE_COMMANDS = {
-    "gsm-rate": "gsm_risk",
-    "gsm-dim": "gsm_dimension",
-    "gsm-lower": "gsm_spike_risk",
-    "mix-fit": "mixture_hellinger",
-    "expfam-fit": "expfamily_hellinger",
+_HELP = {
+    "divcheck": "divergence chain and monotonicity audit over random pairs",
+    "gsm-rate": "sequence-model risk over an n grid",
+    "gsm-dim": "effective dimension of the sequence-model posterior",
+    "gsm-lower": "sequence-model risk against the spike adversary",
+    "trunc-curve": "exact rate-exponent curve for the truncated family",
+    "pc-compare": "change-point risks (product or Markov-chain posterior)",
+    "mix-fit": "mixture fit quality (squared Hellinger) over an n grid",
+    "expfam-fit": "exponential-family fit quality over an n grid",
 }
-
-_PC_MODELS = ("pc_mean_field", "pc_markov_chain")
-
-
-def _load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path, "r") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read config {path}: {exc}") from exc
-    return ExperimentConfig.from_json(text)
-
-
-def _with_seed(config: ExperimentConfig, seed) -> ExperimentConfig:
-    if seed is None:
-        return config
-    return ExperimentConfig(
-        model=config.model,
-        n_grid=config.n_grid,
-        replications=config.replications,
-        master_seed=seed,
-        params=config.params,
-        out=config.out,
-    )
-
-
-def _resolve_out(config: ExperimentConfig, args) -> str:
-    out = args.out if args.out is not None else config.out
-    if out is None:
-        raise InputError("no output path: pass --out or set 'out' in the config")
-    return out
-
-
-def _expect_model(config: ExperimentConfig, allowed) -> None:
-    allowed = (allowed,) if isinstance(allowed, str) else allowed
-    if config.model not in allowed:
-        raise InputError(
-            f"this subcommand expects model in {list(allowed)}, config says {config.model!r}"
-        )
-
-
-def _run_table_command(model_id: str, args) -> None:
-    config = _with_seed(_load_config(args.config), args.seed)
-    _expect_model(config, model_id)
-    table = run_experiment(config)
-    emit(table, args.format, _resolve_out(config, args))
-
-
-def _run_pc_compare(args) -> None:
-    config = _with_seed(_load_config(args.config), args.seed)
-    _expect_model(config, _PC_MODELS)
-    table = run_experiment(config)
-    emit(table, args.format, _resolve_out(config, args))
-
-
-def _run_divcheck(args) -> None:
-    config = _with_seed(_load_config(args.config), args.seed)
-    _expect_model(config, "divergence_chain")
-    emit(divergence_chain_report(config), args.format, _resolve_out(config, args))
-
-
-def _run_trunc_curve(args) -> None:
-    config = _with_seed(_load_config(args.config), args.seed)
-    _expect_model(config, "trunc_exact_risk")
-    emit(trunc_curve_rows(config), args.format, _resolve_out(config, args))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,56 +32,52 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vblab", description="variational posterior rate experiments"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "divcheck": "divergence chain and monotonicity audit over random pairs",
-        "gsm-rate": "sequence-model risk over an n grid",
-        "gsm-dim": "effective dimension of the sequence-model posterior",
-        "gsm-lower": "sequence-model risk against the spike adversary",
-        "trunc-curve": "exact rate-exponent curve for the truncated family",
-        "pc-compare": "change-point risks (product or Markov-chain posterior)",
-        "mix-fit": "mixture fit quality (squared Hellinger) over an n grid",
-        "expfam-fit": "exponential-family fit quality over an n grid",
-    }
-    for name, desc in descriptions.items():
-        p = sub.add_parser(name, help=desc)
+    table_commands = {s.command for s in harness.MODELS.values() if s.report is None}
+    for name in dict.fromkeys(s.command for s in harness.MODELS.values()):
+        p = sub.add_parser(name, help=_HELP[name])
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument(
-            "--out", default=None, help="output path (falls back to the config's 'out')"
-        )
+        p.add_argument("--out", help="output path (falls back to the config's 'out')")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if name in _TABLE_COMMANDS or name == "pc-compare":
+        if name in table_commands:
             p.add_argument(
-                "--fit",
-                action="store_true",
-                help="emit the rate-exponent fit instead of the table",
+                "--fit", action="store_true", help="emit the rate-exponent fit instead of the table"
             )
             p.add_argument(
-                "--loglog",
-                action="store_true",
-                help="include a log log n regressor in --fit",
+                "--loglog", action="store_true", help="include a log log n regressor in --fit"
             )
     return parser
+
+
+def _produce(args, config: harness.ExperimentConfig):
+    spec = harness.MODELS.get(config.model)
+    if spec is None or spec.command != args.command:
+        allowed = [m for m, s in harness.MODELS.items() if s.command == args.command]
+        raise InputError(
+            f"this subcommand expects model in {allowed}, config says {config.model!r}"
+        )
+    # harness functions are looked up on the module at call time, so a wrapper
+    # installed there (as perfbench's tracer does) sees every call
+    if spec.report is not None:
+        return getattr(harness, spec.report)(config)
+    table = harness.run_experiment(config)
+    return harness.fit_rate_exponent(table, with_loglog=args.loglog) if args.fit else table
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "divcheck":
-            _run_divcheck(args)
-        elif args.command == "trunc-curve":
-            _run_trunc_curve(args)
-        elif args.command == "pc-compare":
-            if getattr(args, "fit", False):
-                _emit_fit(args, _PC_MODELS)
-            else:
-                _run_pc_compare(args)
-        else:
-            model_id = _TABLE_COMMANDS[args.command]
-            if getattr(args, "fit", False):
-                _emit_fit(args, model_id)
-            else:
-                _run_table_command(model_id, args)
+        try:
+            with open(args.config, "r") as fh:
+                config = harness.ExperimentConfig.from_json(fh.read())
+        except OSError as exc:
+            raise InputError(f"cannot read config {args.config}: {exc}") from exc
+        if args.seed is not None:
+            config = dataclasses.replace(config, master_seed=args.seed)
+        out = args.out if args.out is not None else config.out
+        if out is None:
+            raise InputError("no output path: pass --out or set 'out' in the config")
+        harness.emit(_produce(args, config), args.format, out)
     except (InputError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -155,13 +85,6 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     return 0
-
-
-def _emit_fit(args, allowed) -> None:
-    config = _with_seed(_load_config(args.config), args.seed)
-    _expect_model(config, allowed)
-    table = run_experiment(config)
-    emit(fit_rate_exponent(table, with_loglog=args.loglog), args.format, _resolve_out(config, args))
 
 
 if __name__ == "__main__":

@@ -198,6 +198,12 @@ class OptConfig:
     n_mc: int = 64
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.step_size > 0:
+            raise InputError("step_size must be positive")
+        if self.n_iters < 1 or self.n_mc < 1:
+            raise InputError("n_iters and n_mc must be at least 1")
+
 
 def _crn_draws(q_mu, q_sigma, eps):
     return q_mu[None, :] + q_sigma[None, :] * eps

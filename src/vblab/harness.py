@@ -1,19 +1,22 @@
-"""Replicated experiments, rate-exponent regression, and table emission.
+"""Replicated experiments, the model registry, rate-exponent regression, and emission.
 
-Every experiment is described by an ExperimentConfig and produces a
-RateTable of per-n mean metrics with standard errors.  Replication
-(n, rep) pairs map to independent random streams derived from the master
-seed, so tables are bit-reproducible regardless of execution order.
-fit_rate_exponent regresses log mean metric on log n, optionally with a
-log log n column for rates that carry logarithmic corrections.
+MODELS maps each model id to one ModelSpec: its CLI subcommand, its
+replication runner (or the report the subcommand emits instead), and its
+params defaults, which are also its params schema.  parse_params checks
+an ExperimentConfig's params against that schema once per entry point.
+run_experiment replicates a model over the n grid into a RateTable of
+per-n means and standard errors; replication (n, rep) pairs draw from
+independent streams derived from the master seed, so tables are
+bit-reproducible in any execution order.  fit_rate_exponent regresses
+log mean metric on log n, optionally with a log log n column.
 """
 
 import csv
 import io
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -22,19 +25,19 @@ from ._rng import generator
 from .errors import InputError, NumericError, VblabError
 
 __all__ = [
-    "ExperimentConfig",
-    "RateTable",
-    "RateFit",
-    "MODEL_IDS",
-    "run_experiment",
-    "fit_rate_exponent",
-    "divergence_chain_report",
-    "trunc_curve_rows",
-    "emit",
-    "read_table",
+    "ExperimentConfig", "RateTable", "RateFit", "ModelSpec", "MODELS", "parse_params",
+    "run_experiment", "fit_rate_exponent", "divergence_chain_report", "trunc_curve_rows",
+    "emit", "read_table",
 ]
 
 _CONFIG_KEYS = {"model", "n_grid", "replications", "master_seed", "params", "out"}
+
+
+def _number(value, where: str) -> float:
+    """value as a float if it is a finite JSON number, else InputError naming where."""
+    if (type(value) is int or isinstance(value, float)) and abs(value) < 1e308:  # not bool
+        return float(value)
+    raise InputError(f"{where} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -53,12 +56,20 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
-        ns = tuple(int(n) for n in self.n_grid)
+        if not isinstance(self.model, str):
+            raise InputError("model must be a string")
+        ns = self.n_grid
+        if not isinstance(ns, (list, tuple)) or any(type(n) is not int for n in ns):
+            raise InputError(f"n_grid must be a list of integers, got {ns!r}")
+        ns = tuple(ns)
         if len(ns) == 0 or any(n <= 0 for n in ns):
             raise InputError("n_grid must contain positive integers")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise InputError("n_grid must be strictly increasing")
         object.__setattr__(self, "n_grid", ns)
+        for key in ("replications", "master_seed"):
+            if type(getattr(self, key)) is not int:
+                raise InputError(f"{key} must be an integer, got {getattr(self, key)!r}")
         if self.replications < 1:
             raise InputError("replications must be at least 1")
         if not 0 <= self.master_seed < 2**64:
@@ -85,9 +96,9 @@ class ExperimentConfig:
             raise InputError("config key 'out' must be a path string")
         return cls(
             model=raw["model"],
-            n_grid=tuple(raw["n_grid"]),
-            replications=int(raw["replications"]),
-            master_seed=int(raw["master_seed"]),
+            n_grid=raw["n_grid"],
+            replications=raw["replications"],
+            master_seed=raw["master_seed"],
             params=raw.get("params", {}),
             out=out,
         )
@@ -166,177 +177,256 @@ def fit_rate_exponent(table: RateTable, with_loglog: bool = False) -> RateFit:
 
 
 # ---------------------------------------------------------------------------
-# model runners
+# the model registry: params schema, runners, MODELS
 # ---------------------------------------------------------------------------
 
+_ABSENT = object()
 
-def _resolve_spike_index(signal_opts: dict, alpha: float, n: int):
-    j0 = signal_opts.get("j0")
+
+def _conform(value, default, where: str):
+    """value checked against one schema entry; an _ABSENT value takes the default.
+
+    A dict is a nested schema; a list types its elements like its first
+    one; a float takes any finite number, an int only integers.  The type
+    float or int marks a default derived from other params (None here).
+    Strings and None take several forms, so their runners check them.
+    """
+    if isinstance(default, dict):
+        value = {} if value is _ABSENT else value
+        if not isinstance(value, dict):
+            raise InputError(f"{where} must be a JSON object, got {value!r}")
+        unknown = [f"{where}.{key}" for key in value if key not in default]
+        if unknown:
+            raise InputError(f"unknown keys: {unknown}")
+        return {k: _conform(value.get(k, _ABSENT), d, f"{where}.{k}") for k, d in default.items()}
+    if value is _ABSENT:
+        if isinstance(default, type):
+            return None
+        value = default  # rebuilt below, so no caller shares the registry's lists
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise InputError(f"{where} must be a list, got {value!r}")
+        return [_conform(v, default[0], f"{where}[{i}]") for i, v in enumerate(value)]
+    kind = default if isinstance(default, type) else type(default)
+    if kind is float:
+        return _number(value, where)
+    if kind is int and type(value) is not int:
+        raise InputError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def parse_params(params, model: str) -> dict:
+    """params checked against MODELS[model].defaults, with every default filled in."""
+    return _conform(params, MODELS[model].defaults, "params")
+
+
+def _positive(p: dict, key: str) -> float:
+    if not p[key] > 0:
+        raise InputError(f"params.{key} must be positive")
+    return p[key]
+
+
+def _resolve_spike_index(j0, alpha: float, n: int):
     if j0 == "adversary":
         # spike just beyond twice the effective dimension (n / log n)^{1/(2a+1)}
         return math.ceil(2.0 * (n / math.log(n)) ** (1.0 / (2.0 * alpha + 1.0)))
-    return int(j0) if j0 is not None else None
+    if j0 is None or type(j0) is int:
+        return j0
+    raise InputError(f"params.signal.j0 must be an integer or 'adversary', got {j0!r}")
 
 
-def _fit_gsm(params: dict, n: int, rng: np.random.Generator):
-    alpha = float(params.get("alpha", 1.0))
-    B = float(params.get("B", 1.0))
-    sig_spec = params.get("signal", {"kind": "sobolev_boundary"})
-    kind = sig_spec.get("kind", "sobolev_boundary")
-    j0 = _resolve_spike_index(sig_spec, alpha, n)
+def _fit_gsm(p: dict, n: int, rng: np.random.Generator):
+    alpha = _positive(p, "alpha")  # before the K_max exponent divides by 2 alpha + 1
+    B = p["B"]
+    kind = p["signal"]["kind"]
+    j0 = _resolve_spike_index(p["signal"]["j0"], alpha, n)
 
-    factor = float(params.get("k_max_factor", 4.0))
-    K_max = max(8, math.ceil(factor * n ** (1.0 / (2.0 * alpha + 1.0))))
+    K_max = max(8, math.ceil(p["k_max_factor"] * n ** (1.0 / (2.0 * alpha + 1.0))))
     if j0 is not None:
         K_max = max(K_max, j0 + 8)
 
-    prior_spec = params.get("prior", {"family": "gaussian", "tau": 1.0, "sigma0_sq": 1.0})
-    family_name = prior_spec.get("family", "gaussian")
+    prior_spec = p["prior"]
+    family_name = prior_spec["family"]
     if family_name == "gaussian":
-        fam = sequence_model.GaussianCoordinates(float(prior_spec.get("sigma0_sq", 1.0)))
+        fam = sequence_model.GaussianCoordinates(prior_spec["sigma0_sq"])
     elif family_name == "rescaled_cauchy":
-        fam = sequence_model.RescaledCauchyCoordinates(float(prior_spec.get("scale", 1.0)), n)
+        fam = sequence_model.RescaledCauchyCoordinates(prior_spec["scale"], n)
     elif family_name == "rescaled_gaussian":
-        fam = sequence_model.RescaledGaussianCoordinates(
-            float(prior_spec.get("variance", 1.0)), n
-        )
+        fam = sequence_model.RescaledGaussianCoordinates(prior_spec["variance"], n)
     else:
         raise InputError(f"unknown coordinate family {family_name!r}")
-    prior = sequence_model.SievePrior.geometric(float(prior_spec.get("tau", 1.0)), K_max, fam)
+    prior = sequence_model.SievePrior.geometric(prior_spec["tau"], K_max, fam)
 
     signal = sequence_model.make_signal(kind, alpha, B, K_max, j0=j0)
     obs = sequence_model.sample_observation(signal, float(n), rng)
-    post = (
-        sequence_model.fit_empirical_bayes(prior, obs)
-        if params.get("posterior") == "empirical_bayes"
-        else sequence_model.fit_mean_field(prior, obs)
-    )
+    if p["posterior"] == "mean_field":
+        post = sequence_model.fit_mean_field(prior, obs)
+    elif p["posterior"] == "empirical_bayes":
+        post = sequence_model.fit_empirical_bayes(prior, obs)
+    else:
+        raise InputError(f"unknown posterior {p['posterior']!r}")
     if int(np.argmax(post.log_weights)) >= K_max // 2:
-        raise NumericError(
-            f"model weight argmax reached K_max/2 = {K_max // 2}; truncation binds"
-        )
+        raise NumericError(f"model weight argmax reached K_max/2 = {K_max // 2}; truncation binds")
     return post, signal
 
 
-def _run_gsm_risk(params, n, rng):
-    post, signal = _fit_gsm(params, n, rng)
+def _run_gsm_risk(p, n, rng):
+    post, signal = _fit_gsm(p, n, rng)
     return sequence_model.expected_risk(post, signal)
 
 
-def _run_gsm_dimension(params, n, rng):
-    post, _ = _fit_gsm(params, n, rng)
+def _run_gsm_dimension(p, n, rng):
+    post, _ = _fit_gsm(p, n, rng)
     return float(post.k_tilde if hasattr(post, "k_tilde") else post.k_hat)
 
 
-def _run_trunc_exact_risk(params, n, rng):
-    alpha = float(params.get("alpha", 1.0))
-    beta = float(params.get("beta", 1.0))
-    B = float(params.get("B", 1.0))
-    if params.get("k_rule") == "full":
+def _run_trunc_exact_risk(p, n, rng):
+    alpha = _positive(p, "alpha")
+    if p["k_rule"] == "full":
         k = int(n)
-    else:
-        t = float(params.get("t", 1.0 / (2.0 * alpha + 1.0)))
+    elif p["k_rule"] is None:
+        # any t >= 1 gives k = n; capping it keeps n**t finite
+        t = 1.0 / (2.0 * alpha + 1.0) if p["t"] is None else min(p["t"], 1.0)
         k = min(int(math.ceil(n**t - 1e-9)), int(n))
-    return truncated_series.worst_case_risk(alpha, beta, int(n), k, B)
+    else:
+        raise InputError(f"params.k_rule must be 'full' or absent, got {p['k_rule']!r}")
+    return truncated_series.worst_case_risk(alpha, p["beta"], int(n), k, p["B"])
 
 
-def _pc_common(params, n):
-    sigma = float(params.get("sigma", 1.0))
-    B = float(params.get("B", 1.0))
-    G = int(params.get("G", 64))
-    grid = changepoint.make_grid(B, sigma, G)
-    signal_opts = params.get("signal", {"kind": "zero"})
-    kind = signal_opts.get("kind", "zero")
+def _pc_common(p, n):
+    sigma, B = p["sigma"], p["B"]
+    grid = changepoint.make_grid(B, sigma, p["G"])
+    signal_opts = p["signal"]
+    kind = signal_opts["kind"]
     if kind == "zero":
         signal = changepoint.PiecewiseSignal(values=np.zeros(n), k_star=1, B=B)
     elif kind == "prefix":
         signal = changepoint.make_prefix_signal(
-            n,
-            int(signal_opts.get("k_star", 4)),
-            B,
-            seg_len=int(signal_opts.get("seg_len", 20)),
-            amplitude=float(signal_opts.get("amplitude", 0.9)),
+            n, signal_opts["k_star"], B, signal_opts["seg_len"], signal_opts["amplitude"]
         )
         signal = changepoint.snap_to_grid(signal, grid)
     elif kind == "equal_segments":
         signal = changepoint.snap_to_grid(
-            changepoint.make_piecewise_signal(n, int(signal_opts.get("k_star", 4)), B), grid
+            changepoint.make_piecewise_signal(n, signal_opts["k_star"], B), grid
         )
     else:
         raise InputError(f"unknown piecewise signal kind {kind!r}")
     return sigma, B, grid, signal
 
 
-def _run_pc_mean_field(params, n, rng):
-    sigma, B, grid, signal = _pc_common(params, n)
+def _run_pc_mean_field(p, n, rng):
+    sigma, B, grid, signal = _pc_common(p, n)
     prior = changepoint.MarkovSitePrior(0.5, changepoint.UniformDensity(-B - 1, B + 1))
     X = signal.values + sigma * rng.standard_normal(n)
     post = changepoint.fit_mean_field(X, sigma, prior)
     return changepoint.risk(post, signal)
 
 
-def _run_pc_markov_chain_batch(params, n, rngs):
-    sigma, B, grid, signal = _pc_common(params, n)
-    prob = params.get("change_prob", "reciprocal")
+def _change_prob(prob, n: int) -> float:
     if prob == "reciprocal":
-        p = 1.0 / n
-    elif isinstance(prob, dict) and "power" in prob:
-        p = float(n) ** (-float(prob["power"]))  # the n^{-c} family
-    else:
-        p = float(prob)
-    prior = changepoint.MarkovSitePrior(p, changepoint.UniformDensity(-B - 1, B + 1))
+        return 1.0 / n
+    if isinstance(prob, dict) and list(prob) == ["power"]:
+        power = _number(prob["power"], "params.change_prob.power")
+        if not power > 0:
+            raise InputError("params.change_prob.power must be positive")
+        return float(n) ** (-power)  # the n^{-c} family
+    return _number(prob, "params.change_prob")
+
+
+def _run_pc_markov_chain_batch(p, n, rngs):
+    sigma, B, grid, signal = _pc_common(p, n)
+    prior = changepoint.MarkovSitePrior(
+        _change_prob(p["change_prob"], n), changepoint.UniformDensity(-B - 1, B + 1)
+    )
     X = np.stack([signal.values + sigma * rng.standard_normal(n) for rng in rngs])
     return changepoint.markov_chain_risks(X, sigma, prior, grid, signal)
 
 
-def _run_mixture_hellinger(params, n, rng):
-    truth_spec = params.get("truth", {"mu": [-3.0, 3.0], "w": [0.5, 0.5], "sigma": 0.5})
-    truth = mixture.MixtureModel(
-        k=len(truth_spec["mu"]),
-        mu=np.asarray(truth_spec["mu"], dtype=float),
-        w=np.asarray(truth_spec["w"], dtype=float),
-        sigma=float(truth_spec["sigma"]),
-    )
-    hyper_spec = params.get("hyper", {})
-    hyper = mixture.MixtureHyper(**hyper_spec)
-    candidates = params.get("k_candidates", [1, 2, 3, 4])
+def _run_mixture_hellinger(p, n, rng):
+    mu, w = (np.asarray(p["truth"][key], dtype=float) for key in ("mu", "w"))
+    truth = mixture.MixtureModel(k=mu.size, mu=mu, w=w, sigma=p["truth"]["sigma"])
+    hyper = mixture.MixtureHyper(**p["hyper"])
+    if p["grid_points"] < 2:
+        raise InputError("params.grid_points must be at least 2")
     data = mixture.sample_mixture(truth, n, seed=rng)
-    _, state = mixture.select_k(data, candidates, hyper, seed=int(rng.integers(2**63)))
+    _, state = mixture.select_k(data, p["k_candidates"], hyper, seed=int(rng.integers(2**63)))
     span = float(np.max(np.abs(truth.mu)) + 6.0 * max(truth.sigma, 1.0))
-    grid = np.linspace(-span, span, int(params.get("grid_points", 2001)))
+    grid = np.linspace(-span, span, p["grid_points"])
     f0 = mixture.mixture_pdf(truth, grid)
     return mixture.hellinger_to_truth(state, f0, grid)
 
 
-def _run_expfamily_hellinger(params, n, rng):
-    theta_star = np.asarray(params.get("theta_star", [0.7, -0.4, 0.2]), dtype=float)
-    k = int(params.get("k", theta_star.size))
+def _run_expfamily_hellinger(p, n, rng):
+    theta_star = np.asarray(p["theta_star"], dtype=float)
+    k = theta_star.size if p["k"] is None else p["k"]
+    K_max = max(k, 6) if p["K_max"] is None else max(k, p["K_max"])
     prior = sequence_model.SievePrior.geometric(
-        1.0,
-        max(k, int(params.get("K_max", max(k, 6)))),
-        sequence_model.GaussianCoordinates(float(params.get("sigma0_sq", 1.0))),
+        1.0, K_max, sequence_model.GaussianCoordinates(p["sigma0_sq"])
     )
-    opt_spec = params.get("opt", {})
-    cfg = expfamily.OptConfig(
-        step_size=float(opt_spec.get("step_size", 0.25)),
-        n_iters=int(opt_spec.get("n_iters", 250)),
-        n_mc=int(opt_spec.get("n_mc", 64)),
-        seed=int(rng.integers(2**63)),
-    )
+    cfg = expfamily.OptConfig(**p["opt"], seed=int(rng.integers(2**63)))
     data = expfamily.sample(theta_star, n, seed=rng)
     q = expfamily.fit_gaussian_mf(data, prior, k, opt_config=cfg)
     return expfamily.hellinger_numeric(q.mu, theta_star) ** 2
 
 
-MODEL_IDS = {
-    "gsm_risk": (_run_gsm_risk, False),
-    "gsm_dimension": (_run_gsm_dimension, False),
-    "gsm_spike_risk": (_run_gsm_risk, False),
-    "trunc_exact_risk": (_run_trunc_exact_risk, False),
-    "pc_mean_field": (_run_pc_mean_field, False),
-    "pc_markov_chain": (_run_pc_markov_chain_batch, True),
-    "mixture_hellinger": (_run_mixture_hellinger, False),
-    "expfamily_hellinger": (_run_expfamily_hellinger, False),
+@dataclass(frozen=True)
+class ModelSpec:
+    """Everything decided per model id.
+
+    ``runner`` maps (parsed params, n, rng) to one replication's metric,
+    or with ``batched`` (params, n, rngs) to all of one n's; None means no
+    table.  ``report`` names the function of this module that ``command``
+    emits instead of a table.  ``defaults`` is the params schema.
+    """
+
+    command: str
+    runner: Optional[Callable]
+    batched: bool
+    defaults: dict
+    report: Optional[str] = None
+
+
+_DIV_DEFAULTS = {"slack": 1e-10, "rho_grid": [0.5, 2.0, 4.0, 8.0]}
+_GSM_DEFAULTS = {
+    "alpha": 1.0, "B": 1.0, "k_max_factor": 4.0, "posterior": "mean_field",
+    "prior": {"family": "gaussian", "tau": 1.0, "sigma0_sq": 1.0, "scale": 1.0, "variance": 1.0},
+    "signal": {"kind": "sobolev_boundary", "j0": None},
+}
+_TRUNC_DEFAULTS = {  # t defaults to 1 / (2 alpha + 1)
+    "alpha": 1.0, "beta": 1.0, "B": 1.0, "t": float, "k_rule": None,
+    "t_grid": [round(0.1 * i, 1) for i in range(1, 11)],
+}
+_PC_DEFAULTS = {
+    "sigma": 1.0, "B": 1.0, "G": 64, "change_prob": "reciprocal",
+    "signal": {"kind": "zero", "k_star": 4, "seg_len": 20, "amplitude": 0.9},
+}
+_MIX_DEFAULTS = {
+    "truth": {"mu": [-3.0, 3.0], "w": [0.5, 0.5], "sigma": 0.5},
+    "hyper": asdict(mixture.MixtureHyper()),
+    "k_candidates": [1, 2, 3, 4], "grid_points": 2001,
+}
+_EXPFAM_DEFAULTS = {
+    # k defaults to len(theta_star), K_max to max(k, 6)
+    "theta_star": [0.7, -0.4, 0.2], "k": int, "K_max": int, "sigma0_sq": 1.0,
+    "opt": {"step_size": 0.25, "n_iters": 250, "n_mc": 64},
+}
+
+MODELS = {
+    "divergence_chain": ModelSpec(
+        "divcheck", None, False, _DIV_DEFAULTS, "divergence_chain_report"
+    ),
+    "gsm_risk": ModelSpec("gsm-rate", _run_gsm_risk, False, _GSM_DEFAULTS),
+    "gsm_dimension": ModelSpec("gsm-dim", _run_gsm_dimension, False, _GSM_DEFAULTS),
+    "gsm_spike_risk": ModelSpec("gsm-lower", _run_gsm_risk, False, _GSM_DEFAULTS),
+    "trunc_exact_risk": ModelSpec(
+        "trunc-curve", _run_trunc_exact_risk, False, _TRUNC_DEFAULTS, "trunc_curve_rows"
+    ),
+    "pc_mean_field": ModelSpec("pc-compare", _run_pc_mean_field, False, _PC_DEFAULTS),
+    "pc_markov_chain": ModelSpec("pc-compare", _run_pc_markov_chain_batch, True, _PC_DEFAULTS),
+    "mixture_hellinger": ModelSpec("mix-fit", _run_mixture_hellinger, False, _MIX_DEFAULTS),
+    "expfamily_hellinger": ModelSpec(
+        "expfam-fit", _run_expfamily_hellinger, False, _EXPFAM_DEFAULTS
+    ),
 }
 
 
@@ -347,29 +437,26 @@ def run_experiment(config: ExperimentConfig) -> RateTable:
     (master_seed, n, r), so any subset of the table can be reproduced in
     isolation; failures are re-raised with the (n, rep) coordinates.
     """
-    if config.model not in MODEL_IDS:
+    spec = MODELS.get(config.model)
+    if spec is None or spec.runner is None:
         raise InputError(f"unknown model id {config.model!r}")
-    runner, batched = MODEL_IDS[config.model]
+    params = parse_params(config.params, config.model)
     means, ses = [], []
     for n in config.n_grid:
         rngs = [generator(config.master_seed, n, rep) for rep in range(config.replications)]
         try:
-            if batched:
-                vals = np.asarray(runner(config.params, n, rngs), dtype=float)
+            if spec.batched:
+                vals = np.asarray(spec.runner(params, n, rngs), dtype=float)
             else:
                 vals = np.array(
-                    [_run_one(runner, config.params, n, rep, rng) for rep, rng in enumerate(rngs)]
+                    [_run_one(spec.runner, params, n, rep, rng) for rep, rng in enumerate(rngs)]
                 )
         except VblabError as exc:
             raise type(exc)(f"n={n}: {exc}") from exc
         means.append(float(vals.mean()))
         ses.append(float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0)
-    return RateTable(
-        n=np.asarray(config.n_grid, dtype=int),
-        mean_risk=np.asarray(means),
-        stderr=np.asarray(ses),
-        replications=np.full(len(config.n_grid), config.replications, dtype=int),
-    )
+    reps = np.full(len(config.n_grid), config.replications)
+    return RateTable(np.asarray(config.n_grid), np.asarray(means), np.asarray(ses), reps)
 
 
 def _run_one(runner, params, n, rep, rng):
@@ -394,10 +481,9 @@ def divergence_chain_report(config: ExperimentConfig) -> dict:
     lo, hi = int(config.n_grid[0]), int(config.n_grid[-1])
     if lo < 2:
         raise InputError("distribution sizes start at 2")
-    slack = float(config.params.get("slack", 1e-10))
-    rho_grid = [float(r) for r in config.params.get("rho_grid", [0.5, 2.0, 4.0, 8.0])]
-    ordering_failures = 0
-    monotonicity_failures = 0
+    params = parse_params(config.params, "divergence_chain")
+    slack, rho_grid = params["slack"], params["rho_grid"]
+    ordering_failures = monotonicity_failures = 0
     worst = 0.0
     for i in range(config.replications):
         rng = generator(config.master_seed, 0, i)
@@ -406,11 +492,7 @@ def divergence_chain_report(config: ExperimentConfig) -> dict:
         q = divergences.DiscreteDistribution(rng.dirichlet(np.ones(size)))
         rep = divergences.chain_report(p, q)
         vals = rep.chain()
-        gap = max(
-            (a - b)
-            for a, b in zip(vals, vals[1:])
-            if math.isfinite(a) and math.isfinite(b)
-        )
+        gap = max(a - b for a, b in zip(vals, vals[1:]) if math.isfinite(a) and math.isfinite(b))
         worst = max(worst, gap)
         if not rep.satisfies_ordering(slack):
             ordering_failures += 1
@@ -427,19 +509,11 @@ def divergence_chain_report(config: ExperimentConfig) -> dict:
 
 def trunc_curve_rows(config: ExperimentConfig) -> list:
     """Rate-exponent curve rows (t, fitted, theory) for the truncated family."""
-    params = config.params
-    t_grid = [float(t) for t in params.get("t_grid", [round(0.1 * i, 1) for i in range(1, 11)])]
+    params = parse_params(config.params, "trunc_exact_risk")
     rows = truncated_series.rate_exponent_curve(
-        float(params.get("alpha", 1.0)),
-        float(params.get("beta", 1.0)),
-        t_grid,
-        list(config.n_grid),
-        B=float(params.get("B", 1.0)),
+        params["alpha"], params["beta"], params["t_grid"], list(config.n_grid), B=params["B"]
     )
-    return [
-        {"t": t, "fitted_exponent": fitted, "theory_exponent": theory}
-        for t, fitted, theory in rows
-    ]
+    return [{"t": t, "fitted_exponent": f, "theory_exponent": th} for t, f, th in rows]
 
 
 # ---------------------------------------------------------------------------

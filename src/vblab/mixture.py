@@ -259,6 +259,8 @@ def select_k(
     cands = sorted(set(int(k) for k in k_candidates))
     if not cands:
         raise InputError("need at least one candidate k")
+    if cands[0] < 1:
+        raise InputError(f"candidate k must be at least 1, got {cands[0]}")
     best = None
     failures = []
     for k in cands:

@@ -129,6 +129,8 @@ def worst_case_risk(alpha: float, beta: float, n: int, k: int, B: float = 1.0) -
     effective dimension n^{1/(2 beta + 1)}, and the near-boundary smooth
     signal.
     """
+    if not beta >= 0:  # before n^{1/(2 beta + 1)} can blow up
+        raise InputError("beta must be non-negative")
     j_eff = _ceil_power(n, 1.0 / (2 * beta + 1))
     length = max(4 * j_eff, k + 2, 8)
     candidates = [
@@ -167,6 +169,8 @@ def rate_exponent_curve(alpha, beta, t_grid, n_grid, B: float = 1.0):
         raise InputError("need at least 3 n values for an exponent fit")
     if any(n < 64 for n in n_arr):
         raise InputError("n values below 64 are dominated by tail artifacts")
+    if not all(0 < t <= 1 for t in t_arr):  # before n^t can overflow
+        raise InputError("t must lie in (0, 1]")
     log_n = np.log(np.asarray(n_arr, dtype=float))
     out = []
     for t in t_arr:

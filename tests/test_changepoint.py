@@ -19,6 +19,8 @@ from vblab.changepoint import (
     grid_posterior,
     make_grid,
     make_piecewise_signal,
+    make_prefix_signal,
+    markov_chain_risks,
     mle_segmentation,
     risk,
     snap_to_grid,
@@ -394,3 +396,24 @@ class TestSignals:
         snapped = snap_to_grid(sig, grid)
         assert set(np.unique(snapped.values)) <= set(grid)
         assert snapped.k_star <= 4
+
+    def test_prefix_segment_length_validated(self):
+        with pytest.raises(InputError):
+            make_prefix_signal(64, 2, 1.0, seg_len=-4)
+
+
+class TestSigmaValidated:
+    """Every posterior route rejects a non-positive noise level, as grid_posterior does."""
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_mean_field(self, sigma):
+        prior = MarkovSitePrior(0.5, UniformDensity(-2.0, 2.0))
+        with pytest.raises(InputError, match="sigma"):
+            fit_mean_field(np.zeros(8), sigma, prior)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_markov_chain_risks(self, sigma):
+        prior = MarkovSitePrior(0.1, UniformDensity(-2.0, 2.0))
+        grid = make_grid(1.0, 1.0, G=16)
+        with pytest.raises(InputError, match="sigma"):
+            markov_chain_risks(np.zeros((2, 8)), sigma, prior, grid, PiecewiseSignalZero(8))

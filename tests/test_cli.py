@@ -1,10 +1,21 @@
-"""End-to-end CLI tests: exit codes, output schemas, byte determinism."""
+"""End-to-end CLI tests: exit codes, output schemas, byte determinism, config parsing."""
 
+import contextlib
+import copy
+import io
 import json
+import math
+import os
+import pathlib
+import re
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vblab.cli import main
+from vblab.harness import MODELS, ExperimentConfig, parse_params
 
 
 def write_config(tmp_path, name, payload):
@@ -141,23 +152,55 @@ def test_config_out_fallback(tmp_path):
     assert main(["divcheck", "--config", no_out]) == 2
 
 
-def test_validation_failures_exit_2(tmp_path):
-    missing = str(tmp_path / "nope.json")
-    assert main(["gsm-rate", "--config", missing, "--out", str(tmp_path / "o.csv")]) == 2
+def _config(command, params=None, **top):
+    """SMALL_CONFIGS[command] with top-level keys and params keys overridden."""
+    payload = {**SMALL_CONFIGS[command], **top}
+    payload["params"] = {**payload["params"], **(params or {})}
+    return payload
 
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["gsm-rate", "--config", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
 
-    unknown_key = write_config(
-        tmp_path,
-        "uk.json",
-        {**SMALL_CONFIGS["gsm-rate"], "extra": 1},
-    )
-    assert main(["gsm-rate", "--config", unknown_key, "--out", str(tmp_path / "o.csv")]) == 2
+PC_MEAN_FIELD = {**SMALL_CONFIGS["pc-compare"], "model": "pc_mean_field"}
 
-    wrong_model = write_config(tmp_path, "wm.json", SMALL_CONFIGS["divcheck"])
-    assert main(["gsm-rate", "--config", wrong_model, "--out", str(tmp_path / "o.csv")]) == 2
+# (command, config payload): None is a missing file, a str is written verbatim
+INVALID_INPUTS = {
+    "missing-file": ("gsm-rate", None),
+    "not-json": ("gsm-rate", "{not json"),
+    "unknown-config-key": ("gsm-rate", _config("gsm-rate", extra=1)),
+    "wrong-model": ("gsm-rate", SMALL_CONFIGS["divcheck"]),
+    "replications-str": ("gsm-rate", _config("gsm-rate", replications="abc")),
+    "replications-float": ("gsm-rate", _config("gsm-rate", replications=2.9)),
+    "master-seed-str": ("gsm-rate", _config("gsm-rate", master_seed="x")),
+    "n-grid-int": ("gsm-rate", _config("gsm-rate", n_grid=256)),
+    "n-grid-float": ("gsm-rate", _config("gsm-rate", n_grid=[256.7, 512])),
+    "signal-int": ("gsm-rate", _config("gsm-rate", {"signal": 5})),
+    "hyper-unknown-key": ("mix-fit", _config("mix-fit", {"hyper": {"sigma0": 1}})),
+    "change-prob-str": ("pc-compare", _config("pc-compare", {"change_prob": "abc"})),
+    "rho-grid-str": ("divcheck", _config("divcheck", {"rho_grid": ["a"]})),
+    "slack-str": ("divcheck", _config("divcheck", {"slack": "x"})),
+    "t-grid-str": ("trunc-curve", _config("trunc-curve", {"t_grid": ["a"]})),
+    "theta-star-str": ("expfam-fit", _config("expfam-fit", {"theta_star": "x"})),
+    "spike-j0-str": ("gsm-lower", _config("gsm-lower", {"signal": {"kind": "spike", "j0": "x"}})),
+    "truth-partial": ("mix-fit", _config("mix-fit", {"truth": {"mu": [0.0]}})),
+    "params-typo": ("gsm-rate", _config("gsm-rate", {"alpah": 3.0})),
+    "nested-params-typo": ("gsm-rate", _config("gsm-rate", {"prior": {"sigma0sq": 1.0}})),
+    "pc-mean-field-sigma-0": ("pc-compare", {**PC_MEAN_FIELD, "params": {"sigma": 0.0}}),
+    "pc-mean-field-sigma-neg": ("pc-compare", {**PC_MEAN_FIELD, "params": {"sigma": -1.0}}),
+    "pc-markov-chain-sigma-0": ("pc-compare", _config("pc-compare", {"sigma": 0.0})),
+    "gsm-alpha-neg": ("gsm-rate", _config("gsm-rate", {"alpha": -0.5})),
+    "mix-k-candidate-0": ("mix-fit", _config("mix-fit", {"k_candidates": [0]})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_INPUTS))
+def test_validation_failures_exit_2(case, tmp_path, capsys):
+    command, payload = INVALID_INPUTS[case]
+    cfg = str(tmp_path / "cfg.json")
+    if payload is not None:
+        (tmp_path / "cfg.json").write_text(
+            payload if isinstance(payload, str) else json.dumps(payload)
+        )
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
 
 
 def test_numeric_failures_exit_3(tmp_path):
@@ -179,3 +222,109 @@ def test_numeric_failures_exit_3(tmp_path):
         },
     )
     assert main(["gsm-rate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
+
+
+# Keys whose values set an experiment's size: a mutation never draws a larger
+# value for them than SMALL_CONFIGS has, so no example allocates more than a few MB.
+SIZE_KEYS = {"n_grid", "replications", "G"}
+
+
+def _locations(node, path=()):
+    """(path, kind) below node: kind is "dict" for an object, "key" for an
+    object member and "item" for a list element."""
+    if isinstance(node, dict):
+        yield path, "dict"
+        for key, value in node.items():
+            yield path + (key,), "key"
+            yield from _locations(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield path + (i,), "item"
+            yield from _locations(value, path + (i,))
+
+
+def _at(node, path):
+    for step in path:
+        node = node[step]
+    return node
+
+
+def _ints_below(node):
+    if isinstance(node, (dict, list)):
+        values = node.values() if isinstance(node, dict) else node
+        return [i for v in values for i in _ints_below(v)]
+    return [node] if isinstance(node, int) and not isinstance(node, bool) else []
+
+
+def _replacements(cap, max_len):
+    scalars = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.text(max_size=4),
+        st.floats(-4.0, 64.0) | st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.integers(-4, cap),
+    )
+    return st.one_of(
+        scalars,
+        st.lists(scalars, max_size=max_len),
+        st.dictionaries(st.text(max_size=4), scalars, max_size=2),
+    )
+
+
+@st.composite
+def mutated_configs(draw):
+    """A SMALL_CONFIGS entry with one key dropped, one key added, or one value replaced."""
+    command = draw(st.sampled_from(sorted(SMALL_CONFIGS)))
+    config = copy.deepcopy(SMALL_CONFIGS[command])
+    places = list(_locations(config))
+    action = draw(st.sampled_from(["drop", "add", "replace"]))
+    if action == "add":
+        target = _at(config, draw(st.sampled_from([p for p, kind in places if kind == "dict"])))
+        key = draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in target))
+        target[key] = draw(_replacements(64, 3))
+        return command, config
+    kinds = ("key",) if action == "drop" else ("key", "item")
+    path = draw(st.sampled_from([p for p, kind in places if kind in kinds]))
+    parent, last = _at(config, path[:-1]), path[-1]
+    if action == "drop":
+        del parent[last]
+    else:
+        old = parent[last]
+        sized = SIZE_KEYS.intersection(step for step in path if isinstance(step, str))
+        cap = min(64, max(_ints_below(old), default=64)) if sized else 64
+        max_len = len(old) if sized and isinstance(old, list) else 3
+        parent[last] = draw(_replacements(cap, max_len))
+    return command, config
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_configs())
+def test_mutated_configs_exit_cleanly(case):
+    command, payload = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump(payload, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([command, "--config", cfg, "--out", os.path.join(tmp, "o.csv")])
+    assert rc in (0, 2, 3)
+    if rc:
+        assert err.getvalue().splitlines()[-1].startswith(("error:", "numeric failure:"))
+
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_shipped_configs_parse_under_their_schema():
+    readme = (REPO / "README.md").read_text()
+    named = dict(
+        (path, command)
+        for command, path in re.findall(r"vblab (\S+) +--config (configs/\S+\.json)", readme)
+    )
+    configs = sorted(REPO.glob("configs/*.json"))
+    assert configs
+    for path in configs:
+        config = ExperimentConfig.from_json(path.read_text())
+        parse_params(config.params, config.model)
+        assert MODELS[config.model].command == named[f"configs/{path.name}"], path.name

@@ -230,6 +230,13 @@ class TestFit:
         q = fit_gaussian_mf(data, prior, k=3, opt_config=OptConfig(seed=5))
         assert np.all(np.abs(q.mu) <= 0.3)
 
+    @pytest.mark.parametrize(
+        "settings", [{"n_mc": 0}, {"n_mc": -4}, {"n_iters": 0}, {"step_size": 0.0}]
+    )
+    def test_opt_config_validated(self, settings):
+        with pytest.raises(InputError):
+            OptConfig(**settings)
+
     def test_final_beats_initial_elbo(self):
         prior = gaussian_prior(K_max=4)
         for s in range(20):

@@ -71,6 +71,13 @@ class TestConfig:
         with pytest.raises(InputError):
             ExperimentConfig("gsm_risk", (64, 64), 1, 0, {})
 
+    @pytest.mark.parametrize(
+        "fields", [((256.7, 512), 1, 0), ((256, 512), 2.9, 0), ((256,), 1, "7"), ((256,), True, 0)]
+    )
+    def test_non_integer_sizes_rejected(self, fields):
+        with pytest.raises(InputError):
+            ExperimentConfig("gsm_risk", *fields, {})
+
 
 class TestFitRateExponent:
     def test_exact_power_law(self):

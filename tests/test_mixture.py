@@ -159,6 +159,11 @@ class TestSelectK:
         with pytest.raises(InputError):
             select_k(np.zeros(10), [])
 
+    @pytest.mark.parametrize("candidates", [[0], [-1, 2]])
+    def test_nonpositive_candidates_rejected(self, candidates):
+        with pytest.raises(InputError):
+            select_k(np.zeros(10), candidates)
+
 
 class TestHellinger:
     def test_zero_against_own_plugin(self):

@@ -162,3 +162,10 @@ class TestRateCurve:
             rate_exponent_curve(1.0, 1.0, [0.5], [32, 64, 128])
         with pytest.raises(InputError):
             rate_exponent_curve(1.0, 1.0, [], [1024, 2048, 4096])
+
+    def test_powers_validated_before_use(self):
+        # t > 1 would overflow n^t and beta = -1/2 would divide by zero
+        with pytest.raises(InputError):
+            rate_exponent_curve(1.0, 1.0, [64.0], [1024, 2048, 4096])
+        with pytest.raises(InputError):
+            worst_case_risk(1.0, -0.5, 1024, 8)
