@@ -6,11 +6,12 @@ panel count doubles until two successive refinements agree to the
 requested relative tolerance.
 """
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
+from ._lse import _logsumexp
 from .errors import NumericError
 
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -31,6 +32,16 @@ def panel_nodes(a: float, b: float, panels: int, order: int = 16) -> tuple[np.nd
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
+
+
+@lru_cache(maxsize=None)
+def fixed_rule(a: float, b: float, panels: int, order: int = 16) -> tuple[np.ndarray, ...]:
+    """Read-only nodes, weights and log weights of panel_nodes, built once per argument set."""
+    nodes, weights = panel_nodes(a, b, panels, order)
+    rule = (nodes, weights, np.log(weights))
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
 def integrate(
@@ -80,7 +91,7 @@ def integrate_log(
     for _ in range(max_doublings + 1):
         nodes, weights = panel_nodes(a, b, panels, order)
         log_terms = log_f(nodes) + np.log(weights)
-        val = float(logsumexp(log_terms))
+        val = _logsumexp(log_terms)
         if prev is not None and abs(val - prev) <= rel_tol * max(1.0, abs(val)):
             return val
         prev = val

@@ -31,8 +31,9 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, ndtr
+from scipy.special import gammaln, ndtr
 
+from ._lse import _logsumexp
 from .errors import InputError, NumericError
 
 __all__ = [
@@ -222,7 +223,7 @@ class UniformPositionsPrior:
         lw = np.asarray(self.log_dimension_weights, dtype=float)
         if lw.size != self.n:
             raise InputError("need one dimension weight per piece count 1..n")
-        lw = lw - logsumexp(lw)
+        lw = lw - _logsumexp(lw)
         object.__setattr__(self, "log_dimension_weights", lw)
         if len(self.site_densities) != self.n:
             raise InputError("need one value density per site")
@@ -336,7 +337,7 @@ def fit_mean_field(
         raise InputError("non-uniform value densities need an explicit grid")
     logw = np.stack([g.log_pdf(grid) for g in densities])
     logw = logw - 0.5 * ((grid[None, :] - X[:, None]) / sigma) ** 2
-    logw = logw - logsumexp(logw, axis=1, keepdims=True)
+    logw = logw - _logsumexp(logw, axis=1, keepdims=True)
     probs = np.exp(logw)
     means = probs @ grid
     variances = probs @ grid**2 - means**2
@@ -551,7 +552,7 @@ def _log_emissions(X: np.ndarray, sigma: float, grid: np.ndarray) -> np.ndarray:
 
 def _grid_pmf(density: ValueDensity, grid: np.ndarray) -> np.ndarray:
     lp = density.log_pdf(grid)
-    total = logsumexp(lp)
+    total = _logsumexp(lp)
     if not np.isfinite(total):
         raise InputError("the value density puts no mass on the grid")
     return lp - total

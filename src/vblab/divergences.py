@@ -11,16 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lse import _logsumexp
 from .errors import DomainError, InputError
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    # scipy's logsumexp carries heavy dispatch overhead on tiny arrays;
-    # the audit loops here call this millions of times
-    top = np.max(values)
-    if not np.isfinite(top):
-        return float(top)
-    return float(top + math.log(np.exp(values - top).sum()))
 
 __all__ = [
     "DiscreteDistribution",

@@ -16,12 +16,13 @@ function, so plain gradients (and finite-difference checks) apply.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy.special import logsumexp
 
-from ._quadrature import integrate, panel_nodes
+from ._lse import _logsumexp
+from ._quadrature import fixed_rule, integrate
 from .errors import InputError, OptimizationError
 from .sequence_model import SievePrior
 
@@ -209,17 +210,24 @@ def _crn_draws(q_mu, q_sigma, eps):
     return q_mu[None, :] + q_sigma[None, :] * eps
 
 
+@lru_cache(maxsize=None)
+def _elbo_rule(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only basis values (nodes, k), weights and log weights of the ELBO rule."""
+    nodes, wts, log_wts = fixed_rule(0.0, 1.0, _ELBO_PANELS, order=8)
+    H = basis_matrix(nodes, k)
+    H.flags.writeable = False
+    return H, wts, log_wts
+
+
 def _normalizer_stats(draws: np.ndarray):
     """c(theta) and E_theta[h] for a batch of coefficient draws.
 
     Fixed-panel Gauss-Legendre so the map theta -> c(theta) is smooth and
     deterministic (required by the common-random-number gradient checks).
     """
-    S, k = draws.shape
-    nodes, wts = panel_nodes(0.0, 1.0, panels=_ELBO_PANELS, order=8)
-    H = basis_matrix(nodes, k)  # (nodes, k)
+    H, wts, log_wts = _elbo_rule(draws.shape[1])  # H: (nodes, k)
     g = draws @ H.T  # (S, nodes)
-    c = logsumexp(g + np.log(wts)[None, :], axis=1)
+    c = _logsumexp(g + log_wts[None, :], axis=1)
     dens = np.exp(g - c[:, None]) * wts[None, :]
     moments = dens @ H  # (S, k): E[h_j] under each drawn density
     return c, moments
@@ -257,17 +265,14 @@ def elbo(
         return -math.inf
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     eps = rng.standard_normal((n_mc, q.k))
-    value, _, _ = _elbo_terms(q.mu, np.sqrt(q.sigma2), eps, data, prior)
+    suff = basis_matrix(data, q.k).sum(axis=0)
+    value, _, _ = _elbo_terms(q.mu, np.sqrt(q.sigma2), eps, suff, data.size, prior)
     return value
 
 
-def _elbo_terms(mu, sigma, eps, data, prior):
-    k = mu.size
-    n = data.size
-    fam = prior.coordinate_family
-    s0 = fam.sigma0_sq
-    Hx = basis_matrix(data, k)
-    suff = Hx.sum(axis=0)  # (k,)
+def _elbo_terms(mu, sigma, eps, suff, n, prior):
+    # suff = sum_i h(X_i), the (k,) sufficient statistic of the n data points
+    s0 = prior.coordinate_family.sigma0_sq
     draws = _crn_draws(mu, sigma, eps)
     c, moments = _normalizer_stats(draws)
     mean_c = float(c.mean())
@@ -293,7 +298,8 @@ def elbo_and_gradient(
         raise InputError("gradients need strictly positive variances")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     eps = rng.standard_normal((n_mc, q.k))
-    return _elbo_terms(q.mu, np.sqrt(q.sigma2), eps, data, prior)
+    suff = basis_matrix(data, q.k).sum(axis=0)
+    return _elbo_terms(q.mu, np.sqrt(q.sigma2), eps, suff, data.size, prior)
 
 
 def fit_gaussian_mf(
@@ -315,11 +321,12 @@ def fit_gaussian_mf(
     mu = np.zeros(k)
     log_sigma = np.full(k, -0.5 * math.log(data.size))
     n = data.size
+    suff = basis_matrix(data, k).sum(axis=0)
     best_value = -math.inf
     best = (mu.copy(), log_sigma.copy())
     for _ in range(opt_config.n_iters):
         sigma = np.exp(log_sigma)
-        value, grad_mu, grad_ls = _elbo_terms(mu, sigma, eps, data, prior)
+        value, grad_mu, grad_ls = _elbo_terms(mu, sigma, eps, suff, n, prior)
         if value < -1e12:
             raise OptimizationError("ELBO diverged below -1e12")
         if value > best_value:

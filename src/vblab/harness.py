@@ -396,10 +396,11 @@ _TRUNC_DEFAULTS = {  # t defaults to 1 / (2 alpha + 1)
     "alpha": 1.0, "beta": 1.0, "B": 1.0, "t": float, "k_rule": None,
     "t_grid": [round(0.1 * i, 1) for i in range(1, 11)],
 }
-_PC_DEFAULTS = {
-    "sigma": 1.0, "B": 1.0, "G": 64, "change_prob": "reciprocal",
+_PC_MF_DEFAULTS = {  # the mean-field route has no change probability
+    "sigma": 1.0, "B": 1.0, "G": 64,
     "signal": {"kind": "zero", "k_star": 4, "seg_len": 20, "amplitude": 0.9},
 }
+_PC_CHAIN_DEFAULTS = {**_PC_MF_DEFAULTS, "change_prob": "reciprocal"}
 _MIX_DEFAULTS = {
     "truth": {"mu": [-3.0, 3.0], "w": [0.5, 0.5], "sigma": 0.5},
     "hyper": asdict(mixture.MixtureHyper()),
@@ -421,8 +422,10 @@ MODELS = {
     "trunc_exact_risk": ModelSpec(
         "trunc-curve", _run_trunc_exact_risk, False, _TRUNC_DEFAULTS, "trunc_curve_rows"
     ),
-    "pc_mean_field": ModelSpec("pc-compare", _run_pc_mean_field, False, _PC_DEFAULTS),
-    "pc_markov_chain": ModelSpec("pc-compare", _run_pc_markov_chain_batch, True, _PC_DEFAULTS),
+    "pc_mean_field": ModelSpec("pc-compare", _run_pc_mean_field, False, _PC_MF_DEFAULTS),
+    "pc_markov_chain": ModelSpec(
+        "pc-compare", _run_pc_markov_chain_batch, True, _PC_CHAIN_DEFAULTS
+    ),
     "mixture_hellinger": ModelSpec("mix-fit", _run_mixture_hellinger, False, _MIX_DEFAULTS),
     "expfamily_hellinger": ModelSpec(
         "expfam-fit", _run_expfamily_hellinger, False, _EXPFAM_DEFAULTS

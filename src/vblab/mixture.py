@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import digamma, gammaln, logsumexp
+from scipy.special import digamma, gammaln
 
+from ._lse import _logsumexp
 from ._rng import derive_seed
 from .errors import InputError, OptimizationError
 
@@ -141,13 +142,13 @@ class GMFState:
         return MixtureModel(k=self.k, mu=self.mu_mean, w=w, sigma=sigma, p=2)
 
 
-def _elbo_value(x, r, m, v, alpha, a, b, hyper: MixtureHyper) -> float:
+def _elbo_value(delta, r, m, v, alpha, a, b, hyper: MixtureHyper) -> float:
+    # delta = (x - m)^2 + v, the expected squared distance of each point to each mean
     n, k = r.shape
     e_tau = a / b
     e_logtau = digamma(a) - math.log(b)
     alpha_hat = alpha.sum()
     e_logw = digamma(alpha) - digamma(alpha_hat)
-    delta = (x[:, None] - m[None, :]) ** 2 + v[None, :]
 
     lik = float(np.sum(r * (0.5 * e_logtau - 0.5 * math.log(math.pi) - e_tau * delta)))
     assign = float(np.sum(r * e_logw[None, :]))
@@ -210,13 +211,13 @@ def cavi_fixed_k(
 
     trace = []
     converged = False
+    delta = (x[:, None] - m[None, :]) ** 2 + v[None, :]
     for _ in range(max_sweeps):
         e_tau = a / b
         e_logtau = digamma(a) - math.log(b)
         e_logw = digamma(alpha) - digamma(alpha.sum())
-        delta = (x[:, None] - m[None, :]) ** 2 + v[None, :]
         log_r = e_logw[None, :] + 0.5 * e_logtau - 0.5 * math.log(math.pi) - e_tau * delta
-        log_r -= logsumexp(log_r, axis=1, keepdims=True)
+        log_r -= _logsumexp(log_r, axis=1, keepdims=True)
         r = np.exp(log_r)
 
         counts = r.sum(axis=0)
@@ -225,9 +226,10 @@ def cavi_fixed_k(
         v = 1.0 / prec
         m = 2.0 * e_tau * (r * x[:, None]).sum(axis=0) * v
         a = hyper.a0 + 0.5 * n
-        b = hyper.b0 + float(np.sum(r * ((x[:, None] - m[None, :]) ** 2 + v[None, :])))
+        delta = (x[:, None] - m[None, :]) ** 2 + v[None, :]
+        b = hyper.b0 + float(np.sum(r * delta))
 
-        trace.append(_elbo_value(x, r, m, v, alpha, a, b, hyper))
+        trace.append(_elbo_value(delta, r, m, v, alpha, a, b, hyper))
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-1])):
             converged = True
             break

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
-from ._quadrature import integrate_log, panel_nodes
+from ._lse import _logsumexp
+from ._quadrature import fixed_rule, integrate_log, panel_nodes
 from .divergences import ScalarGaussian
 from .errors import InputError, NumericError
 
@@ -133,9 +133,9 @@ class RescaledCauchyCoordinates:
         self._check_n(n)
         y = np.atleast_1d(np.asarray(y, dtype=float))
         v = math.sqrt(n) * y
-        w, wt = panel_nodes(-15.0, 15.0, panels=30, order=16)
+        w, _, log_wt = fixed_rule(-15.0, 15.0, 30)
         log_terms = self._log_g(v[:, None] + w[None, :]) - 0.5 * w[None, :] ** 2
-        out = 0.5 * v**2 + logsumexp(log_terms + np.log(wt)[None, :], axis=1)
+        out = 0.5 * v**2 + _logsumexp(log_terms + log_wt[None, :], axis=1)
         return out if out.size > 1 else float(out[0])
 
     def log_evidence_adaptive(self, y: float, n: float) -> float:
@@ -151,7 +151,7 @@ class RescaledCauchyCoordinates:
         v = math.sqrt(n) * y
         u = np.linspace(v - _GRID_HALF_WIDTH, v + _GRID_HALF_WIDTH, _GRID_POINTS)
         log_w = self._log_g(u) - 0.5 * (u - v) ** 2
-        log_w -= logsumexp(log_w)
+        log_w -= _logsumexp(log_w)
         rn = math.sqrt(n)
         return CoordinateTilt(
             density=GridDensity(points=u / rn, probs=np.exp(log_w)),
@@ -383,7 +383,7 @@ def log_model_weights(prior: SievePrior, obs: SequenceObservation) -> np.ndarray
         raise InputError(f"observation length {obs.y.size} != K_max {prior.K_max}")
     ratios = prior.coordinate_family.log_evidence_ratio(obs.y, obs.n)
     scores = prior.log_dimension_weights + np.concatenate(([0.0], np.cumsum(ratios)))
-    norm = logsumexp(scores)
+    norm = _logsumexp(scores)
     if not np.isfinite(norm):
         raise NumericError("all model weights vanished")
     return scores - norm

@@ -51,7 +51,9 @@ class TruncVBPosterior:
 
 
 def _decay(j: np.ndarray, beta: float) -> np.ndarray:
-    return j ** (2.0 * beta + 1.0)
+    # inf once j^(2 beta + 1) leaves float range; n / (n + inf) = 0 is then the exact limit
+    with np.errstate(over="ignore"):
+        return j ** (2.0 * beta + 1.0)
 
 
 def fit_vb_k(obs: SequenceObservation, beta: float, k: int) -> TruncVBPosterior:
@@ -105,11 +107,15 @@ def exact_risk(signal: SobolevSignal, n: int, beta: float, k: int) -> float:
     theta = signal.theta
     kk = min(k, theta.size)
     j = np.arange(1, k + 1, dtype=float)
-    denom = n + _decay(j, beta)
+    decay = _decay(j, beta)
+    denom = n + decay
 
-    bias_head = float(np.sum((_decay(j[:kk], beta) / denom[:kk]) ** 2 * theta[:kk] ** 2))
+    # decay / denom tends to 1 where the decay overflows, and n / denom^2 to 0
+    shrink = np.divide(decay[:kk], denom[:kk], out=np.ones(kk), where=np.isfinite(decay[:kk]))
+    bias_head = float(np.sum(shrink**2 * theta[:kk] ** 2))
     tail_signal = float(np.sum(theta[k:] ** 2))
-    sampling_var = float(np.sum(n / denom**2))
+    with np.errstate(over="ignore"):
+        sampling_var = float(np.sum(n / denom**2))
     posterior_var = float(np.sum(1.0 / denom))
     log_tail = _log_tail_sum(k, int(n))
     tail_var = math.exp(log_tail) if log_tail > -745.0 else 0.0

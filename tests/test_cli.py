@@ -185,6 +185,9 @@ INVALID_INPUTS = {
     "nested-params-typo": ("gsm-rate", _config("gsm-rate", {"prior": {"sigma0sq": 1.0}})),
     "pc-mean-field-sigma-0": ("pc-compare", {**PC_MEAN_FIELD, "params": {"sigma": 0.0}}),
     "pc-mean-field-sigma-neg": ("pc-compare", {**PC_MEAN_FIELD, "params": {"sigma": -1.0}}),
+    "pc-mean-field-change-prob": (
+        "pc-compare", {**PC_MEAN_FIELD, "params": {"change_prob": 0.3}}
+    ),
     "pc-markov-chain-sigma-0": ("pc-compare", _config("pc-compare", {"sigma": 0.0})),
     "gsm-alpha-neg": ("gsm-rate", _config("gsm-rate", {"alpha": -0.5})),
     "mix-k-candidate-0": ("mix-fit", _config("mix-fit", {"k_candidates": [0]})),
@@ -222,6 +225,16 @@ def test_numeric_failures_exit_3(tmp_path):
         },
     )
     assert main(["gsm-rate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
+
+
+def test_trunc_curve_exponents_finite_for_large_beta(tmp_path):
+    # j^(2 beta + 1) overflows float range here; the risk terms have finite limits
+    payload = _config("trunc-curve", {"beta": 200.0}, n_grid=[1024, 2048, 4096])
+    cfg = write_config(tmp_path, "trunc.json", payload)
+    out = tmp_path / "curve.json"
+    assert main(["trunc-curve", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    rows = json.loads(out.read_text())
+    assert rows and all(math.isfinite(row["fitted_exponent"]) for row in rows)
 
 
 # Keys whose values set an experiment's size: a mutation never draws a larger

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from vblab._quadrature import fixed_rule, panel_nodes
 from vblab.errors import InputError
 from vblab.expfamily import (
     FourierDensity,
@@ -21,6 +22,7 @@ from vblab.expfamily import (
     pdf,
     sample,
 )
+from vblab.expfamily import _elbo_rule
 from vblab.sequence_model import GaussianCoordinates, SievePrior
 
 
@@ -134,6 +136,22 @@ class TestDivergences:
                 continue
             assert hellinger_numeric(ta, tb) <= 2 * math.sqrt(2) * gap + 1e-12
             checked += 1
+
+
+class TestCachedRules:
+    def test_elbo_rule_built_once_per_k(self):
+        H, wts, log_wts = _elbo_rule(3)
+        nodes, weights = panel_nodes(0.0, 1.0, 64, order=8)
+        assert _elbo_rule(3)[0] is H
+        np.testing.assert_array_equal(H, basis_matrix(nodes, 3))
+        np.testing.assert_array_equal(wts, weights)
+        np.testing.assert_array_equal(log_wts, np.log(weights))
+
+    def test_cached_arrays_are_read_only(self):
+        # the ELBO rule and the sequence model's evidence window are shared by every call
+        for arr in (*_elbo_rule(2), *fixed_rule(-15.0, 15.0, 30)):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestElbo:

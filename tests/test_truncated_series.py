@@ -115,6 +115,24 @@ class TestExactRisk:
                 float(losses.mean()), abs=max(3 * stderr, 1e-12)
             )
 
+    @pytest.mark.parametrize("beta", [60.0, 200.0])
+    def test_finite_where_the_decay_overflows(self, beta):
+        # j^(2 beta + 1) leaves float range from j = 352 (beta 60) and j = 6 (beta 200)
+        n = k = 1024
+        sig = make_signal("sobolev_boundary", alpha=1.0, B=1.0, K_max=2 * k)
+        log_j = np.log(np.arange(1, k + 1))
+        log_denom = np.logaddexp(math.log(n), (2 * beta + 1) * log_j)
+        shrink = np.exp((2 * beta + 1) * log_j - log_denom)
+        expected = (
+            np.sum(shrink**2 * sig.theta[:k] ** 2)
+            + np.sum(sig.theta[k:] ** 2)
+            + np.sum(np.exp(math.log(n) - 2 * log_denom))
+            + np.sum(np.exp(-log_denom))
+        )  # the tail variances e^{-j n} underflow to 0 at this n
+        risk = exact_risk(sig, n, beta, k)
+        assert math.isfinite(risk)
+        assert risk == pytest.approx(expected, rel=1e-12)
+
 
 class TestTheoryExponent:
     def test_balanced_case(self):
