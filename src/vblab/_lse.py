@@ -25,6 +25,15 @@ def _reduce(ufunc, x: np.ndarray, axis: int) -> np.ndarray:
     return ufunc.reduce(x, axis=axis, keepdims=True)
 
 
+def _shifted_exp(x: np.ndarray, axis: int):
+    """The maximum over axis (0 where it is not finite) and exp(x - maximum)."""
+    top = _reduce(np.maximum, x, axis)
+    bad = ~np.isfinite(top)
+    if bad.any():
+        top[bad] = 0.0
+    return top, np.exp(x - top)
+
+
 def _logsumexp(x, axis=None, keepdims=False):
     """log(sum(exp(x))) over ``axis``, shifted by the maximum.
 
@@ -38,11 +47,24 @@ def _logsumexp(x, axis=None, keepdims=False):
         if not math.isfinite(top):
             return float(top)
         return float(top + math.log(np.exp(x - top).sum()))
-    top = _reduce(np.maximum, x, axis)
-    bad = ~np.isfinite(top)
-    if bad.any():
-        top[bad] = 0.0
+    top, shifted = _shifted_exp(x, axis)
     with np.errstate(divide="ignore"):  # an all -inf slice sums to 0
-        out = np.log(_reduce(np.add, np.exp(x - top), axis))
+        out = np.log(_reduce(np.add, shifted, axis))
     out += top
     return out if keepdims else np.squeeze(out, axis=axis)
+
+
+def _logsumexp_weights(x, axis: int):
+    """_logsumexp(x, axis) and the normalized weights exp(x - logsumexp).
+
+    Both come from one set of shifted exponentials: the weights are those
+    divided by their sum along axis, so x is exponentiated once.
+    """
+    x = np.asarray(x, dtype=float)
+    top, shifted = _shifted_exp(x, axis)
+    total = _reduce(np.add, shifted, axis)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite slice has nan weights
+        out = np.log(total)
+        weights = shifted / total
+    out += top
+    return np.squeeze(out, axis=axis), weights

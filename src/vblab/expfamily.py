@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from ._lse import _logsumexp
+from ._lse import _logsumexp_weights
 from ._quadrature import fixed_rule, integrate
 from .errors import InputError, OptimizationError
 from .sequence_model import SievePrior
@@ -225,10 +225,9 @@ def _normalizer_stats(draws: np.ndarray):
     Fixed-panel Gauss-Legendre so the map theta -> c(theta) is smooth and
     deterministic (required by the common-random-number gradient checks).
     """
-    H, wts, log_wts = _elbo_rule(draws.shape[1])  # H: (nodes, k)
+    H, _, log_wts = _elbo_rule(draws.shape[1])  # H: (nodes, k)
     g = draws @ H.T  # (S, nodes)
-    c = _logsumexp(g + log_wts[None, :], axis=1)
-    dens = np.exp(g - c[:, None]) * wts[None, :]
+    c, dens = _logsumexp_weights(g + log_wts[None, :], axis=1)  # dens: quadrature masses
     moments = dens @ H  # (S, k): E[h_j] under each drawn density
     return c, moments
 

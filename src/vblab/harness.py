@@ -474,33 +474,60 @@ def _run_one(runner, params, n, rep, rng):
 # ---------------------------------------------------------------------------
 
 
+# The audit draws and checks this many pairs at a time, or fewer when they
+# hold more than _AUDIT_CELLS cells a side, so its memory grows with
+# neither replications nor distribution size.
+_AUDIT_PAIRS = 1024
+_AUDIT_CELLS = 1 << 16
+
+
+def _pair_blocks(master_seed: int, pairs: int, lo: int, hi: int):
+    """Successive blocks of audit pairs as {size: (p rows, q rows)}.
+
+    Pair i draws its size, then p, then q from the stream (master_seed, 0, i).
+    """
+    block, held, cells = {}, 0, 0
+    for i in range(pairs):
+        rng = generator(master_seed, 0, i)
+        size = int(rng.integers(lo, hi + 1))
+        alpha = np.ones(size)
+        ps, qs = block.setdefault(size, ([], []))
+        ps.append(rng.dirichlet(alpha))
+        qs.append(rng.dirichlet(alpha))
+        held, cells = held + 1, cells + size
+        if held == _AUDIT_PAIRS or cells >= _AUDIT_CELLS:
+            yield block
+            block, held, cells = {}, 0, 0
+    if block:
+        yield block
+
+
 def divergence_chain_report(config: ExperimentConfig) -> dict:
     """Random-pair audit of the divergence chain and Renyi monotonicity.
 
     Uses config.replications Dirichlet(1) pairs with sizes drawn from
     [n_grid[0], n_grid[-1]]; returns violation counts and the worst
-    observed slack exceedance.
+    observed slack exceedance.  Pair i draws (size, p, q) from its own
+    stream; pairs are audited in blocks, one divergences.chain_audit call
+    per size in each block.
     """
     lo, hi = int(config.n_grid[0]), int(config.n_grid[-1])
     if lo < 2:
         raise InputError("distribution sizes start at 2")
     params = parse_params(config.params, "divergence_chain")
-    slack, rho_grid = params["slack"], params["rho_grid"]
+    slack = params["slack"]
+    if slack < 0:
+        raise InputError(f"slack must be non-negative, got {slack}")
+    rho_grid = divergences.check_rho_grid(params["rho_grid"])
     ordering_failures = monotonicity_failures = 0
     worst = 0.0
-    for i in range(config.replications):
-        rng = generator(config.master_seed, 0, i)
-        size = int(rng.integers(lo, hi + 1))
-        p = divergences.DiscreteDistribution(rng.dirichlet(np.ones(size)))
-        q = divergences.DiscreteDistribution(rng.dirichlet(np.ones(size)))
-        rep = divergences.chain_report(p, q)
-        vals = rep.chain()
-        gap = max(a - b for a, b in zip(vals, vals[1:]) if math.isfinite(a) and math.isfinite(b))
-        worst = max(worst, gap)
-        if not rep.satisfies_ordering(slack):
-            ordering_failures += 1
-        if not divergences.renyi_monotonicity_check(p, q, rho_grid, slack=slack):
-            monotonicity_failures += 1
+    for block in _pair_blocks(config.master_seed, config.replications, lo, hi):
+        for ps, qs in block.values():
+            bad_order, bad_mono, gap = divergences.chain_audit(ps, qs, rho_grid, slack)
+            ordering_failures += bad_order
+            monotonicity_failures += bad_mono
+            worst = max(worst, gap)
+        del block  # free these draws before the next block is drawn
     return {
         "pairs": config.replications,
         "ordering_failures": ordering_failures,

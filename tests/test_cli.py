@@ -177,6 +177,8 @@ INVALID_INPUTS = {
     "change-prob-str": ("pc-compare", _config("pc-compare", {"change_prob": "abc"})),
     "rho-grid-str": ("divcheck", _config("divcheck", {"rho_grid": ["a"]})),
     "slack-str": ("divcheck", _config("divcheck", {"slack": "x"})),
+    "divcheck-slack-negative": ("divcheck", _config("divcheck", {"slack": -1.0})),
+    "rho-grid-decreasing": ("divcheck", _config("divcheck", {"rho_grid": [2.0, 1.0]})),
     "t-grid-str": ("trunc-curve", _config("trunc-curve", {"t_grid": ["a"]})),
     "theta-star-str": ("expfam-fit", _config("expfam-fit", {"theta_star": "x"})),
     "spike-j0-str": ("gsm-lower", _config("gsm-lower", {"signal": {"kind": "spike", "j0": "x"}})),

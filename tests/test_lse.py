@@ -4,9 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import logsumexp, softmax
 
-from vblab._lse import _logsumexp
+from vblab._lse import _logsumexp, _logsumexp_weights
 
 RNG = np.random.default_rng(20250810)
 
@@ -90,3 +90,22 @@ def test_transposed_matrix_axis_zero():
     np.testing.assert_allclose(
         _logsumexp(x.T, axis=0, keepdims=True), logsumexp(x.T, axis=0, keepdims=True), rtol=1e-13
     )
+
+
+@pytest.mark.parametrize("offset", [-50.0, 50.0])
+@pytest.mark.parametrize("axis", [0, 1, -1])
+@pytest.mark.parametrize("shape", [(1, 1), (7, 3), (400, 4), (90, 8), (64, 512)])
+def test_weights_share_the_logsumexp(shape, axis, offset):
+    x = _sample(shape, offset)
+    lse, weights = _logsumexp_weights(x, axis=axis)
+    np.testing.assert_array_equal(lse, _logsumexp(x, axis=axis))
+    assert weights.shape == x.shape
+    np.testing.assert_allclose(weights, softmax(x, axis=axis), rtol=1e-13, atol=0)
+
+
+def test_weights_edge_rows_match_logsumexp():
+    x = np.array(list(EDGE_ROWS.values()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lse, _ = _logsumexp_weights(x, axis=1)
+    np.testing.assert_array_equal(lse, _logsumexp(x, axis=1))
