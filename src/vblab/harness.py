@@ -342,18 +342,21 @@ def _run_pc_markov_chain_batch(p, n, rngs):
     return changepoint.markov_chain_risks(X, sigma, prior, grid, signal)
 
 
-def _run_mixture_hellinger(p, n, rng):
+def _run_mixture_hellinger_batch(p, n, rngs):
     mu, w = (np.asarray(p["truth"][key], dtype=float) for key in ("mu", "w"))
     truth = mixture.MixtureModel(k=mu.size, mu=mu, w=w, sigma=p["truth"]["sigma"])
     hyper = mixture.MixtureHyper(**p["hyper"])
     if p["grid_points"] < 2:
         raise InputError("params.grid_points must be at least 2")
-    data = mixture.sample_mixture(truth, n, seed=rng)
-    _, state = mixture.select_k(data, p["k_candidates"], hyper, seed=int(rng.integers(2**63)))
+    samples, seeds = [], []
+    for rng in rngs:  # each replication's stream: its sample, then its fit seed
+        samples.append(mixture.sample_mixture(truth, n, seed=rng))
+        seeds.append(int(rng.integers(2**63)))
+    fits = mixture.select_k_batch(np.stack(samples), p["k_candidates"], hyper, seeds)
     span = float(np.max(np.abs(truth.mu)) + 6.0 * max(truth.sigma, 1.0))
     grid = np.linspace(-span, span, p["grid_points"])
     f0 = mixture.mixture_pdf(truth, grid)
-    return mixture.hellinger_to_truth(state, f0, grid)
+    return [mixture.hellinger_to_truth(state, f0, grid) for _, state in fits]
 
 
 def _run_expfamily_hellinger(p, n, rng):
@@ -374,9 +377,12 @@ class ModelSpec:
     """Everything decided per model id.
 
     ``runner`` maps (parsed params, n, rng) to one replication's metric,
-    or with ``batched`` (params, n, rngs) to all of one n's; None means no
-    table.  ``report`` names the function of this module that ``command``
-    emits instead of a table.  ``defaults`` is the params schema.
+    or with ``batched`` (params, n, rngs) to the metrics of all of one n's
+    replications, each drawn from its own rng only, so the table does not
+    depend on the batching; pc_markov_chain and mixture_hellinger stack
+    their fits this way.  None means no table.  ``report`` names the
+    function of this module that ``command`` emits instead of a table.
+    ``defaults`` is the params schema.
     """
 
     command: str
@@ -426,7 +432,9 @@ MODELS = {
     "pc_markov_chain": ModelSpec(
         "pc-compare", _run_pc_markov_chain_batch, True, _PC_CHAIN_DEFAULTS
     ),
-    "mixture_hellinger": ModelSpec("mix-fit", _run_mixture_hellinger, False, _MIX_DEFAULTS),
+    "mixture_hellinger": ModelSpec(
+        "mix-fit", _run_mixture_hellinger_batch, True, _MIX_DEFAULTS
+    ),
     "expfamily_hellinger": ModelSpec(
         "expfam-fit", _run_expfamily_hellinger, False, _EXPFAM_DEFAULTS
     ),

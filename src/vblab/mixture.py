@@ -9,6 +9,24 @@ with a shared precision tau = sigma^{-2} across components.
 
 Model selection maximizes the converged bound plus the log prior weight
 of the component count (Poisson by default), ties to the smaller k.
+
+There is one coordinate ascent, _cavi_rows, and it fits a stack of rows
+at once: each row is one (sample, k) pair at a common n, padded to the
+stack's largest k.  Padded components get log-weight -inf, so their
+responsibilities are exactly 0, and they are masked out of every term of
+the bound.  The -E[tau] x^2 term of the log-responsibilities is the same
+for every component and cancels in the normalization, so they are affine
+in x, and one log-sum-exp over the stack gives the responsibilities and
+the per-point normalizers; the assignment entropy follows from those
+without a log(r) pass.  The conjugate updates and the rest of the bound
+need only the per-component sufficient statistics N = sum r, sum r x and
+sum r x^2 (Blei, Kucukelbir & McAuliffe 2017, sec. 3; Bishop 2006,
+sec. 10.2).  A row leaves the stack at the sweep where its own
+bound stops moving, and the stack is cut into groups of at most
+_CAVI_CELLS (row, component, point) cells, so neither a row's result nor
+the memory depends on how many rows are fit together.  select_k_batch
+fits every candidate k of every sample this way; cavi_fixed_k and
+select_k are its one-row and one-sample cases.
 """
 
 import math
@@ -18,9 +36,9 @@ from typing import Sequence, Union
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from ._lse import _logsumexp
+from ._lse import _logsumexp_weights
 from ._rng import derive_seed
-from .errors import InputError, OptimizationError
+from .errors import InputError
 
 __all__ = [
     "MixtureModel",
@@ -31,6 +49,7 @@ __all__ = [
     "sample_mixture",
     "cavi_fixed_k",
     "select_k",
+    "select_k_batch",
     "hellinger_to_truth",
     "hellinger_to_truth_mc",
 ]
@@ -142,43 +161,160 @@ class GMFState:
         return MixtureModel(k=self.k, mu=self.mu_mean, w=w, sigma=sigma, p=2)
 
 
-def _elbo_value(delta, r, m, v, alpha, a, b, hyper: MixtureHyper) -> float:
-    # delta = (x - m)^2 + v, the expected squared distance of each point to each mean
-    n, k = r.shape
-    e_tau = a / b
-    e_logtau = digamma(a) - math.log(b)
-    alpha_hat = alpha.sum()
-    e_logw = digamma(alpha) - digamma(alpha_hat)
-
-    lik = float(np.sum(r * (0.5 * e_logtau - 0.5 * math.log(math.pi) - e_tau * delta)))
-    assign = float(np.sum(r * e_logw[None, :]))
-    a0 = hyper.alpha0
-    p_w = gammaln(k * a0) - k * gammaln(a0) + (a0 - 1.0) * float(e_logw.sum())
-    p_mu = float(
-        np.sum(-0.5 * math.log(2 * math.pi * hyper.sigma0_sq) - (m**2 + v) / (2 * hyper.sigma0_sq))
-    )
-    p_tau = (
-        hyper.a0 * math.log(hyper.b0)
-        - gammaln(hyper.a0)
-        + (hyper.a0 - 1.0) * e_logtau
-        - hyper.b0 * e_tau
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h_assign = -float(np.sum(np.where(r > 0, r * np.log(r), 0.0)))
-    h_w = float(
-        np.sum(gammaln(alpha))
-        - gammaln(alpha_hat)
-        + (alpha_hat - k) * digamma(alpha_hat)
-        - np.sum((alpha - 1.0) * digamma(alpha))
-    )
-    h_mu = float(np.sum(0.5 * np.log(2 * math.pi * math.e * v)))
-    h_tau = a - math.log(b) + gammaln(a) + (1.0 - a) * digamma(a)
-    return lik + assign + p_w + p_mu + p_tau + h_assign + h_w + h_mu + h_tau
+# The batched fit holds at most this many (row, component, point) cells in
+# one stack, so its memory grows with neither replications nor candidates.
+_CAVI_CELLS = 1 << 17
 
 
 def _init_centers(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     qs = np.quantile(x, (np.arange(k) + 0.5) / k)
     return qs + 0.01 * x.std() * rng.standard_normal(k)
+
+
+def _finite_sample(data, ndim: int) -> np.ndarray:
+    """data as a non-empty float array with ndim axes and finite entries."""
+    x = np.asarray(data, dtype=float)
+    if x.ndim != ndim or x.size == 0 or not np.all(np.isfinite(x)):
+        shape = "1-d sample" if ndim == 1 else "(R, n) stack of samples"
+        raise InputError(f"data must be a non-empty finite {shape}")
+    return x
+
+
+def _cavi_rows(samples, rows, hyper: MixtureHyper, tol: float, max_sweeps: int, k_max: int):
+    """Coordinate ascent for a sequence of rows; yields one GMFState per row, in order.
+
+    Row (i, k, seed) fits samples[i] with k components, its centers
+    initialized from seed (a Generator or a seed for one).  The rows go
+    through the sweep in groups of at most _CAVI_CELLS cells, each padded to
+    k_max components, and only one group is held at a time.  A row leaves
+    its group at the sweep where its own bound stops moving (or at
+    max_sweeps), so its trace, flag and state do not depend on the rows it
+    was grouped with.
+    """
+    if max_sweeps < 1:
+        raise InputError("max_sweeps must be at least 1")
+    n = samples.shape[1]
+    per_group = max(1, _CAVI_CELLS // (n * k_max))
+    for lo in range(0, len(rows), per_group):
+        group = rows[lo : lo + per_group]
+        x = samples[[i for i, _, _ in group]]
+        k = np.array([k for _, k, _ in group])
+        m, v = np.zeros((len(group), k_max)), np.ones((len(group), k_max))
+        for row, (_, kr, seed) in enumerate(group):
+            rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+            m[row, :kr] = _init_centers(x[row], kr, rng)
+            v[row, :kr] = x[row].var() / kr + 1e-6
+        yield from _cavi_group(x, k, m, v, hyper, tol, max_sweeps)
+
+
+def _cavi_group(x, k, m, v, hyper: MixtureHyper, tol: float, max_sweeps: int):
+    """Run one (rows, k_max, n) stack to the end; GMFStates in row order.
+
+    Each sweep cycles responsibilities -> q(w) -> q(mu) -> q(tau) and
+    evaluates the bound after the full cycle.  The log-responsibilities
+    are A_k + B_k x, and with N, S1 = sum r x and S2 = sum r x^2 the
+    assignment entropy is sum_j logsumexp_j - sum_k (A_k N_k + B_k S1_k),
+    with no log(r) pass.  Padded components keep finite placeholder
+    factors and zero statistics; the live mask drops them from the bound.
+    """
+    rows, n = x.shape
+    k_max = m.shape[1]
+    ids = np.arange(rows)
+    live = (np.arange(k_max) < k[:, None]).astype(float)
+    pad = np.where(live > 0, 0.0, -np.inf)
+    moments = np.stack([np.ones_like(x), x, x * x], axis=2)  # (rows, n, 3)
+    a0, b0, alpha0, s0 = hyper.a0, hyper.b0, hyper.alpha0, hyper.sigma0_sq
+    # q(tau) has shape a0 + n / 2 after the first cycle, whatever the data
+    a = a0 + 0.5 * n
+    dg_a = digamma(a)
+    # the terms of the bound that are fixed per row: the normalizers of the
+    # priors on w (Dir(alpha0) on the row's k components) and tau, and the
+    # parts of the entropy of q(tau) that do not involve its rate
+    fixed = (
+        gammaln(k * alpha0) - k * gammaln(alpha0)
+        + a0 * math.log(b0) - gammaln(a0)
+        + a + gammaln(a) + (1.0 - a) * dg_a
+    )
+    log_mu0 = -0.5 * math.log(2 * math.pi * s0)
+
+    alpha = np.full((rows, k_max), alpha0)
+    e_tau = np.full((rows, 1), a0 / b0)
+    e_logw = digamma(alpha) - digamma((alpha * live).sum(axis=1))[:, None]
+    traces = [[] for _ in range(rows)]
+    out = [None] * rows
+    for sweep in range(max_sweeps):
+        A = e_logw - e_tau * (m * m + v)
+        B = 2.0 * e_tau * m
+        lse, r = _logsumexp_weights((A + pad)[:, :, None] + B[:, :, None] * x[:, None, :], axis=1)
+        stats = r @ moments
+        N, S1, S2 = stats[..., 0], stats[..., 1], stats[..., 2]
+        h_assign = lse.sum(axis=1) - (A * N + B * S1).sum(axis=1)
+
+        alpha = alpha0 + N
+        v = 1.0 / (1.0 / s0 + 2.0 * e_tau * N)
+        m = 2.0 * e_tau * S1 * v
+        rdelta = (S2 - 2.0 * m * S1 + (m * m + v) * N).sum(axis=1)  # sum r ((x - m)^2 + v)
+        b = b0 + rdelta
+
+        # the expectations under the new factors, which the next sweep reuses
+        log_b = np.log(b)
+        e_tau = (a / b)[:, None]
+        e_logtau = dg_a - log_b
+        alpha_hat = (alpha * live).sum(axis=1)
+        dg_alpha, dg_hat = digamma(alpha), digamma(alpha_hat)
+        e_logw = dg_alpha - dg_hat[:, None]
+
+        # per component: E log p(z, w) + E log p(mu) + H[q(w)] + H[q(mu)] terms
+        per_k = (
+            (N + alpha0 - 1.0) * e_logw
+            + log_mu0 - (m * m + v) / (2 * s0)
+            + gammaln(alpha) - (alpha - 1.0) * dg_alpha
+            + 0.5 * np.log(2 * math.pi * math.e * v)
+        )
+        t = e_tau[:, 0]
+        elbo = (
+            fixed
+            + (per_k * live).sum(axis=1)
+            + n * (0.5 * e_logtau - 0.5 * math.log(math.pi)) - t * rdelta  # E log p(x | z, mu, tau)
+            + (a0 - 1.0) * e_logtau - b0 * t  # E log p(tau)
+            - gammaln(alpha_hat) + (alpha_hat - k) * dg_hat  # H[q(w)]
+            - log_b  # H[q(tau)]
+            + h_assign
+        )
+
+        if sweep:
+            stop = np.abs(elbo - last) <= tol * np.maximum(1.0, np.abs(elbo))
+        else:
+            stop = np.zeros(ids.size, dtype=bool)
+        last = elbo
+        for i, value in zip(ids, elbo.tolist()):
+            traces[i].append(value)
+        done = stop | (sweep + 1 == max_sweeps)
+        for j in np.flatnonzero(done):
+            kj, i = int(k[j]), ids[j]
+            out[i] = GMFState(
+                k=kj,
+                mu_mean=m[j, :kj].copy(),
+                mu_var=v[j, :kj].copy(),
+                w_concentration=alpha[j, :kj].copy(),
+                tau_shape=float(a),
+                tau_rate=float(b[j]),
+                responsibilities=np.ascontiguousarray(r[j, :kj].T),
+                elbo_trace=tuple(traces[i]),
+                converged=bool(stop[j]),
+                hyper=hyper,
+            )
+        if done.all():
+            break
+        if done.any():
+            keep = ~done
+            ids, k, live, pad, x, moments = (
+                ids[keep], k[keep], live[keep], pad[keep], x[keep], moments[keep]
+            )
+            m, v, alpha, e_tau, e_logw, fixed, last = (
+                m[keep], v[keep], alpha[keep], e_tau[keep], e_logw[keep], fixed[keep], last[keep]
+            )
+    return out
 
 
 def cavi_fixed_k(
@@ -194,57 +330,47 @@ def cavi_fixed_k(
     Each sweep cycles responsibilities -> q(w) -> q(mu) -> q(tau); the
     bound is evaluated after the full cycle and is non-increasing only up
     to float roundoff (a decrease beyond 1e-9 would indicate a bug, and
-    the tests enforce that).
+    the tests enforce that).  This is the one-row case of the batched fit.
     """
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise InputError("data must be a non-empty 1-d sample")
+    x = _finite_sample(data, 1)[None, :]
     if k < 1:
         raise InputError("k must be at least 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    n = x.size
+    k = int(k)
+    return next(_cavi_rows(x, [(0, k, seed)], hyper, tol, max_sweeps, k))
 
-    m = _init_centers(x, k, rng)
-    v = np.full(k, x.var() / max(k, 1) + 1e-6)
-    alpha = np.full(k, hyper.alpha0)
-    a, b = hyper.a0, hyper.b0
 
-    trace = []
-    converged = False
-    delta = (x[:, None] - m[None, :]) ** 2 + v[None, :]
-    for _ in range(max_sweeps):
-        e_tau = a / b
-        e_logtau = digamma(a) - math.log(b)
-        e_logw = digamma(alpha) - digamma(alpha.sum())
-        log_r = e_logw[None, :] + 0.5 * e_logtau - 0.5 * math.log(math.pi) - e_tau * delta
-        log_r -= _logsumexp(log_r, axis=1, keepdims=True)
-        r = np.exp(log_r)
+def select_k_batch(
+    samples,
+    k_candidates: Sequence[int],
+    hyper: MixtureHyper,
+    seeds: Sequence[int],
+) -> list:
+    """select_k for each row of an (R, n) stack of samples, in one batched fit.
 
-        counts = r.sum(axis=0)
-        alpha = hyper.alpha0 + counts
-        prec = 1.0 / hyper.sigma0_sq + 2.0 * e_tau * counts
-        v = 1.0 / prec
-        m = 2.0 * e_tau * (r * x[:, None]).sum(axis=0) * v
-        a = hyper.a0 + 0.5 * n
-        delta = (x[:, None] - m[None, :]) ** 2 + v[None, :]
-        b = hyper.b0 + float(np.sum(r * delta))
-
-        trace.append(_elbo_value(delta, r, m, v, alpha, a, b, hyper))
-        if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-1])):
-            converged = True
-            break
-    return GMFState(
-        k=k,
-        mu_mean=m,
-        mu_var=v,
-        w_concentration=alpha,
-        tau_shape=float(a),
-        tau_rate=float(b),
-        responsibilities=r,
-        elbo_trace=tuple(trace),
-        converged=converged,
-        hyper=hyper,
-    )
+    Row r is fit at every candidate k from derive_seed(seeds[r], k); the
+    result is [(k, state)] in row order, equal to select_k(samples[r],
+    k_candidates, hyper, seeds[r]) for each r.
+    """
+    x = _finite_sample(samples, 2)
+    cands = sorted(set(int(k) for k in k_candidates))
+    if not cands:
+        raise InputError("need at least one candidate k")
+    if cands[0] < 1:
+        raise InputError(f"candidate k must be at least 1, got {cands[0]}")
+    if len(seeds) != x.shape[0]:
+        raise InputError(f"need one seed per sample, got {len(seeds)} for {x.shape[0]}")
+    rows = [(rep, k, derive_seed(seed, k)) for rep, seed in enumerate(seeds) for k in cands]
+    states = _cavi_rows(x, rows, hyper, 1e-8, 1000, cands[-1])
+    out = []
+    for _ in seeds:  # each sample's candidates come out together, in increasing k
+        best = None
+        for k in cands:
+            state = next(states)
+            score = state.elbo + k * math.log(hyper.xi0) - hyper.xi0 - gammaln(k + 1.0)
+            if best is None or score > best[0]:
+                best = (score, k, state)
+        out.append(best[1:])
+    return out
 
 
 def select_k(
@@ -256,28 +382,10 @@ def select_k(
     """Best component count by converged bound plus log Poisson(k; xi0).
 
     Candidates are scanned in increasing order with strict improvement
-    required, so ties resolve to the smaller k.
+    required, so ties resolve to the smaller k.  The one-sample case of
+    select_k_batch.
     """
-    cands = sorted(set(int(k) for k in k_candidates))
-    if not cands:
-        raise InputError("need at least one candidate k")
-    if cands[0] < 1:
-        raise InputError(f"candidate k must be at least 1, got {cands[0]}")
-    best = None
-    failures = []
-    for k in cands:
-        try:
-            state = cavi_fixed_k(data, k, hyper, seed=derive_seed(seed, k))
-        except (InputError, OptimizationError) as exc:
-            failures.append((k, exc))
-            continue
-        penalty = k * math.log(hyper.xi0) - hyper.xi0 - gammaln(k + 1.0)
-        score = state.elbo + penalty
-        if best is None or score > best[0]:
-            best = (score, k, state)
-    if best is None:
-        raise OptimizationError(f"all candidate fits failed: {failures}")
-    return best[1], best[2]
+    return select_k_batch(_finite_sample(data, 1)[None, :], k_candidates, hyper, [seed])[0]
 
 
 def _check_grid_density(f0: np.ndarray, grid: np.ndarray) -> None:

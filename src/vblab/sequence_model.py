@@ -247,7 +247,15 @@ class SobolevSignal:
 
     def ball_weight(self) -> float:
         j = np.arange(1, self.theta.size + 1, dtype=float)
-        return float(np.sum(j ** (2 * self.alpha) * self.theta**2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            weight = float(np.sum(j ** (2 * self.alpha) * self.theta**2))
+        if math.isfinite(weight):
+            return weight
+        # j^{2 alpha} overflowed, perhaps where theta_j is 0 and inf * 0 is
+        # nan: sum the nonzero terms in log space instead
+        nz = np.flatnonzero(self.theta)
+        log_terms = 2 * (self.alpha * np.log(nz + 1.0) + np.log(np.abs(self.theta[nz])))
+        return float(np.sum(np.exp(log_terms)))
 
 
 @dataclass(frozen=True)
@@ -503,7 +511,7 @@ def make_signal(
     elif kind == "sobolev_boundary":
         j = np.arange(1, K_max + 1, dtype=float)
         raw = j ** (-(alpha + 0.51))
-        weight = np.sum(j ** (2 * alpha) * raw**2)
+        weight = np.sum(j**-1.02)  # sum_j j^{2 alpha} raw_j^2, which overflows if formed
         theta = raw * math.sqrt(0.95 * B**2 / weight)
     else:
         raise InputError(f"unknown signal kind {kind!r}")

@@ -239,6 +239,15 @@ def test_trunc_curve_exponents_finite_for_large_beta(tmp_path):
     assert rows and all(math.isfinite(row["fitted_exponent"]) for row in rows)
 
 
+def test_gsm_rate_runs_at_large_alpha(tmp_path):
+    # j^(2 alpha) overflows at alpha = 200; the boundary signal must not turn it into nan
+    cfg = write_config(tmp_path, "gsm.json", _config("gsm-rate", {"alpha": 200}))
+    out = tmp_path / "rate.json"
+    assert main(["gsm-rate", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    rows = json.loads(out.read_text())
+    assert len(rows) == 3 and all(math.isfinite(row["mean_risk"]) for row in rows)
+
+
 # Keys whose values set an experiment's size: a mutation never draws a larger
 # value for them than SMALL_CONFIGS has, so no example allocates more than a few MB.
 SIZE_KEYS = {"n_grid", "replications", "G"}

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vblab import divergences
+from vblab import divergences, harness
 from vblab._lse import _logsumexp
 from vblab._rng import generator
 from vblab.errors import InputError
@@ -213,8 +213,12 @@ def _audit_peak(n_grid, replications):
         tracemalloc.stop()
 
 
-def test_audit_memory_does_not_grow_with_pairs():
-    small, large = _audit_peak((2, 64), 2_000), _audit_peak((2, 64), 20_000)
+def test_audit_memory_does_not_grow_with_pairs(monkeypatch):
+    # small block caps: pairs of about 1000 cells close a block at about 32
+    # pairs, so 96 and 960 pairs are about 3 and 30 blocks
+    monkeypatch.setattr(harness, "_AUDIT_PAIRS", 32)
+    monkeypatch.setattr(harness, "_AUDIT_CELLS", 1 << 15)
+    small, large = _audit_peak((1000, 1063), 96), _audit_peak((1000, 1063), 960)
     assert large <= 1.5 * small
 
 

@@ -1,6 +1,7 @@
 """Tests for the sieve-prior Gaussian sequence model."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,22 @@ class TestMakeSignal:
     def test_boundary_ball_weight(self):
         s = make_signal("sobolev_boundary", alpha=1.0, B=2.0, K_max=64)
         assert s.ball_weight() == pytest.approx(0.95 * 4.0, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", [64.0, 200.0])
+    @pytest.mark.parametrize("K_max", [64, 4096])
+    def test_boundary_at_large_alpha_matches_log_space_oracle(self, alpha, K_max):
+        # j^(2 alpha) overflows here, so the weight sum_j j^(-1.02) is never formed from it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = make_signal("sobolev_boundary", alpha=alpha, B=2.0, K_max=K_max)
+        log_j = np.log(np.arange(1, K_max + 1, dtype=float))
+        log_theta = -(alpha + 0.51) * log_j + 0.5 * (
+            math.log(0.95 * 4.0) - math.log(np.sum(np.exp(-1.02 * log_j)))
+        )
+        normal = log_theta > math.log(1e-300)
+        np.testing.assert_allclose(s.theta[normal], np.exp(log_theta[normal]), rtol=1e-11, atol=0)
+        assert np.all((s.theta[~normal] >= 0) & (s.theta[~normal] <= 1e-300))
+        assert 0 < s.ball_weight() <= 0.95 * 4.0 * (1 + 1e-12)
 
     def test_ball_violation_rejected(self):
         with pytest.raises(InputError):
