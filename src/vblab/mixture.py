@@ -21,8 +21,9 @@ the per-point normalizers; the assignment entropy follows from those
 without a log(r) pass.  The conjugate updates and the rest of the bound
 need only the per-component sufficient statistics N = sum r, sum r x and
 sum r x^2 (Blei, Kucukelbir & McAuliffe 2017, sec. 3; Bishop 2006,
-sec. 10.2).  A row leaves the stack at the sweep where its own
-bound stops moving, and the stack is cut into groups of at most
+sec. 10.2), taken about each sample's mean so that they do not cancel
+when the data sit far from 0.  A row leaves the stack at the sweep where
+its own bound stops moving, and the stack is cut into groups of at most
 _CAVI_CELLS (row, component, point) cells, so neither a row's result nor
 the memory depends on how many rows are fit together.  select_k_batch
 fits every candidate k of every sample this way; cavi_fixed_k and
@@ -164,6 +165,10 @@ class GMFState:
 # The batched fit holds at most this many (row, component, point) cells in
 # one stack, so its memory grows with neither replications nor candidates.
 _CAVI_CELLS = 1 << 17
+# A fit stops once its bound moves by at most _TOL relative (absolute below
+# 1), or after _MAX_SWEEPS sweeps.
+_TOL = 1e-8
+_MAX_SWEEPS = 1000
 
 
 def _init_centers(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -211,18 +216,26 @@ def _cavi_group(x, k, m, v, hyper: MixtureHyper, tol: float, max_sweeps: int):
     """Run one (rows, k_max, n) stack to the end; GMFStates in row order.
 
     Each sweep cycles responsibilities -> q(w) -> q(mu) -> q(tau) and
-    evaluates the bound after the full cycle.  The log-responsibilities
-    are A_k + B_k x, and with N, S1 = sum r x and S2 = sum r x^2 the
-    assignment entropy is sum_j logsumexp_j - sum_k (A_k N_k + B_k S1_k),
-    with no log(r) pass.  Padded components keep finite placeholder
-    factors and zero statistics; the live mask drops them from the bound.
+    evaluates the bound after the full cycle.  With y = x - c, c the row's
+    sample mean, the log-responsibilities are A_k + B_k y, and with N,
+    S1 = sum r y and S2 = sum r y^2 the assignment entropy is
+    sum_j logsumexp_j - sum_k (A_k N_k + B_k S1_k), with no log(r) pass.
+    Taking the moments about c rather than 0 keeps sum r (x - m)^2 from
+    cancelling when the data sit far from 0; what cancellation is left
+    grows with the squared ratio of the sample's range to a component's
+    spread.  Padded components keep finite placeholder factors and zero
+    statistics; the live mask drops them from the bound.
     """
     rows, n = x.shape
     k_max = m.shape[1]
     ids = np.arange(rows)
     live = (np.arange(k_max) < k[:, None]).astype(float)
     pad = np.where(live > 0, 0.0, -np.inf)
-    moments = np.stack([np.ones_like(x), x, x * x], axis=2)  # (rows, n, 3)
+    # y = x - c, and m holds the centers less c
+    c = x.mean(axis=1, keepdims=True)
+    y = x - c
+    m = m - c
+    moments = np.stack([np.ones_like(y), y, y * y], axis=2)  # (rows, n, 3)
     a0, b0, alpha0, s0 = hyper.a0, hyper.b0, hyper.alpha0, hyper.sigma0_sq
     # q(tau) has shape a0 + n / 2 after the first cycle, whatever the data
     a = a0 + 0.5 * n
@@ -245,15 +258,16 @@ def _cavi_group(x, k, m, v, hyper: MixtureHyper, tol: float, max_sweeps: int):
     for sweep in range(max_sweeps):
         A = e_logw - e_tau * (m * m + v)
         B = 2.0 * e_tau * m
-        lse, r = _logsumexp_weights((A + pad)[:, :, None] + B[:, :, None] * x[:, None, :], axis=1)
+        lse, r = _logsumexp_weights((A + pad)[:, :, None] + B[:, :, None] * y[:, None, :], axis=1)
         stats = r @ moments
         N, S1, S2 = stats[..., 0], stats[..., 1], stats[..., 2]
         h_assign = lse.sum(axis=1) - (A * N + B * S1).sum(axis=1)
 
         alpha = alpha0 + N
         v = 1.0 / (1.0 / s0 + 2.0 * e_tau * N)
-        m = 2.0 * e_tau * S1 * v
-        rdelta = (S2 - 2.0 * m * S1 + (m * m + v) * N).sum(axis=1)  # sum r ((x - m)^2 + v)
+        mu = 2.0 * e_tau * (S1 + c * N) * v  # sum r x = S1 + c N
+        m = mu - c
+        rdelta = (S2 - 2.0 * m * S1 + (m * m + v) * N).sum(axis=1)  # sum r ((x - mu)^2 + v)
         b = b0 + rdelta
 
         # the expectations under the new factors, which the next sweep reuses
@@ -267,7 +281,7 @@ def _cavi_group(x, k, m, v, hyper: MixtureHyper, tol: float, max_sweeps: int):
         # per component: E log p(z, w) + E log p(mu) + H[q(w)] + H[q(mu)] terms
         per_k = (
             (N + alpha0 - 1.0) * e_logw
-            + log_mu0 - (m * m + v) / (2 * s0)
+            + log_mu0 - (mu * mu + v) / (2 * s0)
             + gammaln(alpha) - (alpha - 1.0) * dg_alpha
             + 0.5 * np.log(2 * math.pi * math.e * v)
         )
@@ -294,7 +308,7 @@ def _cavi_group(x, k, m, v, hyper: MixtureHyper, tol: float, max_sweeps: int):
             kj, i = int(k[j]), ids[j]
             out[i] = GMFState(
                 k=kj,
-                mu_mean=m[j, :kj].copy(),
+                mu_mean=mu[j, :kj].copy(),
                 mu_var=v[j, :kj].copy(),
                 w_concentration=alpha[j, :kj].copy(),
                 tau_shape=float(a),
@@ -308,8 +322,8 @@ def _cavi_group(x, k, m, v, hyper: MixtureHyper, tol: float, max_sweeps: int):
             break
         if done.any():
             keep = ~done
-            ids, k, live, pad, x, moments = (
-                ids[keep], k[keep], live[keep], pad[keep], x[keep], moments[keep]
+            ids, k, live, pad, c, y, moments = (
+                ids[keep], k[keep], live[keep], pad[keep], c[keep], y[keep], moments[keep]
             )
             m, v, alpha, e_tau, e_logw, fixed, last = (
                 m[keep], v[keep], alpha[keep], e_tau[keep], e_logw[keep], fixed[keep], last[keep]
@@ -322,8 +336,8 @@ def cavi_fixed_k(
     k: int,
     hyper: MixtureHyper = MixtureHyper(),
     seed: Union[int, np.random.Generator] = 0,
-    tol: float = 1e-8,
-    max_sweeps: int = 1000,
+    tol: float = _TOL,
+    max_sweeps: int = _MAX_SWEEPS,
 ) -> GMFState:
     """Conjugate coordinate ascent at a fixed component count.
 
@@ -360,7 +374,7 @@ def select_k_batch(
     if len(seeds) != x.shape[0]:
         raise InputError(f"need one seed per sample, got {len(seeds)} for {x.shape[0]}")
     rows = [(rep, k, derive_seed(seed, k)) for rep, seed in enumerate(seeds) for k in cands]
-    states = _cavi_rows(x, rows, hyper, 1e-8, 1000, cands[-1])
+    states = _cavi_rows(x, rows, hyper, _TOL, _MAX_SWEEPS, cands[-1])
     out = []
     for _ in seeds:  # each sample's candidates come out together, in increasing k
         best = None

@@ -246,13 +246,8 @@ class SobolevSignal:
             raise InputError("signal violates the smoothness ball constraint")
 
     def ball_weight(self) -> float:
-        j = np.arange(1, self.theta.size + 1, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            weight = float(np.sum(j ** (2 * self.alpha) * self.theta**2))
-        if math.isfinite(weight):
-            return weight
-        # j^{2 alpha} overflowed, perhaps where theta_j is 0 and inf * 0 is
-        # nan: sum the nonzero terms in log space instead
+        # sum_j j^{2 alpha} theta_j^2 over the nonzero theta_j, in log space,
+        # since j^{2 alpha} alone overflows at large alpha
         nz = np.flatnonzero(self.theta)
         log_terms = 2 * (self.alpha * np.log(nz + 1.0) + np.log(np.abs(self.theta[nz])))
         return float(np.sum(np.exp(log_terms)))

@@ -148,6 +148,20 @@ def test_fixed_k_matches_on_mixed_stacks():
         assert_matches(state, ref_cavi(x, k, hyper, run, tol, max_sweeps))
 
 
+@pytest.mark.parametrize("sigma0_sq", [4.0, 1e14])
+def test_data_far_from_zero(sigma0_sq):
+    # moments about 0 would cancel in about 13 of 16 digits here
+    truth = MixtureModel(2, np.array([1e6 - 3.0, 1e6 + 3.0]), np.array([0.5, 0.5]), 0.5)
+    hyper = MixtureHyper(sigma0_sq=sigma0_sq)
+    samples, seeds = stack(12, 300, 2, truth)
+    batch = mixture.select_k_batch(samples, CANDIDATES, hyper, seeds)
+    for x, fit_seed, (k_sel, state) in zip(samples, seeds, batch):
+        ref_k, ref_fit, _ = ref_select_k(x, CANDIDATES, hyper, fit_seed)
+        assert k_sel == ref_k
+        assert np.all(np.isfinite(state.elbo_trace))
+        assert_matches(state, ref_fit)
+
+
 def test_unconverged_rows_stop_at_max_sweeps():
     samples, seeds = stack(4, 300, 2)
     for x, seed in zip(samples, seeds):
