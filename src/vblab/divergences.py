@@ -89,6 +89,9 @@ class ScalarGaussian:
         if self.variance < 0:
             raise InputError("variance must be non-negative")
 
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.normal(self.mean, math.sqrt(self.variance), size=size)
+
 
 def check_rho_grid(rho_grid) -> np.ndarray:
     """rho_grid as a float array: non-empty, strictly increasing, avoiding rho = 1."""

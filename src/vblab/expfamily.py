@@ -108,7 +108,7 @@ def pdf(theta, x) -> np.ndarray:
 def sample(theta, m: int, seed: Union[int, np.random.Generator]) -> np.ndarray:
     """m draws by inverse-CDF over a 4096-point grid, deterministic per seed."""
     d = _as_density(theta)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     xs = np.linspace(0.0, 1.0, 4096)
     dens = np.exp(d.log_pdf(xs))
     cdf = np.concatenate(([0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(xs))))
@@ -262,7 +262,7 @@ def elbo(
     data = _check_elbo_inputs(q, data, prior)
     if np.any(q.sigma2 == 0.0):
         return -math.inf
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     eps = rng.standard_normal((n_mc, q.k))
     suff = basis_matrix(data, q.k).sum(axis=0)
     value, _, _ = _elbo_terms(q.mu, np.sqrt(q.sigma2), eps, suff, data.size, prior)
@@ -295,7 +295,7 @@ def elbo_and_gradient(
     data = _check_elbo_inputs(q, data, prior)
     if np.any(q.sigma2 == 0.0):
         raise InputError("gradients need strictly positive variances")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     eps = rng.standard_normal((n_mc, q.k))
     suff = basis_matrix(data, q.k).sum(axis=0)
     return _elbo_terms(q.mu, np.sqrt(q.sigma2), eps, suff, data.size, prior)

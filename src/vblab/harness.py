@@ -241,7 +241,7 @@ def _fit_gsm(p: dict, n: int, rng: np.random.Generator):
     kind = p["signal"]["kind"]
     j0 = _resolve_spike_index(p["signal"]["j0"], alpha, n)
 
-    K_max = max(8, math.ceil(p["k_max_factor"] * n ** (1.0 / (2.0 * alpha + 1.0))))
+    K_max = max(8, math.ceil(_positive(p, "k_max_factor") * n ** (1.0 / (2.0 * alpha + 1.0))))
     if j0 is not None:
         K_max = max(K_max, j0 + 8)
 
@@ -277,7 +277,7 @@ def _run_gsm_risk(p, n, rng):
 
 def _run_gsm_dimension(p, n, rng):
     post, _ = _fit_gsm(p, n, rng)
-    return float(post.k_tilde if hasattr(post, "k_tilde") else post.k_hat)
+    return float(post.k)
 
 
 def _run_trunc_exact_risk(p, n, rng):
@@ -287,7 +287,7 @@ def _run_trunc_exact_risk(p, n, rng):
     elif p["k_rule"] is None:
         # any t >= 1 gives k = n; capping it keeps n**t finite
         t = 1.0 / (2.0 * alpha + 1.0) if p["t"] is None else min(p["t"], 1.0)
-        k = min(int(math.ceil(n**t - 1e-9)), int(n))
+        k = min(truncated_series._ceil_power(n, t), int(n))
     else:
         raise InputError(f"params.k_rule must be 'full' or absent, got {p['k_rule']!r}")
     return truncated_series.worst_case_risk(alpha, p["beta"], int(n), k, p["B"])

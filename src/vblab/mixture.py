@@ -107,7 +107,7 @@ def sample_mixture(
     """n draws; Gaussian kernels only (component variance sigma^2 / 2)."""
     if model.p != 2:
         raise InputError("sampling is implemented for the Gaussian kernel p = 2")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     comps = rng.choice(model.k, size=n, p=model.w)
     return model.mu[comps] + rng.standard_normal(n) * model.sigma / math.sqrt(2.0)
 
@@ -206,7 +206,7 @@ def _cavi_rows(samples, rows, hyper: MixtureHyper, tol: float, max_sweeps: int, 
         k = np.array([k for _, k, _ in group])
         m, v = np.zeros((len(group), k_max)), np.ones((len(group), k_max))
         for row, (_, kr, seed) in enumerate(group):
-            rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+            rng = np.random.default_rng(seed)
             m[row, :kr] = _init_centers(x[row], kr, rng)
             v[row, :kr] = x[row].var() / kr + 1e-6
         yield from _cavi_group(x, k, m, v, hyper, tol, max_sweeps)
@@ -403,6 +403,8 @@ def select_k(
 
 
 def _check_grid_density(f0: np.ndarray, grid: np.ndarray) -> None:
+    if f0.shape != grid.shape:
+        raise InputError("f0 must be tabulated on the grid")
     total = float(np.trapezoid(f0, grid))
     if abs(total - 1.0) > 1e-3:
         raise InputError(f"f0 integrates to {total} on this grid; refine or widen it")
@@ -412,8 +414,6 @@ def hellinger_to_truth(state: GMFState, f0, grid) -> float:
     """Squared Hellinger distance between the plug-in mixture and f0 on a grid."""
     grid = np.asarray(grid, dtype=float)
     f0 = np.asarray(f0, dtype=float)
-    if f0.shape != grid.shape:
-        raise InputError("f0 must be tabulated on the grid")
     _check_grid_density(f0, grid)
     fit = mixture_pdf(state.posterior_mean_model(), grid)
     return 0.5 * float(np.trapezoid((np.sqrt(fit) - np.sqrt(f0)) ** 2, grid))
@@ -426,7 +426,7 @@ def hellinger_to_truth_mc(
     grid = np.asarray(grid, dtype=float)
     f0 = np.asarray(f0, dtype=float)
     _check_grid_density(f0, grid)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     total = 0.0
     for _ in range(draws):
         mu = state.mu_mean + np.sqrt(state.mu_var) * rng.standard_normal(state.k)

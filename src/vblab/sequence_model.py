@@ -3,14 +3,17 @@
 Observations are y_j = theta_j + z_j / sqrt(n).  The prior first draws a
 dimension k, then draws theta_j from a coordinate density for j <= k and
 pins theta_j = 0 beyond k.  Everything downstream of the per-coordinate
-evidence integrals is exact: model-dimension weights, the thresholding
-mean-field posterior, the empirical-Bayes posterior, and their risks.
+evidence integrals is exact: model-dimension weights, the fitted
+posteriors, their risks and their KL gap to the full posterior.
 
-The mean-field optimum over product measures has a closed form: tilted
-coordinate densities up to an effective dimension k_tilde, a point-mass /
-tilted mixture exactly at k_tilde, and point masses at zero above it,
-where k_tilde maximizes the sum of two adjacent posterior dimension
-weights and the mixture weight is their ratio.
+Both fits are one type, ShellPosterior: a product measure on the
+{k-1, k} dimension shells, with tilted coordinate densities below k, a
+mixture of a point mass at zero (weight p) and the tilt at k, and point
+masses at zero above k.  The mean-field optimum over product measures
+is the shell at k = k_tilde, which maximizes the sum of two adjacent
+posterior dimension weights, with p = p_tilde their ratio; the
+empirical-Bayes posterior is the p = 0 shell at the most probable
+dimension k_hat.
 """
 
 import math
@@ -32,10 +35,7 @@ __all__ = [
     "SobolevSignal",
     "SequenceObservation",
     "GridDensity",
-    "CoordinateTilt",
-    "MeanFieldSeqPosterior",
-    "EmpiricalBayesPosterior",
-    "ShellCandidate",
+    "ShellPosterior",
     "log_coordinate_evidence",
     "log_model_weights",
     "fit_mean_field",
@@ -82,12 +82,10 @@ class GaussianCoordinates:
         ns = n * self.sigma0_sq
         return -0.5 * math.log1p(ns) + 0.5 * n * y**2 * (ns / (ns + 1.0))
 
-    def tilt(self, y: float, n: float) -> "CoordinateTilt":
+    def tilt(self, y: float, n: float) -> ScalarGaussian:
+        """The prior coordinate reweighted by the Gaussian likelihood at y."""
         prec = n + 1.0 / self.sigma0_sq
-        return CoordinateTilt(
-            density=ScalarGaussian(n * y / prec, 1.0 / prec),
-            log_evidence=float(self.log_evidence_ratio(y, n) - 0.5 * n * y**2),
-        )
+        return ScalarGaussian(n * y / prec, 1.0 / prec)
 
     def normalization_error(self) -> float:
         return 0.0  # exact by construction
@@ -146,17 +144,14 @@ class RescaledCauchyCoordinates:
             lambda u: self._log_g(u) - 0.5 * (u - v) ** 2, v - 15.0, v + 15.0, rel_tol=1e-12
         )
 
-    def tilt(self, y: float, n: float) -> "CoordinateTilt":
+    def tilt(self, y: float, n: float) -> "GridDensity":
+        """The prior coordinate reweighted by the Gaussian likelihood at y, on a grid."""
         self._check_n(n)
         v = math.sqrt(n) * y
         u = np.linspace(v - _GRID_HALF_WIDTH, v + _GRID_HALF_WIDTH, _GRID_POINTS)
         log_w = self._log_g(u) - 0.5 * (u - v) ** 2
         log_w -= _logsumexp(log_w)
-        rn = math.sqrt(n)
-        return CoordinateTilt(
-            density=GridDensity(points=u / rn, probs=np.exp(log_w)),
-            log_evidence=float(self.log_evidence_ratio(y, n) - 0.5 * n * y**2),
-        )
+        return GridDensity(points=u / math.sqrt(n), probs=np.exp(log_w))
 
     def normalization_error(self) -> float:
         """|integral f - 1| via a sinh substitution (tail-safe quadrature)."""
@@ -270,16 +265,22 @@ class SequenceObservation:
 
 
 # ---------------------------------------------------------------------------
-# tilted coordinates and posterior objects
+# tilted coordinates and the shell posterior
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class GridDensity:
-    """A probability vector over an increasing grid of support points."""
+    """A probability vector over an increasing grid of support points.
+
+    The mean and variance are computed once, at construction, so a grid
+    density reads like a ScalarGaussian.
+    """
 
     points: np.ndarray
     probs: np.ndarray
+    mean: float = field(init=False)
+    variance: float = field(init=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -288,76 +289,56 @@ class GridDensity:
             raise InputError("points and probs must be 1-d arrays of equal length")
         if abs(pr.sum() - 1.0) > 1e-8:
             raise InputError("grid probabilities must sum to 1 within 1e-8")
+        pr = pr / pr.sum()
+        mean = float(np.dot(pr, pts))
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "probs", pr / pr.sum())
-
-    def mean(self) -> float:
-        return float(np.dot(self.probs, self.points))
-
-    def variance(self) -> float:
-        m = self.mean()
-        return float(np.dot(self.probs, (self.points - m) ** 2))
+        object.__setattr__(self, "probs", pr)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "variance", float(np.dot(pr, (pts - mean) ** 2)))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.choice(self.points, size=size, p=self.probs)
 
 
 @dataclass(frozen=True)
-class CoordinateTilt:
-    """A prior coordinate reweighted by the Gaussian likelihood at one y_j."""
+class ShellPosterior:
+    """A product measure on the {k-1, k} dimension shells.
 
-    density: Union[ScalarGaussian, GridDensity]
-    log_evidence: float
+    Coordinates below k carry the given tilts, coordinate k mixes a point
+    mass at zero (weight p) with its tilt, and every coordinate above k is
+    a point mass at zero.  The mean-field fit has this form with
+    (k_tilde, p_tilde), the empirical-Bayes fit with (k_hat, 0); fits also
+    keep the normalized log model weights they were chosen from.
+    """
 
-    def mean(self) -> float:
-        d = self.density
-        return d.mean if isinstance(d, ScalarGaussian) else d.mean()
-
-    def variance(self) -> float:
-        d = self.density
-        return d.variance if isinstance(d, ScalarGaussian) else d.variance()
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        d = self.density
-        if isinstance(d, ScalarGaussian):
-            return rng.normal(d.mean, math.sqrt(d.variance), size=size)
-        return d.sample(rng, size)
-
-
-@dataclass(frozen=True)
-class MeanFieldSeqPosterior:
-    """The closed-form mean-field optimum: tilts below k_tilde, a
-    zero/tilt mixture with weight p_tilde at k_tilde, zeros above."""
-
-    k_tilde: int
-    p_tilde: float
+    k: int
+    p: float
     tilts: tuple
     K_max: int
-    log_weights: np.ndarray = field(repr=False, default=None)
+    log_weights: Optional[np.ndarray] = field(repr=False, default=None)
+
+    def __post_init__(self):
+        if not 0 <= self.k <= self.K_max:
+            raise InputError(f"k={self.k} outside 0..K_max={self.K_max}")
+        if not 0.0 <= self.p < 1.0:
+            raise InputError("p must lie in [0, 1)")
+        if self.k == 0 and self.p != 0.0:
+            raise InputError("p must be 0 when k = 0")
+        if len(self.tilts) != self.k:
+            raise InputError("need exactly k coordinate tilts")
+        for d in self.tilts:
+            if not isinstance(d, (ScalarGaussian, GridDensity)):
+                raise InputError("tilts must be ScalarGaussian or GridDensity")
+            if isinstance(d, ScalarGaussian) and d.variance == 0:
+                raise InputError("degenerate coordinate tilts are not allowed")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         out = np.zeros((size, self.K_max))
         for idx, tilt in enumerate(self.tilts):
             draws = tilt.sample(rng, size)
-            if idx + 1 == self.k_tilde and self.p_tilde > 0:
-                draws = np.where(rng.random(size) < self.p_tilde, 0.0, draws)
+            if idx + 1 == self.k and self.p > 0:
+                draws = np.where(rng.random(size) < self.p, 0.0, draws)
             out[:, idx] = draws
-        return out
-
-
-@dataclass(frozen=True)
-class EmpiricalBayesPosterior:
-    """Tilted coordinates up to k_hat, point masses at zero beyond."""
-
-    k_hat: int
-    tilts: tuple
-    K_max: int
-    log_weights: np.ndarray = field(repr=False, default=None)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        out = np.zeros((size, self.K_max))
-        for idx, tilt in enumerate(self.tilts):
-            out[:, idx] = tilt.sample(rng, size)
         return out
 
 
@@ -397,8 +378,8 @@ def _fit_tilts(prior: SievePrior, obs: SequenceObservation, k: int) -> tuple:
     return tuple(fam.tilt(float(obs.y[j]), obs.n) for j in range(k))
 
 
-def fit_mean_field(prior: SievePrior, obs: SequenceObservation) -> MeanFieldSeqPosterior:
-    """Exact mean-field variational posterior.
+def fit_mean_field(prior: SievePrior, obs: SequenceObservation) -> ShellPosterior:
+    """Exact mean-field variational posterior, the shell at (k_tilde, p_tilde).
 
     k_tilde maximizes pi(k-1|y) + pi(k|y) (with pi(-1|y) = 0, ties to the
     smaller index) and p_tilde = pi(k_tilde-1|y) / that sum.
@@ -411,22 +392,17 @@ def fit_mean_field(prior: SievePrior, obs: SequenceObservation) -> MeanFieldSeqP
         p_tilde = 0.0
     else:
         p_tilde = float(w[k_tilde - 1] / (w[k_tilde - 1] + w[k_tilde]))
-    return MeanFieldSeqPosterior(
-        k_tilde=k_tilde,
-        p_tilde=p_tilde,
-        tilts=_fit_tilts(prior, obs, k_tilde),
-        K_max=prior.K_max,
-        log_weights=lw,
-    )
+    return ShellPosterior(k_tilde, p_tilde, _fit_tilts(prior, obs, k_tilde), prior.K_max, lw)
 
 
-def fit_empirical_bayes(prior: SievePrior, obs: SequenceObservation) -> EmpiricalBayesPosterior:
-    """Marginal-likelihood posterior: k_hat maximizes pi(k|y), ties to smaller k."""
+def fit_empirical_bayes(prior: SievePrior, obs: SequenceObservation) -> ShellPosterior:
+    """Marginal-likelihood posterior, the shell at (k_hat, 0).
+
+    k_hat maximizes pi(k|y), ties to the smaller k.
+    """
     lw = log_model_weights(prior, obs)
     k_hat = int(np.argmax(lw))
-    return EmpiricalBayesPosterior(
-        k_hat=k_hat, tilts=_fit_tilts(prior, obs, k_hat), K_max=prior.K_max, log_weights=lw
-    )
+    return ShellPosterior(k_hat, 0.0, _fit_tilts(prior, obs, k_hat), prior.K_max, lw)
 
 
 def vb_objective(prior: SievePrior, obs: SequenceObservation, k: int, kind: str) -> float:
@@ -447,31 +423,20 @@ def vb_objective(prior: SievePrior, obs: SequenceObservation, k: int, kind: str)
     raise InputError(f"kind must be 'vb' or 'eb', got {kind!r}")
 
 
-def expected_risk(
-    post: Union[MeanFieldSeqPosterior, EmpiricalBayesPosterior], signal: SobolevSignal
-) -> float:
+def expected_risk(post: ShellPosterior, signal: SobolevSignal) -> float:
     """E_Q ||theta - theta*||^2 in closed form from the tilt moments."""
     if signal.theta.size != post.K_max:
         raise InputError(f"signal length {signal.theta.size} does not match K_max {post.K_max}")
     theta = signal.theta
+    k, p = post.k, post.p
     total = 0.0
-    if isinstance(post, MeanFieldSeqPosterior):
-        k, p = post.k_tilde, post.p_tilde
-        for idx, tilt in enumerate(post.tilts):
-            m, v = tilt.mean(), tilt.variance()
-            err = v + (m - theta[idx]) ** 2
-            if idx + 1 == k:
-                total += (1.0 - p) * err + p * theta[idx] ** 2
-            else:
-                total += err
-        total += float(np.sum(theta[k:] ** 2))
-    elif isinstance(post, EmpiricalBayesPosterior):
-        for idx, tilt in enumerate(post.tilts):
-            total += tilt.variance() + (tilt.mean() - theta[idx]) ** 2
-        total += float(np.sum(theta[post.k_hat :] ** 2))
-    else:
-        raise InputError(f"unsupported posterior type {type(post).__name__}")
-    return total
+    for idx, tilt in enumerate(post.tilts):
+        err = tilt.variance + (tilt.mean - theta[idx]) ** 2
+        if idx + 1 == k:
+            total += (1.0 - p) * err + p * theta[idx] ** 2
+        else:
+            total += err
+    return total + float(np.sum(theta[k:] ** 2))
 
 
 def sample_observation(
@@ -480,7 +445,7 @@ def sample_observation(
     """Draw y_j = theta_j + z_j / sqrt(n); deterministic given the seed."""
     if not n > 0:
         raise InputError("n must be positive")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     y = signal.theta + rng.standard_normal(signal.theta.size) / math.sqrt(n)
     return SequenceObservation(y=y, n=n)
 
@@ -514,36 +479,8 @@ def make_signal(
 
 
 # ---------------------------------------------------------------------------
-# KL gap of structured candidates
+# KL gap of shell posteriors
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShellCandidate:
-    """A product candidate supported on the {k-1, k} dimension shells.
-
-    Coordinates below k carry the given densities, coordinate k mixes a
-    point mass at zero (weight p) with its density, and everything above
-    k is a point mass at zero.  This is exactly the support structure the
-    mean-field optimum is confined to.
-    """
-
-    k: int
-    p: float
-    densities: tuple
-
-    def __post_init__(self):
-        if not 0.0 <= self.p < 1.0:
-            raise InputError("p must lie in [0, 1)")
-        if self.k == 0 and self.p != 0.0:
-            raise InputError("p must be 0 when k = 0")
-        if len(self.densities) != self.k:
-            raise InputError("need exactly k coordinate densities")
-        for d in self.densities:
-            if not isinstance(d, (ScalarGaussian, GridDensity)):
-                raise InputError("candidate densities must be ScalarGaussian or GridDensity")
-            if isinstance(d, ScalarGaussian) and d.variance == 0:
-                raise InputError("degenerate candidate coordinates are not allowed")
 
 
 def _log_tilt_pdf(prior: SievePrior, obs: SequenceObservation, j: int, x: np.ndarray):
@@ -574,22 +511,21 @@ def _kl_to_tilt(prior, obs, j: int, g) -> float:
     )
 
 
-def posterior_kl_gap(
-    prior: SievePrior, obs: SequenceObservation, candidate: ShellCandidate
-) -> float:
-    """KL(candidate || posterior), exact through the mixture decomposition.
+def posterior_kl_gap(prior: SievePrior, obs: SequenceObservation, post: ShellPosterior) -> float:
+    """KL(post || posterior), exact through the mixture decomposition.
 
     Restricted to the shell support structure, the posterior mass seen by
-    the candidate splits between the (k-1)- and k-dimensional shells, so
-    the divergence reduces to a binary mixture term plus per-coordinate
-    KLs to the tilted densities.
+    the shell posterior splits between the (k-1)- and k-dimensional
+    shells, so the divergence reduces to a binary mixture term plus
+    per-coordinate KLs to the tilted densities.  For the fits it is their
+    vb_objective: kind 'vb' at k_tilde, kind 'eb' at k_hat.
     """
-    if not isinstance(candidate, ShellCandidate):
-        raise InputError("candidate must be a ShellCandidate")
-    if candidate.k > prior.K_max:
-        raise InputError(f"candidate k={candidate.k} exceeds K_max={prior.K_max}")
+    if not isinstance(post, ShellPosterior):
+        raise InputError("post must be a ShellPosterior")
+    if post.K_max != prior.K_max:
+        raise InputError(f"posterior K_max={post.K_max} differs from the prior's {prior.K_max}")
     lw = log_model_weights(prior, obs)
-    k, p = candidate.k, candidate.p
+    k, p = post.k, post.p
     if k == 0:
         return float(-lw[0])
     total = 0.0
@@ -597,6 +533,6 @@ def posterior_kl_gap(
         total += p * (math.log(p) - lw[k - 1])
     total += (1.0 - p) * (math.log1p(-p) - lw[k])
     for j in range(1, k):
-        total += _kl_to_tilt(prior, obs, j, candidate.densities[j - 1])
-    total += (1.0 - p) * _kl_to_tilt(prior, obs, k, candidate.densities[k - 1])
+        total += _kl_to_tilt(prior, obs, j, post.tilts[j - 1])
+    total += (1.0 - p) * _kl_to_tilt(prior, obs, k, post.tilts[k - 1])
     return total

@@ -192,6 +192,7 @@ INVALID_INPUTS = {
     ),
     "pc-markov-chain-sigma-0": ("pc-compare", _config("pc-compare", {"sigma": 0.0})),
     "gsm-alpha-neg": ("gsm-rate", _config("gsm-rate", {"alpha": -0.5})),
+    "gsm-k-max-factor-0": ("gsm-rate", _config("gsm-rate", {"k_max_factor": 0})),
     "mix-k-candidate-0": ("mix-fit", _config("mix-fit", {"k_candidates": [0]})),
 }
 

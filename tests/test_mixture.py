@@ -220,3 +220,12 @@ class TestHellinger:
         f0 = mixture_pdf(model, grid)
         with pytest.raises(InputError):
             hellinger_to_truth(state, f0, grid)
+
+    @pytest.mark.parametrize("distance", [hellinger_to_truth, hellinger_to_truth_mc])
+    def test_f0_off_the_grid_rejected(self, distance):
+        x, model = self.bimodal_sample()
+        state = cavi_fixed_k(x, 2, seed=1)
+        grid = np.linspace(-10, 10, 4001)
+        f0 = mixture_pdf(model, grid[:-1])
+        with pytest.raises(InputError, match="tabulated on the grid"):
+            distance(state, f0, grid)

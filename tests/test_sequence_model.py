@@ -10,13 +10,11 @@ from scipy.integrate import quad
 from vblab.divergences import ScalarGaussian
 from vblab.errors import InputError
 from vblab.sequence_model import (
-    EmpiricalBayesPosterior,
     GaussianCoordinates,
-    MeanFieldSeqPosterior,
     RescaledCauchyCoordinates,
     RescaledGaussianCoordinates,
     SequenceObservation,
-    ShellCandidate,
+    ShellPosterior,
     SievePrior,
     SobolevSignal,
     expected_risk,
@@ -135,29 +133,29 @@ class TestFits:
         obs = SequenceObservation(np.array([0.0]), 1.0)
         post = fit_mean_field(prior, obs)
         # pi(0|y) + pi(1|y) = 1 beats pi(0|y) alone
-        assert post.k_tilde == 1
-        assert post.p_tilde == pytest.approx(0.5857864376, abs=1e-9)
+        assert post.k == 1
+        assert post.p == pytest.approx(0.5857864376, abs=1e-9)
 
     def test_mean_field_degenerate_prior(self):
         prior = gaussian_prior(K_max=2, weights=[1.0, 0.0, 0.0])
         obs = SequenceObservation(np.array([0.5, 0.5]), 4.0)
         post = fit_mean_field(prior, obs)
-        assert post.k_tilde == 0
-        assert post.p_tilde == 0.0
+        assert post.k == 0
+        assert post.p == 0.0
         assert post.tilts == ()
 
     def test_tilt_symmetry_at_zero(self):
         prior = gaussian_prior(K_max=3, tau=0.5)
         obs = SequenceObservation(np.array([2.0, 1.5, 0.0]), 30.0)
         post = fit_mean_field(prior, obs)
-        if post.k_tilde == 3:
-            assert post.tilts[2].mean() == pytest.approx(0.0, abs=1e-12)
+        if post.k == 3:
+            assert post.tilts[2].mean == pytest.approx(0.0, abs=1e-12)
 
     def test_conjugate_tilt_moments_vs_quadrature(self):
         prior = gaussian_prior(sigma0_sq=0.8)
         y, n = 1.3, 7.0
         tilt = prior.coordinate_family.tilt(y, n)
-        assert tilt.mean() == pytest.approx(n * y / (n + 1 / 0.8), abs=1e-12)
+        assert tilt.mean == pytest.approx(n * y / (n + 1 / 0.8), abs=1e-12)
 
         def density(t):
             return np.exp(
@@ -167,24 +165,24 @@ class TestFits:
         z, _ = quad(density, -10, 10, epsabs=1e-13)
         m, _ = quad(lambda t: t * density(t) / z, -10, 10, epsabs=1e-13)
         v, _ = quad(lambda t: (t - m) ** 2 * density(t) / z, -10, 10, epsabs=1e-13)
-        assert tilt.mean() == pytest.approx(m, abs=1e-9)
-        assert tilt.variance() == pytest.approx(v, abs=1e-9)
+        assert tilt.mean == pytest.approx(m, abs=1e-9)
+        assert tilt.variance == pytest.approx(v, abs=1e-9)
 
     def test_empirical_bayes_two_model_example(self):
         prior = gaussian_prior(K_max=1, weights=[0.5, 0.5])
         obs = SequenceObservation(np.array([0.0]), 1.0)
         post = fit_empirical_bayes(prior, obs)
-        assert post.k_hat == 0  # 0.58579 > 0.41421
+        assert post.k == 0  # 0.58579 > 0.41421
 
     def test_empirical_bayes_degenerate_top(self):
         prior = gaussian_prior(K_max=2, weights=[0.0, 0.0, 1.0])
         obs = SequenceObservation(np.array([0.1, 0.1]), 1.0)
-        assert fit_empirical_bayes(prior, obs).k_hat == 2
+        assert fit_empirical_bayes(prior, obs).k == 2
 
     def test_strong_evidence_pulls_k_hat_up(self):
         prior = gaussian_prior(K_max=1, weights=[0.5, 0.5])
         obs = SequenceObservation(np.array([5.0]), 100.0)
-        assert fit_empirical_bayes(prior, obs).k_hat >= 1
+        assert fit_empirical_bayes(prior, obs).k >= 1
 
 
 class TestVbObjective:
@@ -196,8 +194,8 @@ class TestVbObjective:
             obs = sample_observation(signal, float(rng.uniform(2, 200)), rng)
             vb_vals = [vb_objective(prior, obs, k, "vb") for k in range(9)]
             eb_vals = [vb_objective(prior, obs, k, "eb") for k in range(9)]
-            assert int(np.argmin(vb_vals)) == fit_mean_field(prior, obs).k_tilde
-            assert int(np.argmin(eb_vals)) == fit_empirical_bayes(prior, obs).k_hat
+            assert int(np.argmin(vb_vals)) == fit_mean_field(prior, obs).k
+            assert int(np.argmin(eb_vals)) == fit_empirical_bayes(prior, obs).k
             # product families over a single dimension are a subset of the
             # two-shell mixtures, so the best vb objective can only be lower
             assert min(vb_vals) <= min(eb_vals) + 1e-12
@@ -245,11 +243,11 @@ class TestExpectedRisk:
         prior = gaussian_prior(K_max=1, weights=[0.5, 0.5])
         obs = SequenceObservation(np.array([0.4]), 1.0)
         post = fit_mean_field(prior, obs)
-        assert post.k_tilde == 1
+        assert post.k == 1
         signal = SobolevSignal(np.array([0.3]), 1.0, 1.0)
         t = post.tilts[0]
-        manual = (1 - post.p_tilde) * (t.variance() + (t.mean() - 0.3) ** 2) + (
-            post.p_tilde * 0.3**2
+        manual = (1 - post.p) * (t.variance + (t.mean - 0.3) ** 2) + (
+            post.p * 0.3**2
         )
         assert expected_risk(post, signal) == pytest.approx(manual, abs=1e-14)
 
@@ -330,9 +328,9 @@ class TestRescaledFamilies:
     def test_cauchy_tilt_grid_normalized(self):
         fam = RescaledCauchyCoordinates(1.0, 36.0)
         tilt = fam.tilt(0.7, 36.0)
-        assert tilt.density.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert tilt.probs.sum() == pytest.approx(1.0, abs=1e-12)
         # posterior mean sits between 0 (prior center) and y
-        assert 0.0 < tilt.mean() < 0.7
+        assert 0.0 < tilt.mean < 0.7
 
     def test_rescaled_gaussian_is_conjugate(self):
         fam = RescaledGaussianCoordinates(4.0, 16.0)
@@ -347,20 +345,35 @@ class TestPosteriorKlGap:
         self.obs = sample_observation(signal, 40.0, 123)
         self.post = fit_mean_field(self.prior, self.obs)
 
-    def candidate_from_fit(self, post):
-        dens = tuple(t.density for t in post.tilts)
-        return ShellCandidate(k=post.k_tilde, p=post.p_tilde, densities=dens)
-
     def test_fit_matches_vb_objective(self):
-        cand = self.candidate_from_fit(self.post)
-        gap = posterior_kl_gap(self.prior, self.obs, cand)
+        gap = posterior_kl_gap(self.prior, self.obs, self.post)
         assert gap == pytest.approx(
-            vb_objective(self.prior, self.obs, self.post.k_tilde, "vb"), abs=1e-8
+            vb_objective(self.prior, self.obs, self.post.k, "vb"), abs=1e-8
         )
 
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    @pytest.mark.parametrize(
+        "fit, kind",
+        [(fit_mean_field, "vb"), (fit_empirical_bayes, "eb")],
+        ids=["mean_field", "empirical_bayes"],
+    )
+    def test_gap_of_each_fit_is_its_objective(self, family, fit, kind):
+        n = 256.0
+        if family == "gaussian":
+            fam = GaussianCoordinates(1.0)
+        else:
+            fam = RescaledCauchyCoordinates(1.0, n)
+        prior = SievePrior.geometric(0.8, 5, fam)
+        signal = make_signal("sobolev_boundary", 1.0, 2.0, 5)
+        for seed in range(5):
+            obs = sample_observation(signal, n, seed)
+            post = fit(prior, obs)
+            assert posterior_kl_gap(prior, obs, post) == pytest.approx(
+                vb_objective(prior, obs, post.k, kind), abs=1e-8
+            )
+
     def test_fit_minimal_among_perturbations(self):
-        base = self.candidate_from_fit(self.post)
-        base_gap = posterior_kl_gap(self.prior, self.obs, base)
+        base_gap = posterior_kl_gap(self.prior, self.obs, self.post)
         rng = np.random.default_rng(77)
         for _ in range(50):
             k = int(rng.integers(0, 6))
@@ -369,7 +382,7 @@ class TestPosteriorKlGap:
                 ScalarGaussian(float(rng.normal(0, 0.5)), float(rng.uniform(0.005, 0.5)))
                 for _ in range(k)
             )
-            gap = posterior_kl_gap(self.prior, self.obs, ShellCandidate(k, p, dens))
+            gap = posterior_kl_gap(self.prior, self.obs, ShellPosterior(k, p, dens, 5))
             assert gap >= base_gap - 1e-8
 
     def test_non_candidate_rejected(self):
@@ -378,4 +391,13 @@ class TestPosteriorKlGap:
 
     def test_degenerate_density_rejected(self):
         with pytest.raises(InputError):
-            ShellCandidate(1, 0.2, (ScalarGaussian(0.0, 0.0),))
+            ShellPosterior(1, 0.2, (ScalarGaussian(0.0, 0.0),), 1)
+
+    def test_k_beyond_k_max_rejected(self):
+        with pytest.raises(InputError):
+            ShellPosterior(2, 0.0, (ScalarGaussian(0.0, 1.0),) * 2, 1)
+
+    def test_k_max_mismatch_rejected(self):
+        post = ShellPosterior(1, 0.0, (ScalarGaussian(0.0, 1.0),), 4)
+        with pytest.raises(InputError):
+            posterior_kl_gap(self.prior, self.obs, post)
