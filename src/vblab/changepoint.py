@@ -1,6 +1,8 @@
 """Piecewise-constant signal model X_i = theta_i + sigma Z_i.
 
-Two variational routes are implemented against two prior variants:
+Two variational routes are implemented against two prior variants,
+the per-site change prior and the uniform-positions prior; under both,
+every piece draws its value from one value density:
 
 * product (coordinatewise) posteriors, which ignore the dependence
   between neighbouring sites and therefore keep a risk proportional to
@@ -27,7 +29,7 @@ frequentist baseline.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -209,15 +211,16 @@ class MarkovSitePrior:
 
 @dataclass(frozen=True)
 class UniformPositionsPrior:
-    """k pieces with uniformly placed boundaries and per-site value densities.
+    """k pieces with uniformly placed boundaries, each valued from one density.
 
     log_dimension_weights[k-1] is log pi(k) for k = 1..n pieces; given k,
-    the k-1 change positions are uniform over the n-1 interior sites.
+    the k-1 change positions are uniform over the n-1 interior sites, and
+    every piece draws its value independently from value_density.
     """
 
     n: int
     log_dimension_weights: np.ndarray
-    site_densities: tuple
+    value_density: ValueDensity
 
     def __post_init__(self):
         lw = np.asarray(self.log_dimension_weights, dtype=float)
@@ -225,8 +228,6 @@ class UniformPositionsPrior:
             raise InputError("need one dimension weight per piece count 1..n")
         lw = lw - _logsumexp(lw)
         object.__setattr__(self, "log_dimension_weights", lw)
-        if len(self.site_densities) != self.n:
-            raise InputError("need one value density per site")
 
     @classmethod
     def power(cls, n: int, density: ValueDensity, base: Optional[float] = None):
@@ -235,7 +236,7 @@ class UniformPositionsPrior:
         if b <= 1:
             raise InputError("base must exceed 1")
         lw = -np.arange(1, n + 1, dtype=float) * math.log(b)
-        return cls(n=n, log_dimension_weights=lw, site_densities=(density,) * n)
+        return cls(n=n, log_dimension_weights=lw, value_density=density)
 
     def pattern_weight(self) -> np.ndarray:
         """w(c) = log pi(c+1) - log C(n-1, c) for c = 0..n-1 change sites.
@@ -273,20 +274,15 @@ def make_grid(B: float, sigma: float, G: int = 64) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoordinatewisePosterior:
-    """Per-site tilted densities q_i(t) ~ g_i(t) exp(-(t - X_i)^2 / 2 sigma^2).
+    """Means and variances of the tilted densities q_i(t) ~ g(t) exp(-(t - X_i)^2 / 2 sigma^2).
 
-    Truncated-Gaussian closed form when every g_i is uniform, otherwise a
-    row of grid densities per site.
+    kind records how they were computed: "truncated_gaussian" in closed
+    form when g is uniform, "grid" by quadrature on a value grid otherwise.
     """
 
     means: np.ndarray
     variances: np.ndarray
     kind: str
-    window: Optional[tuple] = None
-    centers: Optional[np.ndarray] = field(default=None, repr=False)
-    scale: Optional[float] = None
-    grid: Optional[np.ndarray] = field(default=None, repr=False)
-    site_probs: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return self.means.size
@@ -319,41 +315,22 @@ def fit_mean_field(
     X = np.asarray(X, dtype=float)
     if not sigma > 0:
         raise InputError("sigma must be positive")
-    densities = _site_densities(prior, X.size)
-    if all(isinstance(g, UniformDensity) for g in densities) and len(
-        {(g.lo, g.hi) for g in densities}
-    ) == 1:
-        lo, hi = densities[0].lo, densities[0].hi
-        mean, var = _truncnorm_moments(X, sigma, lo, hi)
-        return CoordinatewisePosterior(
-            means=mean,
-            variances=var,
-            kind="truncated_gaussian",
-            window=(lo, hi),
-            centers=X.copy(),
-            scale=sigma,
-        )
+    if not isinstance(prior, (MarkovSitePrior, UniformPositionsPrior)):
+        raise InputError(f"unsupported prior type {type(prior).__name__}")
+    if isinstance(prior, UniformPositionsPrior) and prior.n != X.size:
+        raise InputError(f"prior was built for n={prior.n}, data has n={X.size}")
+    g = prior.value_density
+    if isinstance(g, UniformDensity):
+        mean, var = _truncnorm_moments(X, sigma, g.lo, g.hi)
+        return CoordinatewisePosterior(means=mean, variances=var, kind="truncated_gaussian")
     if grid is None:
         raise InputError("non-uniform value densities need an explicit grid")
-    logw = np.stack([g.log_pdf(grid) for g in densities])
-    logw = logw - 0.5 * ((grid[None, :] - X[:, None]) / sigma) ** 2
+    logw = g.log_pdf(grid) - 0.5 * ((grid[None, :] - X[:, None]) / sigma) ** 2
     logw = logw - _logsumexp(logw, axis=1, keepdims=True)
     probs = np.exp(logw)
     means = probs @ grid
     variances = probs @ grid**2 - means**2
-    return CoordinatewisePosterior(
-        means=means, variances=variances, kind="grid", grid=grid, site_probs=probs
-    )
-
-
-def _site_densities(prior: ChangePointPrior, n: int) -> tuple:
-    if isinstance(prior, MarkovSitePrior):
-        return (prior.value_density,) * n
-    if isinstance(prior, UniformPositionsPrior):
-        if prior.n != n:
-            raise InputError(f"prior was built for n={prior.n}, data has n={n}")
-        return prior.site_densities
-    raise InputError(f"unsupported prior type {type(prior).__name__}")
+    return CoordinatewisePosterior(means=means, variances=variances, kind="grid")
 
 
 # ---------------------------------------------------------------------------
@@ -631,9 +608,7 @@ def fit_markov_vb(
     counts = np.arange(n, dtype=float)
 
     log_emis = _log_emissions(X[None, :], sigma, grid)
-    pmfs = {g: _grid_pmf(g, grid) for g in set(prior.site_densities)}
-    log_first = pmfs[prior.site_densities[0]]
-    log_fresh = np.array([pmfs[g] for g in prior.site_densities[1:]]).reshape(n - 1, grid.size)
+    log_g = _grid_pmf(prior.value_density, grid)
 
     def conjugate(lam: float) -> float:
         return float(np.max(lam * counts - w))
@@ -647,7 +622,7 @@ def fit_markov_vb(
         # a single site has no change to tilt, and its objective is final
         lam = float(slopes[min(int(c_bar), n - 2)]) if n > 1 else 0.0
         # pairwise factor: copy on the diagonal, lam + fresh-draw weight off it
-        chain, log_z = _single_chain(grid, log_first, log_emis.copy(), 1.0, np.exp(lam + log_fresh))
+        chain, log_z = _single_chain(grid, log_g, log_emis.copy(), 1.0, np.exp(lam + log_g))
         objective = -log_z + conjugate(lam)
         trace.append(objective)
         if n == 1 or abs(prev - objective) <= tol * max(1.0, abs(objective)):

@@ -157,6 +157,8 @@ def fit_rate_exponent(table: RateTable, with_loglog: bool = False) -> RateFit:
         raise InputError("need at least 3 rows for an exponent fit")
     if np.any(table.mean_risk <= 0):
         raise InputError("exponent fits need strictly positive metrics")
+    if with_loglog and np.any(table.n < 2):
+        raise InputError("a log log n regressor needs every n >= 2")
     x = np.log(table.n.astype(float))
     y = np.log(table.mean_risk)
     cols = [np.ones_like(x), x]
@@ -235,13 +237,22 @@ def _resolve_spike_index(j0, alpha: float, n: int):
     raise InputError(f"params.signal.j0 must be an integer or 'adversary', got {j0!r}")
 
 
+# K_max = max(8, ceil(k_max_factor * n^(1 / (2 alpha + 1)))) stays below 64 * 512 in the
+# shipped configs and the config fuzz; the limit, far above that, turns a runaway factor
+# into an input error before anything is allocated.
+_K_MAX_LIMIT = 1 << 20
+
+
 def _fit_gsm(p: dict, n: int, rng: np.random.Generator):
     alpha = _positive(p, "alpha")  # before the K_max exponent divides by 2 alpha + 1
     B = p["B"]
     kind = p["signal"]["kind"]
     j0 = _resolve_spike_index(p["signal"]["j0"], alpha, n)
 
-    K_max = max(8, math.ceil(_positive(p, "k_max_factor") * n ** (1.0 / (2.0 * alpha + 1.0))))
+    K_max = _positive(p, "k_max_factor") * n ** (1.0 / (2.0 * alpha + 1.0))
+    if not K_max <= _K_MAX_LIMIT:  # also catches inf, before math.ceil or any allocation
+        raise InputError(f"params.k_max_factor gives K_max = {K_max:g} > {_K_MAX_LIMIT}")
+    K_max = max(8, math.ceil(K_max))
     if j0 is not None:
         K_max = max(K_max, j0 + 8)
 
@@ -278,19 +289,6 @@ def _run_gsm_risk(p, n, rng):
 def _run_gsm_dimension(p, n, rng):
     post, _ = _fit_gsm(p, n, rng)
     return float(post.k)
-
-
-def _run_trunc_exact_risk(p, n, rng):
-    alpha = _positive(p, "alpha")
-    if p["k_rule"] == "full":
-        k = int(n)
-    elif p["k_rule"] is None:
-        # any t >= 1 gives k = n; capping it keeps n**t finite
-        t = 1.0 / (2.0 * alpha + 1.0) if p["t"] is None else min(p["t"], 1.0)
-        k = min(truncated_series._ceil_power(n, t), int(n))
-    else:
-        raise InputError(f"params.k_rule must be 'full' or absent, got {p['k_rule']!r}")
-    return truncated_series.worst_case_risk(alpha, p["beta"], int(n), k, p["B"])
 
 
 def _pc_common(p, n):
@@ -398,9 +396,8 @@ _GSM_DEFAULTS = {
     "prior": {"family": "gaussian", "tau": 1.0, "sigma0_sq": 1.0, "scale": 1.0, "variance": 1.0},
     "signal": {"kind": "sobolev_boundary", "j0": None},
 }
-_TRUNC_DEFAULTS = {  # t defaults to 1 / (2 alpha + 1)
-    "alpha": 1.0, "beta": 1.0, "B": 1.0, "t": float, "k_rule": None,
-    "t_grid": [round(0.1 * i, 1) for i in range(1, 11)],
+_TRUNC_DEFAULTS = {
+    "alpha": 1.0, "beta": 1.0, "B": 1.0, "t_grid": [round(0.1 * i, 1) for i in range(1, 11)],
 }
 _PC_MF_DEFAULTS = {  # the mean-field route has no change probability
     "sigma": 1.0, "B": 1.0, "G": 64,
@@ -425,9 +422,7 @@ MODELS = {
     "gsm_risk": ModelSpec("gsm-rate", _run_gsm_risk, False, _GSM_DEFAULTS),
     "gsm_dimension": ModelSpec("gsm-dim", _run_gsm_dimension, False, _GSM_DEFAULTS),
     "gsm_spike_risk": ModelSpec("gsm-lower", _run_gsm_risk, False, _GSM_DEFAULTS),
-    "trunc_exact_risk": ModelSpec(
-        "trunc-curve", _run_trunc_exact_risk, False, _TRUNC_DEFAULTS, "trunc_curve_rows"
-    ),
+    "trunc_exact_risk": ModelSpec("trunc-curve", None, False, _TRUNC_DEFAULTS, "trunc_curve_rows"),
     "pc_mean_field": ModelSpec("pc-compare", _run_pc_mean_field, False, _PC_MF_DEFAULTS),
     "pc_markov_chain": ModelSpec(
         "pc-compare", _run_pc_markov_chain_batch, True, _PC_CHAIN_DEFAULTS

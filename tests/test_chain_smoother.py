@@ -105,7 +105,7 @@ def dense_markov_vb(X, sigma, prior: UniformPositionsPrior, grid, tol=1e-8, max_
     w = prior.pattern_weight()
     slopes = np.diff(w)
     counts = np.arange(n, dtype=float)
-    log_pmfs = np.stack([log_pmf(g, grid) for g in prior.site_densities])
+    log_pmfs = np.stack([log_pmf(g, grid) for g in (prior.value_density,) * n])
     c_bar = float(np.dot(np.exp(prior.log_dimension_weights), counts))
     trace, prev, max_tilt = [], math.inf, 0.0
     for _ in range(max_sweeps):

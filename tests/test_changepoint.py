@@ -221,7 +221,7 @@ class TestFitMarkovVb:
         grid = np.linspace(-4.0, 4.0, 16)
         chain = fit_markov_vb(np.array([0.4]), 1.0, prior, grid)
         assert chain.converged
-        expected = prior.site_densities[0].log_pdf(grid) - 0.5 * (grid - 0.4) ** 2
+        expected = prior.value_density.log_pdf(grid) - 0.5 * (grid - 0.4) ** 2
         expected = np.exp(expected - logsumexp(expected))
         np.testing.assert_allclose(chain.marginals()[0], expected, atol=1e-12)
 
@@ -234,7 +234,7 @@ class TestFitMarkovVb:
         X = rng.normal(0.0, 1.0, size=n)
         chain = fit_markov_vb(X, 1.0, prior, grid)
 
-        lg = prior.site_densities[0].log_pdf(grid)
+        lg = prior.value_density.log_pdf(grid)
         lg = lg - logsumexp(lg)
         w = prior.pattern_weight()
         emis = -0.5 * (grid[None, :] - X[:, None]) ** 2
@@ -417,3 +417,20 @@ class TestSigmaValidated:
         grid = make_grid(1.0, 1.0, G=16)
         with pytest.raises(InputError, match="sigma"):
             markov_chain_risks(np.zeros((2, 8)), sigma, prior, grid, PiecewiseSignalZero(8))
+
+
+class TestPriorSizeChecked:
+    """A uniform-positions prior is built for one n; both routes reject other data sizes."""
+
+    @pytest.mark.parametrize("n_data", [5, 7])
+    def test_mean_field(self, n_data):
+        prior = UniformPositionsPrior.power(6, UniformDensity(-2.0, 2.0))
+        with pytest.raises(InputError, match="built for n=6"):
+            fit_mean_field(np.zeros(n_data), 1.0, prior)
+
+    @pytest.mark.parametrize("n_data", [5, 7])
+    def test_markov_vb(self, n_data):
+        prior = UniformPositionsPrior.power(6, UniformDensity(-2.0, 2.0))
+        grid = make_grid(1.0, 1.0, G=16)
+        with pytest.raises(InputError, match="built for n=6"):
+            fit_markov_vb(np.zeros(n_data), 1.0, prior, grid)

@@ -127,6 +127,14 @@ def test_fit_flag_emits_fit(tmp_path):
     assert {"slope", "intercept", "r_squared", "loglog_coefficient"} <= set(payload)
 
 
+def test_loglog_fit_rejects_n_1(tmp_path, capsys):
+    # log log 1 = -inf, so the regression has no finite design matrix
+    cfg = write_config(tmp_path, "g.json", _config("gsm-rate", n_grid=[1, 2, 3]))
+    argv = ["gsm-rate", "--config", cfg, "--out", str(tmp_path / "fit.json"), "--fit", "--loglog"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
+
+
 def test_pc_compare_accepts_both_variants(tmp_path):
     payload = {
         "model": "pc_mean_field",
@@ -180,6 +188,8 @@ INVALID_INPUTS = {
     "divcheck-slack-negative": ("divcheck", _config("divcheck", {"slack": -1.0})),
     "rho-grid-decreasing": ("divcheck", _config("divcheck", {"rho_grid": [2.0, 1.0]})),
     "t-grid-str": ("trunc-curve", _config("trunc-curve", {"t_grid": ["a"]})),
+    "trunc-curve-t": ("trunc-curve", _config("trunc-curve", {"t": 0.3})),
+    "trunc-curve-k-rule": ("trunc-curve", _config("trunc-curve", {"k_rule": "full"})),
     "theta-star-str": ("expfam-fit", _config("expfam-fit", {"theta_star": "x"})),
     "spike-j0-str": ("gsm-lower", _config("gsm-lower", {"signal": {"kind": "spike", "j0": "x"}})),
     "truth-partial": ("mix-fit", _config("mix-fit", {"truth": {"mu": [0.0]}})),
@@ -193,6 +203,7 @@ INVALID_INPUTS = {
     "pc-markov-chain-sigma-0": ("pc-compare", _config("pc-compare", {"sigma": 0.0})),
     "gsm-alpha-neg": ("gsm-rate", _config("gsm-rate", {"alpha": -0.5})),
     "gsm-k-max-factor-0": ("gsm-rate", _config("gsm-rate", {"k_max_factor": 0})),
+    "gsm-k-max-factor-huge": ("gsm-rate", _config("gsm-rate", {"k_max_factor": 1e300})),
     "mix-k-candidate-0": ("mix-fit", _config("mix-fit", {"k_candidates": [0]})),
 }
 

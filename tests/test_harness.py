@@ -124,18 +124,6 @@ class TestRunExperiment:
         np.testing.assert_array_equal(a.mean_risk, b.mean_risk)
         np.testing.assert_array_equal(a.stderr, b.stderr)
 
-    def test_exact_model_has_zero_stderr(self):
-        config = ExperimentConfig(
-            model="trunc_exact_risk",
-            n_grid=(64, 128, 256),
-            replications=4,
-            master_seed=0,
-            params={"alpha": 1.0, "beta": 1.0, "t": 0.5},
-        )
-        table = run_experiment(config)
-        np.testing.assert_array_equal(table.stderr, 0.0)
-        assert np.all(table.mean_risk > 0)
-
     def test_gsm_pipeline_risk_decreases(self):
         config = ExperimentConfig(
             model="gsm_risk",
