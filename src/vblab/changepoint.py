@@ -339,6 +339,11 @@ def fit_mean_field(
 
 
 _TINY = np.finfo(float).tiny
+# fit_markov_vb's tangent sweeps stop once the objective moves by at most _TOL
+# relative (absolute below 1), or after _MAX_SWEEPS sweeps.
+_TOL = 1e-8
+_MAX_SWEEPS = 500
+_RISK_CHUNK = 25  # replications per smoother pass in markov_chain_risks
 
 
 def _step_factors(stay: np.ndarray, move: np.ndarray, weights: np.ndarray):
@@ -577,8 +582,6 @@ def fit_markov_vb(
     sigma: float,
     prior: ChangePointPrior,
     grid: np.ndarray,
-    tol: float = 1e-8,
-    max_sweeps: int = 500,
 ) -> GridChain:
     """Best first-order grid chain for the change-point posterior.
 
@@ -601,8 +604,6 @@ def fit_markov_vb(
         raise InputError(f"prior was built for n={prior.n}, data has n={n}")
     if grid.ndim != 1 or grid.size < 2:
         raise InputError("grid must be 1-d with at least 2 points")
-    if max_sweeps < 1:
-        raise InputError("max_sweeps must be at least 1")
     w = prior.pattern_weight()
     slopes = np.diff(w)  # subgradients of the piecewise-linear extension
     counts = np.arange(n, dtype=float)
@@ -618,14 +619,14 @@ def fit_markov_vb(
     chain = None
     prev = math.inf
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         # a single site has no change to tilt, and its objective is final
         lam = float(slopes[min(int(c_bar), n - 2)]) if n > 1 else 0.0
         # pairwise factor: copy on the diagonal, lam + fresh-draw weight off it
         chain, log_z = _single_chain(grid, log_g, log_emis.copy(), 1.0, np.exp(lam + log_g))
         objective = -log_z + conjugate(lam)
         trace.append(objective)
-        if n == 1 or abs(prev - objective) <= tol * max(1.0, abs(objective)):
+        if n == 1 or abs(prev - objective) <= _TOL * max(1.0, abs(objective)):
             converged = True
             break
         prev = objective
@@ -639,7 +640,6 @@ def markov_chain_risks(
     prior: MarkovSitePrior,
     grid: np.ndarray,
     signal: PiecewiseSignal,
-    chunk: int = 25,
 ) -> np.ndarray:
     """E_Q ||theta - theta*||^2 under grid_posterior for a batch of datasets.
 
@@ -649,7 +649,7 @@ def markov_chain_risks(
     building one GridChain per dataset.  Grid values outside the support
     of the value density are dropped first: neither the first site nor a
     change can land on them, so their posterior mass is exactly zero.
-    Memory is one (n, chunk, G) array; agreement with grid_posterior is
+    Memory is one (n, _RISK_CHUNK, G) array; agreement with grid_posterior is
     pinned by tests.
     """
     X_batch = np.atleast_2d(np.asarray(X_batch, dtype=float))
@@ -663,9 +663,9 @@ def markov_chain_risks(
     grid, log_g, stay, move = grid[live], log_g[live], stay[live], move[live]
     sq_err = (grid[None, :] - signal.values[:, None]) ** 2  # (n, G)
     out = np.empty(R)
-    for lo in range(0, R, chunk):
-        log_emis = _log_emissions(X_batch[lo : lo + chunk], sigma, grid)
-        out[lo : lo + chunk] = _smooth(log_g, log_emis, stay, move, site_loss=sq_err)[3]
+    for lo in range(0, R, _RISK_CHUNK):
+        log_emis = _log_emissions(X_batch[lo : lo + _RISK_CHUNK], sigma, grid)
+        out[lo : lo + _RISK_CHUNK] = _smooth(log_g, log_emis, stay, move, site_loss=sq_err)[3]
     return out
 
 

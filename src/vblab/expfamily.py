@@ -8,14 +8,17 @@ the density.  The normalizer c(theta) and all divergences are evaluated
 by panel-doubled Gauss-Legendre quadrature.
 
 The variational route fits a Gaussian mean-field factor per coefficient
-by gradient ascent on an ELBO whose only intractable piece, the expected
-normalizer, is estimated by reparameterized Monte Carlo with common
-random numbers -- given the seed the objective is a deterministic smooth
-function, so plain gradients (and finite-difference checks) apply.
+at a fixed active length k, against N(0, sigma0_sq) prior coordinates;
+the sieve prior's weight on k is then a constant, so only sigma0_sq
+enters.  The ELBO's one intractable piece, the expected normalizer, is
+estimated by reparameterized Monte Carlo with common random numbers --
+given the seed the objective is a deterministic smooth function, so
+plain gradients (and finite-difference checks) apply.  elbo, its
+gradient and the fit share one input check and one draw of those numbers.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Union
 
@@ -24,10 +27,8 @@ import numpy as np
 from ._lse import _logsumexp_weights
 from ._quadrature import fixed_rule, integrate
 from .errors import InputError, OptimizationError
-from .sequence_model import SievePrior
 
 __all__ = [
-    "BASIS_LABEL",
     "basis_matrix",
     "log_normalizer",
     "FourierDensity",
@@ -42,8 +43,6 @@ __all__ = [
     "elbo_and_gradient",
     "fit_gaussian_mf",
 ]
-
-BASIS_LABEL = "paired-trig: h_{2l-1} = sqrt2 cos(2 pi l x), h_{2l} = sqrt2 sin(2 pi l x)"
 
 _ELBO_PANELS = 64  # fixed panel count keeps the CRN objective smooth in theta
 
@@ -77,17 +76,15 @@ def log_normalizer(theta) -> float:
 
 @dataclass(frozen=True)
 class FourierDensity:
-    """Coefficients plus the cached normalizer and basis convention."""
+    """Coefficients plus their cached normalizer c(theta)."""
 
     theta: np.ndarray
-    basis: str = BASIS_LABEL
-    c: float = None
+    c: float = field(init=False)
 
     def __post_init__(self):
         t = np.asarray(self.theta, dtype=float)
         object.__setattr__(self, "theta", t)
-        if self.c is None:
-            object.__setattr__(self, "c", log_normalizer(t))
+        object.__setattr__(self, "c", log_normalizer(t))
 
     def log_pdf(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -194,8 +191,8 @@ class GaussMFVariational:
 class OptConfig:
     """Gradient-ascent settings for fit_gaussian_mf."""
 
-    step_size: float = 0.2
-    n_iters: int = 300
+    step_size: float = 0.25
+    n_iters: int = 250
     n_mc: int = 64
     seed: int = 0
 
@@ -204,10 +201,6 @@ class OptConfig:
             raise InputError("step_size must be positive")
         if self.n_iters < 1 or self.n_mc < 1:
             raise InputError("n_iters and n_mc must be at least 1")
-
-
-def _crn_draws(q_mu, q_sigma, eps):
-    return q_mu[None, :] + q_sigma[None, :] * eps
 
 
 @lru_cache(maxsize=None)
@@ -232,47 +225,42 @@ def _normalizer_stats(draws: np.ndarray):
     return c, moments
 
 
-def _check_elbo_inputs(q: GaussMFVariational, data, prior: SievePrior):
+def _elbo_inputs(data, sigma0_sq: float, k: int, n_mc: int, seed):
+    """The checked sample's sum_i h(X_i) and size n, and the (n_mc, k) CRN normals."""
     data = np.asarray(data, dtype=float)
     if data.ndim != 1 or data.size == 0:
         raise InputError("data must be a non-empty 1-d sample")
     if np.any((data < 0) | (data > 1)):
         raise InputError("data must lie in [0, 1]")
-    if q.k > prior.K_max:
-        raise InputError(f"active length {q.k} exceeds prior K_max {prior.K_max}")
-    if not hasattr(prior.coordinate_family, "kl_from_gaussian"):
-        raise InputError("ELBO requires a Gaussian coordinate family")
-    return data
+    if not sigma0_sq > 0:
+        raise InputError("sigma0_sq must be positive")
+    eps = np.random.default_rng(seed).standard_normal((n_mc, k))
+    return basis_matrix(data, k).sum(axis=0), data.size, eps
 
 
 def elbo(
     q: GaussMFVariational,
     data,
-    prior: SievePrior,
+    sigma0_sq: float,
     n_mc: int = 64,
     seed: Union[int, np.random.Generator] = 0,
 ) -> float:
     """Evidence lower bound at fixed active length k = q.k.
 
-    E_Q[sum_i log p_theta(X_i)] - KL(q || prior coordinates 1..k); the
+    E_Q[sum_i log p_theta(X_i)] - KL(q || N(0, sigma0_sq)^k); the
     expected normalizer is a CRN reparameterized Monte Carlo average, all
     other terms are exact.  Point-mass factors (zero variance) have
     infinite KL to the continuous prior coordinates, so the value is -inf.
     """
-    data = _check_elbo_inputs(q, data, prior)
     if np.any(q.sigma2 == 0.0):
+        _elbo_inputs(data, sigma0_sq, q.k, n_mc, seed)  # -inf only for valid inputs
         return -math.inf
-    rng = np.random.default_rng(seed)
-    eps = rng.standard_normal((n_mc, q.k))
-    suff = basis_matrix(data, q.k).sum(axis=0)
-    value, _, _ = _elbo_terms(q.mu, np.sqrt(q.sigma2), eps, suff, data.size, prior)
-    return value
+    return elbo_and_gradient(q, data, sigma0_sq, n_mc, seed)[0]
 
 
-def _elbo_terms(mu, sigma, eps, suff, n, prior):
+def _elbo_terms(mu, sigma, eps, suff, n, s0):
     # suff = sum_i h(X_i), the (k,) sufficient statistic of the n data points
-    s0 = prior.coordinate_family.sigma0_sq
-    draws = _crn_draws(mu, sigma, eps)
+    draws = mu[None, :] + sigma[None, :] * eps
     c, moments = _normalizer_stats(draws)
     mean_c = float(c.mean())
     mean_moment = moments.mean(axis=0)
@@ -287,45 +275,37 @@ def _elbo_terms(mu, sigma, eps, suff, n, prior):
 def elbo_and_gradient(
     q: GaussMFVariational,
     data,
-    prior: SievePrior,
+    sigma0_sq: float,
     n_mc: int = 64,
     seed: Union[int, np.random.Generator] = 0,
 ):
     """ELBO with its analytic gradient in (mu, log sigma), same CRN draws."""
-    data = _check_elbo_inputs(q, data, prior)
+    suff, n, eps = _elbo_inputs(data, sigma0_sq, q.k, n_mc, seed)
     if np.any(q.sigma2 == 0.0):
         raise InputError("gradients need strictly positive variances")
-    rng = np.random.default_rng(seed)
-    eps = rng.standard_normal((n_mc, q.k))
-    suff = basis_matrix(data, q.k).sum(axis=0)
-    return _elbo_terms(q.mu, np.sqrt(q.sigma2), eps, suff, data.size, prior)
+    return _elbo_terms(q.mu, np.sqrt(q.sigma2), eps, suff, n, sigma0_sq)
 
 
 def fit_gaussian_mf(
-    data, prior: SievePrior, k: int, opt_config: OptConfig = OptConfig()
+    data, sigma0_sq: float, k: int, opt_config: OptConfig = OptConfig()
 ) -> GaussMFVariational:
     """Gradient ascent on the CRN ELBO over (mu, log sigma) at fixed k.
 
-    Steps are scaled per datum; the best-scoring iterate is returned.
-    Variances are floored at 1e-12 during the run so the log-variance
-    parameterization stays smooth.
+    The prior is N(0, sigma0_sq) on each of the k coefficients.  Steps are
+    scaled per datum; the best-scoring iterate is returned.  Variances are
+    floored at 1e-12 during the run so the log-variance parameterization
+    stays smooth.
     """
     if k < 1:
         raise InputError("k must be at least 1")
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 1 or data.size == 0:
-        raise InputError("data must be a non-empty 1-d sample")
-    rng = np.random.default_rng(opt_config.seed)
-    eps = rng.standard_normal((opt_config.n_mc, k))
+    suff, n, eps = _elbo_inputs(data, sigma0_sq, k, opt_config.n_mc, opt_config.seed)
     mu = np.zeros(k)
-    log_sigma = np.full(k, -0.5 * math.log(data.size))
-    n = data.size
-    suff = basis_matrix(data, k).sum(axis=0)
+    log_sigma = np.full(k, -0.5 * math.log(n))
     best_value = -math.inf
     best = (mu.copy(), log_sigma.copy())
     for _ in range(opt_config.n_iters):
         sigma = np.exp(log_sigma)
-        value, grad_mu, grad_ls = _elbo_terms(mu, sigma, eps, suff, n, prior)
+        value, grad_mu, grad_ls = _elbo_terms(mu, sigma, eps, suff, n, sigma0_sq)
         if value < -1e12:
             raise OptimizationError("ELBO diverged below -1e12")
         if value > best_value:

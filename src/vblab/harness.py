@@ -237,9 +237,9 @@ def _resolve_spike_index(j0, alpha: float, n: int):
     raise InputError(f"params.signal.j0 must be an integer or 'adversary', got {j0!r}")
 
 
-# K_max = max(8, ceil(k_max_factor * n^(1 / (2 alpha + 1)))) stays below 64 * 512 in the
-# shipped configs and the config fuzz; the limit, far above that, turns a runaway factor
-# into an input error before anything is allocated.
+# K_max = ceil(max(k_max_factor * n^(1 / (2 alpha + 1)), 8, j0 + 8)) stays below 64 * 512
+# in the shipped configs and the config fuzz; the limit, far above that, turns a runaway
+# factor or spike index into an input error before anything is allocated.
 _K_MAX_LIMIT = 1 << 20
 
 
@@ -248,13 +248,16 @@ def _fit_gsm(p: dict, n: int, rng: np.random.Generator):
     B = p["B"]
     kind = p["signal"]["kind"]
     j0 = _resolve_spike_index(p["signal"]["j0"], alpha, n)
+    if j0 is not None and kind != "spike":
+        raise InputError(f"params.signal.j0 applies only to kind 'spike', not {kind!r}")
 
     K_max = _positive(p, "k_max_factor") * n ** (1.0 / (2.0 * alpha + 1.0))
+    K_max = max(K_max, 8, 8 if j0 is None else j0 + 8)
     if not K_max <= _K_MAX_LIMIT:  # also catches inf, before math.ceil or any allocation
-        raise InputError(f"params.k_max_factor gives K_max = {K_max:g} > {_K_MAX_LIMIT}")
-    K_max = max(8, math.ceil(K_max))
-    if j0 is not None:
-        K_max = max(K_max, j0 + 8)
+        raise InputError(
+            f"params.k_max_factor and params.signal.j0 give K_max = {K_max!r} > {_K_MAX_LIMIT}"
+        )
+    K_max = math.ceil(K_max)
 
     prior_spec = p["prior"]
     family_name = prior_spec["family"]
@@ -360,13 +363,9 @@ def _run_mixture_hellinger_batch(p, n, rngs):
 def _run_expfamily_hellinger(p, n, rng):
     theta_star = np.asarray(p["theta_star"], dtype=float)
     k = theta_star.size if p["k"] is None else p["k"]
-    K_max = max(k, 6) if p["K_max"] is None else max(k, p["K_max"])
-    prior = sequence_model.SievePrior.geometric(
-        1.0, K_max, sequence_model.GaussianCoordinates(p["sigma0_sq"])
-    )
     cfg = expfamily.OptConfig(**p["opt"], seed=int(rng.integers(2**63)))
     data = expfamily.sample(theta_star, n, seed=rng)
-    q = expfamily.fit_gaussian_mf(data, prior, k, opt_config=cfg)
+    q = expfamily.fit_gaussian_mf(data, p["sigma0_sq"], k, opt_config=cfg)
     return expfamily.hellinger_numeric(q.mu, theta_star) ** 2
 
 
@@ -409,10 +408,9 @@ _MIX_DEFAULTS = {
     "hyper": asdict(mixture.MixtureHyper()),
     "k_candidates": [1, 2, 3, 4], "grid_points": 2001,
 }
-_EXPFAM_DEFAULTS = {
-    # k defaults to len(theta_star), K_max to max(k, 6)
-    "theta_star": [0.7, -0.4, 0.2], "k": int, "K_max": int, "sigma0_sq": 1.0,
-    "opt": {"step_size": 0.25, "n_iters": 250, "n_mc": 64},
+_EXPFAM_DEFAULTS = {  # k defaults to len(theta_star)
+    "theta_star": [0.7, -0.4, 0.2], "k": int, "sigma0_sq": 1.0,
+    "opt": {key: v for key, v in asdict(expfamily.OptConfig()).items() if key != "seed"},
 }
 
 MODELS = {

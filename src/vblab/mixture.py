@@ -147,14 +147,6 @@ class GMFState:
     def elbo(self) -> float:
         return self.elbo_trace[-1]
 
-    @property
-    def q_mu(self) -> tuple:
-        from .divergences import ScalarGaussian
-
-        return tuple(
-            ScalarGaussian(float(m), float(v)) for m, v in zip(self.mu_mean, self.mu_var)
-        )
-
     def posterior_mean_model(self) -> MixtureModel:
         """Plug-in mixture at the factor means."""
         sigma = 1.0 / math.sqrt(self.tau_shape / self.tau_rate)

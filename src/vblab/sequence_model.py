@@ -90,10 +90,6 @@ class GaussianCoordinates:
     def normalization_error(self) -> float:
         return 0.0  # exact by construction
 
-    def kl_from_gaussian(self, g: ScalarGaussian) -> float:
-        s0 = self.sigma0_sq
-        return 0.5 * ((g.variance + g.mean**2) / s0 - 1.0 - math.log(g.variance / s0))
-
 
 @dataclass(frozen=True)
 class RescaledCauchyCoordinates:

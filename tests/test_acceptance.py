@@ -337,14 +337,12 @@ def test_criterion_11_exponential_family():
             ok_bounds = False
         checked += 1
 
-    prior = sequence_model.SievePrior.geometric(
-        1.0, 4, sequence_model.GaussianCoordinates(1.0)
-    )
+    s0 = 1.0  # prior variance of each coefficient
     data = expfamily.sample(np.array([0.5, 0.2]), 60, seed=MASTER_SEED)
     mu = np.array([0.3, -0.1, 0.2])
     s2 = np.array([0.04, 0.09, 0.01])
     q = expfamily.GaussMFVariational(mu=mu, sigma2=s2)
-    _, grad_mu, grad_ls = expfamily.elbo_and_gradient(q, data, prior, n_mc=32, seed=7)
+    _, grad_mu, grad_ls = expfamily.elbo_and_gradient(q, data, s0, n_mc=32, seed=7)
     ok_grad = True
     h = 1e-6
     for j in range(3):
@@ -352,8 +350,8 @@ def test_criterion_11_exponential_family():
         up[j] += h
         dn[j] -= h
         fd = (
-            expfamily.elbo(expfamily.GaussMFVariational(up, s2), data, prior, 32, 7)
-            - expfamily.elbo(expfamily.GaussMFVariational(dn, s2), data, prior, 32, 7)
+            expfamily.elbo(expfamily.GaussMFVariational(up, s2), data, s0, 32, 7)
+            - expfamily.elbo(expfamily.GaussMFVariational(dn, s2), data, s0, 32, 7)
         ) / (2 * h)
         if abs(grad_mu[j] - fd) > 1e-3 * max(1.0, abs(fd)):
             ok_grad = False
@@ -362,23 +360,20 @@ def test_criterion_11_exponential_family():
         up_s[j] += h
         dn_s[j] -= h
         fd = (
-            expfamily.elbo(expfamily.GaussMFVariational(mu, np.exp(2 * up_s)), data, prior, 32, 7)
-            - expfamily.elbo(expfamily.GaussMFVariational(mu, np.exp(2 * dn_s)), data, prior, 32, 7)
+            expfamily.elbo(expfamily.GaussMFVariational(mu, np.exp(2 * up_s)), data, s0, 32, 7)
+            - expfamily.elbo(expfamily.GaussMFVariational(mu, np.exp(2 * dn_s)), data, s0, 32, 7)
         ) / (2 * h)
         if abs(grad_ls[j] - fd) > 1e-3 * max(1.0, abs(fd)):
             ok_grad = False
 
     theta_true = np.array([0.7, -0.4, 0.2])
-    prior6 = sequence_model.SievePrior.geometric(
-        1.0, 6, sequence_model.GaussianCoordinates(1.0)
-    )
     medians = []
     for n in (200, 800, 3200):
         h2 = []
         for rep in range(5):
             d = expfamily.sample(theta_true, n, seed=MASTER_SEED + 1000 * n + rep)
             q_fit = expfamily.fit_gaussian_mf(
-                d, prior6, k=3,
+                d, s0, k=3,
                 opt_config=expfamily.OptConfig(step_size=0.25, n_iters=250, seed=rep),
             )
             h2.append(expfamily.hellinger_numeric(q_fit.mu, theta_true) ** 2)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from vblab import changepoint
 from vblab.changepoint import (
     GaussianDensity,
     MarkovSitePrior,
@@ -159,14 +160,15 @@ class TestSitePrior:
             got = _smooth(log_g, _log_emissions(X[None, :], sigma, grid), stay, move)[2][0]
             assert got == pytest.approx(log_z, rel=TOL)
 
-    def test_batched_risk_matches_chain_risk(self):
+    def test_batched_risk_matches_chain_risk(self, monkeypatch):
+        monkeypatch.setattr(changepoint, "_RISK_CHUNK", 3)  # 7 replications in three passes
         rng = np.random.default_rng(7)
         n, G, sigma = 40, 24, 0.8
         grid = make_grid(1.0, sigma, G)
         signal = snap_to_grid(make_prefix_signal(n, 3, 1.0, seg_len=8), grid)
         prior = MarkovSitePrior(0.05, UniformDensity(-2.0, 2.0))
         X = signal.values + sigma * rng.standard_normal((7, n))
-        batch = markov_chain_risks(X, sigma, prior, grid, signal, chunk=3)
+        batch = markov_chain_risks(X, sigma, prior, grid, signal)
         one_by_one = [risk(grid_posterior(x, sigma, prior, grid), signal) for x in X]
         np.testing.assert_allclose(batch, one_by_one, rtol=TOL)
 

@@ -204,6 +204,13 @@ INVALID_INPUTS = {
     "gsm-alpha-neg": ("gsm-rate", _config("gsm-rate", {"alpha": -0.5})),
     "gsm-k-max-factor-0": ("gsm-rate", _config("gsm-rate", {"k_max_factor": 0})),
     "gsm-k-max-factor-huge": ("gsm-rate", _config("gsm-rate", {"k_max_factor": 1e300})),
+    "gsm-j0-huge": (
+        "gsm-lower", _config("gsm-lower", {"signal": {"kind": "spike", "j0": 10**13}})
+    ),
+    "gsm-j0-without-spike": (
+        "gsm-rate", _config("gsm-rate", {"signal": {"kind": "sobolev_boundary", "j0": 4}})
+    ),
+    "expfam-k-max": ("expfam-fit", _config("expfam-fit", {"K_max": 40})),
     "mix-k-candidate-0": ("mix-fit", _config("mix-fit", {"k_candidates": [0]})),
 }
 
@@ -364,3 +371,32 @@ def test_shipped_configs_parse_under_their_schema():
         config = ExperimentConfig.from_json(path.read_text())
         parse_params(config.params, config.model)
         assert MODELS[config.model].command == named[f"configs/{path.name}"], path.name
+
+
+def _schema_keys(schema: dict) -> set:
+    """Every key of a params schema, nested objects included."""
+    keys = set(schema)
+    for sub in schema.values():
+        if isinstance(sub, dict):
+            keys |= _schema_keys(sub)
+    return keys
+
+
+def test_readme_params_list_matches_the_registry():
+    # each bullet's head, up to its first colon, names the models sharing it;
+    # its body documents a key as `key` = default or `key` (default ...)
+    readme = (REPO / "README.md").read_text()
+    documented = {}
+    for bullet in re.findall(r"^- (.*(?:\n  .*)*)", readme, flags=re.M):
+        head, _, body = bullet.partition(":")
+        models = [m for m in re.findall(r"`(\w+)`", head) if m in MODELS]
+        keys = set(re.findall(r"`(\w+)`\s*(?:=|\(default)", body))
+        for model in models:
+            assert model not in documented, f"{model} has two bullets"
+            documented[model] = (keys, models)
+    assert set(documented) == set(MODELS)
+    for model, (keys, models) in documented.items():
+        missing = _schema_keys(MODELS[model].defaults) - keys
+        assert not missing, f"README omits {model} params {sorted(missing)}"
+        rejected = keys - set().union(*(_schema_keys(MODELS[m].defaults) for m in models))
+        assert not rejected, f"README lists {sorted(rejected)}, which {models} reject"

@@ -23,11 +23,8 @@ from vblab.expfamily import (
     sample,
 )
 from vblab.expfamily import _elbo_rule
-from vblab.sequence_model import GaussianCoordinates, SievePrior
 
-
-def gaussian_prior(K_max=8, sigma0_sq=1.0):
-    return SievePrior.geometric(1.0, K_max, GaussianCoordinates(sigma0_sq))
+S0 = 1.0  # prior variance of each coefficient
 
 
 class TestNormalizer:
@@ -156,26 +153,23 @@ class TestCachedRules:
 
 class TestElbo:
     def test_point_mass_is_minus_inf(self):
-        prior = gaussian_prior()
         q = GaussMFVariational(mu=np.array([0.1, 0.0]), sigma2=np.array([0.0, 0.1]))
-        assert elbo(q, np.array([0.2, 0.8]), prior) == -math.inf
+        assert elbo(q, np.array([0.2, 0.8]), S0) == -math.inf
 
     def test_deterministic_given_seed(self):
-        prior = gaussian_prior()
         q = GaussMFVariational(mu=np.array([0.1]), sigma2=np.array([0.05]))
         data = np.array([0.1, 0.5, 0.9])
-        assert elbo(q, data, prior, seed=3) == elbo(q, data, prior, seed=3)
+        assert elbo(q, data, S0, seed=3) == elbo(q, data, S0, seed=3)
 
     def test_bounded_by_importance_sampled_evidence(self):
         rng = np.random.default_rng(2)
         theta_true = np.array([0.6, -0.3])
         data = sample(theta_true, 20, seed=8)
-        prior = gaussian_prior(K_max=2)
         cfg = OptConfig(step_size=0.3, n_iters=200, n_mc=32, seed=0)
-        q = fit_gaussian_mf(data, prior, k=2, opt_config=cfg)
+        q = fit_gaussian_mf(data, S0, k=2, opt_config=cfg)
         # the expected-normalizer noise enters scaled by the sample size, so
         # evaluate the bound with enough draws to make it negligible
-        bound = elbo(q, data, prior, n_mc=8192, seed=1)
+        bound = elbo(q, data, S0, n_mc=8192, seed=1)
 
         # conditional evidence = E_prop[ lik * prior / prop ] with a broadened
         # proposal around the fit; trapezoid normalizers keep the oracle
@@ -204,29 +198,41 @@ class TestElbo:
         stderr = w.std(ddof=1) / math.sqrt(w.size) / w.mean()
         assert bound <= log_evidence + 3 * stderr
 
-    def test_active_length_validated(self):
-        prior = gaussian_prior(K_max=2)
-        q = GaussMFVariational(mu=np.zeros(3), sigma2=np.ones(3))
+    @pytest.mark.parametrize("sigma0_sq", [0.0, -1.0, math.nan])
+    def test_prior_variance_validated(self, sigma0_sq):
+        q = GaussMFVariational(mu=np.zeros(2), sigma2=np.ones(2))
+        for call in (elbo, elbo_and_gradient):
+            with pytest.raises(InputError):
+                call(q, np.array([0.5]), sigma0_sq)
         with pytest.raises(InputError):
-            elbo(q, np.array([0.5]), prior)
+            fit_gaussian_mf(np.array([0.5]), sigma0_sq, k=2)
+
+    @pytest.mark.parametrize("data", [[-3.0, 7.0], [0.2, 1.5], [], [[0.5]]])
+    def test_fit_validates_data(self, data):
+        with pytest.raises(InputError):
+            fit_gaussian_mf(np.array(data), S0, k=2)
+
+    def test_point_mass_still_validates_data(self):
+        q = GaussMFVariational(mu=np.zeros(1), sigma2=np.zeros(1))
+        with pytest.raises(InputError):
+            elbo(q, np.array([1.5]), S0)
 
 
 class TestGradient:
     def test_matches_finite_differences(self):
-        prior = gaussian_prior(K_max=4)
         data = sample(np.array([0.5, 0.2]), 60, seed=21)
         mu = np.array([0.3, -0.1, 0.2])
         s2 = np.array([0.04, 0.09, 0.01])
         q = GaussMFVariational(mu=mu, sigma2=s2)
-        _, grad_mu, grad_ls = elbo_and_gradient(q, data, prior, n_mc=32, seed=7)
+        _, grad_mu, grad_ls = elbo_and_gradient(q, data, S0, n_mc=32, seed=7)
         h = 1e-6
         for j in range(3):
             up, dn = mu.copy(), mu.copy()
             up[j] += h
             dn[j] -= h
             fd = (
-                elbo(GaussMFVariational(up, s2), data, prior, 32, 7)
-                - elbo(GaussMFVariational(dn, s2), data, prior, 32, 7)
+                elbo(GaussMFVariational(up, s2), data, S0, 32, 7)
+                - elbo(GaussMFVariational(dn, s2), data, S0, 32, 7)
             ) / (2 * h)
             assert grad_mu[j] == pytest.approx(fd, rel=1e-3, abs=1e-6)
         for j in range(3):
@@ -235,8 +241,8 @@ class TestGradient:
             up[j] += h
             dn[j] -= h
             fd = (
-                elbo(GaussMFVariational(mu, np.exp(2 * up)), data, prior, 32, 7)
-                - elbo(GaussMFVariational(mu, np.exp(2 * dn)), data, prior, 32, 7)
+                elbo(GaussMFVariational(mu, np.exp(2 * up)), data, S0, 32, 7)
+                - elbo(GaussMFVariational(mu, np.exp(2 * dn)), data, S0, 32, 7)
             ) / (2 * h)
             assert grad_ls[j] == pytest.approx(fd, rel=1e-3, abs=1e-6)
 
@@ -244,8 +250,7 @@ class TestGradient:
 class TestFit:
     def test_uniform_data_keeps_small_coefficients(self):
         data = sample(np.zeros(1), 500, seed=42)
-        prior = gaussian_prior(K_max=4)
-        q = fit_gaussian_mf(data, prior, k=3, opt_config=OptConfig(seed=5))
+        q = fit_gaussian_mf(data, S0, k=3, opt_config=OptConfig(seed=5))
         assert np.all(np.abs(q.mu) <= 0.3)
 
     @pytest.mark.parametrize(
@@ -256,16 +261,14 @@ class TestFit:
             OptConfig(**settings)
 
     def test_final_beats_initial_elbo(self):
-        prior = gaussian_prior(K_max=4)
         for s in range(20):
             data = sample(np.array([0.5]), 150, seed=100 + s)
             cfg = OptConfig(step_size=0.2, n_iters=120, n_mc=32, seed=s)
-            q = fit_gaussian_mf(data, prior, k=2, opt_config=cfg)
+            q = fit_gaussian_mf(data, S0, k=2, opt_config=cfg)
             init = GaussMFVariational(np.zeros(2), np.full(2, 1.0 / 150.0))
-            assert elbo(q, data, prior, 32, s) >= elbo(init, data, prior, 32, s)
+            assert elbo(q, data, S0, 32, s) >= elbo(init, data, S0, 32, s)
 
     def test_hellinger_to_truth_decreases_with_n(self):
-        prior = gaussian_prior(K_max=6)
         theta_true = np.array([0.7, -0.4, 0.2])
         med = []
         for n in (200, 800, 3200):
@@ -273,7 +276,7 @@ class TestFit:
             for rep in range(5):
                 data = sample(theta_true, n, seed=1000 * n + rep)
                 q = fit_gaussian_mf(
-                    data, prior, k=3, opt_config=OptConfig(step_size=0.25, n_iters=250, seed=rep)
+                    data, S0, k=3, opt_config=OptConfig(step_size=0.25, n_iters=250, seed=rep)
                 )
                 h2.append(hellinger_numeric(q.mu, theta_true) ** 2)
             med.append(float(np.median(h2)))
