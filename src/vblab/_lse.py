@@ -11,13 +11,14 @@ import math
 import numpy as np
 
 
-def _shifted_exp(x: np.ndarray, axis: int):
-    """The maximum over axis (0 where it is not finite) and exp(x - maximum)."""
+def _shifted_exp(x: np.ndarray, axis: int, out=None):
+    """The maximum over axis (0 where it is not finite) and exp(x - maximum), written to out if given."""
     top = np.maximum.reduce(x, axis=axis, keepdims=True)
     bad = ~np.isfinite(top)
     if bad.any():
         top[bad] = 0.0
-    return top, np.exp(x - top)
+    shifted = np.subtract(x, top, out=out)
+    return top, np.exp(shifted, out=shifted)
 
 
 def _logsumexp(x, axis=None, keepdims=False):
@@ -40,17 +41,19 @@ def _logsumexp(x, axis=None, keepdims=False):
     return out if keepdims else np.squeeze(out, axis=axis)
 
 
-def _logsumexp_weights(x, axis: int):
+def _logsumexp_weights(x, axis: int, out=None):
     """_logsumexp(x, axis) and the normalized weights exp(x - logsumexp).
 
     Both come from one set of shifted exponentials: the weights are those
-    divided by their sum along axis, so x is exponentiated once.
+    divided by their sum along axis, so x is exponentiated once.  The
+    weights are written to out when it is given, which may be x itself,
+    so a caller done with x allocates no array of its shape.
     """
     x = np.asarray(x, dtype=float)
-    top, shifted = _shifted_exp(x, axis)
-    total = shifted.sum(axis=axis, keepdims=True)
+    top, weights = _shifted_exp(x, axis, out)
+    total = weights.sum(axis=axis, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite slice has nan weights
-        out = np.log(total)
-        weights = shifted / total
-    out += top
-    return np.squeeze(out, axis=axis), weights
+        lse = np.log(total)
+        weights /= total
+    lse += top
+    return np.squeeze(lse, axis=axis), weights

@@ -20,9 +20,13 @@ the diagonal and p g_b off it for the per-site prior, 1 and e^lambda g_b
 for the tangent sweep.  One scaled linear-space smoother (_smooth) runs
 forward-backward on that structure in O(nG) time and memory, as in the
 change-point recursions of Fearnhead (2006), over a batch of datasets at
-once; grid_posterior and fit_markov_vb are its single-dataset case and
-markov_chain_risks its batched one.  GridChain keeps the O(nG) output
-and derives marginals, pairwise tables and samples from it on demand.
+once.  It builds the emissions in blocks of sites, from the last block
+back.  grid_posterior and fit_markov_vb are its single-dataset case, one
+block of all n sites that becomes GridChain.weights; markov_chain_risks
+is its batched one, every replication in a single pass over blocks
+capped by a cell count, so the emissions it holds do not grow with n or
+R.  GridChain keeps the O(nG) output and derives marginals, pairwise
+tables and samples from it on demand.
 
 A dynamic-programming least-squares segmenter is included as the
 frequentist baseline.
@@ -343,7 +347,9 @@ _TINY = np.finfo(float).tiny
 # relative (absolute below 1), or after _MAX_SWEEPS sweeps.
 _TOL = 1e-8
 _MAX_SWEEPS = 500
-_RISK_CHUNK = 25  # replications per smoother pass in markov_chain_risks
+# markov_chain_risks streams each emission block of at most _SMOOTH_CELLS
+# (site, replication, value) cells through the smoother.
+_SMOOTH_CELLS = 1 << 18
 
 
 def _step_factors(stay: np.ndarray, move: np.ndarray, weights: np.ndarray):
@@ -472,51 +478,63 @@ class GridChain:
 
 def _smooth(
     log_first: np.ndarray,
-    log_emis: np.ndarray,
-    stay: np.ndarray,
-    move: np.ndarray,
+    X: np.ndarray,
+    sigma: float,
+    grid: np.ndarray,
+    stay,
+    move,
     site_loss: Optional[np.ndarray] = None,
+    block: Optional[int] = None,
 ):
     """Scaled backward pass for a batch of diagonal-plus-rank-one chains.
 
-    The unnormalized chain is
-        exp(log_first[x_0] + log_emis[x_0]) * prod_i K_i(x_i, x_{i+1}) exp(log_emis[x_{i+1}])
-    with K_i equal to stay[i, b] on the diagonal and move[i, b] off it
-    (both broadcastable to (n-1, G)); log_emis is (n, R, G), site-major so
-    that each step reads contiguous rows, and is overwritten.  Each
-    emission row is shifted to a maximum of one and each backward message
-    rescaled to sum one, so the pass runs in linear space at O(G) per
-    site with log Z accumulated from the scales.
+    The unnormalized chain of dataset r (row r of X, shape (R, n)) is
+        exp(log_first[x_0] + e_0[x_0]) * prod_i K(x_i, x_{i+1}) exp(e_{i+1}[x_{i+1}])
+    with the Gaussian log emissions e_i = -(grid - X[r, i])^2 / 2 sigma^2
+    and K equal to stay[b] on the diagonal and move[b] off it (a (G,)
+    row or a scalar, the same for every step).  The emissions are built
+    and read in blocks of `block` sites (all n at once when None), from
+    the last block back to the first, so with site_loss the pass holds
+    O(block R G) emissions whatever n is.  Each emission row is shifted
+    to a maximum of one and each backward message rescaled to sum one, so
+    the pass runs in linear space at O(G) per site with log Z accumulated
+    from the scales.
 
     With site_loss (n, G), a second backward message carries the expected
     loss still to come given the current value, so the same pass also
     returns E sum_i site_loss[i, x_i] without any forward pass.
 
-    Returns (first-site marginals (R, G), backward weights (n-1, R, G),
-    log Z (R,), expected loss (R,) or None); the weights with stay and
-    move define each GridChain.
+    Returns (first-site marginals (R, G), the backward weights of the
+    steps into sites 1.. of the block read last -- all n-1 steps, (n-1,
+    R, G), when one block holds every site --, log Z (R,), expected loss
+    (R,) or None); the weights with stay and move define each GridChain.
     """
-    n, R, G = log_emis.shape
-    stay = np.broadcast_to(stay, (n - 1, G))
-    move = np.broadcast_to(move, (n - 1, G))
-    shift = log_emis.max(axis=2, keepdims=True)
-    log_emis -= shift
-    emis = np.exp(log_emis, out=log_emis)
-    scales = np.empty((n, R, 1))
-    beta = np.ones((R, G))
-    to_come = None if site_loss is None else np.zeros((R, G))
-    for i in range(n - 2, -1, -1):
-        w = emis[i + 1]
-        w *= beta  # the emission slot now holds the backward weight of step i
-        st, mv, beta = _step_factors(stay[i], move[i], w)
-        if to_come is not None:
-            # the kernel applied to w * loss, with w already folded into st and mv
-            _, _, to_come = _step_factors(st, mv, site_loss[i + 1] + to_come)
-            to_come /= np.maximum(beta, _TINY)  # a zero row sum means an unreachable value
-        beta /= beta.sum(axis=1, keepdims=True, out=scales[i + 1])
-    first = np.exp(log_first) * emis[0] * beta
-    first /= first.sum(axis=1, keepdims=True, out=scales[0])
-    log_z = (shift + np.log(scales)).sum(axis=0)[:, 0]
+    R, n = X.shape
+    block = n if block is None else block
+    beta = np.ones((R, grid.size))
+    to_come = None if site_loss is None else np.zeros_like(beta)
+    log_z = None
+    for hi in range(n, 0, -block):
+        lo = max(0, hi - block)
+        emis = _log_emissions(X[:, lo:hi], sigma, grid)  # (hi - lo, R, G)
+        shift = emis.max(axis=2, keepdims=True)
+        emis -= shift
+        np.exp(emis, out=emis)
+        scales = np.empty(shift.shape)  # one per site: site s closes step s - 1
+        for s in range(hi - 1, max(lo, 1) - 1, -1):
+            w = emis[s - lo]
+            w *= beta  # the emission slot now holds the backward weight of step s - 1
+            st, mv, beta = _step_factors(stay, move, w)
+            if to_come is not None:
+                # the kernel applied to w * loss, with w already folded into st and mv
+                _, _, to_come = _step_factors(st, mv, site_loss[s] + to_come)
+                to_come /= np.maximum(beta, _TINY)  # a zero row sum means an unreachable value
+            beta /= beta.sum(axis=1, keepdims=True, out=scales[s - lo])
+        if lo == 0:
+            first = np.exp(log_first) * emis[0] * beta
+            first /= first.sum(axis=1, keepdims=True, out=scales[0])
+        part = (shift + np.log(scales)).sum(axis=0)[:, 0]
+        log_z = part if log_z is None else log_z + part
     if not np.all(np.isfinite(log_z)):
         raise NumericError("chain smoother underflowed: the data are impossible under the prior")
     loss = None if to_come is None else np.einsum("rg,rg->r", first, site_loss[0] + to_come)
@@ -548,9 +566,9 @@ def _site_kernel(prior: MarkovSitePrior, grid: np.ndarray):
     return log_g, (1.0 - p) + move, move
 
 
-def _single_chain(grid: np.ndarray, log_first: np.ndarray, log_emis: np.ndarray, stay, move):
-    """The smoother's GridChain and log Z for one dataset (log_emis is (n, 1, G))."""
-    first, weights, log_z, _ = _smooth(log_first, log_emis, stay, move)
+def _single_chain(X: np.ndarray, sigma: float, grid: np.ndarray, log_first: np.ndarray, stay, move):
+    """The smoother's GridChain and log Z for one dataset X (n,), read as one block of all n sites."""
+    first, weights, log_z, _ = _smooth(log_first, X[None, :], sigma, grid, stay, move)
     with np.errstate(divide="ignore"):
         log_initial = np.log(first[0])
     chain = GridChain(grid=grid, log_initial=log_initial, stay=stay, move=move, weights=weights[:, 0])
@@ -574,7 +592,7 @@ def grid_posterior(
     if not sigma > 0:
         raise InputError("sigma must be positive")
     log_g, stay, move = _site_kernel(prior, grid)
-    return _single_chain(grid, log_g, _log_emissions(X[None, :], sigma, grid), stay, move)[0]
+    return _single_chain(X, sigma, grid, log_g, stay, move)[0]
 
 
 def fit_markov_vb(
@@ -608,7 +626,6 @@ def fit_markov_vb(
     slopes = np.diff(w)  # subgradients of the piecewise-linear extension
     counts = np.arange(n, dtype=float)
 
-    log_emis = _log_emissions(X[None, :], sigma, grid)
     log_g = _grid_pmf(prior.value_density, grid)
 
     def conjugate(lam: float) -> float:
@@ -623,7 +640,7 @@ def fit_markov_vb(
         # a single site has no change to tilt, and its objective is final
         lam = float(slopes[min(int(c_bar), n - 2)]) if n > 1 else 0.0
         # pairwise factor: copy on the diagonal, lam + fresh-draw weight off it
-        chain, log_z = _single_chain(grid, log_g, log_emis.copy(), 1.0, np.exp(lam + log_g))
+        chain, log_z = _single_chain(X, sigma, grid, log_g, 1.0, np.exp(lam + log_g))
         objective = -log_z + conjugate(lam)
         trace.append(objective)
         if n == 1 or abs(prev - objective) <= _TOL * max(1.0, abs(objective)):
@@ -644,13 +661,15 @@ def markov_chain_risks(
     """E_Q ||theta - theta*||^2 under grid_posterior for a batch of datasets.
 
     Streaming evaluator for the rate experiments: the smoother of
-    grid_posterior, run on chunks of replications at once (R x G rows per
-    step), with the risk carried as a second backward message instead of
-    building one GridChain per dataset.  Grid values outside the support
-    of the value density are dropped first: neither the first site nor a
-    change can land on them, so their posterior mass is exactly zero.
-    Memory is one (n, _RISK_CHUNK, G) array; agreement with grid_posterior is
-    pinned by tests.
+    grid_posterior, run on all R replications in one backward pass (R x G
+    rows per step), with the risk carried as a second backward message
+    instead of building one GridChain per dataset.  The emissions stream
+    through in site blocks of at most _SMOOTH_CELLS (site, replication,
+    value) cells (one site at the least), so the emissions held at once
+    stay bounded whatever n and R are.  Grid values outside the
+    support of the value density are dropped first: neither the first
+    site nor a change can land on them, so their posterior mass is exactly
+    zero.  Agreement with grid_posterior is pinned by tests.
     """
     X_batch = np.atleast_2d(np.asarray(X_batch, dtype=float))
     R, n = X_batch.shape
@@ -662,11 +681,8 @@ def markov_chain_risks(
     live = np.isfinite(log_g)
     grid, log_g, stay, move = grid[live], log_g[live], stay[live], move[live]
     sq_err = (grid[None, :] - signal.values[:, None]) ** 2  # (n, G)
-    out = np.empty(R)
-    for lo in range(0, R, _RISK_CHUNK):
-        log_emis = _log_emissions(X_batch[lo : lo + _RISK_CHUNK], sigma, grid)
-        out[lo : lo + _RISK_CHUNK] = _smooth(log_g, log_emis, stay, move, site_loss=sq_err)[3]
-    return out
+    block = max(1, _SMOOTH_CELLS // (R * grid.size))
+    return _smooth(log_g, X_batch, sigma, grid, stay, move, site_loss=sq_err, block=block)[3]
 
 
 def change_count_distribution(chain: GridChain) -> np.ndarray:

@@ -220,7 +220,8 @@ def _normalizer_stats(draws: np.ndarray):
     """
     H, _, log_wts = _elbo_rule(draws.shape[1])  # H: (nodes, k)
     g = draws @ H.T  # (S, nodes)
-    c, dens = _logsumexp_weights(g + log_wts[None, :], axis=1)  # dens: quadrature masses
+    g += log_wts
+    c, dens = _logsumexp_weights(g, axis=1, out=g)  # dens: quadrature masses, in g's buffer
     moments = dens @ H  # (S, k): E[h_j] under each drawn density
     return c, moments
 
@@ -234,6 +235,8 @@ def _elbo_inputs(data, sigma0_sq: float, k: int, n_mc: int, seed):
         raise InputError("data must lie in [0, 1]")
     if not sigma0_sq > 0:
         raise InputError("sigma0_sq must be positive")
+    if n_mc < 1:
+        raise InputError("n_mc must be at least 1")
     eps = np.random.default_rng(seed).standard_normal((n_mc, k))
     return basis_matrix(data, k).sum(axis=0), data.size, eps
 

@@ -18,7 +18,6 @@ from vblab.changepoint import (
     MarkovSitePrior,
     UniformDensity,
     UniformPositionsPrior,
-    _log_emissions,
     _site_kernel,
     _smooth,
     fit_markov_vb,
@@ -157,20 +156,31 @@ class TestSitePrior:
             log_q1, log_T, log_z, log_m = dense_site_posterior(X, sigma, prior, grid)
             assert_chain_matches(chain, log_q1, log_T, log_m)
             log_g, stay, move = _site_kernel(prior, grid)
-            got = _smooth(log_g, _log_emissions(X[None, :], sigma, grid), stay, move)[2][0]
+            got = _smooth(log_g, X[None, :], sigma, grid, stay, move)[2][0]
             assert got == pytest.approx(log_z, rel=TOL)
 
     def test_batched_risk_matches_chain_risk(self, monkeypatch):
-        monkeypatch.setattr(changepoint, "_RISK_CHUNK", 3)  # 7 replications in three passes
         rng = np.random.default_rng(7)
         n, G, sigma = 40, 24, 0.8
         grid = make_grid(1.0, sigma, G)
         signal = snap_to_grid(make_prefix_signal(n, 3, 1.0, seg_len=8), grid)
         prior = MarkovSitePrior(0.05, UniformDensity(-2.0, 2.0))
         X = signal.values + sigma * rng.standard_normal((7, n))
-        batch = markov_chain_risks(X, sigma, prior, grid, signal)
         one_by_one = [risk(grid_posterior(x, sigma, prior, grid), signal) for x in X]
-        np.testing.assert_allclose(batch, one_by_one, rtol=TOL)
+        live = int(np.isfinite(_site_kernel(prior, grid)[0]).sum())
+        emissions = changepoint._log_emissions
+        for sites, blocks in [(1, [1] * n), (3, [3] * 13 + [1])]:  # the last block read is ragged
+            read = []
+
+            def recording(X_block, *args):
+                read.append(X_block.shape[1])
+                return emissions(X_block, *args)
+
+            monkeypatch.setattr(changepoint, "_log_emissions", recording)
+            monkeypatch.setattr(changepoint, "_SMOOTH_CELLS", sites * 7 * live)
+            batch = markov_chain_risks(X, sigma, prior, grid, signal)
+            assert read == blocks
+            np.testing.assert_allclose(batch, one_by_one, rtol=TOL)
 
     def test_density_without_mass_on_grid_is_rejected(self):
         grid = np.linspace(-3.0, 3.0, 16)
@@ -205,7 +215,7 @@ class TestTiltedKernel:
             log_g = log_pmf(density, grid)
             log_pmfs = np.tile(log_g, (X.size, 1))
             _, _, log_z, _ = dense_tilted(X, sigma, log_pmfs, grid, lam)
-            got = _smooth(log_g, _log_emissions(X[None, :], sigma, grid), 1.0, np.exp(lam + log_g))
+            got = _smooth(log_g, X[None, :], sigma, grid, 1.0, np.exp(lam + log_g))
             assert got[2][0] == pytest.approx(log_z, rel=TOL)
 
     def test_sweeps_match_dense_on_random_instances(self):
@@ -252,3 +262,15 @@ class TestLinearMemory:
         prior = UniformPositionsPrior.power(self.n, density)
         peak = self.peak_bytes(lambda: risk(fit_markov_vb(X, sigma, prior, grid), signal))
         assert peak < 16 * self.n * self.G * 8
+
+    def test_markov_chain_risks(self):
+        # a value density over the whole grid keeps all G values live, so the
+        # emissions of every site for even 25 of the R replications would
+        # take 26 MB; the site blocks hold the peak to the same O(nG) bound
+        n, R, sigma, B = 2048, 32, 1.0, 1.25
+        grid = make_grid(B, sigma, self.G)
+        signal = snap_to_grid(make_prefix_signal(n, 4, B, seg_len=20, amplitude=0.9), grid)
+        X = signal.values + sigma * np.random.default_rng(5).standard_normal((R, n))
+        prior = MarkovSitePrior(1.0 / n, UniformDensity(grid[0], grid[-1]))
+        peak = self.peak_bytes(lambda: markov_chain_risks(X, sigma, prior, grid, signal))
+        assert peak < 16 * n * self.G * 8

@@ -207,6 +207,13 @@ class TestElbo:
         with pytest.raises(InputError):
             fit_gaussian_mf(np.array([0.5]), sigma0_sq, k=2)
 
+    @pytest.mark.parametrize("n_mc", [0, -1])
+    def test_monte_carlo_size_validated(self, n_mc):
+        q = GaussMFVariational(mu=np.zeros(2), sigma2=np.ones(2))
+        for call in (elbo, elbo_and_gradient):
+            with pytest.raises(InputError):
+                call(q, np.array([0.5]), S0, n_mc=n_mc)
+
     @pytest.mark.parametrize("data", [[-3.0, 7.0], [0.2, 1.5], [], [[0.5]]])
     def test_fit_validates_data(self, data):
         with pytest.raises(InputError):
