@@ -518,6 +518,8 @@ def _smooth(
         lo = max(0, hi - block)
         emis = _log_emissions(X[:, lo:hi], sigma, grid)  # (hi - lo, R, G)
         shift = emis.max(axis=2, keepdims=True)
+        if not np.isfinite(shift).all():
+            raise NumericError("an observation is beyond reach of every grid value")
         emis -= shift
         np.exp(emis, out=emis)
         scales = np.empty(shift.shape)  # one per site: site s closes step s - 1
@@ -544,8 +546,9 @@ def _smooth(
 def _log_emissions(X: np.ndarray, sigma: float, grid: np.ndarray) -> np.ndarray:
     """-(t - X)^2 / 2 sigma^2 on the grid, (n, R, G) for a batch X of shape (R, n)."""
     out = grid - X.T[:, :, None]
-    out /= sigma
-    np.square(out, out=out)
+    with np.errstate(over="ignore"):  # a square beyond float range takes its -inf limit
+        out /= sigma
+        np.square(out, out=out)
     out *= -0.5
     return out
 
@@ -564,6 +567,16 @@ def _site_kernel(prior: MarkovSitePrior, grid: np.ndarray):
     log_g = _grid_pmf(prior.value_density, grid)
     move = p * np.exp(log_g)
     return log_g, (1.0 - p) + move, move
+
+
+def _chain_grid(sigma: float, grid) -> np.ndarray:
+    """The grid as a float array, once sigma > 0 and the grid is 1-d with at least 2 points."""
+    if not sigma > 0:
+        raise InputError("sigma must be positive")
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise InputError("grid must be 1-d with at least 2 points")
+    return grid
 
 
 def _single_chain(X: np.ndarray, sigma: float, grid: np.ndarray, log_first: np.ndarray, stay, move):
@@ -587,10 +600,7 @@ def grid_posterior(
     chain family).
     """
     X = np.asarray(X, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise InputError("grid must be 1-d with at least 2 points")
-    if not sigma > 0:
-        raise InputError("sigma must be positive")
+    grid = _chain_grid(sigma, grid)
     log_g, stay, move = _site_kernel(prior, grid)
     return _single_chain(X, sigma, grid, log_g, stay, move)[0]
 
@@ -620,8 +630,7 @@ def fit_markov_vb(
     n = X.size
     if prior.n != n:
         raise InputError(f"prior was built for n={prior.n}, data has n={n}")
-    if grid.ndim != 1 or grid.size < 2:
-        raise InputError("grid must be 1-d with at least 2 points")
+    grid = _chain_grid(sigma, grid)
     w = prior.pattern_weight()
     slopes = np.diff(w)  # subgradients of the piecewise-linear extension
     counts = np.arange(n, dtype=float)
@@ -675,8 +684,7 @@ def markov_chain_risks(
     R, n = X_batch.shape
     if signal.values.size != n:
         raise InputError("signal length does not match the data")
-    if not sigma > 0:
-        raise InputError("sigma must be positive")
+    grid = _chain_grid(sigma, grid)
     log_g, stay, move = _site_kernel(prior, grid)
     live = np.isfinite(log_g)
     grid, log_g, stay, move = grid[live], log_g[live], stay[live], move[live]

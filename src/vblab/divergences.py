@@ -39,19 +39,19 @@ _NORM_TOL = 1e-9
 
 
 def _normalized(rows: np.ndarray) -> np.ndarray:
-    """Each row of a (m, s) array checked as a probability vector and renormalized.
+    """A probability vector, or each row of a stack of them, checked and renormalized.
 
-    Entries must be finite and non-negative, and each row must sum to one
-    within 1e-9; such rows are divided by their sums.
+    Entries must be finite and non-negative, and each row (along the last
+    axis) must sum to one within 1e-9; such rows are divided by their sums.
     """
     if not np.isfinite(rows).all():
         raise InputError("probabilities must be finite")
     if (rows < 0).any():
         raise InputError("probabilities must be non-negative")
-    total = rows.sum(axis=1, keepdims=True)
+    total = rows.sum(axis=-1, keepdims=True)
     drift = np.abs(total - 1.0)
     if (drift > _NORM_TOL).any():
-        bad = total[np.argmax(drift), 0]
+        bad = total.flat[np.argmax(drift)]
         raise InputError(f"probabilities sum to {bad}, beyond the 1e-9 drift budget")
     return rows / total
 
@@ -70,7 +70,7 @@ class DiscreteDistribution:
         p = np.asarray(probabilities, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise InputError("probabilities must be a non-empty 1-d sequence")
-        object.__setattr__(self, "probabilities", _normalized(p[None, :])[0])
+        object.__setattr__(self, "probabilities", _normalized(p))
 
     def __len__(self) -> int:
         return self.probabilities.size

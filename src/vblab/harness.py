@@ -191,8 +191,22 @@ def _conform(value, default, where: str):
     A dict is a nested schema; a list types its elements like its first
     one; a float takes any finite number, an int only integers.  The type
     float or int marks a default derived from other params (None here).
-    Strings and None take several forms, so their runners check them.
+    A tuple declares a domain next to its default: a tuple of strings
+    lists the choices, default first; a (default, bound) pair bounds a
+    number from below, strictly if the bound is a float.  Other strings
+    and None take several forms, so their runners check them.
     """
+    if isinstance(default, tuple):
+        value = _conform(value, default[0], where)
+        if isinstance(default[0], str):
+            ok, rule = value in default, f"one of {list(default)}"
+        elif isinstance(default[1], float):
+            ok, rule = value > default[1], f"greater than {default[1]}"
+        else:
+            ok, rule = value >= default[1], f"at least {default[1]}"
+        if not ok:
+            raise InputError(f"{where} must be {rule}, got {value!r}")
+        return value
     if isinstance(default, dict):
         value = {} if value is _ABSENT else value
         if not isinstance(value, dict):
@@ -222,12 +236,6 @@ def parse_params(params, model: str) -> dict:
     return _conform(params, MODELS[model].defaults, "params")
 
 
-def _positive(p: dict, key: str) -> float:
-    if not p[key] > 0:
-        raise InputError(f"params.{key} must be positive")
-    return p[key]
-
-
 def _resolve_spike_index(j0, alpha: float, n: int):
     if j0 == "adversary":
         # spike just beyond twice the effective dimension (n / log n)^{1/(2a+1)}
@@ -241,17 +249,22 @@ def _resolve_spike_index(j0, alpha: float, n: int):
 # in the shipped configs and the config fuzz; the limit, far above that, turns a runaway
 # factor or spike index into an input error before anything is allocated.
 _K_MAX_LIMIT = 1 << 20
+# each gsm coordinate family: the one params.prior key it reads, and its coordinates at n
+_GSM_FAMILIES = {
+    "gaussian": ("sigma0_sq", lambda v, n: sequence_model.GaussianCoordinates(v)),
+    "rescaled_cauchy": ("scale", lambda v, n: sequence_model.RescaledCauchyCoordinates(v, n)),
+    "rescaled_gaussian": ("variance", lambda v, n: sequence_model.RescaledGaussianCoordinates(v, n)),
+}
 
 
 def _fit_gsm(p: dict, n: int, rng: np.random.Generator):
-    alpha = _positive(p, "alpha")  # before the K_max exponent divides by 2 alpha + 1
-    B = p["B"]
+    alpha, B = p["alpha"], p["B"]
     kind = p["signal"]["kind"]
     j0 = _resolve_spike_index(p["signal"]["j0"], alpha, n)
     if j0 is not None and kind != "spike":
         raise InputError(f"params.signal.j0 applies only to kind 'spike', not {kind!r}")
 
-    K_max = _positive(p, "k_max_factor") * n ** (1.0 / (2.0 * alpha + 1.0))
+    K_max = p["k_max_factor"] * n ** (1.0 / (2.0 * alpha + 1.0))
     K_max = max(K_max, 8, 8 if j0 is None else j0 + 8)
     if not K_max <= _K_MAX_LIMIT:  # also catches inf, before math.ceil or any allocation
         raise InputError(
@@ -259,26 +272,20 @@ def _fit_gsm(p: dict, n: int, rng: np.random.Generator):
         )
     K_max = math.ceil(K_max)
 
-    prior_spec = p["prior"]
-    family_name = prior_spec["family"]
-    if family_name == "gaussian":
-        fam = sequence_model.GaussianCoordinates(prior_spec["sigma0_sq"])
-    elif family_name == "rescaled_cauchy":
-        fam = sequence_model.RescaledCauchyCoordinates(prior_spec["scale"], n)
-    elif family_name == "rescaled_gaussian":
-        fam = sequence_model.RescaledGaussianCoordinates(prior_spec["variance"], n)
-    else:
-        raise InputError(f"unknown coordinate family {family_name!r}")
-    prior = sequence_model.SievePrior.geometric(prior_spec["tau"], K_max, fam)
+    spec = p["prior"]
+    key, coordinates = _GSM_FAMILIES[spec["family"]]
+    stray = [k for k, _ in _GSM_FAMILIES.values() if k != key and spec[k] is not None]
+    if stray:
+        raise InputError(f"params.prior.{stray[0]} does not apply to family {spec['family']!r}")
+    fam = coordinates(1.0 if spec[key] is None else spec[key], n)
+    prior = sequence_model.SievePrior.geometric(spec["tau"], K_max, fam)
 
     signal = sequence_model.make_signal(kind, alpha, B, K_max, j0=j0)
     obs = sequence_model.sample_observation(signal, float(n), rng)
     if p["posterior"] == "mean_field":
         post = sequence_model.fit_mean_field(prior, obs)
-    elif p["posterior"] == "empirical_bayes":
-        post = sequence_model.fit_empirical_bayes(prior, obs)
     else:
-        raise InputError(f"unknown posterior {p['posterior']!r}")
+        post = sequence_model.fit_empirical_bayes(prior, obs)
     if int(np.argmax(post.log_weights)) >= K_max // 2:
         raise NumericError(f"model weight argmax reached K_max/2 = {K_max // 2}; truncation binds")
     return post, signal
@@ -306,12 +313,10 @@ def _pc_common(p, n):
             n, signal_opts["k_star"], B, signal_opts["seg_len"], signal_opts["amplitude"]
         )
         signal = changepoint.snap_to_grid(signal, grid)
-    elif kind == "equal_segments":
+    else:
         signal = changepoint.snap_to_grid(
             changepoint.make_piecewise_signal(n, signal_opts["k_star"], B), grid
         )
-    else:
-        raise InputError(f"unknown piecewise signal kind {kind!r}")
     return sigma, B, grid, signal
 
 
@@ -347,8 +352,6 @@ def _run_mixture_hellinger_batch(p, n, rngs):
     mu, w = (np.asarray(p["truth"][key], dtype=float) for key in ("mu", "w"))
     truth = mixture.MixtureModel(k=mu.size, mu=mu, w=w, sigma=p["truth"]["sigma"])
     hyper = mixture.MixtureHyper(**p["hyper"])
-    if p["grid_points"] < 2:
-        raise InputError("params.grid_points must be at least 2")
     samples, seeds = [], []
     for rng in rngs:  # each replication's stream: its sample, then its fit seed
         samples.append(mixture.sample_mixture(truth, n, seed=rng))
@@ -373,40 +376,56 @@ def _run_expfamily_hellinger(p, n, rng):
 class ModelSpec:
     """Everything decided per model id.
 
-    ``runner`` maps (parsed params, n, rng) to one replication's metric,
-    or with ``batched`` (params, n, rngs) to the metrics of all of one n's
+    ``runner`` maps (parsed params, n, rngs) to the metrics of one n's
     replications, each drawn from its own rng only, so the table does not
-    depend on the batching; pc_markov_chain and mixture_hellinger stack
-    their fits this way.  None means no table.  ``report`` names the
-    function of this module that ``command`` emits instead of a table.
-    ``defaults`` is the params schema.
+    depend on batching: pc_markov_chain and mixture_hellinger stack their
+    fits, the others run through _per_replication.  None means no table.
+    ``report`` names the function of this module that ``command`` emits
+    instead of a table.  ``defaults`` is the params schema, with the
+    domains _conform checks declared next to their defaults.
     """
 
     command: str
     runner: Optional[Callable]
-    batched: bool
     defaults: dict
     report: Optional[str] = None
 
 
-_DIV_DEFAULTS = {"slack": 1e-10, "rho_grid": [0.5, 2.0, 4.0, 8.0]}
+def _per_replication(runner: Callable) -> Callable:
+    """A (params, n, rngs) runner calling runner(params, n, rng) once per replication."""
+    def run(params, n, rngs):
+        vals = []
+        for rep, rng in enumerate(rngs):
+            try:
+                vals.append(runner(params, n, rng))
+            except VblabError as exc:
+                raise type(exc)(f"rep={rep}: {exc}") from exc
+        return vals
+    return run
+
+
+_DIV_DEFAULTS = {"slack": (1e-10, 0), "rho_grid": [0.5, 2.0, 4.0, 8.0]}
 _GSM_DEFAULTS = {
-    "alpha": 1.0, "B": 1.0, "k_max_factor": 4.0, "posterior": "mean_field",
-    "prior": {"family": "gaussian", "tau": 1.0, "sigma0_sq": 1.0, "scale": 1.0, "variance": 1.0},
-    "signal": {"kind": "sobolev_boundary", "j0": None},
+    "alpha": (1.0, 0.0), "B": 1.0, "k_max_factor": (4.0, 0.0),
+    "posterior": ("mean_field", "empirical_bayes"),
+    # each family reads its one key of the three, 1.0 when absent, and rejects the other two
+    "prior": {"family": tuple(_GSM_FAMILIES), "tau": 1.0,
+              **{key: float for key, _ in _GSM_FAMILIES.values()}},
+    "signal": {"kind": ("sobolev_boundary", "spike", "zero"), "j0": None},
 }
 _TRUNC_DEFAULTS = {
     "alpha": 1.0, "beta": 1.0, "B": 1.0, "t_grid": [round(0.1 * i, 1) for i in range(1, 11)],
 }
 _PC_MF_DEFAULTS = {  # the mean-field route has no change probability
     "sigma": 1.0, "B": 1.0, "G": 64,
-    "signal": {"kind": "zero", "k_star": 4, "seg_len": 20, "amplitude": 0.9},
+    "signal": {"kind": ("zero", "prefix", "equal_segments"),
+               "k_star": 4, "seg_len": 20, "amplitude": 0.9},
 }
 _PC_CHAIN_DEFAULTS = {**_PC_MF_DEFAULTS, "change_prob": "reciprocal"}
 _MIX_DEFAULTS = {
     "truth": {"mu": [-3.0, 3.0], "w": [0.5, 0.5], "sigma": 0.5},
     "hyper": asdict(mixture.MixtureHyper()),
-    "k_candidates": [1, 2, 3, 4], "grid_points": 2001,
+    "k_candidates": [1, 2, 3, 4], "grid_points": (2001, 2),
 }
 _EXPFAM_DEFAULTS = {  # k defaults to len(theta_star)
     "theta_star": [0.7, -0.4, 0.2], "k": int, "sigma0_sq": 1.0,
@@ -414,22 +433,16 @@ _EXPFAM_DEFAULTS = {  # k defaults to len(theta_star)
 }
 
 MODELS = {
-    "divergence_chain": ModelSpec(
-        "divcheck", None, False, _DIV_DEFAULTS, "divergence_chain_report"
-    ),
-    "gsm_risk": ModelSpec("gsm-rate", _run_gsm_risk, False, _GSM_DEFAULTS),
-    "gsm_dimension": ModelSpec("gsm-dim", _run_gsm_dimension, False, _GSM_DEFAULTS),
-    "gsm_spike_risk": ModelSpec("gsm-lower", _run_gsm_risk, False, _GSM_DEFAULTS),
-    "trunc_exact_risk": ModelSpec("trunc-curve", None, False, _TRUNC_DEFAULTS, "trunc_curve_rows"),
-    "pc_mean_field": ModelSpec("pc-compare", _run_pc_mean_field, False, _PC_MF_DEFAULTS),
-    "pc_markov_chain": ModelSpec(
-        "pc-compare", _run_pc_markov_chain_batch, True, _PC_CHAIN_DEFAULTS
-    ),
-    "mixture_hellinger": ModelSpec(
-        "mix-fit", _run_mixture_hellinger_batch, True, _MIX_DEFAULTS
-    ),
+    "divergence_chain": ModelSpec("divcheck", None, _DIV_DEFAULTS, "divergence_chain_report"),
+    "gsm_risk": ModelSpec("gsm-rate", _per_replication(_run_gsm_risk), _GSM_DEFAULTS),
+    "gsm_dimension": ModelSpec("gsm-dim", _per_replication(_run_gsm_dimension), _GSM_DEFAULTS),
+    "gsm_spike_risk": ModelSpec("gsm-lower", _per_replication(_run_gsm_risk), _GSM_DEFAULTS),
+    "trunc_exact_risk": ModelSpec("trunc-curve", None, _TRUNC_DEFAULTS, "trunc_curve_rows"),
+    "pc_mean_field": ModelSpec("pc-compare", _per_replication(_run_pc_mean_field), _PC_MF_DEFAULTS),
+    "pc_markov_chain": ModelSpec("pc-compare", _run_pc_markov_chain_batch, _PC_CHAIN_DEFAULTS),
+    "mixture_hellinger": ModelSpec("mix-fit", _run_mixture_hellinger_batch, _MIX_DEFAULTS),
     "expfamily_hellinger": ModelSpec(
-        "expfam-fit", _run_expfamily_hellinger, False, _EXPFAM_DEFAULTS
+        "expfam-fit", _per_replication(_run_expfamily_hellinger), _EXPFAM_DEFAULTS
     ),
 }
 
@@ -449,25 +462,13 @@ def run_experiment(config: ExperimentConfig) -> RateTable:
     for n in config.n_grid:
         rngs = [generator(config.master_seed, n, rep) for rep in range(config.replications)]
         try:
-            if spec.batched:
-                vals = np.asarray(spec.runner(params, n, rngs), dtype=float)
-            else:
-                vals = np.array(
-                    [_run_one(spec.runner, params, n, rep, rng) for rep, rng in enumerate(rngs)]
-                )
+            vals = np.asarray(spec.runner(params, n, rngs), dtype=float)
         except VblabError as exc:
             raise type(exc)(f"n={n}: {exc}") from exc
         means.append(float(vals.mean()))
         ses.append(float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0)
     reps = np.full(len(config.n_grid), config.replications)
     return RateTable(np.asarray(config.n_grid), np.asarray(means), np.asarray(ses), reps)
-
-
-def _run_one(runner, params, n, rep, rng):
-    try:
-        return float(runner(params, n, rng))
-    except VblabError as exc:
-        raise type(exc)(f"rep={rep}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +518,6 @@ def divergence_chain_report(config: ExperimentConfig) -> dict:
         raise InputError("distribution sizes start at 2")
     params = parse_params(config.params, "divergence_chain")
     slack = params["slack"]
-    if slack < 0:
-        raise InputError(f"slack must be non-negative, got {slack}")
     rho_grid = divergences.check_rho_grid(params["rho_grid"])
     ordering_failures = monotonicity_failures = 0
     worst = 0.0

@@ -39,6 +39,7 @@ from scipy.special import digamma, gammaln
 
 from ._lse import _logsumexp_weights
 from ._rng import derive_seed
+from .divergences import _normalized
 from .errors import InputError
 
 __all__ = [
@@ -80,19 +81,14 @@ class MixtureModel:
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
         w = np.asarray(self.w, dtype=float)
-        if mu.size != self.k or w.size != self.k:
+        if mu.shape != (self.k,) or w.shape != (self.k,):
             raise InputError("mu and w must have length k")
-        if np.any(w < 0):
-            raise InputError("weights must be non-negative")
-        total = w.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise InputError(f"weights sum to {total}, beyond the 1e-9 drift budget")
         if not self.sigma > 0:
             raise InputError("sigma must be positive")
         if not (self.p > 0 and self.p % 2 == 0):
             raise InputError("p must be a positive even integer")
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "w", w / total)
+        object.__setattr__(self, "w", _normalized(w))
 
 
 def mixture_pdf(model: MixtureModel, x):

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._lse import _logsumexp
 from ._quadrature import fixed_rule, integrate_log, panel_nodes
-from .divergences import ScalarGaussian
+from .divergences import ScalarGaussian, _normalized
 from .errors import InputError, NumericError
 
 __all__ = [
@@ -194,12 +194,7 @@ class SievePrior:
         w = np.asarray(self.dimension_weights, dtype=float)
         if w.ndim != 1 or w.size != self.K_max + 1:
             raise InputError("dimension_weights must have length K_max + 1")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise InputError("dimension_weights must be finite and non-negative")
-        total = w.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise InputError(f"dimension_weights sum to {total}, beyond the 1e-9 drift budget")
-        object.__setattr__(self, "dimension_weights", w / total)
+        object.__setattr__(self, "dimension_weights", _normalized(w))
         err = self.coordinate_family.normalization_error()
         if err > 1e-6:
             raise InputError(f"coordinate density normalization off by {err}")
@@ -269,8 +264,10 @@ class SequenceObservation:
 class GridDensity:
     """A probability vector over an increasing grid of support points.
 
-    The mean and variance are computed once, at construction, so a grid
-    density reads like a ScalarGaussian.
+    probs must be finite, non-negative and sum to one within 1e-9, the
+    check every probability vector in vblab goes through, and is
+    renormalized.  The mean and variance are computed once, at
+    construction, so a grid density reads like a ScalarGaussian.
     """
 
     points: np.ndarray
@@ -283,9 +280,7 @@ class GridDensity:
         pr = np.asarray(self.probs, dtype=float)
         if pts.shape != pr.shape or pts.ndim != 1:
             raise InputError("points and probs must be 1-d arrays of equal length")
-        if abs(pr.sum() - 1.0) > 1e-8:
-            raise InputError("grid probabilities must sum to 1 within 1e-8")
-        pr = pr / pr.sum()
+        pr = _normalized(pr)
         mean = float(np.dot(pr, pts))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "probs", pr)

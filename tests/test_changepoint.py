@@ -25,7 +25,7 @@ from vblab.changepoint import (
     risk,
     snap_to_grid,
 )
-from vblab.errors import InputError
+from vblab.errors import InputError, NumericError
 
 
 def enumerate_joint(X, sigma, prior: MarkovSitePrior, grid):
@@ -406,6 +406,13 @@ class TestSigmaValidated:
     """Every posterior route rejects a non-positive noise level, as grid_posterior does."""
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_markov_vb_uniform_positions(self, sigma):
+        prior = UniformPositionsPrior.power(8, UniformDensity(-2.0, 2.0))
+        grid = make_grid(1.0, 1.0, G=16)
+        with pytest.raises(InputError, match="sigma"):
+            fit_markov_vb(np.zeros(8), sigma, prior, grid)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
     def test_mean_field(self, sigma):
         prior = MarkovSitePrior(0.5, UniformDensity(-2.0, 2.0))
         with pytest.raises(InputError, match="sigma"):
@@ -417,6 +424,43 @@ class TestSigmaValidated:
         grid = make_grid(1.0, 1.0, G=16)
         with pytest.raises(InputError, match="sigma"):
             markov_chain_risks(np.zeros((2, 8)), sigma, prior, grid, PiecewiseSignalZero(8))
+
+
+class TestGridValidated:
+    """The three chain routes take a 1-d grid of at least two points, and nothing else."""
+
+    GRIDS = pytest.mark.parametrize(
+        "grid", [np.zeros((2, 8)), np.array([0.5]), np.array(0.5)], ids=["2-d", "1-point", "0-d"]
+    )
+
+    @GRIDS
+    def test_markov_chain_risks(self, grid):
+        prior = MarkovSitePrior(0.1, UniformDensity(-2.0, 2.0))
+        with pytest.raises(InputError, match="grid"):
+            markov_chain_risks(np.zeros((2, 8)), 1.0, prior, grid, PiecewiseSignalZero(8))
+
+    @GRIDS
+    def test_grid_posterior(self, grid):
+        prior = MarkovSitePrior(0.1, UniformDensity(-2.0, 2.0))
+        with pytest.raises(InputError, match="grid"):
+            grid_posterior(np.zeros(8), 1.0, prior, grid)
+
+    @GRIDS
+    def test_markov_vb(self, grid):
+        prior = UniformPositionsPrior.power(8, UniformDensity(-2.0, 2.0))
+        with pytest.raises(InputError, match="grid"):
+            fit_markov_vb(np.zeros(8), 1.0, prior, grid)
+
+
+def test_tiny_sigma_concentrates_without_overflow():
+    # (grid - X) / sigma overflows when squared; those values take their -inf limit
+    grid = make_grid(1.0, 1.0, G=16)
+    signal = snap_to_grid(make_piecewise_signal(8, 2, 1.0), grid)
+    prior = MarkovSitePrior(0.1, UniformDensity(-2.0, 2.0))
+    X = np.stack([signal.values] * 2)
+    np.testing.assert_array_equal(markov_chain_risks(X, 1e-200, prior, grid, signal), 0.0)
+    with pytest.raises(NumericError, match="beyond reach"):
+        markov_chain_risks(X + 0.01, 1e-200, prior, grid, signal)
 
 
 class TestPriorSizeChecked:

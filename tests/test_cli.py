@@ -212,6 +212,9 @@ INVALID_INPUTS = {
     ),
     "expfam-k-max": ("expfam-fit", _config("expfam-fit", {"K_max": 40})),
     "mix-k-candidate-0": ("mix-fit", _config("mix-fit", {"k_candidates": [0]})),
+    "gsm-family-reads-other-key": (
+        "gsm-rate", _config("gsm-rate", {"prior": {"family": "gaussian", "scale": 5.0}})
+    ),
 }
 
 
@@ -225,6 +228,83 @@ def test_validation_failures_exit_2(case, tmp_path, capsys):
         )
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
+
+
+def _domains(schema, path=()):
+    """(declaring dict, dotted path, domain) for each domain declared in a params schema."""
+    for key, default in schema.items():
+        if isinstance(default, dict):
+            yield from _domains(default, path + (key,))
+        elif isinstance(default, tuple):
+            yield schema, path + (key,), default
+
+
+def _value_at(params, path):
+    for step in path:
+        params = params.get(step, {}) if isinstance(params, dict) else {}
+    return params
+
+
+def _edge_values(domain):
+    """(values just inside, values just outside) a declared domain."""
+    default, bound = domain[0], domain[-1]
+    if isinstance(default, str):
+        return list(domain), ["?"]
+    if isinstance(bound, float):  # a float bound is strict
+        return [math.nextafter(bound, math.inf)], [bound]
+    if isinstance(default, float):
+        return [float(bound)], [math.nextafter(bound, -math.inf)]
+    return [bound], [bound - 1]
+
+
+def _boundary_cases():
+    """(command, config, dotted key, inside) at the edges of every domain MODELS declares.
+
+    A domain shared by several models is tried once, in the first SMALL_CONFIGS entry
+    already holding the value if one does, else in the first entry carrying the domain.
+    """
+    small = [(c, SMALL_CONFIGS[c]) for c in sorted(SMALL_CONFIGS)] + [("pc-compare", PC_MEAN_FIELD)]
+    shared = {}
+    for model, spec in MODELS.items():
+        for owner, path, domain in _domains(spec.defaults):
+            entry = shared.setdefault((id(owner), path[-1]), (path, domain, []))
+            entry[2].extend((c, cfg) for c, cfg in small if cfg["model"] == model)
+    cases = []
+    for path, domain, carriers in shared.values():
+        key = ".".join(path)
+        assert carriers, f"no SMALL_CONFIGS entry carries params.{key}"
+        for inside, values in zip((True, False), _edge_values(domain)):
+            for value in values:
+                held = [(c, cfg) for c, cfg in carriers if _value_at(cfg["params"], path) == value]
+                command, config = (held or carriers)[0]
+                params = copy.deepcopy(config["params"])
+                node = params
+                for step in path[:-1]:
+                    node = node.setdefault(step, {})
+                node[path[-1]] = value
+                payload = {**config, "params": params}
+                case_id = f"{command}:{key}={value!r}"
+                cases.append(pytest.param(command, payload, key, inside, id=case_id))
+    return cases
+
+
+# mix-fit's own check rejects any grid too coarse for the true density to integrate to
+# one, which a 2-point grid always is, so the least declared grid_points exits 2 there
+INSIDE_BUT_REJECTED = {"grid_points": "f0 integrates to"}
+
+
+@pytest.mark.parametrize("command, payload, key, inside", _boundary_cases())
+def test_declared_domains_hold_at_their_edges(command, payload, key, inside, tmp_path, capsys):
+    # a value just inside a declared domain runs; one just outside exits 2 naming its key
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    last = capsys.readouterr().err.splitlines()[-1:]
+    if not inside:
+        assert rc == 2 and last[0].startswith(f"error: params.{key} must be"), last
+    elif key in INSIDE_BUT_REJECTED:
+        assert rc == 2 and INSIDE_BUT_REJECTED[key] in last[0], last
+    else:
+        assert rc in (0, 3), last
 
 
 def test_numeric_failures_exit_3(tmp_path):
@@ -384,7 +464,8 @@ def _schema_keys(schema: dict) -> set:
 
 def test_readme_params_list_matches_the_registry():
     # each bullet's head, up to its first colon, names the models sharing it;
-    # its body documents a key as `key` = default or `key` (default ...)
+    # its body documents a key as `key` = default or `key` (default ...), and
+    # names each declared choice as `"choice"`
     readme = (REPO / "README.md").read_text()
     documented = {}
     for bullet in re.findall(r"^- (.*(?:\n  .*)*)", readme, flags=re.M):
@@ -393,10 +474,14 @@ def test_readme_params_list_matches_the_registry():
         keys = set(re.findall(r"`(\w+)`\s*(?:=|\(default)", body))
         for model in models:
             assert model not in documented, f"{model} has two bullets"
-            documented[model] = (keys, models)
+            documented[model] = (keys, models, body)
     assert set(documented) == set(MODELS)
-    for model, (keys, models) in documented.items():
+    for model, (keys, models, body) in documented.items():
         missing = _schema_keys(MODELS[model].defaults) - keys
         assert not missing, f"README omits {model} params {sorted(missing)}"
         rejected = keys - set().union(*(_schema_keys(MODELS[m].defaults) for m in models))
         assert not rejected, f"README lists {sorted(rejected)}, which {models} reject"
+        for _, path, domain in _domains(MODELS[model].defaults):
+            if isinstance(domain[0], str):
+                absent = [c for c in domain if f'`"{c}"`' not in body]
+                assert not absent, f"README omits {model} params.{'.'.join(path)} choices {absent}"

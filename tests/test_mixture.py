@@ -59,6 +59,11 @@ class TestMixturePdf:
         val, _ = quad(lambda t: float(mixture_pdf(model, t)[0]), -12, 12)
         assert val == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("w", [[np.nan, 0.5], [-0.5, 1.5], [0.5, 0.6], [np.inf, 0.0]])
+    def test_weights_checked_as_a_probability_vector(self, w):
+        with pytest.raises(InputError, match="probabilities"):
+            MixtureModel(2, np.array([-1.0, 1.0]), np.array(w), 0.8)
+
 
 class TestCavi:
     def test_single_component_matches_conjugate_fixed_point(self):

@@ -11,6 +11,7 @@ from vblab.divergences import ScalarGaussian
 from vblab.errors import InputError
 from vblab.sequence_model import (
     GaussianCoordinates,
+    GridDensity,
     RescaledCauchyCoordinates,
     RescaledGaussianCoordinates,
     SequenceObservation,
@@ -336,6 +337,27 @@ class TestRescaledFamilies:
         fam = RescaledGaussianCoordinates(4.0, 16.0)
         assert isinstance(fam, GaussianCoordinates)
         assert fam.sigma0_sq == pytest.approx(0.25)
+
+
+class TestProbabilityVectors:
+    """Dimension weights and grid probabilities are checked as divergences checks every vector."""
+
+    BAD = [[np.nan, 0.5, 0.5], [-0.5, 1.0, 0.5], [0.5, 0.5, 1e-8], [np.inf, 0.0, 0.0]]
+
+    @pytest.mark.parametrize("probs", BAD)
+    def test_grid_density_rejects(self, probs):
+        with pytest.raises(InputError, match="probabilities"):
+            GridDensity(points=np.array([-1.0, 0.0, 1.0]), probs=np.array(probs))
+
+    @pytest.mark.parametrize("weights", BAD)
+    def test_sieve_prior_rejects(self, weights):
+        with pytest.raises(InputError, match="probabilities"):
+            gaussian_prior(K_max=2, weights=weights)
+
+    def test_grid_density_renormalizes_within_budget(self):
+        d = GridDensity(points=np.array([-1.0, 1.0]), probs=np.array([0.5, 0.5 + 5e-10]))
+        assert d.probs.sum() == pytest.approx(1.0, abs=1e-15)
+        assert d.variance == pytest.approx(1.0, abs=1e-9)
 
 
 class TestPosteriorKlGap:
