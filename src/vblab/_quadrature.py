@@ -1,9 +1,12 @@
-"""Composite Gauss-Legendre quadrature with panel doubling.
+"""Composite Gauss-Legendre quadrature: fixed rules and one panel-doubling integrator.
 
 All density normalizers and divergence integrals in vblab go through
-these helpers.  The integrand is evaluated on vectorized node arrays; the
-panel count doubles until two successive refinements agree to the
-requested relative tolerance.
+these helpers.  The integrand is evaluated on vectorized node arrays.
+fixed_rule serves the paths that need one smooth, fixed set of nodes;
+integrate doubles the panel count until two successive refinements
+agree to the requested relative tolerance.  A caller whose integrand is
+far from unit scale divides it by a reference value and adds that
+value's log back to the log of the result.
 """
 
 from functools import lru_cache
@@ -11,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._lse import _logsumexp
 from .errors import NumericError
+
 
 @lru_cache(maxsize=None)
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -65,33 +68,4 @@ def integrate(
     raise NumericError(
         f"quadrature on [{a}, {b}] did not reach rel_tol={rel_tol} "
         f"within {max_doublings} panel doublings"
-    )
-
-
-def integrate_log(
-    log_f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    rel_tol: float = 1e-10,
-    max_doublings: int = 14,
-    order: int = 16,
-) -> float:
-    """Return log of the integral of exp(log_f) over [a, b].
-
-    The shift-by-maximum is re-applied at each refinement, so integrands
-    whose scale is far from unity stay in range.  Convergence is measured
-    on the log value.  Raises NumericError on non-convergence.
-    """
-    prev = None
-    panels = 2
-    for _ in range(max_doublings + 1):
-        nodes, weights = panel_nodes(a, b, panels, order)
-        log_terms = log_f(nodes) + np.log(weights)
-        val = _logsumexp(log_terms)
-        if prev is not None and abs(val - prev) <= rel_tol * max(1.0, abs(val)):
-            return val
-        prev = val
-        panels *= 2
-    raise NumericError(
-        f"log-quadrature on [{a}, {b}] did not converge within {max_doublings} doublings"
     )

@@ -37,10 +37,9 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import gammaln, ndtr
 
 from ._lse import _logsumexp
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, data_array
 
 __all__ = [
     "UniformDensity",
@@ -123,9 +122,7 @@ class PiecewiseSignal:
     B: float
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise InputError("values must be a non-empty 1-d sequence")
+        v = data_array(self.values, "values")
         object.__setattr__(self, "values", v)
         pieces = 1 + int(np.sum(v[1:] != v[:-1]))
         if pieces != self.k_star:
@@ -249,6 +246,8 @@ class UniformPositionsPrior:
         convex in c; log-concave pi (geometric, power, Poisson) all
         qualify.
         """
+        from scipy.special import gammaln
+
         c = np.arange(self.n, dtype=float)
         m = self.n - 1.0
         log_binom = gammaln(m + 1.0) - gammaln(c + 1.0) - gammaln(m - c + 1.0)
@@ -293,6 +292,8 @@ class CoordinatewisePosterior:
 
 
 def _truncnorm_moments(x: np.ndarray, sigma: float, lo: float, hi: float):
+    from scipy.special import ndtr
+
     a = (lo - x) / sigma
     b = (hi - x) / sigma
     phi_a = np.exp(-0.5 * a * a) / math.sqrt(2 * math.pi)
@@ -316,7 +317,7 @@ def fit_mean_field(
     put zero mass on neighbour-equality events, so the optimum tilts each
     site's value density by its own likelihood and nothing else.
     """
-    X = np.asarray(X, dtype=float)
+    X = data_array(X, "X")
     if not sigma > 0:
         raise InputError("sigma must be positive")
     if not isinstance(prior, (MarkovSitePrior, UniformPositionsPrior)):
@@ -379,10 +380,10 @@ class GridChain:
     """A first-order Markov chain over a fixed value grid, in O(nG) storage.
 
     Step i -> i+1 moves from value a to value b with probability
-    proportional to K_i(a, b) * weights[i, b], where the kernel K_i is
-    stay[i, b] on the diagonal and move[i, b] off it (a diagonal plus
-    rank-one kernel; stay and move may be given as one row for all
-    steps).  Under the per-site change prior the kernel is (1-p) + p g_b
+    proportional to K(a, b) * weights[i, b], where the kernel K, the same
+    for every step, is stay[b] on the diagonal and move[b] off it (a
+    diagonal plus rank-one kernel; each factor is a scalar or one (G,)
+    row).  Under the per-site change prior the kernel is (1-p) + p g_b
     on the diagonal and p g_b off it; the tangent sweep of fit_markov_vb
     uses 1 on the diagonal and e^lambda g_b off it.  The weights are the
     backward weights of the smoother: the emission at site i+1 times its
@@ -405,13 +406,11 @@ class GridChain:
             raise InputError("initial distribution does not match the grid")
         if self.weights.ndim != 2 or self.weights.shape[1] != G:
             raise InputError("weights must be one row of G values per step")
-        try:
-            for name in ("stay", "move"):
-                object.__setattr__(
-                    self, name, np.broadcast_to(getattr(self, name), self.weights.shape)
-                )
-        except ValueError:
-            raise InputError("kernel factors do not match the weights") from None
+        for name in ("stay", "move"):
+            factor = np.asarray(getattr(self, name), dtype=float)
+            if factor.shape not in ((), (G,)):
+                raise InputError(f"{name} must be a scalar or one row of G values")
+            object.__setattr__(self, name, factor)
 
     @property
     def n_sites(self) -> int:
@@ -452,7 +451,7 @@ class GridChain:
 
     def pairwise(self, i: int) -> np.ndarray:
         """Joint distribution of (site i, site i+1), 0-based."""
-        T = _dense_transitions(self.stay[i], self.move[i], self.weights[i])
+        T = _dense_transitions(self.stay, self.move, self.weights[i])
         return self.marginals()[i][:, None] * T
 
     def expected_change_count(self) -> float:
@@ -466,7 +465,7 @@ class GridChain:
         out[:, 0] = self.grid[states]
         rows = np.arange(size)
         for i in range(self.n_sites - 1):
-            st, mv, _ = _step_factors(self.stay[i], self.move[i], self.weights[i])
+            st, mv, _ = _step_factors(self.stay, self.move, self.weights[i])
             cum = np.tile(mv, (size, 1))
             cum[rows, states] = st[states]
             np.cumsum(cum, axis=1, out=cum)
@@ -570,12 +569,12 @@ def _site_kernel(prior: MarkovSitePrior, grid: np.ndarray):
 
 
 def _chain_grid(sigma: float, grid) -> np.ndarray:
-    """The grid as a float array, once sigma > 0 and the grid is 1-d with at least 2 points."""
+    """The checked grid, once sigma > 0 and the grid is a data array of at least 2 points."""
     if not sigma > 0:
         raise InputError("sigma must be positive")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise InputError("grid must be 1-d with at least 2 points")
+    grid = data_array(grid, "grid")
+    if grid.size < 2:
+        raise InputError("grid must have at least 2 points")
     return grid
 
 
@@ -599,7 +598,7 @@ def grid_posterior(
     forward-backward extracts exactly (zero variational gap within the
     chain family).
     """
-    X = np.asarray(X, dtype=float)
+    X = data_array(X, "X")
     grid = _chain_grid(sigma, grid)
     log_g, stay, move = _site_kernel(prior, grid)
     return _single_chain(X, sigma, grid, log_g, stay, move)[0]
@@ -626,7 +625,7 @@ def fit_markov_vb(
     if not isinstance(prior, UniformPositionsPrior):
         raise InputError(f"unsupported prior type {type(prior).__name__}")
 
-    X = np.asarray(X, dtype=float)
+    X = data_array(X, "X")
     n = X.size
     if prior.n != n:
         raise InputError(f"prior was built for n={prior.n}, data has n={n}")
@@ -680,7 +679,7 @@ def markov_chain_risks(
     site nor a change can land on them, so their posterior mass is exactly
     zero.  Agreement with grid_posterior is pinned by tests.
     """
-    X_batch = np.atleast_2d(np.asarray(X_batch, dtype=float))
+    X_batch = data_array(np.atleast_2d(X_batch), "X_batch", 2)
     R, n = X_batch.shape
     if signal.values.size != n:
         raise InputError("signal length does not match the data")
@@ -703,7 +702,7 @@ def change_count_distribution(chain: GridChain) -> np.ndarray:
     dist = np.zeros((chain.grid.size, n))
     dist[:, 0] = chain.initial
     for i in range(n - 1):
-        T = _dense_transitions(chain.stay[i], chain.move[i], chain.weights[i])
+        T = _dense_transitions(chain.stay, chain.move, chain.weights[i])
         stay = np.diag(T)[:, None] * dist
         np.fill_diagonal(T, 0.0)
         moved = T.T @ dist  # arrive at b by a change: one more count
@@ -738,7 +737,7 @@ def mle_segmentation(X: np.ndarray, m: int) -> tuple[np.ndarray, float]:
     Dynamic programming over segment boundaries with prefix-sum segment
     costs; O(m n^2) time.
     """
-    X = np.asarray(X, dtype=float)
+    X = data_array(X, "X")
     n = X.size
     if not 1 <= m <= n:
         raise InputError(f"m={m} outside 1..{n}")

@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from ._lse import _logsumexp
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, data_array
 
 __all__ = [
     "DiscreteDistribution",
@@ -67,9 +67,7 @@ class DiscreteDistribution:
     probabilities: np.ndarray
 
     def __init__(self, probabilities):
-        p = np.asarray(probabilities, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise InputError("probabilities must be a non-empty 1-d sequence")
+        p = data_array(probabilities, "probabilities")
         object.__setattr__(self, "probabilities", _normalized(p))
 
     def __len__(self) -> int:
@@ -261,8 +259,7 @@ def product_gaussian_divergence(theta_a, theta_b, n: float, rho: float) -> float
     (rho * n / 2) * ||theta_a - theta_b||^2; rho = 1 is allowed and gives
     the Kullback-Leibler value (n/2) * ||.||^2.
     """
-    ta = np.asarray(theta_a, dtype=float)
-    tb = np.asarray(theta_b, dtype=float)
+    ta, tb = data_array(theta_a, "theta_a"), data_array(theta_b, "theta_b")
     if ta.shape != tb.shape:
         raise InputError(f"shape mismatch: {ta.shape} vs {tb.shape}")
     if not n > 0:

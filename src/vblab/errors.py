@@ -1,4 +1,11 @@
-"""Semantic exception hierarchy shared by all vblab modules."""
+"""Semantic exception hierarchy shared by all vblab modules, and the one data-array check.
+
+Every library entry point reads its data arrays (samples, observations,
+signals, grids, evaluation points) through data_array, so a malformed
+array raises InputError the same way wherever it enters.
+"""
+
+import numpy as np
 
 
 class VblabError(Exception):
@@ -19,3 +26,19 @@ class NumericError(VblabError, ArithmeticError):
 
 class OptimizationError(VblabError, RuntimeError):
     """An iterative optimizer diverged or produced an unusable iterate."""
+
+
+def data_array(value, name: str, ndim: int = 1) -> np.ndarray:
+    """value as a float array with ndim axes, at least one entry and only finite entries.
+
+    ndim is 1 for a sample, signal or grid and 2 for a stack of samples.
+    Raises InputError naming the array otherwise, or when value does not
+    convert to floats at all.
+    """
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must be an array of numbers") from None
+    if arr.ndim != ndim or arr.size == 0 or not np.isfinite(arr).all():
+        raise InputError(f"{name} must be a non-empty {ndim}-d array of finite numbers")
+    return arr

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._lse import _logsumexp_weights
 from ._quadrature import fixed_rule, integrate
-from .errors import InputError, OptimizationError
+from .errors import InputError, OptimizationError, data_array
 
 __all__ = [
     "basis_matrix",
@@ -87,7 +87,7 @@ class FourierDensity:
         object.__setattr__(self, "c", log_normalizer(t))
 
     def log_pdf(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = data_array(np.atleast_1d(x), "points")
         if np.any((x < 0) | (x > 1)):
             raise InputError("points must lie in [0, 1]")
         return basis_matrix(x, self.theta.size) @ self.theta - self.c
@@ -173,10 +173,9 @@ class GaussMFVariational:
     sigma2: np.ndarray
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        s2 = np.asarray(self.sigma2, dtype=float)
-        if mu.shape != s2.shape or mu.ndim != 1:
-            raise InputError("mu and sigma2 must be 1-d arrays of equal length")
+        mu, s2 = data_array(self.mu, "mu"), data_array(self.sigma2, "sigma2")
+        if mu.shape != s2.shape:
+            raise InputError("mu and sigma2 must have equal length")
         if np.any(s2 < 0):
             raise InputError("variances must be non-negative")
         object.__setattr__(self, "mu", mu)
@@ -228,9 +227,7 @@ def _normalizer_stats(draws: np.ndarray):
 
 def _elbo_inputs(data, sigma0_sq: float, k: int, n_mc: int, seed):
     """The checked sample's sum_i h(X_i) and size n, and the (n_mc, k) CRN normals."""
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 1 or data.size == 0:
-        raise InputError("data must be a non-empty 1-d sample")
+    data = data_array(data, "data")
     if np.any((data < 0) | (data > 1)):
         raise InputError("data must lie in [0, 1]")
     if not sigma0_sq > 0:

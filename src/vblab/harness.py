@@ -352,14 +352,15 @@ def _run_mixture_hellinger_batch(p, n, rngs):
     mu, w = (np.asarray(p["truth"][key], dtype=float) for key in ("mu", "w"))
     truth = mixture.MixtureModel(k=mu.size, mu=mu, w=w, sigma=p["truth"]["sigma"])
     hyper = mixture.MixtureHyper(**p["hyper"])
+    span = float(np.max(np.abs(truth.mu)) + 6.0 * max(truth.sigma, 1.0))
+    grid = np.linspace(-span, span, p["grid_points"])
+    # a grid too coarse for the truth fails here, before any fit
+    f0, grid = mixture._check_grid_density(mixture.mixture_pdf(truth, grid), grid)
     samples, seeds = [], []
     for rng in rngs:  # each replication's stream: its sample, then its fit seed
         samples.append(mixture.sample_mixture(truth, n, seed=rng))
         seeds.append(int(rng.integers(2**63)))
     fits = mixture.select_k_batch(np.stack(samples), p["k_candidates"], hyper, seeds)
-    span = float(np.max(np.abs(truth.mu)) + 6.0 * max(truth.sigma, 1.0))
-    grid = np.linspace(-span, span, p["grid_points"])
-    f0 = mixture.mixture_pdf(truth, grid)
     return [mixture.hellinger_to_truth(state, f0, grid) for _, state in fits]
 
 

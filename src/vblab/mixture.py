@@ -35,12 +35,11 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 from ._lse import _logsumexp_weights
 from ._rng import derive_seed
 from .divergences import _normalized
-from .errors import InputError
+from .errors import InputError, data_array
 
 __all__ = [
     "MixtureModel",
@@ -59,6 +58,8 @@ __all__ = [
 
 def kernel_psi(x, sigma: float, p: int):
     """Normalized kernel density exp(-(|x|/sigma)^p) / (2 sigma Gamma(1+1/p))."""
+    from scipy.special import gammaln
+
     if not sigma > 0:
         raise InputError("sigma must be positive")
     if not (isinstance(p, (int, np.integer)) and p > 0 and p % 2 == 0):
@@ -79,7 +80,7 @@ class MixtureModel:
     p: int = 2
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
+        mu = data_array(self.mu, "mu")
         w = np.asarray(self.w, dtype=float)
         if mu.shape != (self.k,) or w.shape != (self.k,):
             raise InputError("mu and w must have length k")
@@ -93,7 +94,7 @@ class MixtureModel:
 
 def mixture_pdf(model: MixtureModel, x):
     """sum_j w_j psi_sigma(x - mu_j)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = data_array(np.atleast_1d(x), "x")
     return kernel_psi(x[:, None] - model.mu[None, :], model.sigma, model.p) @ model.w
 
 
@@ -164,15 +165,6 @@ def _init_centers(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
     return qs + 0.01 * x.std() * rng.standard_normal(k)
 
 
-def _finite_sample(data, ndim: int) -> np.ndarray:
-    """data as a non-empty float array with ndim axes and finite entries."""
-    x = np.asarray(data, dtype=float)
-    if x.ndim != ndim or x.size == 0 or not np.all(np.isfinite(x)):
-        shape = "1-d sample" if ndim == 1 else "(R, n) stack of samples"
-        raise InputError(f"data must be a non-empty finite {shape}")
-    return x
-
-
 def _cavi_rows(samples, rows, hyper: MixtureHyper, tol: float, max_sweeps: int, k_max: int):
     """Coordinate ascent for a sequence of rows; yields one GMFState per row, in order.
 
@@ -214,6 +206,8 @@ def _cavi_group(x, k, m, v, hyper: MixtureHyper, tol: float, max_sweeps: int):
     spread.  Padded components keep finite placeholder factors and zero
     statistics; the live mask drops them from the bound.
     """
+    from scipy.special import digamma, gammaln
+
     rows, n = x.shape
     k_max = m.shape[1]
     ids = np.arange(rows)
@@ -334,7 +328,7 @@ def cavi_fixed_k(
     to float roundoff (a decrease beyond 1e-9 would indicate a bug, and
     the tests enforce that).  This is the one-row case of the batched fit.
     """
-    x = _finite_sample(data, 1)[None, :]
+    x = data_array(data, "data")[None, :]
     if k < 1:
         raise InputError("k must be at least 1")
     k = int(k)
@@ -353,7 +347,9 @@ def select_k_batch(
     result is [(k, state)] in row order, equal to select_k(samples[r],
     k_candidates, hyper, seeds[r]) for each r.
     """
-    x = _finite_sample(samples, 2)
+    from scipy.special import gammaln
+
+    x = data_array(samples, "samples", 2)
     cands = sorted(set(int(k) for k in k_candidates))
     if not cands:
         raise InputError("need at least one candidate k")
@@ -387,22 +383,23 @@ def select_k(
     required, so ties resolve to the smaller k.  The one-sample case of
     select_k_batch.
     """
-    return select_k_batch(_finite_sample(data, 1)[None, :], k_candidates, hyper, [seed])[0]
+    return select_k_batch(data_array(data, "data")[None, :], k_candidates, hyper, [seed])[0]
 
 
-def _check_grid_density(f0: np.ndarray, grid: np.ndarray) -> None:
+def _check_grid_density(f0, grid) -> tuple[np.ndarray, np.ndarray]:
+    """f0 and grid as checked arrays, once f0 is tabulated on the grid and integrates to one."""
+    f0, grid = data_array(f0, "f0"), data_array(grid, "grid")
     if f0.shape != grid.shape:
         raise InputError("f0 must be tabulated on the grid")
     total = float(np.trapezoid(f0, grid))
     if abs(total - 1.0) > 1e-3:
         raise InputError(f"f0 integrates to {total} on this grid; refine or widen it")
+    return f0, grid
 
 
 def hellinger_to_truth(state: GMFState, f0, grid) -> float:
     """Squared Hellinger distance between the plug-in mixture and f0 on a grid."""
-    grid = np.asarray(grid, dtype=float)
-    f0 = np.asarray(f0, dtype=float)
-    _check_grid_density(f0, grid)
+    f0, grid = _check_grid_density(f0, grid)
     fit = mixture_pdf(state.posterior_mean_model(), grid)
     return 0.5 * float(np.trapezoid((np.sqrt(fit) - np.sqrt(f0)) ** 2, grid))
 
@@ -411,9 +408,7 @@ def hellinger_to_truth_mc(
     state: GMFState, f0, grid, draws: int = 32, seed: Union[int, np.random.Generator] = 0
 ) -> float:
     """Average squared Hellinger distance over draws from the fitted factors."""
-    grid = np.asarray(grid, dtype=float)
-    f0 = np.asarray(f0, dtype=float)
-    _check_grid_density(f0, grid)
+    f0, grid = _check_grid_density(f0, grid)
     rng = np.random.default_rng(seed)
     total = 0.0
     for _ in range(draws):

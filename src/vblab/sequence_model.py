@@ -23,9 +23,9 @@ from typing import Optional, Union
 import numpy as np
 
 from ._lse import _logsumexp
-from ._quadrature import fixed_rule, integrate_log, panel_nodes
+from ._quadrature import fixed_rule, integrate, panel_nodes
 from .divergences import ScalarGaussian, _normalized
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, data_array
 
 __all__ = [
     "GaussianCoordinates",
@@ -133,12 +133,19 @@ class RescaledCauchyCoordinates:
         return out if out.size > 1 else float(out[0])
 
     def log_evidence_adaptive(self, y: float, n: float) -> float:
-        """Reference log W(y) by adaptive quadrature in the rescaled variable."""
+        """Reference log W(y) by adaptive quadrature in the rescaled variable.
+
+        The integrand is scaled by g(v), its prior factor at the centre, so
+        the adaptive rule sees values of order one whatever y is.
+        """
         self._check_n(n)
         v = math.sqrt(n) * y
-        return integrate_log(
-            lambda u: self._log_g(u) - 0.5 * (u - v) ** 2, v - 15.0, v + 15.0, rel_tol=1e-12
+        top = float(self._log_g(v))
+        total = integrate(
+            lambda u: np.exp(self._log_g(u) - 0.5 * (u - v) ** 2 - top),
+            v - 15.0, v + 15.0, rel_tol=1e-12,
         )
+        return top + math.log(total)
 
     def tilt(self, y: float, n: float) -> "GridDensity":
         """The prior coordinate reweighted by the Gaussian likelihood at y, on a grid."""
@@ -222,10 +229,7 @@ class SobolevSignal:
     B: float
 
     def __post_init__(self):
-        t = np.asarray(self.theta, dtype=float)
-        if t.ndim != 1 or not np.all(np.isfinite(t)):
-            raise InputError("theta must be a finite 1-d sequence")
-        object.__setattr__(self, "theta", t)
+        object.__setattr__(self, "theta", data_array(self.theta, "theta"))
         if not (self.alpha > 0 and self.B > 0):
             raise InputError("alpha and B must be positive")
         if self.ball_weight() > self.B**2 * (1 + 1e-9):
@@ -247,12 +251,9 @@ class SequenceObservation:
     n: float
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        if y.ndim != 1 or not np.all(np.isfinite(y)):
-            raise InputError("y must be a finite 1-d sequence")
+        object.__setattr__(self, "y", data_array(self.y, "y"))
         if not self.n > 0:
             raise InputError("n must be positive")
-        object.__setattr__(self, "y", y)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +277,10 @@ class GridDensity:
     variance: float = field(init=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = data_array(self.points, "points")
         pr = np.asarray(self.probs, dtype=float)
-        if pts.shape != pr.shape or pts.ndim != 1:
-            raise InputError("points and probs must be 1-d arrays of equal length")
+        if pr.shape != pts.shape:
+            raise InputError("points and probs must have equal length")
         pr = _normalized(pr)
         mean = float(np.dot(pr, pts))
         object.__setattr__(self, "points", pts)

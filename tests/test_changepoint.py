@@ -11,6 +11,7 @@ from vblab.changepoint import (
     CoordinatewisePosterior,
     GridChain,
     MarkovSitePrior,
+    PiecewiseSignal,
     UniformDensity,
     UniformPositionsPrior,
     change_count_distribution,
@@ -385,10 +386,12 @@ class TestSignals:
         assert np.max(np.abs(sig.values)) <= 1.0
 
     def test_declared_pieces_validated(self):
-        from vblab.changepoint import PiecewiseSignal
-
         with pytest.raises(InputError):
             PiecewiseSignal(values=np.array([0.0, 1.0]), k_star=1, B=1.0)
+
+    def test_nan_values_rejected(self):
+        with pytest.raises(InputError, match="values"):
+            PiecewiseSignal(values=np.array([np.nan, 0.0]), k_star=2, B=1.0)
 
     def test_snap_preserves_structure(self):
         grid = make_grid(1.0, 1.0, G=64)
@@ -450,6 +453,26 @@ class TestGridValidated:
         prior = UniformPositionsPrior.power(8, UniformDensity(-2.0, 2.0))
         with pytest.raises(InputError, match="grid"):
             fit_markov_vb(np.zeros(8), 1.0, prior, grid)
+
+
+class TestDataValidated:
+    """The posterior routes read X as a non-empty 1-d array of finite numbers."""
+
+    BAD_X = pytest.mark.parametrize(
+        "X", [np.array([0.0, np.nan, 0.0]), np.zeros((2, 3))], ids=["nan", "2-d"]
+    )
+
+    @BAD_X
+    def test_mean_field(self, X):
+        prior = MarkovSitePrior(0.1, UniformDensity(-2.0, 2.0))
+        with pytest.raises(InputError, match="X must be"):
+            fit_mean_field(X, 1.0, prior)
+
+    @BAD_X
+    def test_grid_posterior(self, X):
+        prior = MarkovSitePrior(0.1, UniformDensity(-2.0, 2.0))
+        with pytest.raises(InputError, match="X must be"):
+            grid_posterior(X, 1.0, prior, make_grid(1.0, 1.0, G=16))
 
 
 def test_tiny_sigma_concentrates_without_overflow():

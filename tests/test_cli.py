@@ -8,12 +8,15 @@ import math
 import os
 import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from vblab import mixture
 from vblab.cli import main
 from vblab.harness import MODELS, ExperimentConfig, parse_params
 
@@ -307,6 +310,16 @@ def test_declared_domains_hold_at_their_edges(command, payload, key, inside, tmp
         assert rc in (0, 3), last
 
 
+def test_coarse_mix_fit_grid_exits_before_the_fits(tmp_path, capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("select_k_batch ran although the grid was already too coarse")
+
+    monkeypatch.setattr(mixture, "select_k_batch", no_fit)
+    cfg = write_config(tmp_path, "cfg.json", _config("mix-fit", {"grid_points": 2}))
+    assert main(["mix-fit", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    assert "f0 integrates to" in capsys.readouterr().err.splitlines()[-1]
+
+
 def test_numeric_failures_exit_3(tmp_path):
     # a tiny K_max cap forces the truncation-binding guard to fire
     cfg = write_config(
@@ -453,6 +466,18 @@ def test_shipped_configs_parse_under_their_schema():
         assert MODELS[config.model].command == named[f"configs/{path.name}"], path.name
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # the test modules import scipy themselves, so only a fresh interpreter shows what the CLI loads
+    code = "import sys, vblab.cli; vblab.cli.build_parser(); print('scipy' in sys.modules)"
+    path = [str(REPO / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
+
+
 def _schema_keys(schema: dict) -> set:
     """Every key of a params schema, nested objects included."""
     keys = set(schema)
@@ -464,8 +489,10 @@ def _schema_keys(schema: dict) -> set:
 
 def test_readme_params_list_matches_the_registry():
     # each bullet's head, up to its first colon, names the models sharing it;
-    # its body documents a key as `key` = default or `key` (default ...), and
-    # names each declared choice as `"choice"`
+    # its body documents a key as `key` = default or `key` (default ...), names
+    # each declared choice as `"choice"`, and states each declared bound right
+    # after its default, as (must be > b) when strict (a float bound) and as
+    # (must be ≥ b) otherwise
     readme = (REPO / "README.md").read_text()
     documented = {}
     for bullet in re.findall(r"^- (.*(?:\n  .*)*)", readme, flags=re.M):
@@ -482,6 +509,12 @@ def test_readme_params_list_matches_the_registry():
         rejected = keys - set().union(*(_schema_keys(MODELS[m].defaults) for m in models))
         assert not rejected, f"README lists {sorted(rejected)}, which {models} reject"
         for _, path, domain in _domains(MODELS[model].defaults):
+            key = ".".join(path)
             if isinstance(domain[0], str):
                 absent = [c for c in domain if f'`"{c}"`' not in body]
-                assert not absent, f"README omits {model} params.{'.'.join(path)} choices {absent}"
+                assert not absent, f"README omits {model} params.{key} choices {absent}"
+            else:
+                bound = domain[-1]
+                op = ">" if isinstance(bound, float) else "≥"
+                stated = rf"`{path[-1]}`\s*=\s*`[^`]*`\s*\(must\s+be\s+{op}\s+{bound:g}(?![\d.])"
+                assert re.search(stated, body), f"README omits {model} params.{key} {op} {bound:g}"

@@ -187,6 +187,10 @@ class TestProductGaussian:
     def test_kl_mode_at_rho_one(self):
         assert product_gaussian_divergence([1.0], [0.0], 2.0, 1.0) == pytest.approx(1.0)
 
+    def test_nan_sequence_rejected(self):
+        with pytest.raises(InputError, match="theta_a"):
+            product_gaussian_divergence([math.nan], [0.0], 4.0, 2.0)
+
 
 class TestChainReport:
     def test_identical_all_zero(self):

@@ -214,10 +214,16 @@ class TestElbo:
             with pytest.raises(InputError):
                 call(q, np.array([0.5]), S0, n_mc=n_mc)
 
-    @pytest.mark.parametrize("data", [[-3.0, 7.0], [0.2, 1.5], [], [[0.5]]])
+    @pytest.mark.parametrize("data", [[-3.0, 7.0], [0.2, 1.5], [], [[0.5]], [0.5, math.nan]])
     def test_fit_validates_data(self, data):
         with pytest.raises(InputError):
             fit_gaussian_mf(np.array(data), S0, k=2)
+        with pytest.raises(InputError):
+            elbo(GaussMFVariational(mu=np.zeros(2), sigma2=np.ones(2)), np.array(data), S0)
+
+    def test_nan_factor_rejected(self):
+        with pytest.raises(InputError, match="mu"):
+            GaussMFVariational(mu=np.array([math.nan]), sigma2=np.ones(1))
 
     def test_point_mass_still_validates_data(self):
         q = GaussMFVariational(mu=np.zeros(1), sigma2=np.zeros(1))

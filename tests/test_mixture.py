@@ -59,6 +59,10 @@ class TestMixturePdf:
         val, _ = quad(lambda t: float(mixture_pdf(model, t)[0]), -12, 12)
         assert val == pytest.approx(1.0, abs=1e-8)
 
+    def test_nan_location_rejected(self):
+        with pytest.raises(InputError, match="mu"):
+            MixtureModel(2, np.array([np.nan, 0.0]), np.array([0.5, 0.5]), 0.8)
+
     @pytest.mark.parametrize("w", [[np.nan, 0.5], [-0.5, 1.5], [0.5, 0.6], [np.inf, 0.0]])
     def test_weights_checked_as_a_probability_vector(self, w):
         with pytest.raises(InputError, match="probabilities"):
@@ -118,6 +122,10 @@ class TestCavi:
     def test_empty_data_rejected(self):
         with pytest.raises(InputError):
             cavi_fixed_k(np.array([]), 1)
+
+    def test_non_numeric_data_rejected(self):
+        with pytest.raises(InputError):
+            cavi_fixed_k(["a", "b"], 1)
 
 
 class TestSelectK:
@@ -225,6 +233,16 @@ class TestHellinger:
         f0 = mixture_pdf(model, grid)
         with pytest.raises(InputError):
             hellinger_to_truth(state, f0, grid)
+
+    @pytest.mark.parametrize("distance", [hellinger_to_truth, hellinger_to_truth_mc])
+    def test_nan_in_f0_rejected(self, distance):
+        x, model = self.bimodal_sample()
+        state = cavi_fixed_k(x, 2, seed=1)
+        grid = np.linspace(-10, 10, 4001)
+        f0 = mixture_pdf(model, grid)
+        f0[7] = np.nan
+        with pytest.raises(InputError, match="f0"):
+            distance(state, f0, grid)
 
     @pytest.mark.parametrize("distance", [hellinger_to_truth, hellinger_to_truth_mc])
     def test_f0_off_the_grid_rejected(self, distance):
