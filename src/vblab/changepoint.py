@@ -95,8 +95,10 @@ class GaussianDensity:
     variance: float
 
     def __post_init__(self):
-        if not self.variance > 0:
-            raise InputError("variance must be positive")
+        if not math.isfinite(self.mean):
+            raise InputError("mean must be finite")
+        if not 0 < self.variance < math.inf:
+            raise InputError("variance must be positive and finite")
 
     def log_pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -666,7 +668,7 @@ def markov_chain_risks(
     grid: np.ndarray,
     signal: PiecewiseSignal,
 ) -> np.ndarray:
-    """E_Q ||theta - theta*||^2 under grid_posterior for a batch of datasets.
+    """E_Q ||theta - theta*||^2 under grid_posterior for each row of an (R, n) batch of datasets.
 
     Streaming evaluator for the rate experiments: the smoother of
     grid_posterior, run on all R replications in one backward pass (R x G
@@ -679,7 +681,7 @@ def markov_chain_risks(
     site nor a change can land on them, so their posterior mass is exactly
     zero.  Agreement with grid_posterior is pinned by tests.
     """
-    X_batch = data_array(np.atleast_2d(X_batch), "X_batch", 2)
+    X_batch = data_array(X_batch, "X_batch", 2)
     R, n = X_batch.shape
     if signal.values.size != n:
         raise InputError("signal length does not match the data")

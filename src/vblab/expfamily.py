@@ -49,7 +49,11 @@ _ELBO_PANELS = 64  # fixed panel count keeps the CRN objective smooth in theta
 
 def basis_matrix(x, k: int) -> np.ndarray:
     """Values of the first k basis functions at the points x, shape (len(x), k)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return _basis(data_array(np.atleast_1d(x), "x"), k)
+
+
+def _basis(x: np.ndarray, k: int) -> np.ndarray:
+    """basis_matrix at 1-d points the caller has already checked (nodes, checked data)."""
     out = np.empty((x.size, k))
     for j in range(1, k + 1):
         l = (j + 1) // 2
@@ -69,7 +73,7 @@ def log_normalizer(theta) -> float:
         return 0.0
 
     def integrand(x):
-        return np.exp(basis_matrix(x, theta.size) @ theta)
+        return np.exp(_basis(x, theta.size) @ theta)
 
     return math.log(integrate(integrand, 0.0, 1.0, rel_tol=1e-10))
 
@@ -90,7 +94,7 @@ class FourierDensity:
         x = data_array(np.atleast_1d(x), "points")
         if np.any((x < 0) | (x > 1)):
             raise InputError("points must lie in [0, 1]")
-        return basis_matrix(x, self.theta.size) @ self.theta - self.c
+        return _basis(x, self.theta.size) @ self.theta - self.c
 
 
 def _as_density(d) -> FourierDensity:
@@ -130,7 +134,7 @@ def hellinger_numeric(theta_a, theta_b) -> float:
     shift = 0.5 * (a.c + b.c)
 
     def integrand(x):
-        return np.exp(basis_matrix(x, k) @ mid - shift)
+        return np.exp(_basis(x, k) @ mid - shift)
 
     affinity = integrate(integrand, 0.0, 1.0, rel_tol=1e-10)
     return math.sqrt(min(max(1.0 - affinity, 0.0), 1.0))
@@ -142,7 +146,7 @@ def kl_numeric(theta_a, theta_b) -> float:
     ta, tb, k = _padded(a, b)
 
     def integrand(x):
-        H = basis_matrix(x, k)
+        H = _basis(x, k)
         return np.exp(H @ ta - a.c) * (H @ (ta - tb) - (a.c - b.c))
 
     return max(integrate(integrand, 0.0, 1.0, rel_tol=1e-10, abs_tol=1e-13), 0.0)
@@ -154,7 +158,7 @@ def d2_numeric(theta_a, theta_b) -> float:
     ta, tb, k = _padded(a, b)
 
     def integrand(x):
-        H = basis_matrix(x, k)
+        H = _basis(x, k)
         return np.exp(2.0 * (H @ ta - a.c) - (H @ tb - b.c))
 
     return max(math.log(integrate(integrand, 0.0, 1.0, rel_tol=1e-10)), 0.0)
@@ -206,7 +210,7 @@ class OptConfig:
 def _elbo_rule(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only basis values (nodes, k), weights and log weights of the ELBO rule."""
     nodes, wts, log_wts = fixed_rule(0.0, 1.0, _ELBO_PANELS, order=8)
-    H = basis_matrix(nodes, k)
+    H = _basis(nodes, k)
     H.flags.writeable = False
     return H, wts, log_wts
 
@@ -235,7 +239,7 @@ def _elbo_inputs(data, sigma0_sq: float, k: int, n_mc: int, seed):
     if n_mc < 1:
         raise InputError("n_mc must be at least 1")
     eps = np.random.default_rng(seed).standard_normal((n_mc, k))
-    return basis_matrix(data, k).sum(axis=0), data.size, eps
+    return _basis(data, k).sum(axis=0), data.size, eps
 
 
 def elbo(

@@ -125,8 +125,7 @@ class RescaledCauchyCoordinates:
         far below 1e-10 error for this smooth integrand.
         """
         self._check_n(n)
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        v = math.sqrt(n) * y
+        v = math.sqrt(n) * data_array(np.atleast_1d(y), "y")
         w, _, log_wt = fixed_rule(-15.0, 15.0, 30)
         log_terms = self._log_g(v[:, None] + w[None, :]) - 0.5 * w[None, :] ** 2
         out = 0.5 * v**2 + _logsumexp(log_terms + log_wt[None, :], axis=1)

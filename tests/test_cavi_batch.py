@@ -57,7 +57,15 @@ def ref_elbo(delta, r, m, v, alpha, a, b, hyper):
 
 
 def ref_cavi(x, k, hyper, seed, tol=1e-8, max_sweeps=1000):
-    """One fit: (m, v, alpha, a, b, r, trace, converged)."""
+    """One fit: (m, v, alpha, a, b, r, trace, converged).
+
+    From sweep mixture._S0 on, a sweep that stood, moving the fit from its
+    last accepted point theta to theta_C, sends the next one from
+    theta + eta (theta_C - theta): the means linearly and the concentrations in
+    log space.  eta grows by _ETA_GROWTH up to _ETA_MAX.  An over-relaxed sweep
+    whose bound is not finite or falls is dropped: eta resets to 1 and the next
+    sweep starts from the last accepted point.  The last sweep is always plain.
+    """
     x = np.asarray(x, dtype=float)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n = x.size
@@ -65,30 +73,44 @@ def ref_cavi(x, k, hyper, seed, tol=1e-8, max_sweeps=1000):
     v = np.full(k, x.var() / max(k, 1) + 1e-6)
     alpha = np.full(k, hyper.alpha0)
     a, b = hyper.a0, hyper.b0
+    m_s, alpha_s, eta = m, alpha, 1.0  # the start of the next sweep
     trace = []
     converged = False
-    delta = (x[:, None] - m[None, :]) ** 2 + v[None, :]
-    for _ in range(max_sweeps):
+    for sweep in range(max_sweeps):
+        m_prev, alpha_prev = m, alpha
         e_tau = a / b
         e_logtau = digamma(a) - math.log(b)
-        e_logw = digamma(alpha) - digamma(alpha.sum())
+        e_logw = digamma(alpha_s) - digamma(alpha_s.sum())
+        delta = (x[:, None] - m_s[None, :]) ** 2 + v[None, :]
         log_r = e_logw[None, :] + 0.5 * e_logtau - 0.5 * math.log(math.pi) - e_tau * delta
         log_r -= _logsumexp(log_r, axis=1, keepdims=True)
-        r = np.exp(log_r)
+        r_c = np.exp(log_r)
 
-        counts = r.sum(axis=0)
-        alpha = hyper.alpha0 + counts
+        counts = r_c.sum(axis=0)
+        alpha_c = hyper.alpha0 + counts
         prec = 1.0 / hyper.sigma0_sq + 2.0 * e_tau * counts
-        v = 1.0 / prec
-        m = 2.0 * e_tau * (r * x[:, None]).sum(axis=0) * v
+        v_c = 1.0 / prec
+        m_c = 2.0 * e_tau * (r_c * x[:, None]).sum(axis=0) * v_c
         a = hyper.a0 + 0.5 * n
-        delta = (x[:, None] - m[None, :]) ** 2 + v[None, :]
-        b = hyper.b0 + float(np.sum(r * delta))
+        delta = (x[:, None] - m_c[None, :]) ** 2 + v_c[None, :]
+        b_c = hyper.b0 + float(np.sum(r_c * delta))
 
-        trace.append(ref_elbo(delta, r, m, v, alpha, a, b, hyper))
-        if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-1])):
-            converged = True
-            break
+        value = ref_elbo(delta, r_c, m_c, v_c, alpha_c, a, b_c, hyper)
+        if sweep >= mixture._S0 and eta > 1.0 and not (math.isfinite(value) and value >= trace[-1]):
+            eta = 1.0
+        else:
+            if sweep >= mixture._S0:
+                eta = min(mixture._ETA_GROWTH * eta, mixture._ETA_MAX)
+            m, v, alpha, b, r = m_c, v_c, alpha_c, b_c, r_c
+            trace.append(value)
+            if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-1])):
+                converged = True
+                break
+        if sweep >= mixture._S0 and sweep + 2 < max_sweeps and eta > 1.0:  # this sweep stood
+            m_s = m_prev + eta * (m - m_prev)
+            alpha_s = alpha_prev * (alpha / alpha_prev) ** eta
+        else:
+            m_s, alpha_s, eta = m, alpha, 1.0
     return m, v, alpha, a, b, r, trace, converged
 
 
@@ -168,6 +190,65 @@ def test_unconverged_rows_stop_at_max_sweeps():
         state = mixture.cavi_fixed_k(x, 4, HYPER, seed=seed, max_sweeps=7)
         assert len(state.elbo_trace) == 7 and not state.converged
         assert_matches(state, ref_cavi(x, 4, HYPER, seed, max_sweeps=7))
+
+
+def plain(monkeypatch):
+    """Turn the over-relaxed step off: every sweep is a plain CAVI sweep."""
+    monkeypatch.setattr(mixture, "_S0", mixture._MAX_SWEEPS + 1)
+
+
+def fit_rows(samples, seeds, candidates):
+    rows = [(i, k, derive_seed(s, k)) for i, s in enumerate(seeds) for k in candidates]
+    k_max = max(candidates)
+    return list(mixture._cavi_rows(samples, rows, HYPER, mixture._TOL, mixture._MAX_SWEEPS, k_max))
+
+
+@pytest.mark.parametrize("seed,n,reps", [(0, 200, 3), (2, 60, 4), (10, 800, 2)])
+def test_rows_stopping_before_s0_are_plain_cavi(monkeypatch, seed, n, reps):
+    samples, seeds = stack(seed, n, reps)
+    s0 = mixture._S0
+    stepped = fit_rows(samples, seeds, CANDIDATES)
+    plain(monkeypatch)
+    plain_fits = fit_rows(samples, seeds, CANDIDATES)
+    short = [(a, b) for a, b in zip(stepped, plain_fits) if len(b.elbo_trace) <= s0]
+    assert short and len(short) < len(stepped)  # both kinds of row occur
+    for a, b in short:
+        assert_same(a, b)
+        np.testing.assert_array_equal(a.responsibilities, b.responsibilities)
+    assert sum(len(a.elbo_trace) for a in stepped) < sum(len(b.elbo_trace) for b in plain_fits)
+
+
+def test_long_rows_keep_a_monotone_bound():
+    # over-fitted k = 4 rows at n = 1600 run past S0, so their sweeps are over-relaxed
+    samples, seeds = stack(9, 1600, 3)
+    for state in fit_rows(samples, seeds, [4]):
+        trace = np.asarray(state.elbo_trace)
+        assert state.converged and trace.size > mixture._S0 + 1
+        assert np.all(np.isfinite(trace))
+        assert np.diff(trace).min() >= -1e-9
+
+
+def test_overshooting_step_is_dropped(monkeypatch):
+    # with eta at 1000 from the first over-relaxed sweep on, every such sweep
+    # overshoots and is dropped, so the accepted sweeps are exactly plain CAVI
+    samples, seeds = stack(9, 1600, 3)
+    x, seed = samples[1], derive_seed(seeds[1], 4)
+    sweeps = []
+
+    def counting(z, axis):
+        sweeps.append(z.shape[0])
+        return lse(z, axis)
+
+    lse = mixture._logsumexp_weights
+    monkeypatch.setattr(mixture, "_logsumexp_weights", counting)
+    monkeypatch.setattr(mixture, "_ETA_GROWTH", 1e3)
+    monkeypatch.setattr(mixture, "_ETA_MAX", 1e3)
+    forced = mixture.cavi_fixed_k(x, 4, HYPER, seed=seed)
+    # every other sweep after the plain one at S0 is over-relaxed, and dropped
+    assert forced.converged
+    assert len(sweeps) - len(forced.elbo_trace) == len(forced.elbo_trace) - mixture._S0 - 1 > 0
+    plain(monkeypatch)
+    assert_same(forced, mixture.cavi_fixed_k(x, 4, HYPER, seed=seed))
 
 
 def ref_hellinger_runner(p, n, rng):

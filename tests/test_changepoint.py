@@ -9,6 +9,7 @@ from scipy.special import logsumexp
 
 from vblab.changepoint import (
     CoordinatewisePosterior,
+    GaussianDensity,
     GridChain,
     MarkovSitePrior,
     PiecewiseSignal,
@@ -473,6 +474,26 @@ class TestDataValidated:
         prior = MarkovSitePrior(0.1, UniformDensity(-2.0, 2.0))
         with pytest.raises(InputError, match="X must be"):
             grid_posterior(X, 1.0, prior, make_grid(1.0, 1.0, G=16))
+
+    @pytest.mark.parametrize(
+        "X_batch",
+        [[[0.0, 1.0, 0.0], [0.0, 1.0]], np.zeros(3), [[0.0, np.nan, 0.0]]],
+        ids=["ragged", "1-d", "nan"],
+    )
+    def test_markov_chain_risks(self, X_batch):
+        prior = MarkovSitePrior(0.1, UniformDensity(-2.0, 2.0))
+        zero = PiecewiseSignalZero(3)
+        with pytest.raises(InputError, match="X_batch must be"):
+            markov_chain_risks(X_batch, 1.0, prior, make_grid(1.0, 1.0, G=16), zero)
+
+
+@pytest.mark.parametrize(
+    "mean,variance",
+    [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf), (0.0, math.nan), (0.0, 0.0)],
+)
+def test_gaussian_density_must_be_finite(mean, variance):
+    with pytest.raises(InputError, match="mean|variance"):
+        GaussianDensity(mean, variance)
 
 
 def test_tiny_sigma_concentrates_without_overflow():

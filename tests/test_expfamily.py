@@ -144,6 +144,13 @@ class TestCachedRules:
         np.testing.assert_array_equal(wts, weights)
         np.testing.assert_array_equal(log_wts, np.log(weights))
 
+    @pytest.mark.parametrize(
+        "x", [math.nan, [0.2, math.inf], np.zeros((2, 2))], ids=["nan", "inf", "2-d"]
+    )
+    def test_basis_points_checked(self, x):
+        with pytest.raises(InputError, match="x must be"):
+            basis_matrix(x, 3)
+
     def test_cached_arrays_are_read_only(self):
         # the ELBO rule and the sequence model's evidence window are shared by every call
         for arr in (*_elbo_rule(2), *fixed_rule(-15.0, 15.0, 30)):

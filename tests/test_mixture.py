@@ -43,6 +43,15 @@ class TestKernel:
         with pytest.raises(InputError):
             kernel_psi(0.0, 1.0, 3)
 
+    @pytest.mark.parametrize(
+        "x,sigma",
+        [(math.nan, 1.0), ([0.0, math.inf], 1.0), (0.0, math.inf)],
+        ids=["nan", "inf", "sigma"],
+    )
+    def test_non_finite_input_rejected(self, x, sigma):
+        with pytest.raises(InputError, match="x must be finite|sigma"):
+            kernel_psi(x, sigma, 2)
+
 
 class TestMixturePdf:
     def test_single_component(self):

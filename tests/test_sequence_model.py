@@ -326,6 +326,12 @@ class TestRescaledFamilies:
                 fam.log_evidence_adaptive(float(y), n), abs=1e-9
             )
 
+    @pytest.mark.parametrize("y", [math.nan, [0.5, math.inf], [[0.5]]], ids=["nan", "inf", "2-d"])
+    def test_cauchy_ratio_rejects_bad_y(self, y):
+        fam = RescaledCauchyCoordinates(1.0, 16.0)
+        with pytest.raises(InputError, match="y must be"):
+            fam.log_evidence_ratio(y, 16.0)
+
     def test_cauchy_tilt_grid_normalized(self):
         fam = RescaledCauchyCoordinates(1.0, 36.0)
         tilt = fam.tilt(0.7, 36.0)
