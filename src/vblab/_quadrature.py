@@ -43,14 +43,16 @@ def fixed_rule(a: float, b: float, panels: int, order: int = 16) -> tuple[np.nda
     return rule
 
 
+# integrate doubles its order-16 panels at most this many times
+_MAX_DOUBLINGS = 14
+
+
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     rel_tol: float = 1e-10,
     abs_tol: float = 1e-14,
-    max_doublings: int = 14,
-    order: int = 16,
 ) -> float:
     """Integrate a vectorized integrand over [a, b] to the given tolerance.
 
@@ -58,8 +60,8 @@ def integrate(
     """
     prev = None
     panels = 1
-    for _ in range(max_doublings + 1):
-        nodes, weights = panel_nodes(a, b, panels, order)
+    for _ in range(_MAX_DOUBLINGS + 1):
+        nodes, weights = panel_nodes(a, b, panels)
         val = float(np.dot(weights, f(nodes)))
         if prev is not None and abs(val - prev) <= rel_tol * abs(val) + abs_tol:
             return val
@@ -67,5 +69,5 @@ def integrate(
         panels *= 2
     raise NumericError(
         f"quadrature on [{a}, {b}] did not reach rel_tol={rel_tol} "
-        f"within {max_doublings} panel doublings"
+        f"within {_MAX_DOUBLINGS} panel doublings"
     )

@@ -296,8 +296,10 @@ class CoordinatewisePosterior:
 def _truncnorm_moments(x: np.ndarray, sigma: float, lo: float, hi: float):
     from scipy.special import ndtr
 
-    a = (lo - x) / sigma
-    b = (hi - x) / sigma
+    # past |t| = 40, phi(t) and ndtr(-t) are 0 and ndtr(t) is 1 in floats, so
+    # clipping the edges there changes no result and keeps their squares finite
+    a = np.clip((lo - x) / sigma, -40.0, 40.0)
+    b = np.clip((hi - x) / sigma, -40.0, 40.0)
     phi_a = np.exp(-0.5 * a * a) / math.sqrt(2 * math.pi)
     phi_b = np.exp(-0.5 * b * b) / math.sqrt(2 * math.pi)
     z = np.maximum(ndtr(b) - ndtr(a), 1e-300)

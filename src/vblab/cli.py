@@ -13,7 +13,7 @@ import dataclasses
 import sys
 
 from . import harness
-from .errors import DomainError, InputError, NumericError, OptimizationError
+from .errors import InputError, NumericError
 
 _HELP = {
     "divcheck": "divergence chain and monotonicity audit over random pairs",
@@ -78,10 +78,10 @@ def main(argv=None) -> int:
         if out is None:
             raise InputError("no output path: pass --out or set 'out' in the config")
         harness.emit(_produce(args, config), args.format, out)
-    except (InputError, DomainError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, OptimizationError) as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from ._lse import _logsumexp
-from .errors import DomainError, InputError, data_array
+from .errors import InputError, data_array
 
 __all__ = [
     "DiscreteDistribution",
@@ -99,7 +99,7 @@ def check_rho_grid(rho_grid) -> np.ndarray:
     if np.any(np.diff(grid) <= 0):
         raise InputError("rho_grid must be strictly increasing")
     if not np.all(grid > 0) or np.any(grid == 1.0):
-        raise DomainError("rho must lie in (0, 1) or (1, inf)")
+        raise InputError("rho must lie in (0, 1) or (1, inf)")
     return grid
 
 
@@ -237,7 +237,7 @@ def renyi_gaussian(a: ScalarGaussian, b: ScalarGaussian, rho: float) -> float:
     masses are only comparable to themselves (divergence 0).
     """
     if not (rho > 0) or rho == 1.0:
-        raise DomainError("rho must lie in (0, 1) or (1, inf)")
+        raise InputError("rho must lie in (0, 1) or (1, inf)")
     if a == b:
         return 0.0
     if a.variance == 0:
@@ -263,9 +263,9 @@ def product_gaussian_divergence(theta_a, theta_b, n: float, rho: float) -> float
     if ta.shape != tb.shape:
         raise InputError(f"shape mismatch: {ta.shape} vs {tb.shape}")
     if not n > 0:
-        raise DomainError("n must be positive")
+        raise InputError("n must be positive")
     if not rho > 0:
-        raise DomainError("rho must be positive")
+        raise InputError("rho must be positive")
     return 0.5 * rho * n * float(np.sum((ta - tb) ** 2))
 
 

@@ -16,16 +16,8 @@ class InputError(VblabError, ValueError):
     """Malformed or inconsistent inputs (shape mismatch, out-of-range index, ...)."""
 
 
-class DomainError(VblabError, ValueError):
-    """Parameter outside the mathematical domain of an operation."""
-
-
 class NumericError(VblabError, ArithmeticError):
-    """A numerical routine failed to reach its accuracy target."""
-
-
-class OptimizationError(VblabError, RuntimeError):
-    """An iterative optimizer diverged or produced an unusable iterate."""
+    """A numerical routine missed its accuracy target, or an optimizer diverged."""
 
 
 def data_array(value, name: str, ndim: int = 1) -> np.ndarray:

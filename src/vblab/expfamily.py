@@ -26,7 +26,7 @@ import numpy as np
 
 from ._lse import _logsumexp_weights
 from ._quadrature import fixed_rule, integrate
-from .errors import InputError, OptimizationError, data_array
+from .errors import InputError, NumericError, data_array
 
 __all__ = [
     "basis_matrix",
@@ -311,7 +311,7 @@ def fit_gaussian_mf(
         sigma = np.exp(log_sigma)
         value, grad_mu, grad_ls = _elbo_terms(mu, sigma, eps, suff, n, sigma0_sq)
         if value < -1e12:
-            raise OptimizationError("ELBO diverged below -1e12")
+            raise NumericError("ELBO diverged below -1e12")
         if value > best_value:
             best_value = value
             best = (mu.copy(), log_sigma.copy())

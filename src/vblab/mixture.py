@@ -22,8 +22,14 @@ without a log(r) pass.  The conjugate updates and the rest of the bound
 need only the per-component sufficient statistics N = sum r, sum r x and
 sum r x^2 (Blei, Kucukelbir & McAuliffe 2017, sec. 3; Bishop 2006,
 sec. 10.2), taken about each sample's mean so that they do not cancel
-when the data sit far from 0.  A row leaves the stack at the sweep where
-its own bound stops moving, and the stack is cut into groups of at most
+when the data sit far from 0.  Every sweep ends at a CAVI point, where
+the digamma-weighted E log w and E log tau terms cancel, so the bound is
+evaluated in that collapsed form.  The first sweep starts from equal
+E log w on the live components: the prior's value is one constant per
+row, which cancels in the responsibilities but swamps them at tiny
+alpha0.  One stopping rule holds for every row: it leaves the stack once
+its own bound moves by at most _TOL relative (absolute below 1), or
+after _MAX_SWEEPS sweeps.  The stack is cut into groups of at most
 _CAVI_CELLS (row, component, point) cells, so neither a row's result nor
 the memory depends on how many rows are fit together.  select_k_batch
 fits every candidate k of every sample this way; cavi_fixed_k and
@@ -41,7 +47,7 @@ to _ETA_MAX = 4, with each over-relaxed sweep that is accepted, which it is
 only if its bound is finite and no lower than the last accepted bound.
 Otherwise the sweep is dropped, eta resets to 1 and the row restarts from
 its last accepted point.  Only accepted bounds enter elbo_trace, every
-sweep counts toward max_sweeps, and a row's last allowed sweep is plain.
+sweep counts toward _MAX_SWEEPS, and a row's last allowed sweep is plain.
 A row that stops before _S0 is plain CAVI, bit for bit.
 """
 
@@ -193,7 +199,7 @@ def _init_centers(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
     return qs + 0.01 * x.std() * rng.standard_normal(k)
 
 
-def _cavi_rows(samples, rows, hyper: MixtureHyper, tol: float, max_sweeps: int, k_max: int):
+def _cavi_rows(samples, rows, hyper: MixtureHyper, k_max: int):
     """Coordinate ascent for a sequence of rows; yields one GMFState per row, in order.
 
     Row (i, k, seed) fits samples[i] with k components, its centers
@@ -201,11 +207,9 @@ def _cavi_rows(samples, rows, hyper: MixtureHyper, tol: float, max_sweeps: int, 
     through the sweep in groups of at most _CAVI_CELLS cells, each padded to
     k_max components, and only one group is held at a time.  A row leaves
     its group at the sweep where its own bound stops moving (or at
-    max_sweeps), so its trace, flag and state do not depend on the rows it
+    _MAX_SWEEPS), so its trace, flag and state do not depend on the rows it
     was grouped with.
     """
-    if max_sweeps < 1:
-        raise InputError("max_sweeps must be at least 1")
     n = samples.shape[1]
     per_group = max(1, _CAVI_CELLS // (n * k_max))
     for lo in range(0, len(rows), per_group):
@@ -217,10 +221,10 @@ def _cavi_rows(samples, rows, hyper: MixtureHyper, tol: float, max_sweeps: int, 
             rng = np.random.default_rng(seed)
             m[row, :kr] = _init_centers(x[row], kr, rng)
             v[row, :kr] = x[row].var() / kr + 1e-6
-        yield from _cavi_group(x, k, m, v, hyper, tol, max_sweeps)
+        yield from _cavi_group(x, k, m, v, hyper)
 
 
-def _cavi_group(x, k, m, v, hyper: MixtureHyper, tol: float, max_sweeps: int):
+def _cavi_group(x, k, m, v, hyper: MixtureHyper):
     """Run one (rows, k_max, n) stack to the end; GMFStates in row order.
 
     Each sweep cycles responsibilities -> q(w) -> q(mu) -> q(tau) and
@@ -232,9 +236,17 @@ def _cavi_group(x, k, m, v, hyper: MixtureHyper, tol: float, max_sweeps: int):
     cancelling when the data sit far from 0; what cancellation is left
     grows with the squared ratio of the sample's range to a component's
     spread.  Padded components keep finite placeholder factors and zero
-    statistics; the live mask drops them from the bound.  From sweep _S0 on
-    the rows still running take the over-relaxed steps of the module
-    docstring; m_s and e_logw_s hold each row's start.
+    statistics; the live mask drops them from the bound.
+
+    Every sweep ends at alpha = alpha0 + N and b = b0 + sum r ((x - mu)^2 + v),
+    where the E log w terms of the bound cancel and its q(tau) terms reduce
+    to gammaln(a) - a log b; the bound is taken in that collapsed form.  The
+    first sweep starts from E log w = 0 on the live components, not from the
+    prior's digamma(alpha0) - digamma(k alpha0), about -1 / alpha0, which is
+    one constant per row but swamps the responsibilities at tiny alpha0.
+    _TOL and _MAX_SWEEPS stop each row.  From sweep _S0 on the rows still
+    running take the over-relaxed steps of the module docstring; m_s and
+    e_logw_s hold each row's start.
     """
     from scipy.special import digamma, gammaln
 
@@ -251,20 +263,19 @@ def _cavi_group(x, k, m, v, hyper: MixtureHyper, tol: float, max_sweeps: int):
     a0, b0, alpha0, s0 = hyper.a0, hyper.b0, hyper.alpha0, hyper.sigma0_sq
     # q(tau) has shape a0 + n / 2 after the first cycle, whatever the data
     a = a0 + 0.5 * n
-    dg_a = digamma(a)
     # the terms of the bound that are fixed per row: the normalizers of the
-    # priors on w (Dir(alpha0) on the row's k components) and tau, and the
-    # parts of the entropy of q(tau) that do not involve its rate
+    # priors on w (Dir(alpha0) on the row's k components) and tau, gammaln(a)
+    # from the entropy of q(tau), and the constant of the likelihood
     fixed = (
         gammaln(k * alpha0) - k * gammaln(alpha0)
         + a0 * math.log(b0) - gammaln(a0)
-        + a + gammaln(a) + (1.0 - a) * dg_a
+        + gammaln(a) - 0.5 * n * math.log(math.pi)
     )
     log_mu0 = -0.5 * math.log(2 * math.pi * s0)
 
     alpha = np.full((rows, k_max), alpha0)
     e_tau = np.full((rows, 1), a0 / b0)
-    e_logw = digamma(alpha) - digamma((alpha * live).sum(axis=1))[:, None]
+    e_logw = np.zeros((rows, k_max))
     # a sweep starts from (m_s, v, e_tau, e_logw_s); (m, v, alpha, e_tau, e_logw)
     # is the last accepted CAVI point, and eta the factor each row's start was
     # over-relaxed by (1 for a plain sweep, which starts at that point)
@@ -272,7 +283,7 @@ def _cavi_group(x, k, m, v, hyper: MixtureHyper, tol: float, max_sweeps: int):
     eta = np.ones((rows, 1))
     traces = [[] for _ in range(rows)]
     out = [None] * rows
-    for sweep in range(max_sweeps):
+    for sweep in range(_MAX_SWEEPS):
         A = e_logw_s - e_tau * (m_s * m_s + v)
         B = 2.0 * e_tau * m_s
         prev = m, v, alpha, e_tau, e_logw  # the last accepted CAVI point
@@ -285,37 +296,22 @@ def _cavi_group(x, k, m, v, hyper: MixtureHyper, tol: float, max_sweeps: int):
         v = 1.0 / (1.0 / s0 + 2.0 * e_tau * N)
         mu = 2.0 * e_tau * (S1 + c * N) * v  # sum r x = S1 + c N
         m = mu - c
-        rdelta = (S2 - 2.0 * m * S1 + (m * m + v) * N).sum(axis=1)  # sum r ((x - mu)^2 + v)
-        b = b0 + rdelta
+        b = b0 + (S2 - 2.0 * m * S1 + (m * m + v) * N).sum(axis=1)  # + sum r ((x - mu)^2 + v)
 
         # the expectations under the new factors, which the next sweep reuses
-        log_b = np.log(b)
         e_tau = (a / b)[:, None]
-        e_logtau = dg_a - log_b
         alpha_hat = (alpha * live).sum(axis=1)
-        dg_alpha, dg_hat = digamma(alpha), digamma(alpha_hat)
-        e_logw = dg_alpha - dg_hat[:, None]
+        e_logw = digamma(alpha) - digamma(alpha_hat)[:, None]
 
-        # per component: E log p(z, w) + E log p(mu) + H[q(w)] + H[q(mu)] terms
+        # per component: E log p(mu) + H[q(mu)] + the q(w) normalizer
         per_k = (
-            (N + alpha0 - 1.0) * e_logw
-            + log_mu0 - (mu * mu + v) / (2 * s0)
-            + gammaln(alpha) - (alpha - 1.0) * dg_alpha
+            gammaln(alpha) + log_mu0 - (mu * mu + v) / (2 * s0)
             + 0.5 * np.log(2 * math.pi * math.e * v)
         )
-        t = e_tau[:, 0]
-        elbo = (
-            fixed
-            + (per_k * live).sum(axis=1)
-            + n * (0.5 * e_logtau - 0.5 * math.log(math.pi)) - t * rdelta  # E log p(x | z, mu, tau)
-            + (a0 - 1.0) * e_logtau - b0 * t  # E log p(tau)
-            - gammaln(alpha_hat) + (alpha_hat - k) * dg_hat  # H[q(w)]
-            - log_b  # H[q(tau)]
-            + h_assign
-        )
+        elbo = fixed + (per_k * live).sum(axis=1) - gammaln(alpha_hat) - a * np.log(b) + h_assign
 
         if sweep:
-            stop = np.abs(elbo - last) <= tol * np.maximum(1.0, np.abs(elbo))
+            stop = np.abs(elbo - last) <= _TOL * np.maximum(1.0, np.abs(elbo))
         else:
             stop = np.zeros(ids.size, dtype=bool)
         stand = np.ones(ids.size, dtype=bool)
@@ -332,7 +328,7 @@ def _cavi_group(x, k, m, v, hyper: MixtureHyper, tol: float, max_sweeps: int):
         last = elbo
         for i, value in zip(ids[stand], elbo[stand].tolist()):
             traces[i].append(value)
-        done = stop | (sweep + 1 == max_sweeps)
+        done = stop | (sweep + 1 == _MAX_SWEEPS)
         for j in np.flatnonzero(done):
             kj, i = int(k[j]), ids[j]
             out[i] = GMFState(
@@ -359,7 +355,7 @@ def _cavi_group(x, k, m, v, hyper: MixtureHyper, tol: float, max_sweeps: int):
                 m[keep], v[keep], alpha[keep], e_tau[keep], e_logw[keep], fixed[keep], last[keep]
             )
             m_prev, alpha_prev, eta = m_prev[keep], alpha_prev[keep], eta[keep]
-        if sweep >= _S0 and sweep + 2 < max_sweeps:
+        if sweep >= _S0 and sweep + 2 < _MAX_SWEEPS:
             # theta + eta (theta_C - theta) from the two last accepted points.  Stepping
             # from the over-relaxed start instead would grow by (1 - eta) per sweep the
             # directions the sweep pins, such as a well-separated component's mean,
@@ -380,8 +376,6 @@ def cavi_fixed_k(
     k: int,
     hyper: MixtureHyper = MixtureHyper(),
     seed: Union[int, np.random.Generator] = 0,
-    tol: float = _TOL,
-    max_sweeps: int = _MAX_SWEEPS,
 ) -> GMFState:
     """Conjugate coordinate ascent at a fixed component count.
 
@@ -394,7 +388,7 @@ def cavi_fixed_k(
     if k < 1:
         raise InputError("k must be at least 1")
     k = int(k)
-    return next(_cavi_rows(x, [(0, k, seed)], hyper, tol, max_sweeps, k))
+    return next(_cavi_rows(x, [(0, k, seed)], hyper, k))
 
 
 def select_k_batch(
@@ -420,7 +414,7 @@ def select_k_batch(
     if len(seeds) != x.shape[0]:
         raise InputError(f"need one seed per sample, got {len(seeds)} for {x.shape[0]}")
     rows = [(rep, k, derive_seed(seed, k)) for rep, seed in enumerate(seeds) for k in cands]
-    states = _cavi_rows(x, rows, hyper, _TOL, _MAX_SWEEPS, cands[-1])
+    states = _cavi_rows(x, rows, hyper, cands[-1])
     out = []
     for _ in seeds:  # each sample's candidates come out together, in increasing k
         best = None

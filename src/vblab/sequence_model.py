@@ -76,11 +76,12 @@ class GaussianCoordinates:
         W(y) = integral of f(t) exp(-n (t - y)^2 / 2) dt; the Gaussian
         convolution gives W = (1 + n s)^{-1/2} exp(-y^2 / (2 (s + 1/n)))
         with s the prior variance, so the ratio is computed without
-        cancellation.
+        cancellation.  A scalar y gives a float.
         """
-        y = np.asarray(y, dtype=float)
+        v = data_array(np.atleast_1d(y), "y")
         ns = n * self.sigma0_sq
-        return -0.5 * math.log1p(ns) + 0.5 * n * y**2 * (ns / (ns + 1.0))
+        out = -0.5 * math.log1p(ns) + 0.5 * n * v**2 * (ns / (ns + 1.0))
+        return out if np.ndim(y) else float(out[0])
 
     def tilt(self, y: float, n: float) -> ScalarGaussian:
         """The prior coordinate reweighted by the Gaussian likelihood at y."""

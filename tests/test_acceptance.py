@@ -390,7 +390,7 @@ def test_criterion_11_exponential_family():
     )
 
 
-def test_criterion_12_mixture_cavi():
+def test_criterion_12_mixture_cavi(monkeypatch):
     """Monotone bound on 50 runs; k=1 conjugate fixed point at 1e-6;
     component recovery at the recorded seed; Hellinger trend 200 -> 1600."""
     rng = np.random.default_rng(MASTER_SEED)
@@ -407,7 +407,10 @@ def test_criterion_12_mixture_cavi():
 
     x1 = np.random.default_rng(0).normal(0.3, 1.0 / math.sqrt(2.0), size=200)
     hyper = mixture.MixtureHyper(sigma0_sq=4.0, alpha0=1.0, a0=2.0, b0=1.0)
-    state1 = mixture.cavi_fixed_k(x1, 1, hyper, seed=1, tol=1e-13, max_sweeps=5000)
+    with monkeypatch.context() as patch:
+        patch.setattr(mixture, "_TOL", 1e-13)
+        patch.setattr(mixture, "_MAX_SWEEPS", 5000)
+        state1 = mixture.cavi_fixed_k(x1, 1, hyper, seed=1)
     e_tau = state1.tau_shape / state1.tau_rate
     prec = 1.0 / hyper.sigma0_sq + 2.0 * e_tau * x1.size
     ok_conjugate = (

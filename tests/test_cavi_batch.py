@@ -157,7 +157,7 @@ def test_batch_matches_per_fit_loop(seed, n, reps):
             assert_matches(mixture.cavi_fixed_k(x, k, HYPER, seed=derive_seed(fit_seed, k)), fit)
 
 
-def test_fixed_k_matches_on_mixed_stacks():
+def test_fixed_k_matches_on_mixed_stacks(monkeypatch):
     # three-component truth, uneven weights, and tolerances and sweep caps away from the defaults
     truth = MixtureModel(3, np.array([-2.0, 0.5, 2.5]), np.array([0.2, 0.5, 0.3]), 0.9)
     rng = np.random.default_rng(11)
@@ -165,8 +165,10 @@ def test_fixed_k_matches_on_mixed_stacks():
         x = mixture.sample_mixture(truth, int(rng.integers(20, 300)), seed=rng)
         k = int(rng.integers(1, 6))
         tol, max_sweeps = (1e-8, 1000) if run % 3 else (1e-11, 40)
+        monkeypatch.setattr(mixture, "_TOL", tol)
+        monkeypatch.setattr(mixture, "_MAX_SWEEPS", max_sweeps)
         hyper = MixtureHyper(sigma0_sq=2.0, alpha0=0.7, a0=1.5, b0=0.5, xi0=3.0)
-        state = mixture.cavi_fixed_k(x, k, hyper, seed=run, tol=tol, max_sweeps=max_sweeps)
+        state = mixture.cavi_fixed_k(x, k, hyper, seed=run)
         assert_matches(state, ref_cavi(x, k, hyper, run, tol, max_sweeps))
 
 
@@ -184,10 +186,11 @@ def test_data_far_from_zero(sigma0_sq):
         assert_matches(state, ref_fit)
 
 
-def test_unconverged_rows_stop_at_max_sweeps():
+def test_unconverged_rows_stop_at_max_sweeps(monkeypatch):
     samples, seeds = stack(4, 300, 2)
+    monkeypatch.setattr(mixture, "_MAX_SWEEPS", 7)
     for x, seed in zip(samples, seeds):
-        state = mixture.cavi_fixed_k(x, 4, HYPER, seed=seed, max_sweeps=7)
+        state = mixture.cavi_fixed_k(x, 4, HYPER, seed=seed)
         assert len(state.elbo_trace) == 7 and not state.converged
         assert_matches(state, ref_cavi(x, 4, HYPER, seed, max_sweeps=7))
 
@@ -200,7 +203,7 @@ def plain(monkeypatch):
 def fit_rows(samples, seeds, candidates):
     rows = [(i, k, derive_seed(s, k)) for i, s in enumerate(seeds) for k in candidates]
     k_max = max(candidates)
-    return list(mixture._cavi_rows(samples, rows, HYPER, mixture._TOL, mixture._MAX_SWEEPS, k_max))
+    return list(mixture._cavi_rows(samples, rows, HYPER, k_max))
 
 
 @pytest.mark.parametrize("seed,n,reps", [(0, 200, 3), (2, 60, 4), (10, 800, 2)])
@@ -292,11 +295,11 @@ def test_padded_components_are_inert(monkeypatch):
 
     mixture_lse = mixture._logsumexp_weights
     monkeypatch.setattr(mixture, "_logsumexp_weights", recording)
-    padded = list(mixture._cavi_rows(samples, rows, HYPER, 1e-8, 1000, 4))
+    padded = list(mixture._cavi_rows(samples, rows, HYPER, 4))
     monkeypatch.undo()
     assert weights and all(r.shape[1] == 4 and not r[:, 2:].any() for r in weights)
     for (i, k, seed), state in zip(rows, padded):
-        alone = next(mixture._cavi_rows(samples, [(i, k, seed)], HYPER, 1e-8, 1000, k))
+        alone = next(mixture._cavi_rows(samples, [(i, k, seed)], HYPER, k))
         assert state.responsibilities.shape == (250, k)
         np.testing.assert_allclose(state.responsibilities.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert_same(state, alone, rtol=1e-12, atol=1e-15)
@@ -336,8 +339,6 @@ def test_batch_input_checks():
     bad[1, 3] = np.nan
     with pytest.raises(InputError):
         mixture.select_k_batch(bad, CANDIDATES, HYPER, seeds)
-    with pytest.raises(InputError):
-        mixture.cavi_fixed_k(samples[0], 2, max_sweeps=0)
 
 
 def _fit_peak(reps):

@@ -112,6 +112,15 @@ class TestMeanField:
         np.testing.assert_allclose(post.variances, 0.5, atol=1e-3)
 
 
+@pytest.mark.parametrize("sigma", [1e-160, 4.6e-261])
+def test_mean_field_moments_at_tiny_sigma(sigma):
+    # the standardized edges (lo - x) / sigma overflow when squared
+    prior = MarkovSitePrior(0.5, UniformDensity(-2.0, 2.0))
+    post = fit_mean_field(np.array([0.5, -0.3, 1.0]), sigma, prior)
+    assert np.all(np.isfinite(post.means))
+    assert np.all((post.means >= -2.0) & (post.means <= 2.0))
+    assert np.all(post.variances >= 0.0)
+
 def PiecewiseSignalZero(n):
     from vblab.changepoint import PiecewiseSignal
 

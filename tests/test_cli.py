@@ -360,6 +360,20 @@ def test_gsm_rate_runs_at_large_alpha(tmp_path):
     assert len(rows) == 3 and all(math.isfinite(row["mean_risk"]) for row in rows)
 
 
+
+def test_mix_fit_recovers_the_truth_at_tiny_alpha0(tmp_path):
+    # at alpha0 = 1e-30 the prior's E log w is about -1e30; a first sweep started
+    # from it would swamp the responsibilities and merge every fit into one component
+    payload = json.loads((REPO / "configs" / "mix_fit.json").read_text())
+    payload["replications"] = 4
+    payload["params"]["hyper"] = {"alpha0": 1e-30}
+    cfg = write_config(tmp_path, "mix.json", payload)
+    out = tmp_path / "mix.json.out"
+    assert main(["mix-fit", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    rows = json.loads(out.read_text())
+    assert [row["n"] for row in rows] == payload["n_grid"]
+    assert all(row["mean_risk"] < 0.01 for row in rows), rows
+
 # Keys whose values set an experiment's size: a mutation never draws a larger
 # value for them than SMALL_CONFIGS has, so no example allocates more than a few MB.
 SIZE_KEYS = {"n_grid", "replications", "G"}

@@ -20,7 +20,7 @@ from vblab.divergences import (
     renyi_monotonicity_check,
     tv_discrete,
 )
-from vblab.errors import DomainError, InputError
+from vblab.errors import InputError
 
 
 def dd(*probs):
@@ -82,7 +82,7 @@ class TestRenyiDiscrete:
 
     @pytest.mark.parametrize("rho", [0.0, 1.0, -2.0])
     def test_rejects_bad_rho(self, rho):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             renyi_discrete(dd(0.5, 0.5), dd(0.5, 0.5), rho)
 
     def test_rejects_length_mismatch(self):
@@ -163,7 +163,7 @@ class TestRenyiGaussian:
             assert renyi_gaussian(ScalarGaussian(0.0, 1.0), ScalarGaussian(0.0, 0.0), rho) == math.inf
 
     def test_rejects_rho_one(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             renyi_gaussian(ScalarGaussian(0, 1), ScalarGaussian(1, 1), 1.0)
 
 

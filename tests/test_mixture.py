@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from vblab import mixture
 from vblab.errors import InputError
 from vblab.mixture import (
     GMFState,
@@ -79,11 +80,13 @@ class TestMixturePdf:
 
 
 class TestCavi:
-    def test_single_component_matches_conjugate_fixed_point(self):
+    def test_single_component_matches_conjugate_fixed_point(self, monkeypatch):
         rng = np.random.default_rng(0)
         x = rng.normal(0.3, 1.0 / math.sqrt(2.0), size=200)
         hyper = MixtureHyper(sigma0_sq=4.0, alpha0=1.0, a0=2.0, b0=1.0)
-        state = cavi_fixed_k(x, 1, hyper, seed=1, tol=1e-13, max_sweeps=5000)
+        monkeypatch.setattr(mixture, "_TOL", 1e-13)
+        monkeypatch.setattr(mixture, "_MAX_SWEEPS", 5000)
+        state = cavi_fixed_k(x, 1, hyper, seed=1)
         assert state.converged
         # with k=1, the mean factor must equal the exact Gaussian posterior
         # conditioned on the fitted mean precision E[tau]
@@ -127,6 +130,18 @@ class TestCavi:
             state.hyper.alpha0 + state.responsibilities.sum(axis=0),
             atol=1e-10,
         )
+
+    def test_tiny_alpha0_keeps_two_components(self):
+        # E log w = digamma(1e-30) - digamma(3e-30) is one constant per row, about
+        # -1e30; a first sweep started from it would swamp the responsibilities
+        model = MixtureModel(2, np.array([-3.0, 3.0]), np.array([0.5, 0.5]), 0.5)
+        x = sample_mixture(model, 400, seed=0)
+        state = cavi_fixed_k(x, 3, MixtureHyper(alpha0=1e-30), seed=1)
+        counts = state.responsibilities.sum(axis=0)
+        assert np.sum(counts > 1.0) == 2 and np.sum(counts) == pytest.approx(400.0)
+        trace = np.asarray(state.elbo_trace)
+        assert np.all(np.isfinite(trace))
+        assert np.diff(trace).min() >= -1e-9
 
     def test_empty_data_rejected(self):
         with pytest.raises(InputError):

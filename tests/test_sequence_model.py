@@ -83,6 +83,20 @@ class TestCoordinateEvidence:
                 quad_log_evidence(y, n, 0.7), abs=1e-7
             )
 
+    @pytest.mark.parametrize(
+        "y", [math.nan, [0.1, math.nan], [[0.5]]], ids=["nan", "nan-in-array", "2-d"]
+    )
+    def test_gaussian_ratio_rejects_bad_y(self, y):
+        with pytest.raises(InputError, match="y must be"):
+            GaussianCoordinates(1.0).log_evidence_ratio(y, 4.0)
+
+    def test_gaussian_ratio_keeps_the_shape_of_y(self):
+        fam = GaussianCoordinates(1.0)
+        assert isinstance(fam.log_evidence_ratio(0.1, 4.0), float)
+        ratios = fam.log_evidence_ratio([0.1, 0.2], 4.0)
+        assert ratios.shape == (2,)
+        assert ratios[0] == fam.log_evidence_ratio(0.1, 4.0)
+
     def test_index_validated(self):
         prior = gaussian_prior(K_max=3, tau=1.0)
         with pytest.raises(InputError):
