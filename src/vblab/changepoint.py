@@ -20,13 +20,13 @@ the diagonal and p g_b off it for the per-site prior, 1 and e^lambda g_b
 for the tangent sweep.  One scaled linear-space smoother (_smooth) runs
 forward-backward on that structure in O(nG) time and memory, as in the
 change-point recursions of Fearnhead (2006), over a batch of datasets at
-once.  It builds the emissions in blocks of sites, from the last block
-back.  grid_posterior and fit_markov_vb are its single-dataset case, one
-block of all n sites that becomes GridChain.weights; markov_chain_risks
-is its batched one, every replication in a single pass over blocks
-capped by a cell count, so the emissions it holds do not grow with n or
-R.  GridChain keeps the O(nG) output and derives marginals, pairwise
-tables and samples from it on demand.
+once.  Messages keep the datasets on the contiguous axis, the expected
+loss rides under the backward message as an unnormalized second row,
+and each site applies the kernel once to both.  grid_posterior and
+fit_markov_vb are its single-dataset case, whose one block of sites
+becomes GridChain.weights; markov_chain_risks is its batched one, its
+emissions built in site blocks capped by a cell count.  GridChain
+derives marginals, pairwise tables and samples from it on demand.
 
 A dynamic-programming least-squares segmenter is included as the
 frequentist baseline.
@@ -146,10 +146,7 @@ def make_piecewise_signal(
         raise InputError("need 1 <= k_star <= n")
     if not 0 < amplitude <= 1:
         raise InputError("amplitude must lie in (0, 1]")
-    if k_star == 1:
-        levels = np.array([amplitude * B])
-    else:
-        levels = amplitude * B * (-1.0) ** np.arange(k_star)
+    levels = amplitude * B * (-1.0) ** np.arange(k_star)
     edges = np.linspace(0, n, k_star + 1).astype(int)
     values = np.empty(n)
     for seg in range(k_star):
@@ -296,10 +293,10 @@ class CoordinatewisePosterior:
 def _truncnorm_moments(x: np.ndarray, sigma: float, lo: float, hi: float):
     from scipy.special import ndtr
 
-    # past |t| = 40, phi(t) and ndtr(-t) are 0 and ndtr(t) is 1 in floats, so
-    # clipping the edges there changes no result and keeps their squares finite
-    a = np.clip((lo - x) / sigma, -40.0, 40.0)
-    b = np.clip((hi - x) / sigma, -40.0, 40.0)
+    # past |t| = 40, phi(t) and ndtr(-t) are 0 and ndtr(t) is 1 in floats, so clipping
+    # the edges there (an infinite one too) changes no result and keeps their squares finite
+    with np.errstate(over="ignore"):
+        a, b = (np.clip((edge - x) / sigma, -40.0, 40.0) for edge in (lo, hi))
     phi_a = np.exp(-0.5 * a * a) / math.sqrt(2 * math.pi)
     phi_b = np.exp(-0.5 * b * b) / math.sqrt(2 * math.pi)
     z = np.maximum(ndtr(b) - ndtr(a), 1e-300)
@@ -352,8 +349,7 @@ _TINY = np.finfo(float).tiny
 # relative (absolute below 1), or after _MAX_SWEEPS sweeps.
 _TOL = 1e-8
 _MAX_SWEEPS = 500
-# markov_chain_risks streams each emission block of at most _SMOOTH_CELLS
-# (site, replication, value) cells through the smoother.
+# markov_chain_risks streams emission blocks of at most _SMOOTH_CELLS (site, value, replication) cells.
 _SMOOTH_CELLS = 1 << 18
 
 
@@ -385,15 +381,13 @@ class GridChain:
 
     Step i -> i+1 moves from value a to value b with probability
     proportional to K(a, b) * weights[i, b], where the kernel K, the same
-    for every step, is stay[b] on the diagonal and move[b] off it (a
-    diagonal plus rank-one kernel; each factor is a scalar or one (G,)
-    row).  Under the per-site change prior the kernel is (1-p) + p g_b
-    on the diagonal and p g_b off it; the tangent sweep of fit_markov_vb
-    uses 1 on the diagonal and e^lambda g_b off it.  The weights are the
-    backward weights of the smoother: the emission at site i+1 times its
-    backward message.  Marginals, pairwise tables, change counts and
-    samples are derived on demand in O(G) per step; the dense
-    log_transitions tensor is built only when asked for.
+    for every step, is stay[b] on the diagonal and move[b] off it (each
+    a scalar or one (G,) row): (1-p) + p g_b and p g_b under the per-site
+    change prior, 1 and e^lambda g_b in the tangent sweep of fit_markov_vb.
+    The weights are the backward weights of the smoother: the emission at
+    site i+1 times its backward message.  Marginals, pairwise tables,
+    change counts and samples are derived on demand in O(G) per step; the
+    dense log_transitions tensor is built only when asked for.
     """
 
     grid: np.ndarray
@@ -494,61 +488,61 @@ def _smooth(
     The unnormalized chain of dataset r (row r of X, shape (R, n)) is
         exp(log_first[x_0] + e_0[x_0]) * prod_i K(x_i, x_{i+1}) exp(e_{i+1}[x_{i+1}])
     with the Gaussian log emissions e_i = -(grid - X[r, i])^2 / 2 sigma^2
-    and K equal to stay[b] on the diagonal and move[b] off it (a (G,)
-    row or a scalar, the same for every step).  The emissions are built
-    and read in blocks of `block` sites (all n at once when None), from
-    the last block back to the first, so with site_loss the pass holds
-    O(block R G) emissions whatever n is.  Each emission row is shifted
-    to a maximum of one and each backward message rescaled to sum one, so
-    the pass runs in linear space at O(G) per site with log Z accumulated
-    from the scales.
+    and K equal to stay[b] on the diagonal and move[b] off it (a (G,) row
+    or a scalar).  Emissions are built in blocks of `block` sites (all n
+    when None) from the last block back, O(block G R) at a time.  Messages,
+    stay and move are (G, R), datasets on the contiguous axis, so each op
+    runs one long inner loop.  Emission rows peak at one and beta is
+    rescaled to sum one, log Z accumulating the scales.  With site_loss
+    (n, G), U is stacked on beta: beta times the loss still expected given
+    the current value, unnormalized.  Each site adds beta * site_loss to
+    U, multiplies both rows by the emission, applies the kernel once and
+    divides both by the sum of beta, never by beta itself.
 
-    With site_loss (n, G), a second backward message carries the expected
-    loss still to come given the current value, so the same pass also
-    returns E sum_i site_loss[i, x_i] without any forward pass.
-
-    Returns (first-site marginals (R, G), the backward weights of the
-    steps into sites 1.. of the block read last -- all n-1 steps, (n-1,
-    R, G), when one block holds every site --, log Z (R,), expected loss
-    (R,) or None); the weights with stay and move define each GridChain.
+    Returns (first-site marginals (G, R), the step weights of the last
+    block read -- all n-1 steps, (n-1, G, R), for one block without
+    site_loss --, log Z (R,), the expected loss sum_G U (R,) or None).
     """
     R, n = X.shape
     block = n if block is None else block
-    beta = np.ones((R, grid.size))
-    to_come = None if site_loss is None else np.zeros_like(beta)
-    log_z = None
+    stay, move = (np.broadcast_to(np.reshape(f, (-1, 1)), (grid.size, R)).copy() for f in (stay, move))
+    beta = M = np.ones((grid.size, R))
+    if site_loss is not None:  # U under beta: no loss is to come after the last site
+        M = np.stack((beta, np.zeros_like(beta)))
+        beta = M[0]
+    log_z = 0.0
     for hi in range(n, 0, -block):
         lo = max(0, hi - block)
-        emis = _log_emissions(X[:, lo:hi], sigma, grid)  # (hi - lo, R, G)
-        shift = emis.max(axis=2, keepdims=True)
+        emis = _log_emissions(X[:, lo:hi], sigma, grid)  # (hi - lo, G, R)
+        shift = emis.max(axis=1, keepdims=True)
         if not np.isfinite(shift).all():
             raise NumericError("an observation is beyond reach of every grid value")
         emis -= shift
         np.exp(emis, out=emis)
         scales = np.empty(shift.shape)  # one per site: site s closes step s - 1
-        for s in range(hi - 1, max(lo, 1) - 1, -1):
-            w = emis[s - lo]
-            w *= beta  # the emission slot now holds the backward weight of step s - 1
-            st, mv, beta = _step_factors(stay, move, w)
-            if to_come is not None:
-                # the kernel applied to w * loss, with w already folded into st and mv
-                _, _, to_come = _step_factors(st, mv, site_loss[s] + to_come)
-                to_come /= np.maximum(beta, _TINY)  # a zero row sum means an unreachable value
-            beta /= beta.sum(axis=1, keepdims=True, out=scales[s - lo])
-        if lo == 0:
-            first = np.exp(log_first) * emis[0] * beta
-            first /= first.sum(axis=1, keepdims=True, out=scales[0])
-        part = (shift + np.log(scales)).sum(axis=0)[:, 0]
-        log_z = part if log_z is None else log_z + part
+        for s in range(hi - 1, lo - 1, -1):
+            e = emis[s - lo]
+            if s == 0:
+                e *= np.exp(log_first)[:, None]
+            if site_loss is not None:
+                M[1] += beta * site_loss[s][:, None]
+            # alone, beta times the emission is the weight of step s - 1 and stays in its slot
+            P = np.multiply(M, e, out=e if M is beta and s > 0 else M)
+            if s > 0:  # the kernel as stay P + (sum_G move P - move P), every term non-negative
+                mv = move * P
+                np.subtract(mv.sum(axis=-2, keepdims=True), mv, out=mv)
+                np.multiply(P, stay, out=M)
+                M += mv
+            M /= beta.sum(axis=0, keepdims=True, out=scales[s - lo])
+        log_z += (shift + np.log(scales)).sum(axis=0)[0]
     if not np.all(np.isfinite(log_z)):
         raise NumericError("chain smoother underflowed: the data are impossible under the prior")
-    loss = None if to_come is None else np.einsum("rg,rg->r", first, site_loss[0] + to_come)
-    return first, emis[1:], log_z, loss
+    return beta, emis[1:], log_z, None if site_loss is None else M[1].sum(axis=0)
 
 
 def _log_emissions(X: np.ndarray, sigma: float, grid: np.ndarray) -> np.ndarray:
-    """-(t - X)^2 / 2 sigma^2 on the grid, (n, R, G) for a batch X of shape (R, n)."""
-    out = grid - X.T[:, :, None]
+    """-(t - X)^2 / 2 sigma^2 on the grid, (n, G, R) for a batch X of shape (R, n)."""
+    out = grid[:, None] - X.T[:, None, :]
     with np.errstate(over="ignore"):  # a square beyond float range takes its -inf limit
         out /= sigma
         np.square(out, out=out)
@@ -586,8 +580,8 @@ def _single_chain(X: np.ndarray, sigma: float, grid: np.ndarray, log_first: np.n
     """The smoother's GridChain and log Z for one dataset X (n,), read as one block of all n sites."""
     first, weights, log_z, _ = _smooth(log_first, X[None, :], sigma, grid, stay, move)
     with np.errstate(divide="ignore"):
-        log_initial = np.log(first[0])
-    chain = GridChain(grid=grid, log_initial=log_initial, stay=stay, move=move, weights=weights[:, 0])
+        log_initial = np.log(first[:, 0])
+    chain = GridChain(grid=grid, log_initial=log_initial, stay=stay, move=move, weights=weights[:, :, 0])
     return chain, float(log_z[0])
 
 
@@ -637,23 +631,15 @@ def fit_markov_vb(
     w = prior.pattern_weight()
     slopes = np.diff(w)  # subgradients of the piecewise-linear extension
     counts = np.arange(n, dtype=float)
-
     log_g = _grid_pmf(prior.value_density, grid)
-
-    def conjugate(lam: float) -> float:
-        return float(np.max(lam * counts - w))
-
     c_bar = float(np.dot(np.exp(prior.log_dimension_weights), counts))
-    trace = []
-    chain = None
-    prev = math.inf
-    converged = False
+    trace, chain, prev, converged = [], None, math.inf, False
     for _ in range(_MAX_SWEEPS):
         # a single site has no change to tilt, and its objective is final
         lam = float(slopes[min(int(c_bar), n - 2)]) if n > 1 else 0.0
         # pairwise factor: copy on the diagonal, lam + fresh-draw weight off it
         chain, log_z = _single_chain(X, sigma, grid, log_g, 1.0, np.exp(lam + log_g))
-        objective = -log_z + conjugate(lam)
+        objective = -log_z + float(np.max(lam * counts - w))  # plus the conjugate of w at lam
         trace.append(objective)
         if n == 1 or abs(prev - objective) <= _TOL * max(1.0, abs(objective)):
             converged = True
@@ -673,15 +659,13 @@ def markov_chain_risks(
     """E_Q ||theta - theta*||^2 under grid_posterior for each row of an (R, n) batch of datasets.
 
     Streaming evaluator for the rate experiments: the smoother of
-    grid_posterior, run on all R replications in one backward pass (R x G
-    rows per step), with the risk carried as a second backward message
-    instead of building one GridChain per dataset.  The emissions stream
-    through in site blocks of at most _SMOOTH_CELLS (site, replication,
-    value) cells (one site at the least), so the emissions held at once
-    stay bounded whatever n and R are.  Grid values outside the
-    support of the value density are dropped first: neither the first
-    site nor a change can land on them, so their posterior mass is exactly
-    zero.  Agreement with grid_posterior is pinned by tests.
+    grid_posterior run on all R replications in one backward pass, with
+    the risk as a second message instead of one GridChain per dataset.
+    The emissions stream through in site blocks of at most _SMOOTH_CELLS
+    (site, value, replication) cells, bounded whatever n and R are.  Grid
+    values outside the support of the value density are dropped first:
+    neither the first site nor a change can land on them, so their
+    posterior mass is exactly zero.  Tests pin agreement with grid_posterior.
     """
     X_batch = data_array(X_batch, "X_batch", 2)
     R, n = X_batch.shape
@@ -691,9 +675,10 @@ def markov_chain_risks(
     log_g, stay, move = _site_kernel(prior, grid)
     live = np.isfinite(log_g)
     grid, log_g, stay, move = grid[live], log_g[live], stay[live], move[live]
-    sq_err = (grid[None, :] - signal.values[:, None]) ** 2  # (n, G)
     block = max(1, _SMOOTH_CELLS // (R * grid.size))
-    return _smooth(log_g, X_batch, sigma, grid, stay, move, site_loss=sq_err, block=block)[3]
+    return _squared_error_risk(
+        grid, signal.values, lambda sq_err: _smooth(log_g, X_batch, sigma, grid, stay, move, sq_err, block)[3]
+    )
 
 
 def change_count_distribution(chain: GridChain) -> np.ndarray:
@@ -720,14 +705,29 @@ def change_count_distribution(chain: GridChain) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _squared_error_risk(grid: np.ndarray, theta: np.ndarray, expected):
+    """expected(sq_err) for sq_err = (grid - theta)^2, (n, G), in units of 4^e.
+
+    2^e >= max|grid| + max|theta| keeps each scaled error below one; powers
+    of two scale exactly.  A risk beyond float range is a NumericError.
+    """
+    e = max(math.frexp(float(np.max(np.abs(v))))[1] for v in (grid, theta)) + 1
+    scaled = expected((np.ldexp(grid, -e)[None, :] - np.ldexp(theta, -e)[:, None]) ** 2)
+    with np.errstate(over="ignore"):
+        out = np.ldexp(scaled, 2 * e)
+    if not np.all(np.isfinite(out)):
+        raise NumericError("the expected squared error is beyond float range")
+    return out
+
+
 def risk(Q: Union[GridChain, CoordinatewisePosterior], signal: PiecewiseSignal) -> float:
     """E_Q ||theta - theta*||^2 for either posterior representation."""
     theta = signal.values
     if isinstance(Q, GridChain):
         if Q.n_sites != theta.size:
             raise InputError(f"chain has {Q.n_sites} sites, signal has {theta.size}")
-        m = Q.marginals()
-        return float(np.sum(m * (Q.grid[None, :] - theta[:, None]) ** 2))
+        m = Q.marginals()  # before the errors: its forward pass sets the peak
+        return float(_squared_error_risk(Q.grid, theta, lambda sq_err: np.sum(m * sq_err)))
     if isinstance(Q, CoordinatewisePosterior):
         if len(Q) != theta.size:
             raise InputError(f"posterior has {len(Q)} sites, signal has {theta.size}")

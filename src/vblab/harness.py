@@ -380,7 +380,10 @@ class ModelSpec:
     ``runner`` maps (parsed params, n, rngs) to the metrics of one n's
     replications, each drawn from its own rng only, so the table does not
     depend on batching: pc_markov_chain and mixture_hellinger stack their
-    fits, the others run through _per_replication.  None means no table.
+    fits, the others run through _per_replication.  The one exception is
+    rounding: pc_markov_chain sums a replication over the grid in one
+    order alone and in another within a batch, which moves its risk by
+    less than 1e-12 relative.  None means no table.
     ``report`` names the function of this module that ``command`` emits
     instead of a table.  ``defaults`` is the params schema, with the
     domains _conform checks declared next to their defaults.

@@ -182,6 +182,35 @@ class TestSitePrior:
             assert read == blocks
             np.testing.assert_allclose(batch, one_by_one, rtol=TOL)
 
+    def test_batched_risk_with_underflowing_emissions(self):
+        # at sigma = 0.05 most emissions underflow to 0, and with them the weight
+        # emission * beta of most values; the stacked loss row never divides by beta
+        n, R, sigma, B = 1024, 20, 0.05, 1.25
+        grid = make_grid(B, sigma, 64)
+        signal = snap_to_grid(make_prefix_signal(n, 4, B, seg_len=20, amplitude=0.9), grid)
+        prior = MarkovSitePrior(1.0 / n, UniformDensity(-B - 1, B + 1))
+        X = signal.values + sigma * np.random.default_rng(11).standard_normal((R, n))
+        batch = markov_chain_risks(X, sigma, prior, grid, signal)
+        one_by_one = [risk(grid_posterior(x, sigma, prior, grid), signal) for x in X]
+        assert np.all(np.isfinite(batch))
+        np.testing.assert_allclose(batch, one_by_one, rtol=TOL)
+
+    def test_batched_risks_follow_their_rows(self):
+        # each replication sits in its own column of the messages: permuting the
+        # rows permutes the risks exactly, and a row run alone differs from its
+        # batched risk only by the order of the sums over the grid
+        rng = np.random.default_rng(12)
+        n, sigma = 200, 1.0
+        grid = make_grid(1.25, sigma, 64)
+        signal = snap_to_grid(make_prefix_signal(n, 4, 1.25, seg_len=20, amplitude=0.9), grid)
+        prior = MarkovSitePrior(1.0 / n, UniformDensity(-2.25, 2.25))
+        X = signal.values + sigma * rng.standard_normal((16, n))
+        batch = markov_chain_risks(X, sigma, prior, grid, signal)
+        perm = rng.permutation(16)
+        np.testing.assert_array_equal(markov_chain_risks(X[perm], sigma, prior, grid, signal), batch[perm])
+        alone = [markov_chain_risks(x[None, :], sigma, prior, grid, signal)[0] for x in X]
+        np.testing.assert_allclose(alone, batch, rtol=TOL)
+
     def test_density_without_mass_on_grid_is_rejected(self):
         grid = np.linspace(-3.0, 3.0, 16)
         prior = MarkovSitePrior(0.1, UniformDensity(10.0, 11.0))

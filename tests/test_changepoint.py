@@ -112,9 +112,10 @@ class TestMeanField:
         np.testing.assert_allclose(post.variances, 0.5, atol=1e-3)
 
 
-@pytest.mark.parametrize("sigma", [1e-160, 4.6e-261])
+@pytest.mark.parametrize("sigma", [1e-160, 4.6e-261, 1e-310])
 def test_mean_field_moments_at_tiny_sigma(sigma):
-    # the standardized edges (lo - x) / sigma overflow when squared
+    # the standardized edges (lo - x) / sigma overflow when squared, and at a
+    # subnormal sigma already in the division
     prior = MarkovSitePrior(0.5, UniformDensity(-2.0, 2.0))
     post = fit_mean_field(np.array([0.5, -0.3, 1.0]), sigma, prior)
     assert np.all(np.isfinite(post.means))
@@ -316,6 +317,31 @@ class TestRisk:
             post.variances[i] + post.means[i] ** 2 for i in range(3)
         )
         assert total == pytest.approx(per_site, abs=1e-12)
+
+    def test_chain_risk_where_squared_grid_errors_overflow(self):
+        # grid errors near 1e200 square past float range; the posterior is a point
+        # mass at the signal, so the risk is 0 on both paths and not inf * 0
+        B, sigma, n = 1e200, 1.0, 60
+        grid = make_grid(B, sigma, 16)
+        signal = snap_to_grid(make_prefix_signal(n, 2, B, seg_len=20), grid)
+        prior = MarkovSitePrior(1.0 / n, UniformDensity(-B - 1, B + 1))
+        X = signal.values + sigma * np.random.default_rng(3).standard_normal((3, n))
+        batch = markov_chain_risks(X, sigma, prior, grid, signal)
+        one_by_one = [risk(grid_posterior(x, sigma, prior, grid), signal) for x in X]
+        assert np.all(np.isfinite(batch)) and np.all(batch >= 0.0)
+        np.testing.assert_array_equal(batch, one_by_one)
+
+    def test_chain_risk_beyond_float_range_is_a_numeric_error(self):
+        # sigma = 1e200 spreads the posterior over a grid 1e201 wide: the risk itself overflows
+        B = sigma = 1e200
+        grid = make_grid(B, sigma, 16)
+        signal = PiecewiseSignal(values=np.zeros(8), k_star=1, B=B)
+        prior = MarkovSitePrior(0.1, UniformDensity(-B - 1, B + 1))
+        X = sigma * np.random.default_rng(4).standard_normal((2, 8))
+        with pytest.raises(NumericError, match="beyond float range"):
+            markov_chain_risks(X, sigma, prior, grid, signal)
+        with pytest.raises(NumericError, match="beyond float range"):
+            risk(grid_posterior(X[0], sigma, prior, grid), signal)
 
     def test_dimension_mismatch(self):
         prior = MarkovSitePrior(0.1, UniformDensity(-2.0, 2.0))

@@ -341,6 +341,20 @@ def test_numeric_failures_exit_3(tmp_path):
     assert main(["gsm-rate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
 
 
+def test_pc_compare_at_huge_B(tmp_path, capsys):
+    # squared grid errors overflow at B = 1e200; the table must stay finite, not nan
+    params = {"B": 1e200, "G": 16, "signal": {"kind": "prefix", "k_star": 2, "seg_len": 16}}
+    cfg = write_config(tmp_path, "pc.json", _config("pc-compare", params))
+    out = tmp_path / "table.json"
+    assert main(["pc-compare", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    rows = json.loads(out.read_text())
+    assert rows and all(0.0 <= row["mean_risk"] < math.inf and math.isfinite(row["stderr"]) for row in rows)
+    # at sigma = 1e200 the posterior spreads over the whole grid and the risk overflows
+    cfg = write_config(tmp_path, "over.json", _config("pc-compare", {**params, "sigma": 1e200}))
+    assert main(["pc-compare", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
+    assert capsys.readouterr().err.splitlines()[-1].startswith("numeric failure:")
+
+
 def test_trunc_curve_exponents_finite_for_large_beta(tmp_path):
     # j^(2 beta + 1) overflows float range here; the risk terms have finite limits
     payload = _config("trunc-curve", {"beta": 200.0}, n_grid=[1024, 2048, 4096])
