@@ -3,6 +3,8 @@
 Per-replication streams are derived by mixing the master seed with the
 experiment coordinates through splitmix64, so replications can run in any
 order (or concurrently) and still reproduce bit-identical results.
+pcg64_states derives the generator states of a block of such streams at
+once, for callers that draw a little from each of very many streams.
 """
 
 import numpy as np
@@ -23,7 +25,9 @@ def derive_seed(master_seed: int, *coords: int) -> int:
 
     Successive coordinates are folded in with alternating splitmix64
     rounds; distinct (master_seed, coords) tuples map to distinct streams
-    with overwhelming probability.
+    with overwhelming probability.  A uint64 array coordinate gives the
+    array of seeds, one per entry, since uint64 arithmetic wraps as the
+    masks do.
     """
     s = splitmix64(master_seed & _MASK)
     for c in coords:
@@ -34,3 +38,53 @@ def derive_seed(master_seed: int, *coords: int) -> int:
 def generator(master_seed: int, *coords: int) -> np.random.Generator:
     """A numpy Generator seeded from the mixed (master_seed, coords) stream."""
     return np.random.default_rng(derive_seed(master_seed, *coords))
+
+
+# numpy's SeedSequence hash on its 4-word pool (bit_generator.pyx, after
+# O'Neill's seed_seq), and PCG64's default multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hashmix(words: np.ndarray, const: int, mult: int):
+    """SeedSequence's hashmix of a uint32 array, and the hash constant after it."""
+    words = words ^ np.uint32(const)
+    const = const * mult & _MASK32
+    words = words * np.uint32(const)
+    return words ^ (words >> np.uint32(16)), const
+
+
+def pcg64_states(seeds) -> list:
+    """The PCG64 (state, inc) of np.random.default_rng(s), for each 64-bit seed s.
+
+    SeedSequence(s).generate_state(4, np.uint64) is computed for all seeds at
+    once in uint32 array arithmetic: a 64-bit seed is at most two entropy
+    words, and the hash fills a short entropy out with zero words anyway.
+    PCG64 then steps from state 0 with inc = 2 initseq + 1, adds initstate
+    and steps again.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    zero = np.zeros(seeds.shape, dtype=np.uint32)
+    pool, const = [], _INIT_A
+    for word in (seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32), zero, zero):
+        word, const = _hashmix(word, const, _MULT_A)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                word, const = _hashmix(pool[src], const, _MULT_A)
+                mixed = pool[dst] * _MIX_L - word * _MIX_R
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    halves, const = [], _INIT_B
+    for i in range(8):
+        word, const = _hashmix(pool[i % 4], const, _MULT_B)
+        halves.append(word.astype(np.uint64))
+    state_words = [halves[2 * k] | halves[2 * k + 1] << np.uint64(32) for k in range(4)]
+    states = []
+    for s0, s1, s2, s3 in zip(*(w.tolist() for w in state_words)):
+        inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+        states.append(((((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128, inc))
+    return states

@@ -39,6 +39,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ._lse import _logsumexp
+from ._quadrature import fixed_rule
 from .errors import InputError, NumericError, data_array
 
 __all__ = [
@@ -290,6 +291,12 @@ class CoordinatewisePosterior:
         return self.means.size
 
 
+# Near 37 sigmas outside [lo, hi] the truncated mass z reaches its 1e-300
+# floor and the closed form loses the mean; from _TAIL sigmas out,
+# _truncnorm_moments takes the moments of the nearer edge's tail instead.
+_TAIL = 37.0
+
+
 def _truncnorm_moments(x: np.ndarray, sigma: float, lo: float, hi: float):
     from scipy.special import ndtr
 
@@ -302,8 +309,24 @@ def _truncnorm_moments(x: np.ndarray, sigma: float, lo: float, hi: float):
     z = np.maximum(ndtr(b) - ndtr(a), 1e-300)
     shift = (phi_a - phi_b) / z
     mean = x + sigma * shift
-    var = sigma**2 * (1.0 + (a * phi_a - b * phi_b) / z - shift**2)
-    return mean, np.maximum(var, 0.0)
+    var = np.maximum(sigma**2 * (1.0 + (a * phi_a - b * phi_b) / z - shift**2), 0.0)
+    dist = np.maximum(lo - x, x - hi)
+    tail = dist > _TAIL * sigma
+    if tail.any():
+        # at distance d outside, the density at v * s inside the nearer edge, with
+        # s = sigma^2 / d, is proportional to exp(-v - (sigma v / d)^2 / 2); its moments
+        # by quadrature over v up to the support's width, or 50, past which e^-v is below 1e-21
+        r = sigma / dist[tail]
+        s = sigma * r
+        with np.errstate(divide="ignore"):
+            span = np.minimum((hi - lo) / s, 50.0)[:, None]
+        nodes, weights, _ = fixed_rule(0.0, 1.0, 16)
+        v = span * nodes
+        dens = weights * np.exp(-v - 0.5 * (r[:, None] * v) ** 2)
+        gap = (dens * v).sum(axis=1) / dens.sum(axis=1)
+        mean[tail] = np.where(x[tail] > hi, hi - s * gap, lo + s * gap)
+        var[tail] = s * s * (dens * (v - gap[:, None]) ** 2).sum(axis=1) / dens.sum(axis=1)
+    return mean, var
 
 
 def fit_mean_field(

@@ -4,7 +4,8 @@ Finite discrete distributions and scalar Gaussians are the two atoms;
 every divergence here has an explicit finite formula.  Each discrete
 divergence is written once, as a row kernel over (m, s) arrays holding
 one distribution pair per row; the scalar functions are its one-row case
-and chain_audit checks a whole block of equal-size pairs per call.
+and chain_audit checks a whole block of pairs per call, shorter rows
+zero-padded, since a cell where both masses vanish adds nothing.
 Infinite values (absolute-continuity failures) are returned in-band as
 ``math.inf`` rather than raised, since they are legitimate divergence
 values.

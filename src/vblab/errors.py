@@ -20,17 +20,20 @@ class NumericError(VblabError, ArithmeticError):
     """A numerical routine missed its accuracy target, or an optimizer diverged."""
 
 
-def data_array(value, name: str, ndim: int = 1) -> np.ndarray:
+def data_array(value, name: str, ndim: int = 1, scalar: bool = False) -> np.ndarray:
     """value as a float array with ndim axes, at least one entry and only finite entries.
 
-    ndim is 1 for a sample, signal or grid and 2 for a stack of samples.
+    ndim is 1 for a sample, signal or grid and 2 for a stack of samples;
+    with scalar, a single number is taken as a one-entry 1-d array.
     Raises InputError naming the array otherwise, or when value does not
-    convert to floats at all.
+    convert to floats at all (a ragged list, say).
     """
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise InputError(f"{name} must be an array of numbers") from None
+    if scalar and arr.ndim == 0:
+        arr = arr.reshape(1)
     if arr.ndim != ndim or arr.size == 0 or not np.isfinite(arr).all():
         raise InputError(f"{name} must be a non-empty {ndim}-d array of finite numbers")
     return arr

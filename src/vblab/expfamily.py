@@ -49,7 +49,7 @@ _ELBO_PANELS = 64  # fixed panel count keeps the CRN objective smooth in theta
 
 def basis_matrix(x, k: int) -> np.ndarray:
     """Values of the first k basis functions at the points x, shape (len(x), k)."""
-    return _basis(data_array(np.atleast_1d(x), "x"), k)
+    return _basis(data_array(x, "x", scalar=True), k)
 
 
 def _basis(x: np.ndarray, k: int) -> np.ndarray:
@@ -91,7 +91,7 @@ class FourierDensity:
         object.__setattr__(self, "c", log_normalizer(t))
 
     def log_pdf(self, x) -> np.ndarray:
-        x = data_array(np.atleast_1d(x), "points")
+        x = data_array(x, "points", scalar=True)
         if np.any((x < 0) | (x > 1)):
             raise InputError("points must lie in [0, 1]")
         return _basis(x, self.theta.size) @ self.theta - self.c

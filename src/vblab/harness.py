@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import changepoint, divergences, expfamily, mixture, sequence_model, truncated_series
-from ._rng import generator
+from ._rng import derive_seed, generator, pcg64_states
 from .errors import InputError, NumericError, VblabError
 
 __all__ = [
@@ -488,24 +488,29 @@ _AUDIT_CELLS = 1 << 16
 
 
 def _pair_blocks(master_seed: int, pairs: int, lo: int, hi: int):
-    """Successive blocks of audit pairs as {size: (p rows, q rows)}.
+    """Successive blocks of audit pairs as (2, pairs, hi) arrays of p and q rows.
 
-    Pair i draws its size, then p, then q from the stream (master_seed, 0, i).
+    Pair i draws its size, then p, then q from the stream (master_seed, 0, i);
+    each row is zero-padded from its size to hi cells.  The streams' PCG64
+    states are derived a block at a time and assigned to one generator.  A
+    Dirichlet(1) draw is standard exponentials times one over their
+    sequential sum, which trailing zeros leave unchanged, so p and q carry
+    the bits rng.dirichlet(np.ones(size)) gives.
     """
-    block, held, cells = {}, 0, 0
-    for i in range(pairs):
-        rng = generator(master_seed, 0, i)
-        size = int(rng.integers(lo, hi + 1))
-        alpha = np.ones(size)
-        ps, qs = block.setdefault(size, ([], []))
-        ps.append(rng.dirichlet(alpha))
-        qs.append(rng.dirichlet(alpha))
-        held, cells = held + 1, cells + size
-        if held == _AUDIT_PAIRS or cells >= _AUDIT_CELLS:
-            yield block
-            block, held, cells = {}, 0, 0
-    if block:
-        yield block
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    per_block = max(1, min(_AUDIT_PAIRS, _AUDIT_CELLS // hi))
+    for start in range(0, pairs, per_block):
+        index = np.arange(start, min(start + per_block, pairs), dtype=np.uint64)
+        seeds = derive_seed(master_seed, 0, index)
+        draws = np.zeros((2, index.size, hi))
+        for row, (state, inc) in enumerate(pcg64_states(seeds)):
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            size = int(rng.integers(lo, hi + 1))
+            draws[:, row, :size] = rng.standard_exponential((2, size))
+        draws *= 1 / np.add.accumulate(draws, axis=-1)[..., -1:]
+        yield draws
 
 
 def divergence_chain_report(config: ExperimentConfig) -> dict:
@@ -514,8 +519,9 @@ def divergence_chain_report(config: ExperimentConfig) -> dict:
     Uses config.replications Dirichlet(1) pairs with sizes drawn from
     [n_grid[0], n_grid[-1]]; returns violation counts and the worst
     observed slack exceedance.  Pair i draws (size, p, q) from its own
-    stream; pairs are audited in blocks, one divergences.chain_audit call
-    per size in each block.
+    stream; pairs are audited in zero-padded blocks, one
+    divergences.chain_audit call per block, since cells where p and q
+    both vanish add nothing to any divergence.
     """
     lo, hi = int(config.n_grid[0]), int(config.n_grid[-1])
     if lo < 2:
@@ -525,13 +531,11 @@ def divergence_chain_report(config: ExperimentConfig) -> dict:
     rho_grid = divergences.check_rho_grid(params["rho_grid"])
     ordering_failures = monotonicity_failures = 0
     worst = 0.0
-    for block in _pair_blocks(config.master_seed, config.replications, lo, hi):
-        for ps, qs in block.values():
-            bad_order, bad_mono, gap = divergences.chain_audit(ps, qs, rho_grid, slack)
-            ordering_failures += bad_order
-            monotonicity_failures += bad_mono
-            worst = max(worst, gap)
-        del block  # free these draws before the next block is drawn
+    for ps, qs in _pair_blocks(config.master_seed, config.replications, lo, hi):
+        bad_order, bad_mono, gap = divergences.chain_audit(ps, qs, rho_grid, slack)
+        ordering_failures += bad_order
+        monotonicity_failures += bad_mono
+        worst = max(worst, gap)
     return {
         "pairs": config.replications,
         "ordering_failures": ordering_failures,

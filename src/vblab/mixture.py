@@ -122,7 +122,7 @@ class MixtureModel:
 
 def mixture_pdf(model: MixtureModel, x):
     """sum_j w_j psi_sigma(x - mu_j)."""
-    x = data_array(np.atleast_1d(x), "x")
+    x = data_array(x, "x", scalar=True)
     return _kernel(x[:, None] - model.mu[None, :], model.sigma, model.p) @ model.w
 
 

@@ -78,7 +78,7 @@ class GaussianCoordinates:
         with s the prior variance, so the ratio is computed without
         cancellation.  A scalar y gives a float.
         """
-        v = data_array(np.atleast_1d(y), "y")
+        v = data_array(y, "y", scalar=True)
         ns = n * self.sigma0_sq
         out = -0.5 * math.log1p(ns) + 0.5 * n * v**2 * (ns / (ns + 1.0))
         return out if np.ndim(y) else float(out[0])
@@ -126,7 +126,7 @@ class RescaledCauchyCoordinates:
         far below 1e-10 error for this smooth integrand.
         """
         self._check_n(n)
-        v = math.sqrt(n) * data_array(np.atleast_1d(y), "y")
+        v = math.sqrt(n) * data_array(y, "y", scalar=True)
         w, _, log_wt = fixed_rule(-15.0, 15.0, 30)
         log_terms = self._log_g(v[:, None] + w[None, :]) - 0.5 * w[None, :] ** 2
         out = 0.5 * v**2 + _logsumexp(log_terms + log_wt[None, :], axis=1)

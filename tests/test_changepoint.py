@@ -122,6 +122,48 @@ def test_mean_field_moments_at_tiny_sigma(sigma):
     assert np.all((post.means >= -2.0) & (post.means <= 2.0))
     assert np.all(post.variances >= 0.0)
 
+def _tail_moments(x, sigma, lo, hi):
+    """Truncated-Gaussian mean and variance by quadrature, for x outside [lo, hi].
+
+    The density at distance u inside the nearer edge, over its value at the
+    edge, is exp(-u (2 d + u) / (2 sigma^2)) with d the distance of x to the
+    edge; so a far x underflows nothing.
+    """
+    from scipy.integrate import quad
+
+    edge = hi if x > hi else lo
+    d = abs(x - edge)
+    width = min(hi - lo, 60 * sigma * sigma / d)  # the density is below e^-60 past that
+
+    def moment(k):
+        f = lambda u: u**k * math.exp(-u * (2 * d + u) / (2 * sigma**2))
+        return quad(f, 0.0, width, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    m0, m1, m2 = (moment(k) for k in range(3))
+    gap = m1 / m0
+    return (edge - gap if x > hi else edge + gap), m2 / m0 - gap**2
+
+
+@pytest.mark.parametrize(
+    "X, sigma, lo, hi",
+    [
+        ([3.0, 2.5], 0.01, -2.0, 2.0),  # 100 and 50 sigmas above hi
+        ([2.38, -2.39], 0.01, -2.0, 2.0),  # 38 and 39 sigmas out, where z reached its floor
+        ([-7.0, 1e6], 0.1, -2.0, 2.0),
+        ([100.0], 1.0, 0.0, 0.01),  # a support narrower than the tail's decay length
+    ],
+)
+def test_mean_field_moments_far_outside_support(X, sigma, lo, hi):
+    # beyond about 37 sigmas the truncated mass underflows; the moments are the nearer edge's tail
+    post = fit_mean_field(np.array(X), sigma, MarkovSitePrior(0.5, UniformDensity(lo, hi)))
+    assert np.all((post.means >= lo) & (post.means <= hi))
+    for x, mean, var in zip(X, post.means, post.variances):
+        want_mean, want_var = _tail_moments(x, sigma, lo, hi)
+        edge = hi if x > hi else lo
+        assert abs(mean - edge) == pytest.approx(abs(want_mean - edge), rel=1e-12)
+        assert var == pytest.approx(want_var, rel=1e-9)
+
+
 def PiecewiseSignalZero(n):
     from vblab.changepoint import PiecewiseSignal
 

@@ -3,6 +3,8 @@
 The per-pair formulas and loop below are the reference: each pair builds
 two checked distributions, evaluates every divergence on compacted
 support arrays and checks the chain and Renyi monotonicity in Python.
+The padded draws are pinned to one default_rng and two dirichlet calls
+per pair, which is what they rely on numpy's internals to reproduce.
 """
 
 import math
@@ -13,7 +15,7 @@ import pytest
 
 from vblab import divergences, harness
 from vblab._lse import _logsumexp
-from vblab._rng import generator
+from vblab._rng import derive_seed, generator, pcg64_states
 from vblab.errors import InputError
 from vblab.harness import ExperimentConfig, divergence_chain_report
 
@@ -76,15 +78,21 @@ def ref_monotone(pv, qv, grid, slack):
     return True
 
 
-def ref_chain_report(n_grid, replications, seed, slack, rho_grid):
-    lo, hi = n_grid[0], n_grid[-1]
-    ordering_failures = monotonicity_failures = 0
-    worst = 0.0
-    for i in range(replications):
+def dirichlet_pairs(seed, pairs, lo, hi):
+    """(size, p, q) per pair as drawn before the batching: a default_rng and two dirichlet calls."""
+    out = []
+    for i in range(pairs):
         rng = generator(seed, 0, i)
         size = int(rng.integers(lo, hi + 1))
-        pv = ref_distribution(rng.dirichlet(np.ones(size)))
-        qv = ref_distribution(rng.dirichlet(np.ones(size)))
+        out.append((size, rng.dirichlet(np.ones(size)), rng.dirichlet(np.ones(size))))
+    return out
+
+
+def ref_chain_report(n_grid, replications, seed, slack, rho_grid):
+    ordering_failures = monotonicity_failures = 0
+    worst = 0.0
+    for _, p, q in dirichlet_pairs(seed, replications, n_grid[0], n_grid[-1]):
+        pv, qv = ref_distribution(p), ref_distribution(q)
         tv, h2, d_half, kl, d2, chi2 = ref_report(pv, qv)
         vals = (tv**2, 2 * h2, d_half, kl, d2, chi2)
         gap = max(a - b for a, b in zip(vals, vals[1:]) if math.isfinite(a) and math.isfinite(b))
@@ -226,3 +234,44 @@ def test_audit_memory_does_not_grow_with_block_of_large_sizes():
     # pairs of 20,000 cells: a block closes on its cell budget, not at 1024 pairs
     small, large = _audit_peak((20_000, 20_001), 16), _audit_peak((20_000, 20_001), 64)
     assert large <= 1.5 * small
+
+
+SHIPPED_SEED = 20250810  # configs/divcheck.json: 10,000 pairs of sizes 2 to 64
+
+
+def test_pcg64_states_equal_default_rng():
+    seeds = [derive_seed(SHIPPED_SEED, 0, i) for i in range(10_000)]
+    assert derive_seed(SHIPPED_SEED, 0, np.arange(10_000, dtype=np.uint64)).tolist() == seeds
+    seeds += [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    for seed, (state, inc) in zip(seeds, pcg64_states(seeds)):
+        assert np.random.default_rng(seed).bit_generator.state["state"] == {"state": state, "inc": inc}, seed
+
+
+def test_padded_draws_equal_dirichlet_bits():
+    want = dirichlet_pairs(SHIPPED_SEED, 3000, 2, 64)
+    blocks = list(harness._pair_blocks(SHIPPED_SEED, 3000, 2, 64))
+    assert [b.shape for b in blocks] == [(2, 1024, 64), (2, 1024, 64), (2, 952, 64)]
+    ps, qs = np.concatenate(blocks, axis=1)
+    for (size, p, q), got_p, got_q in zip(want, ps, qs):
+        assert np.array_equal(got_p[:size], p) and np.array_equal(got_q[:size], q)
+        assert not got_p[size:].any() and not got_q[size:].any()
+
+
+@pytest.mark.parametrize("n_grid, seed, slack, rho_grid", [
+    ((2, 64), SHIPPED_SEED, 1e-10, [0.5, 2.0, 4.0, 8.0]),
+    ((2, 64), 14, 0.0, GRID),
+    ((2, 3), 21, 0.0, GRID),  # one 2 h^2 > D_1/2 rounding failure in this block
+    ((60, 64), 33, 0.0, GRID),
+])
+def test_padded_audit_equals_per_size_calls(n_grid, seed, slack, rho_grid):
+    # one block of 1024 pairs, audited padded in one call and unpadded once per size
+    (ps, qs), = harness._pair_blocks(seed, 1024, *n_grid)
+    by_size = {}
+    for size, p, q in dirichlet_pairs(seed, 1024, *n_grid):
+        by_size.setdefault(size, ([], []))
+        by_size[size][0].append(p)
+        by_size[size][1].append(q)
+    per_size = [divergences.chain_audit(p, q, rho_grid, slack) for p, q in by_size.values()]
+    padded = divergences.chain_audit(ps, qs, rho_grid, slack)
+    assert padded[:2] == (sum(r[0] for r in per_size), sum(r[1] for r in per_size))
+    assert abs(padded[2] - max(r[2] for r in per_size)) <= 1e-15

@@ -1,0 +1,27 @@
+"""errors.data_array through the entry points that also take a single number."""
+
+import numpy as np
+import pytest
+
+from vblab import expfamily, mixture, sequence_model
+from vblab.errors import InputError
+
+SCALAR_ENTRY_POINTS = {
+    "mixture_pdf": lambda x: mixture.mixture_pdf(mixture.MixtureModel(2, [0.2, 0.7], [0.4, 0.6], 0.1), x),
+    "FourierDensity.log_pdf": lambda x: expfamily.FourierDensity([0.3, -0.2]).log_pdf(x),
+    "basis_matrix": lambda x: expfamily.basis_matrix(x, 3),
+    "Gaussian log_evidence_ratio": lambda x: sequence_model.GaussianCoordinates(1.0).log_evidence_ratio(x, 10.0),
+    "Cauchy log_evidence_ratio": (
+        lambda x: sequence_model.RescaledCauchyCoordinates(1.0, 10.0).log_evidence_ratio(x, 10.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", SCALAR_ENTRY_POINTS.values(), ids=SCALAR_ENTRY_POINTS.keys())
+def test_ragged_input_is_an_input_error_and_a_scalar_is_one_point(entry):
+    with pytest.raises(InputError, match="must be an array of numbers"):
+        entry([[0.1], [0.2, 0.3]])
+    one, many = entry(0.25), entry([0.25, 0.5])
+    assert np.all(np.isfinite(one)) and np.all(np.isfinite(many))
+    # a matrix product over one row may round apart from the same row in a longer stack
+    np.testing.assert_allclose(np.ravel(one), np.ravel(np.asarray(many)[0]), rtol=1e-14)
