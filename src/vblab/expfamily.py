@@ -15,6 +15,17 @@ estimated by reparameterized Monte Carlo with common random numbers --
 given the seed the objective is a deterministic smooth function, so
 plain gradients (and finite-difference checks) apply.  elbo, its
 gradient and the fit share one input check and one draw of those numbers.
+
+c(theta) and E_theta[h] inside the ELBO come from one fixed rule of
+order-8 Gauss-Legendre panels per active length k: the fewest panels, a
+power of two up to 64, whose Bernstein-ellipse error bound (_rule_error)
+stays below _ELBO_TARGET = 1e-12 at every draw with ||theta||_1 at most
+_ELBO_CAP = 2.5.  Every step checks its draws against the cap; a fit
+whose draws ever cross it runs on the 64-panel rule from its first step,
+so no trajectory changes rule midway.  fit_gaussian_mf_batch ascends the
+rows of an (R, n) stack of samples together, each with its own data, CRN
+normals, best iterate and divergence check; fit_gaussian_mf is its
+one-row case.
 """
 
 import math
@@ -42,9 +53,20 @@ __all__ = [
     "elbo",
     "elbo_and_gradient",
     "fit_gaussian_mf",
+    "fit_gaussian_mf_batch",
 ]
 
-_ELBO_PANELS = 64  # fixed panel count keeps the CRN objective smooth in theta
+# The ELBO rule: order-8 Gauss-Legendre panels, as few (a power of two, at
+# most _ELBO_MAX_PANELS) as keep the bound on the error of c(theta) and
+# E_theta[h] below _ELBO_TARGET for every ||theta||_1 <= _ELBO_CAP.  The
+# shipped fits' draws stay below 2.2; rows that cross the cap, and active
+# lengths no smaller rule covers, use _ELBO_MAX_PANELS.
+_ELBO_ORDER = 8
+_ELBO_MAX_PANELS = 64
+_ELBO_CAP = 2.5
+_ELBO_TARGET = 1e-12
+# A stacked fit holds at most this many (row, draw, node) cells at a time.
+_FIT_CELLS = 1 << 17
 
 
 def basis_matrix(x, k: int) -> np.ndarray:
@@ -206,27 +228,89 @@ class OptConfig:
             raise InputError("n_iters and n_mc must be at least 1")
 
 
+def _rule_error(panels: int, L: int) -> float:
+    """Bound on the error of c(theta) and of each E_theta[h_j] on a rule of panels panels.
+
+    It holds for every theta with ||theta||_1 <= cap = _ELBO_CAP whose
+    frequencies are at most L.  On one panel, mapped to t in [-1, 1],
+    f = exp(theta . h) is entire in t.  On the Bernstein ellipse E_rho,
+    where |Im t| <= b = (rho - 1/rho) / 2, Re(theta . h) is at most
+    max_x theta . h(x) + sqrt(2) cap (cosh(w b) - 1), w = pi L / panels,
+    since Re cos(u + iv) = cos(u) cosh(v), and likewise for sin.  With
+    |f| <= M on E_rho, m-node Gauss-Legendre is off by at most
+    (64/15) M rho^(-2m) / (rho^2 - 1) on [-1, 1] (Trefethen, SIAM Rev.
+    2008), so all panels together are off by half that.  The integral Z
+    of f is at least 1 (Jensen: each h_j integrates to 0), and at least
+    exp(max theta . h) times the integral of exp(-K y^2 / 2) over
+    |y| <= 1/2, where K = sqrt(2) cap (2 pi L)^2 bounds the curvature of
+    the 1-periodic theta . h.  That bounds the relative error A of Z,
+    and so the error of c = log Z by A / (1 - A).  E_theta[h_j] = N_j / Z
+    is off by the rule's error on (h_j - E h_j) f divided by the rule's Z,
+    at most sqrt(2) (1 + cosh(w b)) A / (1 - A), which covers both.  The
+    bound returned is its minimum over a grid of rho.
+    """
+    m, cap = _ELBO_ORDER, _ELBO_CAP
+    K = math.sqrt(2.0) * cap * (2.0 * math.pi * L) ** 2
+    peak = math.sqrt(2.0 * math.pi / K) * math.erf(math.sqrt(K / 8.0))
+    log_lead = math.log(32.0 / 15.0) + min(-math.log(peak), math.sqrt(2.0) * cap)
+    rho = 1.0 + np.geomspace(1e-3, 8.0 * panels / L, 400)
+    ch = np.cosh(math.pi * L / panels * 0.5 * (rho - 1.0 / rho))
+    log_a = log_lead + math.sqrt(2.0) * cap * (ch - 1.0) - 2 * m * np.log(rho) - np.log(rho**2 - 1.0)
+    with np.errstate(divide="ignore"):  # where A >= 1 the bound is void: log1p(-1) = -inf
+        log_err = np.log(math.sqrt(2.0) * (1.0 + ch)) + log_a - np.log1p(-np.exp(np.minimum(log_a, 0.0)))
+    lowest = float(log_err.min())
+    return math.exp(lowest) if lowest < 700.0 else math.inf
+
+
 @lru_cache(maxsize=None)
-def _elbo_rule(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only basis values (nodes, k), weights and log weights of the ELBO rule."""
-    nodes, wts, log_wts = fixed_rule(0.0, 1.0, _ELBO_PANELS, order=8)
+def _elbo_panels(k: int) -> int:
+    """Panels of the ELBO rule at active length k, by _rule_error at L = ceil(k / 2).
+
+    The fewest, a power of two, whose bound meets _ELBO_TARGET at the cap;
+    _ELBO_MAX_PANELS when none up to it does.
+    """
+    L = (k + 1) // 2
+    panels = 1
+    while panels < _ELBO_MAX_PANELS and not _rule_error(panels, L) <= _ELBO_TARGET:
+        panels *= 2
+    return panels
+
+
+@lru_cache(maxsize=None)
+def _elbo_rule(k: int, panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only basis values (nodes, k), weights and log weights of an ELBO rule.
+
+    panels order-8 Gauss-Legendre panels on [0, 1]: _elbo_panels(k) for a
+    fit whose draws stay within the cap, _ELBO_MAX_PANELS for one whose
+    draws cross it.
+    """
+    nodes, wts, log_wts = fixed_rule(0.0, 1.0, panels, order=_ELBO_ORDER)
     H = _basis(nodes, k)
     H.flags.writeable = False
     return H, wts, log_wts
 
 
-def _normalizer_stats(draws: np.ndarray):
-    """c(theta) and E_theta[h] for a batch of coefficient draws.
+def _normalizer_stats(draws: np.ndarray, panels: int):
+    """c(theta) and E_theta[h] for (..., k) coefficient draws, on the rule of panels panels.
 
-    Fixed-panel Gauss-Legendre so the map theta -> c(theta) is smooth and
-    deterministic (required by the common-random-number gradient checks).
+    A fit keeps one rule for its whole run, so the map theta -> c(theta)
+    it ascends is smooth and deterministic (required by the
+    common-random-number gradient checks).  At draws with ||theta||_1 <=
+    _ELBO_CAP the _elbo_panels(k) rule is within _ELBO_TARGET of the exact
+    values; draws past the cap are evaluated on the 64-panel rule only.
     """
-    H, _, log_wts = _elbo_rule(draws.shape[1])  # H: (nodes, k)
-    g = draws @ H.T  # (S, nodes)
+    k = draws.shape[-1]
+    H, _, log_wts = _elbo_rule(k, panels)  # H: (nodes, k)
+    g = draws.reshape(-1, k) @ H.T  # (draws, nodes)
     g += log_wts
     c, dens = _logsumexp_weights(g, axis=1, out=g)  # dens: quadrature masses, in g's buffer
-    moments = dens @ H  # (S, k): E[h_j] under each drawn density
-    return c, moments
+    moments = dens @ H  # (draws, k): E[h_j] under each drawn density
+    return c.reshape(draws.shape[:-1]), moments.reshape(draws.shape)
+
+
+def _crossed(draws: np.ndarray) -> np.ndarray:
+    """Per row of (rows, S, k) draws: whether any draw has ||theta||_1 above _ELBO_CAP."""
+    return np.abs(draws).sum(axis=2).max(axis=1) > _ELBO_CAP
 
 
 def _elbo_inputs(data, sigma0_sq: float, k: int, n_mc: int, seed):
@@ -262,17 +346,20 @@ def elbo(
     return elbo_and_gradient(q, data, sigma0_sq, n_mc, seed)[0]
 
 
-def _elbo_terms(mu, sigma, eps, suff, n, s0):
-    # suff = sum_i h(X_i), the (k,) sufficient statistic of the n data points
-    draws = mu[None, :] + sigma[None, :] * eps
-    c, moments = _normalizer_stats(draws)
-    mean_c = float(c.mean())
-    mean_moment = moments.mean(axis=0)
-    kl = 0.5 * np.sum((sigma**2 + mu**2) / s0 - 1.0 - np.log(sigma**2 / s0))
-    value = float(mu @ suff - n * mean_c - kl)
+def _elbo_terms(draws, mu, sigma, eps, suff, n, s0, panels):
+    """ELBO values and gradients for rows of (rows, k) factors and (rows, S, k) draws.
+
+    suff holds each row's sum_i h(X_i), the (k,) sufficient statistic of its
+    n data points; draws = mu + sigma eps.
+    """
+    c, moments = _normalizer_stats(draws, panels)
+    mean_c = c.mean(axis=1)
+    mean_moment = moments.mean(axis=1)
+    kl = 0.5 * np.sum((sigma**2 + mu**2) / s0 - 1.0 - np.log(sigma**2 / s0), axis=1)
+    value = np.vecdot(mu, suff) - n * mean_c - kl
     grad_mu = suff - n * mean_moment - mu / s0
     # d/d log sigma: through theta = mu + sigma eps and through the KL term
-    grad_ls = -n * (moments * eps).mean(axis=0) * sigma - (sigma**2 / s0 - 1.0)
+    grad_ls = -n * (moments * eps).mean(axis=1) * sigma - (sigma**2 / s0 - 1.0)
     return value, grad_mu, grad_ls
 
 
@@ -287,7 +374,11 @@ def elbo_and_gradient(
     suff, n, eps = _elbo_inputs(data, sigma0_sq, q.k, n_mc, seed)
     if np.any(q.sigma2 == 0.0):
         raise InputError("gradients need strictly positive variances")
-    return _elbo_terms(q.mu, np.sqrt(q.sigma2), eps, suff, n, sigma0_sq)
+    mu, sigma, eps = q.mu[None, :], np.sqrt(q.sigma2)[None, :], eps[None]
+    draws = mu[:, None, :] + sigma[:, None, :] * eps
+    panels = _ELBO_MAX_PANELS if _crossed(draws)[0] else _elbo_panels(q.k)
+    value, grad_mu, grad_ls = _elbo_terms(draws, mu, sigma, eps, suff[None, :], n, sigma0_sq, panels)
+    return float(value[0]), grad_mu[0], grad_ls[0]
 
 
 def fit_gaussian_mf(
@@ -298,25 +389,85 @@ def fit_gaussian_mf(
     The prior is N(0, sigma0_sq) on each of the k coefficients.  Steps are
     scaled per datum; the best-scoring iterate is returned.  Variances are
     floored at 1e-12 during the run so the log-variance parameterization
-    stays smooth.
+    stays smooth.  The one-row case of fit_gaussian_mf_batch, with the CRN
+    normals drawn from opt_config.seed.
     """
+    x = data_array(data, "data")[None, :]
+    return fit_gaussian_mf_batch(x, sigma0_sq, k, opt_config, [opt_config.seed])[0]
+
+
+def fit_gaussian_mf_batch(samples, sigma0_sq: float, k: int, opt_config: OptConfig, seeds) -> list:
+    """fit_gaussian_mf for each row of an (R, n) stack of samples, in one stacked ascent.
+
+    Row r draws its (n_mc, k) CRN normals from seeds[r] (opt_config.seed
+    is not read) and keeps its own best iterate, so the result is
+    [fit_gaussian_mf(samples[r], sigma0_sq, k, opt_config with seeds[r])].
+    Rows ascend on the _elbo_panels(k) rule in groups of at most _FIT_CELLS
+    cells; a row leaves its group at the first step whose draws cross
+    _ELBO_CAP and is run again from its first step, with the other such
+    rows, on the 64-panel rule.  A row whose ELBO falls below -1e12 raises
+    NumericError naming it rep=r.
+    """
+    x = data_array(samples, "samples", 2)
     if k < 1:
         raise InputError("k must be at least 1")
-    suff, n, eps = _elbo_inputs(data, sigma0_sq, k, opt_config.n_mc, opt_config.seed)
-    mu = np.zeros(k)
-    log_sigma = np.full(k, -0.5 * math.log(n))
-    best_value = -math.inf
-    best = (mu.copy(), log_sigma.copy())
+    if len(seeds) != x.shape[0]:
+        raise InputError(f"need one seed per sample, got {len(seeds)} for {x.shape[0]}")
+    n_mc = opt_config.n_mc
+    inputs = [_elbo_inputs(row, sigma0_sq, k, n_mc, seed) for row, seed in zip(x, seeds)]
+    suff = np.stack([row_suff for row_suff, _, _ in inputs])
+    eps = np.stack([row_eps for _, _, row_eps in inputs])
+    mu, log_sigma = np.empty_like(suff), np.empty_like(suff)
+    rows = np.arange(x.shape[0])
+    for panels in (_elbo_panels(k), _ELBO_MAX_PANELS):
+        per_group = max(1, _FIT_CELLS // (n_mc * _ELBO_ORDER * panels))
+        crossed = []
+        for lo in range(0, rows.size, per_group):
+            group = rows[lo : lo + per_group]
+            done, mu[group], log_sigma[group] = _ascend(
+                suff[group], x.shape[1], eps[group], sigma0_sq, opt_config, panels, group
+            )
+            crossed.extend(group[~done])
+        rows = np.asarray(crossed, dtype=int)
+        if rows.size == 0:
+            break
+    return [GaussMFVariational(mu=m, sigma2=np.exp(2.0 * ls)) for m, ls in zip(mu, log_sigma)]
+
+
+def _ascend(suff, n, eps, s0, opt_config: OptConfig, panels: int, reps):
+    """Gradient ascent for one group of rows on one rule.
+
+    Returns which rows finished, with every row's best (mu, log sigma);
+    on a rule below _ELBO_MAX_PANELS a row whose draws cross the cap stops
+    there, unfinished.  reps names the rows in errors.
+    """
+    rows, k = suff.shape
+    mu = np.zeros((rows, k))
+    log_sigma = np.full((rows, k), -0.5 * math.log(n))
+    best_value = np.full(rows, -math.inf)
+    best_mu, best_ls = mu.copy(), log_sigma.copy()
+    live = np.arange(rows)  # the rows still ascending
     for _ in range(opt_config.n_iters):
         sigma = np.exp(log_sigma)
-        value, grad_mu, grad_ls = _elbo_terms(mu, sigma, eps, suff, n, sigma0_sq)
-        if value < -1e12:
-            raise NumericError("ELBO diverged below -1e12")
-        if value > best_value:
-            best_value = value
-            best = (mu.copy(), log_sigma.copy())
+        draws = mu[:, None, :] + sigma[:, None, :] * eps
+        if panels < _ELBO_MAX_PANELS:
+            keep = ~_crossed(draws)
+            if not keep.all():
+                live, mu, log_sigma, sigma = live[keep], mu[keep], log_sigma[keep], sigma[keep]
+                draws, eps, suff = draws[keep], eps[keep], suff[keep]
+                if live.size == 0:
+                    break
+        value, grad_mu, grad_ls = _elbo_terms(draws, mu, sigma, eps, suff, n, s0, panels)
+        if np.any(value < -1e12):
+            rep = reps[live[np.argmax(value < -1e12)]]
+            raise NumericError(f"rep={rep}: ELBO diverged below -1e12")
+        up = value > best_value[live]
+        best_value[live[up]] = value[up]
+        best_mu[live[up]] = mu[up]
+        best_ls[live[up]] = log_sigma[up]
         mu = mu + opt_config.step_size * grad_mu / n
         log_sigma = log_sigma + opt_config.step_size * grad_ls / n
         log_sigma = np.maximum(log_sigma, -13.8)  # sigma^2 floor 1e-12
-    mu, log_sigma = best
-    return GaussMFVariational(mu=mu, sigma2=np.exp(2.0 * log_sigma))
+    done = np.zeros(rows, dtype=bool)
+    done[live] = True
+    return done, best_mu, best_ls

@@ -49,6 +49,8 @@ __all__ = [
 
 _GRID_POINTS = 2001
 _GRID_HALF_WIDTH = 12.0  # in units of the rescaled likelihood scale
+# the Cauchy evidence holds at most this many coordinates' quadrature windows at a time
+_EVIDENCE_ROWS = 1 << 11
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +130,11 @@ class RescaledCauchyCoordinates:
         self._check_n(n)
         v = math.sqrt(n) * data_array(y, "y", scalar=True)
         w, _, log_wt = fixed_rule(-15.0, 15.0, 30)
-        log_terms = self._log_g(v[:, None] + w[None, :]) - 0.5 * w[None, :] ** 2
-        out = 0.5 * v**2 + _logsumexp(log_terms + log_wt[None, :], axis=1)
+        out = np.empty_like(v)
+        for lo in range(0, v.size, _EVIDENCE_ROWS):  # (rows, nodes) windows, a block at a time
+            u = v[lo : lo + _EVIDENCE_ROWS, None]
+            log_terms = self._log_g(u + w[None, :]) - 0.5 * w[None, :] ** 2
+            out[lo : lo + u.size] = 0.5 * u[:, 0] ** 2 + _logsumexp(log_terms + log_wt[None, :], axis=1)
         return out if out.size > 1 else float(out[0])
 
     def log_evidence_adaptive(self, y: float, n: float) -> float:
@@ -213,10 +218,15 @@ class SievePrior:
 
     @classmethod
     def geometric(cls, tau: float, K_max: int, family: CoordinateFamily) -> "SievePrior":
-        """pi(k) proportional to exp(-tau k), k = 0..K_max."""
+        """pi(k) proportional to exp(-tau k), k = 0..K_max.
+
+        The exponents are shifted by their maximum, which is 0 unless tau < 0,
+        so a negative tau does not overflow at large K_max.
+        """
         if K_max < 1:
             raise InputError("K_max must be a positive integer")
-        w = np.exp(-tau * np.arange(K_max + 1, dtype=float))
+        log_w = -tau * np.arange(K_max + 1, dtype=float)
+        w = np.exp(log_w - log_w.max())
         return cls(w / w.sum(), family, K_max)
 
 
@@ -370,13 +380,16 @@ def _fit_tilts(prior: SievePrior, obs: SequenceObservation, k: int) -> tuple:
     return tuple(fam.tilt(float(obs.y[j]), obs.n) for j in range(k))
 
 
-def fit_mean_field(prior: SievePrior, obs: SequenceObservation) -> ShellPosterior:
+def fit_mean_field(
+    prior: SievePrior, obs: SequenceObservation, log_weights: Optional[np.ndarray] = None
+) -> ShellPosterior:
     """Exact mean-field variational posterior, the shell at (k_tilde, p_tilde).
 
     k_tilde maximizes pi(k-1|y) + pi(k|y) (with pi(-1|y) = 0, ties to the
-    smaller index) and p_tilde = pi(k_tilde-1|y) / that sum.
+    smaller index) and p_tilde = pi(k_tilde-1|y) / that sum.  log_weights,
+    when given, is log_model_weights(prior, obs) already computed.
     """
-    lw = log_model_weights(prior, obs)
+    lw = log_model_weights(prior, obs) if log_weights is None else log_weights
     w = np.exp(lw)
     pair = w + np.concatenate(([0.0], w[:-1]))
     k_tilde = int(np.argmax(pair))
@@ -387,12 +400,15 @@ def fit_mean_field(prior: SievePrior, obs: SequenceObservation) -> ShellPosterio
     return ShellPosterior(k_tilde, p_tilde, _fit_tilts(prior, obs, k_tilde), prior.K_max, lw)
 
 
-def fit_empirical_bayes(prior: SievePrior, obs: SequenceObservation) -> ShellPosterior:
+def fit_empirical_bayes(
+    prior: SievePrior, obs: SequenceObservation, log_weights: Optional[np.ndarray] = None
+) -> ShellPosterior:
     """Marginal-likelihood posterior, the shell at (k_hat, 0).
 
-    k_hat maximizes pi(k|y), ties to the smaller k.
+    k_hat maximizes pi(k|y), ties to the smaller k; log_weights as in
+    fit_mean_field.
     """
-    lw = log_model_weights(prior, obs)
+    lw = log_model_weights(prior, obs) if log_weights is None else log_weights
     k_hat = int(np.argmax(lw))
     return ShellPosterior(k_hat, 0.0, _fit_tilts(prior, obs, k_hat), prior.K_max, lw)
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vblab import mixture
+from vblab import harness, mixture
 from vblab.cli import main
 from vblab.harness import MODELS, ExperimentConfig, parse_params
 
@@ -320,8 +320,10 @@ def test_coarse_mix_fit_grid_exits_before_the_fits(tmp_path, capsys, monkeypatch
     assert "f0 integrates to" in capsys.readouterr().err.splitlines()[-1]
 
 
-def test_numeric_failures_exit_3(tmp_path):
-    # a tiny K_max cap forces the truncation-binding guard to fire
+def test_numeric_failures_exit_3(tmp_path, capsys, monkeypatch):
+    # a tiny K_max cap makes the truncation-binding guard fire, and a K_max limit
+    # equal to that cap leaves it no room to refit
+    monkeypatch.setattr(harness, "_K_MAX_LIMIT", 16)
     cfg = write_config(
         tmp_path,
         "bind.json",
@@ -339,6 +341,17 @@ def test_numeric_failures_exit_3(tmp_path):
         },
     )
     assert main(["gsm-rate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
+    assert "n=4096: rep=0: model weight argmax reached K_max/2 = 8" in capsys.readouterr().err
+
+
+def test_cauchy_config_runs_where_its_truncation_bound(tmp_path):
+    # replication 5 at n = 256 bound at K_max = 26 and exited 3; it now refits at 52
+    payload = json.loads((REPO / "configs" / "gsm_rate_cauchy.json").read_text())
+    cfg = write_config(tmp_path, "cauchy.json", {**payload, "n_grid": [256]})
+    out = tmp_path / "o.json"
+    argv = ["gsm-rate", "--config", cfg, "--seed", "13150348164293828904", "--out", str(out)]
+    assert main(argv + ["--format", "json"]) == 0
+    assert math.isfinite(json.loads(out.read_text())[0]["mean_risk"])
 
 
 def test_pc_compare_at_huge_B(tmp_path, capsys):

@@ -22,9 +22,68 @@ from vblab.expfamily import (
     pdf,
     sample,
 )
-from vblab.expfamily import _elbo_rule
+from vblab import expfamily
+from vblab._lse import _logsumexp_weights
+from vblab.expfamily import (
+    _ELBO_CAP,
+    _ELBO_MAX_PANELS,
+    _ELBO_TARGET,
+    _elbo_panels,
+    _elbo_rule,
+    _normalizer_stats,
+    _rule_error,
+    fit_gaussian_mf_batch,
+)
 
 S0 = 1.0  # prior variance of each coefficient
+# every active length whose ELBO rule meets the target at the cap
+ADMITTED = [k for k in range(1, 33) if _rule_error(_elbo_panels(k), (k + 1) // 2) <= _ELBO_TARGET]
+
+
+def cap_draws(k, seed):
+    """Coefficient draws on the cap, ||theta||_1 = _ELBO_CAP: all the mass on one
+    coefficient (either sign, each coefficient), split over the top-frequency pair,
+    and random."""
+    norm = _ELBO_CAP
+    single = norm * np.concatenate([np.eye(k), -np.eye(k)])
+    top = np.zeros((4, k))
+    top[:, k - 1] = norm * np.array([1.0, -1.0, 0.5, -0.5])
+    if k % 2 == 0:
+        top[2:, k - 2] = norm * np.array([0.5, -0.5])
+    else:
+        top[2:, k - 1] *= 2.0
+    rng = np.random.default_rng(seed)
+    spread = rng.dirichlet(np.ones(k), size=64) * rng.choice([-1.0, 1.0], size=(64, k))
+    return np.concatenate([single, top, norm * spread])
+
+
+def ref_fit(data, s0, k, cfg, panels=_ELBO_MAX_PANELS):
+    """The per-fit gradient ascent the stacked fit replaced, on one fixed rule.
+
+    Returns the best (mu, sigma2) and the largest ||theta||_1 of any draw.
+    """
+    H, _, log_wts = _elbo_rule(k, panels)
+    suff, n = basis_matrix(data, k).sum(axis=0), data.size
+    eps = np.random.default_rng(cfg.seed).standard_normal((cfg.n_mc, k))
+    mu, log_sigma = np.zeros(k), np.full(k, -0.5 * math.log(n))
+    best_value, best, widest = -math.inf, (mu, log_sigma), 0.0
+    for _ in range(cfg.n_iters):
+        sigma = np.exp(log_sigma)
+        draws = mu[None, :] + sigma[None, :] * eps
+        widest = max(widest, float(np.abs(draws).sum(axis=1).max()))
+        g = draws @ H.T
+        g += log_wts
+        c, dens = _logsumexp_weights(g, axis=1)
+        moments = dens @ H
+        kl = 0.5 * np.sum((sigma**2 + mu**2) / s0 - 1.0 - np.log(sigma**2 / s0))
+        value = float(mu @ suff - n * float(c.mean()) - kl)
+        grad_mu = suff - n * moments.mean(axis=0) - mu / s0
+        grad_ls = -n * (moments * eps).mean(axis=0) * sigma - (sigma**2 / s0 - 1.0)
+        if value > best_value:
+            best_value, best = value, (mu.copy(), log_sigma.copy())
+        mu = mu + cfg.step_size * grad_mu / n
+        log_sigma = np.maximum(log_sigma + cfg.step_size * grad_ls / n, -13.8)
+    return best[0], np.exp(2.0 * best[1]), widest
 
 
 class TestNormalizer:
@@ -137,9 +196,9 @@ class TestDivergences:
 
 class TestCachedRules:
     def test_elbo_rule_built_once_per_k(self):
-        H, wts, log_wts = _elbo_rule(3)
+        H, wts, log_wts = _elbo_rule(3, 64)
         nodes, weights = panel_nodes(0.0, 1.0, 64, order=8)
-        assert _elbo_rule(3)[0] is H
+        assert _elbo_rule(3, 64)[0] is H
         np.testing.assert_array_equal(H, basis_matrix(nodes, 3))
         np.testing.assert_array_equal(wts, weights)
         np.testing.assert_array_equal(log_wts, np.log(weights))
@@ -153,9 +212,44 @@ class TestCachedRules:
 
     def test_cached_arrays_are_read_only(self):
         # the ELBO rule and the sequence model's evidence window are shared by every call
-        for arr in (*_elbo_rule(2), *fixed_rule(-15.0, 15.0, 30)):
+        for arr in (*_elbo_rule(2, 16), *fixed_rule(-15.0, 15.0, 30)):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+class TestElboRule:
+    def test_rule_sizes(self):
+        # the shipped active length k = 3 (frequencies up to 2) takes 16 panels
+        panels = [_elbo_panels(k) for k in range(1, 33)]
+        assert panels[:6] == [8, 8, 16, 16, 32, 32]
+        assert panels == sorted(panels) and set(panels) <= {1, 2, 4, 8, 16, 32, 64}
+        assert ADMITTED == list(range(1, len(ADMITTED) + 1)) and len(ADMITTED) >= 6
+        for k in ADMITTED:  # the fewest panels: half as many miss the target
+            assert _elbo_panels(k) == 1 or _rule_error(_elbo_panels(k) // 2, (k + 1) // 2) > _ELBO_TARGET
+
+    @pytest.mark.parametrize("k", ADMITTED)
+    def test_rule_within_target_at_the_cap(self, k):
+        draws = cap_draws(k, seed=k)
+        c, moments = _normalizer_stats(draws, _elbo_panels(k))
+        c_ref, moments_ref = _normalizer_stats(draws, _ELBO_MAX_PANELS)
+        assert np.max(np.abs(c - c_ref)) <= _ELBO_TARGET
+        assert np.max(np.abs(moments - moments_ref)) <= _ELBO_TARGET
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_bound_holds_on_coarse_rules(self, L):
+        # where the bound is large enough to be seen, the actual error stays below it
+        draws = cap_draws(2 * L, seed=L)
+        c_ref, moments_ref = _normalizer_stats(draws, _ELBO_MAX_PANELS)
+        checked = 0
+        for panels in (1, 2, 4, 8, 16):
+            bound = _rule_error(panels, L)
+            if not 1e-13 < bound < 1.0:
+                continue
+            c, moments = _normalizer_stats(draws, panels)
+            worst = max(np.max(np.abs(c - c_ref)), np.max(np.abs(moments - moments_ref)))
+            assert worst <= bound
+            checked += 1
+        assert checked >= 2
 
 
 class TestElbo:
@@ -287,6 +381,64 @@ class TestFit:
             q = fit_gaussian_mf(data, S0, k=2, opt_config=cfg)
             init = GaussMFVariational(np.zeros(2), np.full(2, 1.0 / 150.0))
             assert elbo(q, data, S0, 32, s) >= elbo(init, data, S0, 32, s)
+
+    def test_fit_within_the_cap_is_the_per_fit_loop_on_its_rule(self):
+        data = sample(np.array([0.7, -0.4, 0.2]), 400, seed=31)
+        cfg = OptConfig(n_iters=80, seed=4)
+        mu, sigma2, widest = ref_fit(data, S0, 3, cfg, panels=_elbo_panels(3))
+        assert widest <= _ELBO_CAP
+        q = fit_gaussian_mf(data, S0, k=3, opt_config=cfg)
+        np.testing.assert_array_equal(q.mu, mu)
+        np.testing.assert_array_equal(q.sigma2, sigma2)
+
+    def test_fit_crossing_the_cap_is_the_64_panel_fit(self):
+        data = sample(np.array([1.2, -0.8, 0.4]), 200, seed=32)
+        cfg = OptConfig(n_iters=80, seed=5)
+        mu, sigma2, widest = ref_fit(data, S0, 3, cfg)
+        assert widest > _ELBO_CAP
+        q = fit_gaussian_mf(data, S0, k=3, opt_config=cfg)
+        np.testing.assert_array_equal(q.mu, mu)
+        np.testing.assert_array_equal(q.sigma2, sigma2)
+
+    def test_batch_rows_match_their_fits_alone(self, monkeypatch):
+        # rows crossing the cap and rows within it, grouped and one row per group
+        samples = np.stack([sample(np.array(t), 200, seed=40 + i) for i, t in enumerate(
+            [[1.2, -0.8, 0.4], [0.3, 0.1, -0.2], [1.1, -0.9, 0.5], [0.7, -0.4, 0.2]])])
+        seeds = [11, 12, 13, 14]
+        cfg = OptConfig(n_iters=80)
+        alone = [fit_gaussian_mf(x, S0, 3, OptConfig(n_iters=80, seed=s)) for x, s in zip(samples, seeds)]
+        grouped = fit_gaussian_mf_batch(samples, S0, 3, cfg, seeds)
+        monkeypatch.setattr(expfamily, "_FIT_CELLS", 1)
+        single = fit_gaussian_mf_batch(samples, S0, 3, cfg, seeds)
+        for a, b, c in zip(alone, grouped, single):
+            # same bits where BLAS evaluates a row alike in any stack, as here
+            np.testing.assert_allclose(b.mu, a.mu, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(b.sigma2, a.sigma2, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(c.mu, a.mu)
+            np.testing.assert_array_equal(c.sigma2, a.sigma2)
+
+    def test_batch_groups_stay_within_the_cell_cap(self, monkeypatch):
+        cells = []
+
+        def recording(draws, panels):
+            cells.append(draws.shape[0] * draws.shape[1] * 8 * panels)
+            return stats(draws, panels)
+
+        stats = expfamily._normalizer_stats
+        monkeypatch.setattr(expfamily, "_normalizer_stats", recording)
+        monkeypatch.setattr(expfamily, "_FIT_CELLS", 2 * 32 * 8 * 16)  # two rows at 16 panels
+        samples = np.stack([sample(np.array([0.7, -0.4, 0.2]), 100, seed=s) for s in range(5)])
+        fits = fit_gaussian_mf_batch(samples, S0, 3, OptConfig(n_iters=5, n_mc=32), range(5))
+        assert len(fits) == 5 and max(cells) <= expfamily._FIT_CELLS
+
+    def test_batch_input_checks(self):
+        samples = np.stack([sample(np.zeros(1), 50, seed=s) for s in range(2)])
+        with pytest.raises(InputError):
+            fit_gaussian_mf_batch(samples, S0, 2, OptConfig(), [1])
+        with pytest.raises(InputError):
+            fit_gaussian_mf_batch(samples[0], S0, 2, OptConfig(), [1])
+        with pytest.raises(InputError):
+            fit_gaussian_mf_batch(samples, S0, 0, OptConfig(), [1, 2])
 
     def test_hellinger_to_truth_decreases_with_n(self):
         theta_true = np.array([0.7, -0.4, 0.2])

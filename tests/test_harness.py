@@ -2,12 +2,14 @@
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from vblab._rng import derive_seed
-from vblab.errors import InputError
+from vblab import expfamily, harness, sequence_model
+from vblab._rng import derive_seed, generator
+from vblab.errors import InputError, NumericError
 from vblab.harness import (
     ExperimentConfig,
     RateFit,
@@ -17,9 +19,12 @@ from vblab.harness import (
     fit_rate_exponent,
     read_table,
     run_experiment,
+    parse_params,
     to_text,
     trunc_curve_rows,
 )
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def make_table(n, risks, stderr=None, reps=10):
@@ -156,6 +161,84 @@ class TestRunExperiment:
         table = run_experiment(config)
         assert table.mean_risk[0] > 0
         assert table.stderr[0] > 0
+
+
+def ref_expfamily_runner(p, n, rng):
+    """The per-replication exponential-family runner the stacked one replaced."""
+    theta_star = np.asarray(p["theta_star"], dtype=float)
+    k = theta_star.size if p["k"] is None else p["k"]
+    cfg = expfamily.OptConfig(**p["opt"], seed=int(rng.integers(2**63)))
+    data = expfamily.sample(theta_star, n, seed=rng)
+    q = expfamily.fit_gaussian_mf(data, p["sigma0_sq"], k, opt_config=cfg)
+    return expfamily.hellinger_numeric(q.mu, theta_star) ** 2
+
+
+class TestExpfamilyRunner:
+    # at this seed and n, replications 0-2 of the second truth cross the cap and rerun
+    # on the 64-panel rule, while replication 3 stays on the 16-panel rule
+    @pytest.mark.parametrize("theta_star", [[0.7, -0.4, 0.2], [1.2, -0.8, 0.4]], ids=["shipped", "crossing"])
+    def test_matches_per_replication_runner(self, theta_star):
+        params = parse_params({"theta_star": theta_star, "opt": {"n_iters": 60}}, "expfamily_hellinger")
+        got = harness.MODELS["expfamily_hellinger"].runner(
+            params, 200, [generator(17, 200, rep) for rep in range(4)]
+        )
+        want = [ref_expfamily_runner(params, 200, generator(17, 200, rep)) for rep in range(4)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("cells", [None, 1], ids=["one-group", "row-per-group"])
+    def test_diverging_row_names_its_rep(self, monkeypatch, cells):
+        # replication 2's ELBO is forced below -1e12 inside the stack of four
+        if cells is not None:
+            monkeypatch.setattr(expfamily, "_FIT_CELLS", cells)
+        rng = generator(23, 200, 2)
+        rng.integers(2**63)
+        target = expfamily.basis_matrix(expfamily.sample([0.7, -0.4, 0.2], 200, seed=rng), 3).sum(axis=0)
+        terms = expfamily._elbo_terms
+
+        def diverging(draws, mu, sigma, eps, suff, *rest):
+            value, grad_mu, grad_ls = terms(draws, mu, sigma, eps, suff, *rest)
+            value[np.all(suff == target, axis=1)] = -1e13
+            return value, grad_mu, grad_ls
+
+        monkeypatch.setattr(expfamily, "_elbo_terms", diverging)
+        config = ExperimentConfig("expfamily_hellinger", (200,), 4, 23, {"opt": {"n_iters": 20}})
+        with pytest.raises(NumericError, match=r"^n=200: rep=2: ELBO diverged below -1e12$"):
+            run_experiment(config)
+
+
+class TestSieveRefit:
+    def test_binding_truncation_refits_at_twice_k_max(self):
+        # K_max = 16 puts the spike at K_max/2, so the guard fires once; the refit is
+        # the direct fit at K_max = 32 on the same spike, from the same stream
+        params = {"alpha": 1.0, "B": 2.0, "k_max_factor": 0.01, "signal": {"kind": "spike", "j0": 8}}
+        post, signal = harness._fit_gsm(parse_params(params, "gsm_risk"), 4096, generator(0, 4096, 0))
+        assert post.K_max == 32
+        prior = sequence_model.SievePrior.geometric(1.0, 32, sequence_model.GaussianCoordinates(1.0))
+        direct_signal = sequence_model.make_signal("spike", 1.0, 2.0, 32, j0=8)
+        obs = sequence_model.sample_observation(direct_signal, 4096.0, generator(0, 4096, 0))
+        direct = sequence_model.fit_mean_field(prior, obs)
+        np.testing.assert_array_equal(signal.theta, direct_signal.theta)
+        assert (post.k, post.p) == (direct.k, direct.p)
+        np.testing.assert_array_equal(post.log_weights, direct.log_weights)
+        assert sequence_model.expected_risk(post, signal) == sequence_model.expected_risk(direct, direct_signal)
+
+    def test_refit_keeps_the_signal_and_its_noise(self):
+        # the shipped Cauchy config bound at this replication with K_max = 26
+        payload = json.loads((REPO / "configs" / "gsm_rate_cauchy.json").read_text())
+        params = parse_params(payload["params"], "gsm_risk")
+        seed = 13150348164293828904
+        post, signal = harness._fit_gsm(params, 256, generator(seed, 256, 5))
+        assert post.K_max == signal.theta.size == 52
+        original = sequence_model.make_signal("sobolev_boundary", 1.0, 2.0, 26)
+        np.testing.assert_array_equal(signal.theta[:26], original.theta)
+        assert not signal.theta[26:].any()
+        assert int(np.argmax(post.log_weights)) < 26
+
+    def test_refit_stops_at_the_k_max_limit(self, monkeypatch):
+        monkeypatch.setattr(harness, "_K_MAX_LIMIT", 16)
+        params = {"alpha": 1.0, "B": 2.0, "k_max_factor": 0.01, "signal": {"kind": "spike", "j0": 8}}
+        with pytest.raises(NumericError, match="truncation binds"):
+            harness._fit_gsm(parse_params(params, "gsm_risk"), 4096, generator(0, 4096, 0))
 
 
 class TestDivergenceReport:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from vblab import sequence_model
 from vblab.divergences import ScalarGaussian
 from vblab.errors import InputError
 from vblab.sequence_model import (
@@ -352,6 +353,36 @@ class TestRescaledFamilies:
         assert tilt.probs.sum() == pytest.approx(1.0, abs=1e-12)
         # posterior mean sits between 0 (prior center) and y
         assert 0.0 < tilt.mean < 0.7
+
+    def test_cauchy_ratio_in_blocks_keeps_every_bit(self, monkeypatch):
+        # the windows are taken a block of coordinates at a time, so memory stays
+        # flat in K_max; each coordinate's ratio is the one an unblocked pass gives
+        fam = RescaledCauchyCoordinates(1.0, 256.0)
+        ys = np.random.default_rng(5).normal(scale=0.2, size=1000)
+        monkeypatch.setattr(sequence_model, "_EVIDENCE_ROWS", 1 << 20)
+        whole = fam.log_evidence_ratio(ys, 256.0)
+        monkeypatch.setattr(sequence_model, "_EVIDENCE_ROWS", 96)
+        np.testing.assert_array_equal(fam.log_evidence_ratio(ys, 256.0), whole)
+
+    def test_geometric_weights_at_negative_tau(self):
+        # exp(-tau k) overflows at k = 1000 for tau = -1; the weights are shifted first,
+        # and tau >= 0 keeps the unshifted bits
+        w = SievePrior.geometric(-1.0, 1000, GaussianCoordinates(1.0)).dimension_weights
+        assert np.all(np.isfinite(w)) and w[-1] == w.max()
+        np.testing.assert_allclose(w[-100:] / w[-101:-1], math.e, rtol=1e-12)
+        raw = np.exp(-0.7 * np.arange(41.0))
+        got = SievePrior.geometric(0.7, 40, GaussianCoordinates(1.0)).dimension_weights
+        np.testing.assert_array_equal(got, sequence_model._normalized(raw / raw.sum()))
+
+    def test_fits_take_the_weights_already_computed(self):
+        prior = SievePrior.geometric(1.0, 12, RescaledCauchyCoordinates(1.0, 64.0))
+        obs = sample_observation(make_signal("sobolev_boundary", 1.0, 2.0, 12), 64.0, 8)
+        lw = log_model_weights(prior, obs)
+        for fit in (fit_mean_field, fit_empirical_bayes):
+            a, b = fit(prior, obs), fit(prior, obs, lw)
+            assert (a.k, a.p) == (b.k, b.p)
+            np.testing.assert_array_equal(a.log_weights, b.log_weights)
+            assert [t.mean for t in a.tilts] == [t.mean for t in b.tilts]
 
     def test_rescaled_gaussian_is_conjugate(self):
         fam = RescaledGaussianCoordinates(4.0, 16.0)
