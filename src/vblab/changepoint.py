@@ -6,7 +6,8 @@ every piece draws its value from one value density:
 
 * product (coordinatewise) posteriors, which ignore the dependence
   between neighbouring sites and therefore keep a risk proportional to
-  the sample size -- the cautionary baseline;
+  the sample size -- the cautionary baseline, whose risks over a batch
+  of datasets mean_field_risks takes in blocks of rows;
 * first-order Markov chains over a value grid.  Under the per-site
   change prior the discretized posterior itself is a grid chain, so
   forward-backward recovers it exactly and the variational gap is zero.
@@ -55,6 +56,7 @@ __all__ = [
     "make_prefix_signal",
     "snap_to_grid",
     "fit_mean_field",
+    "mean_field_risks",
     "grid_posterior",
     "fit_markov_vb",
     "risk",
@@ -342,24 +344,72 @@ def fit_mean_field(
     site's value density by its own likelihood and nothing else.
     """
     X = data_array(X, "X")
+    _check_mean_field(X.size, sigma, prior, grid)
+    g = prior.value_density
+    mean, var = _site_moments(X, sigma, g, grid)
+    kind = "truncated_gaussian" if isinstance(g, UniformDensity) else "grid"
+    return CoordinatewisePosterior(means=mean, variances=var, kind=kind)
+
+
+# mean_field_risks fits blocks of at most _MEAN_FIELD_CELLS (replication, site) cells.
+_MEAN_FIELD_CELLS = 1 << 15
+
+
+def mean_field_risks(
+    X_batch: np.ndarray,
+    sigma: float,
+    prior: ChangePointPrior,
+    signal: PiecewiseSignal,
+    grid: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """risk(fit_mean_field(X, sigma, prior, grid), signal) for each row of an (R, n) batch.
+
+    The rows are fitted in blocks of at most _MEAN_FIELD_CELLS cells,
+    whatever R is.  Under a uniform value density the moments are
+    elementwise and each row's sum is taken alone, so a row has the bits
+    it has in fit_mean_field and risk.
+    """
+    X_batch = data_array(X_batch, "X_batch", 2)
+    R, n = X_batch.shape
+    if signal.values.size != n:
+        raise InputError("signal length does not match the data")
+    _check_mean_field(n, sigma, prior, grid)
+    risks = np.empty(R)
+    rows = max(1, _MEAN_FIELD_CELLS // n)
+    for lo in range(0, R, rows):
+        mean, var = _site_moments(X_batch[lo : lo + rows], sigma, prior.value_density, grid)
+        risks[lo : lo + rows] = _coordinatewise_risk(mean, var, signal.values)
+    return risks
+
+
+def _check_mean_field(n: int, sigma: float, prior: ChangePointPrior, grid) -> None:
     if not sigma > 0:
         raise InputError("sigma must be positive")
     if not isinstance(prior, (MarkovSitePrior, UniformPositionsPrior)):
         raise InputError(f"unsupported prior type {type(prior).__name__}")
-    if isinstance(prior, UniformPositionsPrior) and prior.n != X.size:
-        raise InputError(f"prior was built for n={prior.n}, data has n={X.size}")
-    g = prior.value_density
-    if isinstance(g, UniformDensity):
-        mean, var = _truncnorm_moments(X, sigma, g.lo, g.hi)
-        return CoordinatewisePosterior(means=mean, variances=var, kind="truncated_gaussian")
-    if grid is None:
+    if isinstance(prior, UniformPositionsPrior) and prior.n != n:
+        raise InputError(f"prior was built for n={prior.n}, data has n={n}")
+    if grid is None and not isinstance(prior.value_density, UniformDensity):
         raise InputError("non-uniform value densities need an explicit grid")
-    logw = g.log_pdf(grid) - 0.5 * ((grid[None, :] - X[:, None]) / sigma) ** 2
-    logw = logw - _logsumexp(logw, axis=1, keepdims=True)
+
+
+def _site_moments(X: np.ndarray, sigma: float, g: ValueDensity, grid) -> tuple:
+    """Means and variances of each site's tilt q_i, for data X of any shape.
+
+    In closed form when g is uniform, else by quadrature on the value grid.
+    """
+    if isinstance(g, UniformDensity):
+        return _truncnorm_moments(X, sigma, g.lo, g.hi)
+    logw = g.log_pdf(grid) - 0.5 * ((grid - X[..., None]) / sigma) ** 2
+    logw = logw - _logsumexp(logw, axis=-1, keepdims=True)
     probs = np.exp(logw)
     means = probs @ grid
-    variances = probs @ grid**2 - means**2
-    return CoordinatewisePosterior(means=means, variances=variances, kind="grid")
+    return means, probs @ grid**2 - means**2
+
+
+def _coordinatewise_risk(means: np.ndarray, variances: np.ndarray, theta: np.ndarray):
+    """The sum over the last axis of variance + (mean - theta)^2."""
+    return np.sum(variances + (means - theta) ** 2, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +804,7 @@ def risk(Q: Union[GridChain, CoordinatewisePosterior], signal: PiecewiseSignal) 
     if isinstance(Q, CoordinatewisePosterior):
         if len(Q) != theta.size:
             raise InputError(f"posterior has {len(Q)} sites, signal has {theta.size}")
-        return float(np.sum(Q.variances + (Q.means - theta) ** 2))
+        return float(_coordinatewise_risk(Q.means, Q.variances, theta))
     raise InputError(f"unsupported posterior type {type(Q).__name__}")
 
 

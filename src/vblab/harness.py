@@ -258,7 +258,14 @@ _GSM_FAMILIES = {
 }
 
 
-def _fit_gsm(p: dict, n: int, rng: np.random.Generator):
+def _fit_gsm(p: dict, n: int, rngs) -> tuple:
+    """The family and an iterator of (reps, theta, Y, log_weights) blocks of one n's replications.
+
+    Replication r draws from rngs[r].  A block holds at most _BLOCK_CELLS
+    coordinates (or one row), whatever the replication count.  Rows whose
+    argmax reaches K_max/2 refit in blocks of their own at 2 K_max on the
+    zero-padded signal, drawing only the added noise and evidence ratios.
+    """
     alpha, B = p["alpha"], p["B"]
     kind = p["signal"]["kind"]
     j0 = _resolve_spike_index(p["signal"]["j0"], alpha, n)
@@ -279,40 +286,49 @@ def _fit_gsm(p: dict, n: int, rng: np.random.Generator):
     if stray:
         raise InputError(f"params.prior.{stray[0]} does not apply to family {spec['family']!r}")
     fam = coordinates(1.0 if spec[key] is None else spec[key], n)
+    theta = sequence_model.make_signal(kind, alpha, B, K_max, j0=j0).theta
+    pending = [(np.arange(len(rngs)), theta) + (np.empty((len(rngs), 0)),) * 2]  # nothing drawn yet
 
-    signal = sequence_model.make_signal(kind, alpha, B, K_max, j0=j0)
-    obs = sequence_model.sample_observation(signal, float(n), rng)
-    while True:
-        prior = sequence_model.SievePrior.geometric(spec["tau"], K_max, fam)
-        log_weights = sequence_model.log_model_weights(prior, obs)
-        if int(np.argmax(log_weights)) < K_max // 2:
-            break
-        if 2 * K_max > _K_MAX_LIMIT:
-            raise NumericError(
-                f"model weight argmax reached K_max/2 = {K_max // 2}, and 2 K_max passes "
-                f"the limit {_K_MAX_LIMIT}; truncation binds"
-            )
-        # the truncation binds: refit at 2 K_max on the same signal, zero-padded, whose
-        # added coordinates' noise comes next in the stream, as one draw of 2 K_max would
-        signal = sequence_model.SobolevSignal(np.pad(signal.theta, (0, K_max)), alpha, B)
-        noise = rng.standard_normal(K_max) / math.sqrt(obs.n)
-        obs = sequence_model.SequenceObservation(np.concatenate((obs.y, noise)), obs.n)
-        K_max *= 2
-    if p["posterior"] == "mean_field":
-        post = sequence_model.fit_mean_field(prior, obs, log_weights)
-    else:
-        post = sequence_model.fit_empirical_bayes(prior, obs, log_weights)
-    return post, signal
+    def blocks():
+        while pending:
+            reps, theta, Y, ratios = pending.pop()
+            K, have = theta.size, Y.shape[1]
+            rows = max(1, sequence_model._BLOCK_CELLS // K)
+            if reps.size > rows:  # the other rows wait for this block and its refits
+                pending.append((reps[rows:], theta, Y[rows:], ratios[rows:]))
+                reps, Y, ratios = reps[:rows], Y[:rows], ratios[:rows]
+            Y, ratios = (np.pad(a, ((0, 0), (0, K - have))) for a in (Y, ratios))
+            for row, r in enumerate(reps):  # the added coordinates' noise, next in each stream
+                Y[row, have:] = theta[have:] + rngs[r].standard_normal(K - have) / math.sqrt(n)
+            ratios[:, have:] = fam.log_evidence_ratio(Y[:, have:].ravel(), float(n)).reshape(-1, K - have)
+            prior = sequence_model.SievePrior.geometric(spec["tau"], K, fam)
+            lw = sequence_model._log_weights(prior, ratios, reps)
+            bound = np.argmax(lw, axis=1) >= K // 2
+            if bound.any():  # the binding rows go on top, to refit right after this block
+                if 2 * K > _K_MAX_LIMIT:
+                    raise NumericError(
+                        f"rep={reps[bound][0]}: model weight argmax reached K_max/2 = {K // 2}, "
+                        f"and 2 K_max passes the limit {_K_MAX_LIMIT}; truncation binds"
+                    )
+                pending.append((reps[bound], np.pad(theta, (0, K)), Y[bound], ratios[bound]))
+                reps, Y, lw = reps[~bound], Y[~bound], lw[~bound]
+            yield reps, theta, Y, lw
+
+    return fam, blocks()
 
 
-def _run_gsm_risk(p, n, rng):
-    post, signal = _fit_gsm(p, n, rng)
-    return sequence_model.expected_risk(post, signal)
-
-
-def _run_gsm_dimension(p, n, rng):
-    post, _ = _fit_gsm(p, n, rng)
-    return float(post.k)
+def _run_gsm(p: dict, n: int, rngs, dimension: bool = False) -> np.ndarray:
+    """Each replication's shell k, or its risk from tilt moments below its k only."""
+    fam, blocks = _fit_gsm(p, n, rngs)
+    out = np.empty(len(rngs))
+    for reps, theta, Y, lw in blocks:
+        k, mix = sequence_model._select_shells(lw, p["posterior"] == "mean_field")
+        active = np.arange(0 if dimension else k.max(initial=0)) < k[:, None]
+        moments = np.zeros((2,) + active.shape)
+        if active.any():
+            moments[:, active] = fam.tilt_moments(Y[:, : active.shape[1]][active], float(n))
+        out[reps] = k if dimension else sequence_model._shell_risks(k, mix, *moments, theta)
+    return out
 
 
 def _pc_common(p, n):
@@ -334,12 +350,11 @@ def _pc_common(p, n):
     return sigma, B, grid, signal
 
 
-def _run_pc_mean_field(p, n, rng):
-    sigma, B, grid, signal = _pc_common(p, n)
+def _run_pc_mean_field_batch(p, n, rngs):
+    sigma, B, _, signal = _pc_common(p, n)
     prior = changepoint.MarkovSitePrior(0.5, changepoint.UniformDensity(-B - 1, B + 1))
-    X = signal.values + sigma * rng.standard_normal(n)
-    post = changepoint.fit_mean_field(X, sigma, prior)
-    return changepoint.risk(post, signal)
+    X = np.stack([signal.values + sigma * rng.standard_normal(n) for rng in rngs])
+    return changepoint.mean_field_risks(X, sigma, prior, signal)
 
 
 def _change_prob(prob, n: int) -> float:
@@ -395,16 +410,13 @@ class ModelSpec:
     """Everything decided per model id.
 
     ``runner`` maps (parsed params, n, rngs) to the metrics of one n's
-    replications, each drawn from its own rng only, so the table does not
-    depend on batching.  pc_markov_chain, mixture_hellinger and
-    expfamily_hellinger stack their fits; the gsm models and pc_mean_field
-    run through _per_replication.  A stacked expfamily row ascends on the
-    ELBO rule of its k, or, once its draws cross the ||theta||_1 cap, from
-    its first step again on the 64-panel rule, as a fit alone would.  The
-    one exception is rounding: pc_markov_chain sums a
-    replication over the grid in one order alone and in another within a
-    batch, which moves its risk by less than 1e-12 relative.  None means
-    no table.
+    replications, fitted as a stack in blocks, each drawn from its own rng
+    only, so the table does not depend on batching.  A stacked expfamily row ascends
+    on the ELBO rule of its k, or, once its draws cross the ||theta||_1 cap,
+    from its first step again on the 64-panel rule, as a fit alone would.
+    The one exception is rounding: pc_markov_chain sums a replication over
+    the grid in one order alone and in another within a batch, which moves
+    its risk by less than 1e-12 relative.  None means no table.
     ``report`` names the function of this module that ``command`` emits
     instead of a table.  ``defaults`` is the params schema, with the
     domains _conform checks declared next to their defaults.
@@ -414,19 +426,6 @@ class ModelSpec:
     runner: Optional[Callable]
     defaults: dict
     report: Optional[str] = None
-
-
-def _per_replication(runner: Callable) -> Callable:
-    """A (params, n, rngs) runner calling runner(params, n, rng) once per replication."""
-    def run(params, n, rngs):
-        vals = []
-        for rep, rng in enumerate(rngs):
-            try:
-                vals.append(runner(params, n, rng))
-            except VblabError as exc:
-                raise type(exc)(f"rep={rep}: {exc}") from exc
-        return vals
-    return run
 
 
 _DIV_DEFAULTS = {"slack": (1e-10, 0), "rho_grid": [0.5, 2.0, 4.0, 8.0]}
@@ -459,11 +458,11 @@ _EXPFAM_DEFAULTS = {  # k defaults to len(theta_star)
 
 MODELS = {
     "divergence_chain": ModelSpec("divcheck", None, _DIV_DEFAULTS, "divergence_chain_report"),
-    "gsm_risk": ModelSpec("gsm-rate", _per_replication(_run_gsm_risk), _GSM_DEFAULTS),
-    "gsm_dimension": ModelSpec("gsm-dim", _per_replication(_run_gsm_dimension), _GSM_DEFAULTS),
-    "gsm_spike_risk": ModelSpec("gsm-lower", _per_replication(_run_gsm_risk), _GSM_DEFAULTS),
+    "gsm_risk": ModelSpec("gsm-rate", _run_gsm, _GSM_DEFAULTS),
+    "gsm_dimension": ModelSpec("gsm-dim", lambda *args: _run_gsm(*args, dimension=True), _GSM_DEFAULTS),
+    "gsm_spike_risk": ModelSpec("gsm-lower", _run_gsm, _GSM_DEFAULTS),
     "trunc_exact_risk": ModelSpec("trunc-curve", None, _TRUNC_DEFAULTS, "trunc_curve_rows"),
-    "pc_mean_field": ModelSpec("pc-compare", _per_replication(_run_pc_mean_field), _PC_MF_DEFAULTS),
+    "pc_mean_field": ModelSpec("pc-compare", _run_pc_mean_field_batch, _PC_MF_DEFAULTS),
     "pc_markov_chain": ModelSpec("pc-compare", _run_pc_markov_chain_batch, _PC_CHAIN_DEFAULTS),
     "mixture_hellinger": ModelSpec("mix-fit", _run_mixture_hellinger_batch, _MIX_DEFAULTS),
     "expfamily_hellinger": ModelSpec("expfam-fit", _run_expfamily_hellinger_batch, _EXPFAM_DEFAULTS),
@@ -475,7 +474,7 @@ def run_experiment(config: ExperimentConfig) -> RateTable:
 
     The stream for replication r at sample size n is derived from
     (master_seed, n, r), so any subset of the table can be reproduced in
-    isolation; failures are re-raised with the (n, rep) coordinates.
+    isolation; failures are re-raised with n, and with the rep a runner names.
     """
     spec = MODELS.get(config.model)
     if spec is None or spec.runner is None:

@@ -49,8 +49,12 @@ __all__ = [
 
 _GRID_POINTS = 2001
 _GRID_HALF_WIDTH = 12.0  # in units of the rescaled likelihood scale
-# the Cauchy evidence holds at most this many coordinates' quadrature windows at a time
-_EVIDENCE_ROWS = 1 << 11
+# a Cauchy tilt's grid points sit at v + _TILT_OFFSETS, its Gaussian factor at each is fixed
+_TILT_OFFSETS = np.linspace(-_GRID_HALF_WIDTH, _GRID_HALF_WIDTH, _GRID_POINTS)
+_TILT_GAUSS = np.exp(-0.5 * _TILT_OFFSETS**2)
+# the Cauchy kernels hold at most this many (coordinate, node) cells at a time, and
+# the stacked sieve runners this many (replication, coordinate) cells
+_BLOCK_CELLS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +94,12 @@ class GaussianCoordinates:
         prec = n + 1.0 / self.sigma0_sq
         return ScalarGaussian(n * y / prec, 1.0 / prec)
 
+    def tilt_moments(self, y, n: float) -> tuple:
+        """Means and variances of the tilts at each y, as tilt(y, n) gives them."""
+        y = data_array(y, "y", scalar=True)
+        prec = n + 1.0 / self.sigma0_sq
+        return n * y / prec, np.full(y.shape, 1.0 / prec)
+
     def normalization_error(self) -> float:
         return 0.0  # exact by construction
 
@@ -114,6 +124,21 @@ class RescaledCauchyCoordinates:
         s = self.scale
         return -np.log(math.pi * s) - np.log1p((u / s) ** 2)
 
+    def _kernel(self, v: np.ndarray, offsets: np.ndarray, gauss: np.ndarray) -> np.ndarray:
+        """(v.size, nodes) array of gauss / (1 + ((v + offsets) / s)^2).
+
+        Times 1 / (pi s) this is g(v + offset) times the Gaussian factor the
+        caller fixed per node, so with v / s and offsets / s formed once a
+        row costs an add, a square and a reciprocal per node.  A square
+        beyond float range leaves 0, the limit of its reciprocal.
+        """
+        s = self.scale
+        x = (v / s)[:, None] + offsets / s
+        with np.errstate(over="ignore"):
+            np.square(x, out=x)
+        x += 1.0
+        return np.divide(gauss, x, out=x)
+
     def log_pdf(self, x):
         x = np.asarray(x, dtype=float)
         rn = math.sqrt(self.n)
@@ -125,17 +150,23 @@ class RescaledCauchyCoordinates:
         Substituting u = sqrt(n) t and centering at v = sqrt(n) y turns
         the ratio into exp(v^2/2) * integral g(v + w) exp(-w^2/2) dw, an
         O(1) integral over a fixed window; 480 Gauss-Legendre nodes are
-        far below 1e-10 error for this smooth integrand.
+        far below 1e-10 error for this smooth integrand.  With c_i the
+        node weights times exp(-w_i^2/2), the ratio is
+        v^2/2 - log(pi s) + log sum_i c_i / (1 + ((v + w_i)/s)^2).  Each
+        coordinate's sum is reduced alone, so its bits do not depend on
+        the block it falls in.
         """
         self._check_n(n)
         v = math.sqrt(n) * data_array(y, "y", scalar=True)
-        w, _, log_wt = fixed_rule(-15.0, 15.0, 30)
-        out = np.empty_like(v)
-        for lo in range(0, v.size, _EVIDENCE_ROWS):  # (rows, nodes) windows, a block at a time
-            u = v[lo : lo + _EVIDENCE_ROWS, None]
-            log_terms = self._log_g(u + w[None, :]) - 0.5 * w[None, :] ** 2
-            out[lo : lo + u.size] = 0.5 * u[:, 0] ** 2 + _logsumexp(log_terms + log_wt[None, :], axis=1)
-        return out if out.size > 1 else float(out[0])
+        w, wt, _ = fixed_rule(-15.0, 15.0, 30)
+        c = wt * np.exp(-0.5 * w * w)
+        total = np.empty_like(v)
+        rows = max(1, _BLOCK_CELLS // w.size)
+        for lo in range(0, v.size, rows):
+            total[lo : lo + rows] = self._kernel(v[lo : lo + rows], w, c).sum(axis=1)
+        with np.errstate(divide="ignore"):  # every node's square overflowed: ratio -inf
+            out = 0.5 * v**2 - (math.log(math.pi) + math.log(self.scale)) + np.log(total)
+        return out if np.ndim(y) else float(out[0])
 
     def log_evidence_adaptive(self, y: float, n: float) -> float:
         """Reference log W(y) by adaptive quadrature in the rescaled variable.
@@ -152,14 +183,43 @@ class RescaledCauchyCoordinates:
         )
         return top + math.log(total)
 
+    def tilt_moments(self, y, n: float) -> tuple:
+        """Means and variances of the tilts at each y, without building their grids.
+
+        On the grid of tilt(y, n), with weights q over the offsets from
+        v = sqrt(n) y, the mean offset is d = sum q off / sum q and the
+        variance sum q (off - d)^2 / sum q, in units of 1/sqrt(n).
+        """
+        self._check_n(n)
+        v = math.sqrt(n) * data_array(y, "y", scalar=True)
+        shift, var = np.empty_like(v), np.empty_like(v)
+        rows = max(1, _BLOCK_CELLS // _GRID_POINTS)
+        for lo in range(0, v.size, rows):
+            q, mass = self._tilt_weights(v[lo : lo + rows])
+            d = np.einsum("ij,j->i", q, _TILT_OFFSETS) / mass
+            dev = np.square(_TILT_OFFSETS - d[:, None])
+            shift[lo : lo + rows] = d
+            var[lo : lo + rows] = np.einsum("ij,ij->i", q, dev) / mass
+        return (v + shift) / math.sqrt(n), var / n
+
     def tilt(self, y: float, n: float) -> "GridDensity":
-        """The prior coordinate reweighted by the Gaussian likelihood at y, on a grid."""
+        """The prior coordinate reweighted by the Gaussian likelihood at y, on a grid.
+
+        Its probabilities are the weights tilt_moments reduces, so a
+        GridDensity is built only to sample or to take a KL.
+        """
         self._check_n(n)
         v = math.sqrt(n) * y
-        u = np.linspace(v - _GRID_HALF_WIDTH, v + _GRID_HALF_WIDTH, _GRID_POINTS)
-        log_w = self._log_g(u) - 0.5 * (u - v) ** 2
-        log_w -= _logsumexp(log_w)
-        return GridDensity(points=u / math.sqrt(n), probs=np.exp(log_w))
+        q, mass = self._tilt_weights(np.array([v]))
+        return GridDensity(points=(v + _TILT_OFFSETS) / math.sqrt(n), probs=q[0] / mass[0])
+
+    def _tilt_weights(self, v: np.ndarray) -> tuple:
+        """Unnormalized tilt weights on the grids around each v, and their row sums."""
+        q = self._kernel(v, _TILT_OFFSETS, _TILT_GAUSS)
+        mass = q.sum(axis=1)
+        if not mass.all():
+            raise InputError(f"scale {self.scale} leaves a tilt no mass on its grid")
+        return q, mass
 
     def normalization_error(self) -> float:
         """|integral f - 1| via a sinh substitution (tail-safe quadrature)."""
@@ -368,16 +428,58 @@ def log_model_weights(prior: SievePrior, obs: SequenceObservation) -> np.ndarray
     if obs.y.size != prior.K_max:
         raise InputError(f"observation length {obs.y.size} != K_max {prior.K_max}")
     ratios = prior.coordinate_family.log_evidence_ratio(obs.y, obs.n)
-    scores = prior.log_dimension_weights + np.concatenate(([0.0], np.cumsum(ratios)))
-    norm = _logsumexp(scores)
-    if not np.isfinite(norm):
-        raise NumericError("all model weights vanished")
+    return _log_weights(prior, ratios[None, :])[0]
+
+
+def _log_weights(prior: SievePrior, ratios: np.ndarray, reps=None) -> np.ndarray:
+    """log_model_weights of each row of an (R, K_max) stack of log evidence ratios.
+
+    A row whose weights all vanish raises NumericError, naming it
+    rep=reps[row] when reps is given.
+    """
+    scores = np.empty((ratios.shape[0], ratios.shape[1] + 1))
+    scores[:, 0] = 0.0
+    np.cumsum(ratios, axis=1, out=scores[:, 1:])
+    scores += prior.log_dimension_weights
+    norm = _logsumexp(scores, axis=1, keepdims=True)
+    vanished = np.flatnonzero(~np.isfinite(norm))
+    if vanished.size:
+        where = "" if reps is None else f"rep={reps[vanished[0]]}: "
+        raise NumericError(f"{where}all model weights vanished")
     return scores - norm
+
+
+def _select_shells(log_weights: np.ndarray, mean_field: bool) -> tuple:
+    """Each row's shell (k, p) from an (R, K_max + 1) stack of normalized log weights.
+
+    Mean field takes (k_tilde, p_tilde): k_tilde maximizes
+    pi(k-1|y) + pi(k|y) (with pi(-1|y) = 0, ties to the smaller index) and
+    p_tilde = pi(k_tilde-1|y) / that sum.  Empirical Bayes takes (k_hat, 0)
+    with k_hat the most probable k, ties to the smaller k.
+    """
+    p = np.zeros(log_weights.shape[0])
+    if not mean_field:
+        return np.argmax(log_weights, axis=1), p
+    w = np.exp(log_weights)
+    pair = w.copy()
+    pair[:, 1:] += w[:, :-1]
+    k = np.argmax(pair, axis=1)
+    rows = np.flatnonzero(k)
+    below, at = w[rows, k[rows] - 1], w[rows, k[rows]]
+    p[rows] = below / (below + at)
+    return k, p
 
 
 def _fit_tilts(prior: SievePrior, obs: SequenceObservation, k: int) -> tuple:
     fam = prior.coordinate_family
     return tuple(fam.tilt(float(obs.y[j]), obs.n) for j in range(k))
+
+
+def _fit_shell(prior, obs, log_weights, mean_field: bool) -> ShellPosterior:
+    lw = log_model_weights(prior, obs) if log_weights is None else log_weights
+    k, p = _select_shells(lw[None, :], mean_field)
+    k = int(k[0])
+    return ShellPosterior(k, float(p[0]), _fit_tilts(prior, obs, k), prior.K_max, lw)
 
 
 def fit_mean_field(
@@ -389,15 +491,7 @@ def fit_mean_field(
     smaller index) and p_tilde = pi(k_tilde-1|y) / that sum.  log_weights,
     when given, is log_model_weights(prior, obs) already computed.
     """
-    lw = log_model_weights(prior, obs) if log_weights is None else log_weights
-    w = np.exp(lw)
-    pair = w + np.concatenate(([0.0], w[:-1]))
-    k_tilde = int(np.argmax(pair))
-    if k_tilde == 0:
-        p_tilde = 0.0
-    else:
-        p_tilde = float(w[k_tilde - 1] / (w[k_tilde - 1] + w[k_tilde]))
-    return ShellPosterior(k_tilde, p_tilde, _fit_tilts(prior, obs, k_tilde), prior.K_max, lw)
+    return _fit_shell(prior, obs, log_weights, mean_field=True)
 
 
 def fit_empirical_bayes(
@@ -408,9 +502,7 @@ def fit_empirical_bayes(
     k_hat maximizes pi(k|y), ties to the smaller k; log_weights as in
     fit_mean_field.
     """
-    lw = log_model_weights(prior, obs) if log_weights is None else log_weights
-    k_hat = int(np.argmax(lw))
-    return ShellPosterior(k_hat, 0.0, _fit_tilts(prior, obs, k_hat), prior.K_max, lw)
+    return _fit_shell(prior, obs, log_weights, mean_field=False)
 
 
 def vb_objective(prior: SievePrior, obs: SequenceObservation, k: int, kind: str) -> float:
@@ -435,16 +527,26 @@ def expected_risk(post: ShellPosterior, signal: SobolevSignal) -> float:
     """E_Q ||theta - theta*||^2 in closed form from the tilt moments."""
     if signal.theta.size != post.K_max:
         raise InputError(f"signal length {signal.theta.size} does not match K_max {post.K_max}")
-    theta = signal.theta
-    k, p = post.k, post.p
-    total = 0.0
-    for idx, tilt in enumerate(post.tilts):
-        err = tilt.variance + (tilt.mean - theta[idx]) ** 2
-        if idx + 1 == k:
-            total += (1.0 - p) * err + p * theta[idx] ** 2
-        else:
-            total += err
-    return total + float(np.sum(theta[k:] ** 2))
+    moments = np.array([[[t.mean for t in post.tilts]], [[t.variance for t in post.tilts]]])
+    return float(_shell_risks(np.array([post.k]), np.array([post.p]), *moments, signal.theta)[0])
+
+
+def _shell_risks(k, p, means, variances, theta: np.ndarray) -> np.ndarray:
+    """expected_risk of each row's shell (k, p) against theta.
+
+    means and variances are (R, m) tilt moments of the first m >= max(k)
+    coordinates, read only below each row's k.  A coordinate below k adds
+    variance + (mean - theta)^2, the one at k mixes that with theta^2 by
+    p, and each above k adds theta^2; each row sums all K_max terms.
+    """
+    sq = theta**2
+    terms = np.tile(sq, (k.size, 1))
+    m = means.shape[1]
+    np.copyto(terms[:, :m], variances + (means - theta[:m]) ** 2, where=np.arange(m) < k[:, None])
+    rows = np.flatnonzero(k)
+    at, mix = k[rows] - 1, p[rows]
+    terms[rows, at] = (1.0 - mix) * terms[rows, at] + mix * sq[at]
+    return terms.sum(axis=1)
 
 
 def sample_observation(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from vblab import changepoint
 from vblab.changepoint import (
     CoordinatewisePosterior,
     GaussianDensity,
@@ -23,6 +24,7 @@ from vblab.changepoint import (
     make_piecewise_signal,
     make_prefix_signal,
     markov_chain_risks,
+    mean_field_risks,
     mle_segmentation,
     risk,
     snap_to_grid,
@@ -110,6 +112,47 @@ class TestMeanField:
         np.testing.assert_allclose(post.means, 0.0, atol=1e-9)
         # product of two standard normals has variance 1/2
         np.testing.assert_allclose(post.variances, 0.5, atol=1e-3)
+
+
+class TestMeanFieldRisks:
+    def test_rows_are_their_fits_alone(self, monkeypatch):
+        # 3 x 40 cells hold three rows a block; a row far outside the support takes the tail branch
+        blocks = []
+        moments = changepoint._truncnorm_moments
+
+        def recorded(x, *args):
+            blocks.append(x.shape)
+            return moments(x, *args)
+
+        monkeypatch.setattr(changepoint, "_truncnorm_moments", recorded)
+        monkeypatch.setattr(changepoint, "_MEAN_FIELD_CELLS", 3 * 40)
+        prior = MarkovSitePrior(0.5, UniformDensity(-2.0, 2.0))
+        signal = make_prefix_signal(40, 2, 1.0, seg_len=20)
+        X = signal.values + 0.8 * np.random.default_rng(8).standard_normal((7, 40))
+        X[5, 3] = 90.0
+        got = mean_field_risks(X, 0.8, prior, signal)
+        assert blocks == [(3, 40), (3, 40), (1, 40)]
+        monkeypatch.undo()
+        np.testing.assert_array_equal(got, [risk(fit_mean_field(x, 0.8, prior), signal) for x in X])
+
+    def test_grid_density_rows(self):
+        prior = MarkovSitePrior(0.5, GaussianDensity(0.0, 1.0))
+        grid = make_grid(1.0, 1.0, G=101)
+        X = np.random.default_rng(9).standard_normal((4, 12))
+        got = mean_field_risks(X, 1.0, prior, PiecewiseSignalZero(12), grid)
+        want = [risk(fit_mean_field(x, 1.0, prior, grid), PiecewiseSignalZero(12)) for x in X]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_input_checks(self):
+        prior = MarkovSitePrior(0.5, UniformDensity(-2.0, 2.0))
+        with pytest.raises(InputError, match="signal length"):
+            mean_field_risks(np.zeros((2, 8)), 1.0, prior, PiecewiseSignalZero(9))
+        with pytest.raises(InputError, match="explicit grid"):
+            mean_field_risks(np.zeros((2, 8)), 1.0, MarkovSitePrior(0.5, GaussianDensity(0.0, 1.0)),
+                             PiecewiseSignalZero(8))
+        with pytest.raises(InputError, match="built for n=6"):
+            mean_field_risks(np.zeros((2, 8)), 1.0, UniformPositionsPrior.power(6, UniformDensity(-2.0, 2.0)),
+                             PiecewiseSignalZero(8))
 
 
 @pytest.mark.parametrize("sigma", [1e-160, 4.6e-261, 1e-310])
@@ -500,6 +543,12 @@ class TestSigmaValidated:
             fit_mean_field(np.zeros(8), sigma, prior)
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_mean_field_risks(self, sigma):
+        prior = MarkovSitePrior(0.5, UniformDensity(-2.0, 2.0))
+        with pytest.raises(InputError, match="sigma"):
+            mean_field_risks(np.zeros((2, 8)), sigma, prior, PiecewiseSignalZero(8))
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
     def test_markov_chain_risks(self, sigma):
         prior = MarkovSitePrior(0.1, UniformDensity(-2.0, 2.0))
         grid = make_grid(1.0, 1.0, G=16)
@@ -562,6 +611,16 @@ class TestDataValidated:
         zero = PiecewiseSignalZero(3)
         with pytest.raises(InputError, match="X_batch must be"):
             markov_chain_risks(X_batch, 1.0, prior, make_grid(1.0, 1.0, G=16), zero)
+
+    @pytest.mark.parametrize(
+        "X_batch",
+        [[[0.0, 1.0, 0.0], [0.0, 1.0]], np.zeros(3), [[0.0, np.nan, 0.0]]],
+        ids=["ragged", "1-d", "nan"],
+    )
+    def test_mean_field_risks(self, X_batch):
+        prior = MarkovSitePrior(0.1, UniformDensity(-2.0, 2.0))
+        with pytest.raises(InputError, match="X_batch must be"):
+            mean_field_risks(X_batch, 1.0, prior, PiecewiseSignalZero(3))
 
 
 @pytest.mark.parametrize(

@@ -354,6 +354,19 @@ def test_cauchy_config_runs_where_its_truncation_bound(tmp_path):
     assert math.isfinite(json.loads(out.read_text())[0]["mean_risk"])
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-100, 1e100, 1e200])
+def test_cauchy_evidence_at_extreme_scales(scale, tmp_path):
+    # each square (v + w)^2 / s^2 beyond float range leaves its reciprocal 0, with no
+    # RuntimeWarning (an error in this suite); the fits fall to k = 0 or stay finite.
+    # At scale 1e300 the prior's normalization check overflows first, as it always has.
+    params = {"prior": {"family": "rescaled_cauchy", "scale": scale}}
+    for posterior in ("mean_field", "empirical_bayes"):
+        cfg = write_config(tmp_path, "cfg.json", _config("gsm-rate", {**params, "posterior": posterior}))
+        out = tmp_path / "o.json"
+        assert main(["gsm-rate", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+        assert all(math.isfinite(row["mean_risk"]) for row in json.loads(out.read_text()))
+
+
 def test_pc_compare_at_huge_B(tmp_path, capsys):
     # squared grid errors overflow at B = 1e200; the table must stay finite, not nan
     params = {"B": 1e200, "G": 16, "signal": {"kind": "prefix", "k_star": 2, "seg_len": 16}}

@@ -7,7 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from vblab import expfamily, harness, sequence_model
+from vblab import changepoint, expfamily, harness, sequence_model
 from vblab._rng import derive_seed, generator
 from vblab.errors import InputError, NumericError
 from vblab.harness import (
@@ -210,35 +210,218 @@ class TestSieveRefit:
     def test_binding_truncation_refits_at_twice_k_max(self):
         # K_max = 16 puts the spike at K_max/2, so the guard fires once; the refit is
         # the direct fit at K_max = 32 on the same spike, from the same stream
-        params = {"alpha": 1.0, "B": 2.0, "k_max_factor": 0.01, "signal": {"kind": "spike", "j0": 8}}
-        post, signal = harness._fit_gsm(parse_params(params, "gsm_risk"), 4096, generator(0, 4096, 0))
-        assert post.K_max == 32
+        params = parse_params(
+            {"alpha": 1.0, "B": 2.0, "k_max_factor": 0.01, "signal": {"kind": "spike", "j0": 8}},
+            "gsm_risk",
+        )
+        _, blocks = harness._fit_gsm(params, 4096, [generator(0, 4096, 0)])
+        (free, *_), (reps, theta, Y, lw) = blocks
+        assert free.size == 0 and list(reps) == [0] and theta.size == 32
         prior = sequence_model.SievePrior.geometric(1.0, 32, sequence_model.GaussianCoordinates(1.0))
         direct_signal = sequence_model.make_signal("spike", 1.0, 2.0, 32, j0=8)
         obs = sequence_model.sample_observation(direct_signal, 4096.0, generator(0, 4096, 0))
         direct = sequence_model.fit_mean_field(prior, obs)
-        np.testing.assert_array_equal(signal.theta, direct_signal.theta)
-        assert (post.k, post.p) == (direct.k, direct.p)
-        np.testing.assert_array_equal(post.log_weights, direct.log_weights)
-        assert sequence_model.expected_risk(post, signal) == sequence_model.expected_risk(direct, direct_signal)
+        np.testing.assert_array_equal(theta, direct_signal.theta)
+        np.testing.assert_array_equal(Y[0], obs.y)
+        np.testing.assert_array_equal(lw[0], direct.log_weights)
+        risk = harness.MODELS["gsm_risk"].runner(params, 4096, [generator(0, 4096, 0)])
+        assert risk[0] == sequence_model.expected_risk(direct, direct_signal)
 
     def test_refit_keeps_the_signal_and_its_noise(self):
         # the shipped Cauchy config bound at this replication with K_max = 26
         payload = json.loads((REPO / "configs" / "gsm_rate_cauchy.json").read_text())
         params = parse_params(payload["params"], "gsm_risk")
         seed = 13150348164293828904
-        post, signal = harness._fit_gsm(params, 256, generator(seed, 256, 5))
-        assert post.K_max == signal.theta.size == 52
+        _, blocks = harness._fit_gsm(params, 256, [generator(seed, 256, 5)])
+        (free, *_), (reps, theta, Y, lw) = blocks
+        assert free.size == 0 and theta.size == Y.shape[1] == 52
         original = sequence_model.make_signal("sobolev_boundary", 1.0, 2.0, 26)
-        np.testing.assert_array_equal(signal.theta[:26], original.theta)
-        assert not signal.theta[26:].any()
-        assert int(np.argmax(post.log_weights)) < 26
+        np.testing.assert_array_equal(theta[:26], original.theta)
+        assert not theta[26:].any()
+        assert int(np.argmax(lw[0])) < 26
 
     def test_refit_stops_at_the_k_max_limit(self, monkeypatch):
         monkeypatch.setattr(harness, "_K_MAX_LIMIT", 16)
         params = {"alpha": 1.0, "B": 2.0, "k_max_factor": 0.01, "signal": {"kind": "spike", "j0": 8}}
-        with pytest.raises(NumericError, match="truncation binds"):
-            harness._fit_gsm(parse_params(params, "gsm_risk"), 4096, generator(0, 4096, 0))
+        with pytest.raises(NumericError, match="^rep=0: .*truncation binds$"):
+            list(harness._fit_gsm(parse_params(params, "gsm_risk"), 4096, [generator(0, 4096, 0)])[1])
+
+    def test_refits_keep_the_evidence_ratios_they_have(self, monkeypatch):
+        # each doubling computes only the ratios of its K_max added coordinates; the
+        # kept ones carry the bits of a fresh evaluation over the whole row
+        payload = json.loads((REPO / "configs" / "gsm_rate_cauchy.json").read_text())
+        params = parse_params(payload["params"], "gsm_risk")
+        seed = 13150348164293828904
+        sizes = []
+        ratio = sequence_model.RescaledCauchyCoordinates.log_evidence_ratio
+
+        def counted(self, y, n):
+            sizes.append(np.size(y))
+            return ratio(self, y, n)
+
+        monkeypatch.setattr(sequence_model.RescaledCauchyCoordinates, "log_evidence_ratio", counted)
+        fam, blocks = harness._fit_gsm(params, 256, [generator(seed, 256, rep) for rep in range(8)])
+        (reps, theta, Y, lw) = list(blocks)[1]
+        assert sizes == [8 * 26, 26]
+        assert list(reps) == [5] and theta.size == 52
+        prior = sequence_model.SievePrior.geometric(1.0, 52, fam)
+        fresh = sequence_model.log_model_weights(prior, sequence_model.SequenceObservation(Y[0], 256.0))
+        np.testing.assert_array_equal(lw[0], fresh)
+
+        # a prior leaning to large k keeps binding: K_max 8 -> 16 -> 32, then the limit
+        monkeypatch.setattr(harness, "_K_MAX_LIMIT", 32)
+        sizes.clear()
+        leaning = {**payload, "n_grid": [256], "replications": 2, "master_seed": 3}
+        leaning["params"] = {**payload["params"], "k_max_factor": 0.01,
+                             "prior": {"family": "rescaled_cauchy", "tau": -1.0}}
+        config = ExperimentConfig.from_json(json.dumps(leaning))
+        with pytest.raises(NumericError, match=(
+            r"^n=256: rep=0: model weight argmax reached K_max/2 = 16, "
+            r"and 2 K_max passes the limit 32; truncation binds$"
+        )):
+            run_experiment(config)
+        assert sizes == [2 * 8, 2 * 8, 2 * 16]  # both rows bind and refit as one stack
+
+        monkeypatch.undo()
+        config = ExperimentConfig.from_json(json.dumps({**payload, "n_grid": [256], "master_seed": seed}))
+        assert math.isfinite(run_experiment(config).mean_risk[0])
+
+
+def ref_fit_gsm(p, n, rng):
+    """The per-replication sieve fit the stacked runner replaced, through the library fits."""
+    alpha, B = p["alpha"], p["B"]
+    kind = p["signal"]["kind"]
+    j0 = harness._resolve_spike_index(p["signal"]["j0"], alpha, n)
+    K_max = p["k_max_factor"] * n ** (1.0 / (2.0 * alpha + 1.0))
+    K_max = math.ceil(max(K_max, 8, 8 if j0 is None else j0 + 8))
+    spec = p["prior"]
+    key, coordinates = harness._GSM_FAMILIES[spec["family"]]
+    fam = coordinates(1.0 if spec[key] is None else spec[key], n)
+    signal = sequence_model.make_signal(kind, alpha, B, K_max, j0=j0)
+    obs = sequence_model.sample_observation(signal, float(n), rng)
+    while True:
+        prior = sequence_model.SievePrior.geometric(spec["tau"], K_max, fam)
+        log_weights = sequence_model.log_model_weights(prior, obs)
+        if int(np.argmax(log_weights)) < K_max // 2:
+            break
+        signal = sequence_model.SobolevSignal(np.pad(signal.theta, (0, K_max)), alpha, B)
+        noise = rng.standard_normal(K_max) / math.sqrt(obs.n)
+        obs = sequence_model.SequenceObservation(np.concatenate((obs.y, noise)), obs.n)
+        K_max *= 2
+    if p["posterior"] == "mean_field":
+        return sequence_model.fit_mean_field(prior, obs, log_weights), signal
+    return sequence_model.fit_empirical_bayes(prior, obs, log_weights), signal
+
+
+def ref_gsm_risk(p, n, rng):
+    post, signal = ref_fit_gsm(p, n, rng)
+    return sequence_model.expected_risk(post, signal)
+
+
+def ref_gsm_dimension(p, n, rng):
+    return float(ref_fit_gsm(p, n, rng)[0].k)
+
+
+def ref_pc_mean_field(p, n, rng):
+    """The per-replication change-point mean-field runner the stacked one replaced."""
+    sigma, B, _, signal = harness._pc_common(p, n)
+    prior = changepoint.MarkovSitePrior(0.5, changepoint.UniformDensity(-B - 1, B + 1))
+    X = signal.values + sigma * rng.standard_normal(n)
+    return changepoint.risk(changepoint.fit_mean_field(X, sigma, prior), signal)
+
+
+GSM_FAMILIES = [
+    {"family": "gaussian", "sigma0_sq": 0.5},
+    {"family": "rescaled_cauchy", "scale": 1.5},
+    {"family": "rescaled_gaussian", "variance": 2.0},
+]
+GSM_SIGNALS = [{"kind": "sobolev_boundary"}, {"kind": "spike", "j0": "adversary"}, {"kind": "zero"}]
+
+
+class TestStackedRunners:
+    @pytest.mark.parametrize("prior", GSM_FAMILIES, ids=lambda d: d["family"])
+    @pytest.mark.parametrize("posterior", ["mean_field", "empirical_bayes"])
+    @pytest.mark.parametrize("signal", GSM_SIGNALS, ids=lambda d: d["kind"])
+    def test_gsm_matches_per_replication_runner(self, prior, posterior, signal):
+        params = parse_params(
+            {"alpha": 1.0, "B": 2.0, "prior": {"tau": 0.5, **prior}, "posterior": posterior, "signal": signal},
+            "gsm_risk",
+        )
+        for n in (64, 1024):
+            rngs = lambda: [generator(29, n, rep) for rep in range(6)]  # noqa: E731
+            risks = harness.MODELS["gsm_risk"].runner(params, n, rngs())
+            np.testing.assert_allclose(risks, [ref_gsm_risk(params, n, r) for r in rngs()], rtol=1e-12, atol=0)
+            dims = harness.MODELS["gsm_dimension"].runner(params, n, rngs())
+            np.testing.assert_array_equal(dims, [ref_gsm_dimension(params, n, r) for r in rngs()])
+
+    def test_gsm_refit_rows_match_per_replication_runner(self):
+        # replication 5 of this seed refits at 2 K_max among rows that do not
+        payload = json.loads((REPO / "configs" / "gsm_rate_cauchy.json").read_text())
+        params = parse_params(payload["params"], "gsm_risk")
+        rngs = lambda: [generator(13150348164293828904, 256, rep) for rep in range(8)]  # noqa: E731
+        got = harness.MODELS["gsm_risk"].runner(params, 256, rngs())
+        np.testing.assert_allclose(got, [ref_gsm_risk(params, 256, r) for r in rngs()], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("posterior", ["mean_field", "empirical_bayes"])
+    def test_gsm_row_in_a_batch_is_the_row_alone(self, monkeypatch, posterior):
+        # block edges fall inside the stack: every kernel reduces a row by itself
+        monkeypatch.setattr(sequence_model, "_BLOCK_CELLS", 3 * 2001)
+        params = parse_params({"alpha": 1.0, "B": 2.0, "posterior": posterior,
+                               "prior": {"family": "rescaled_cauchy"}}, "gsm_risk")
+        batch = harness.MODELS["gsm_risk"].runner(params, 512, [generator(31, 512, rep) for rep in range(7)])
+        for rep in range(7):
+            alone = harness.MODELS["gsm_risk"].runner(params, 512, [generator(31, 512, rep)])
+            assert alone[0] == batch[rep]
+
+    def test_gsm_blocks_stay_within_the_cell_cap(self, monkeypatch):
+        # K_max = 4096 * 64^(1/3) = 16384 holds two rows a block at the shipped cap
+        blocks = []
+        fit = harness._fit_gsm
+
+        def recorded(*args):
+            fam, it = fit(*args)
+
+            def record():
+                for block in it:
+                    blocks.append((list(block[0]), block[2].shape))
+                    yield block
+            return fam, record()
+
+        monkeypatch.setattr(harness, "_fit_gsm", recorded)
+        params = parse_params({"alpha": 1.0, "B": 2.0, "k_max_factor": 4096.0}, "gsm_risk")
+        rngs = lambda: [generator(41, 64, rep) for rep in range(5)]  # noqa: E731
+        got = harness.MODELS["gsm_risk"].runner(params, 64, rngs())
+        assert blocks == [([0, 1], (2, 16384)), ([2, 3], (2, 16384)), ([4], (1, 16384))]
+        np.testing.assert_allclose(got, [ref_gsm_risk(params, 64, r) for r in rngs()], rtol=1e-12, atol=0)
+
+        # refits block their rows again at 2 K_max: 52 cells hold two rows of 26, one of 52
+        monkeypatch.setattr(sequence_model, "_BLOCK_CELLS", 52)
+        payload = json.loads((REPO / "configs" / "gsm_rate_cauchy.json").read_text())
+        params = parse_params(payload["params"], "gsm_risk")
+        rngs = lambda: [generator(13150348164293828904, 256, rep) for rep in range(8)]  # noqa: E731
+        blocks.clear()
+        got = harness.MODELS["gsm_risk"].runner(params, 256, rngs())
+        assert blocks == [([0, 1], (2, 26)), ([2, 3], (2, 26)), ([4], (1, 26)), ([5], (1, 52)),
+                          ([6, 7], (2, 26))]
+        np.testing.assert_allclose(got, [ref_gsm_risk(params, 256, r) for r in rngs()], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("signal", [{"kind": "zero"}, {"kind": "prefix", "k_star": 3}], ids=["zero", "prefix"])
+    def test_pc_mean_field_is_the_per_replication_runner(self, monkeypatch, signal):
+        blocks = []
+        moments = changepoint._truncnorm_moments
+
+        def recorded(x, *args):
+            blocks.append(x.shape)
+            return moments(x, *args)
+
+        monkeypatch.setattr(changepoint, "_truncnorm_moments", recorded)
+        monkeypatch.setattr(changepoint, "_MEAN_FIELD_CELLS", 3 * 200)
+        params = parse_params({"sigma": 0.7, "B": 1.0, "signal": signal}, "pc_mean_field")
+        got = harness.MODELS["pc_mean_field"].runner(params, 200, [generator(37, 200, rep) for rep in range(8)])
+        assert blocks == [(3, 200), (3, 200), (2, 200)]
+        monkeypatch.undo()
+        want = [ref_pc_mean_field(params, 200, generator(37, 200, rep)) for rep in range(8)]
+        np.testing.assert_array_equal(got, want)
 
 
 class TestDivergenceReport:

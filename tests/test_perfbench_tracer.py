@@ -11,6 +11,7 @@ import pathlib
 import sys
 
 import vblab.cli
+from vblab import sequence_model
 
 SPANS_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -51,11 +52,17 @@ def test_tracer_counts_a_gsm_run_and_uninstall_restores(tmp_path):
         tracer.begin_pass()
         argv = ["gsm-rate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]
         assert vblab.cli.main(argv) == 0
+        # the gsm runners stack their fits, so the library fit the tracer counts is called here
+        prior = sequence_model.SievePrior.geometric(1.0, 16, sequence_model.GaussianCoordinates(1.0))
+        signal = sequence_model.make_signal("sobolev_boundary", 1.0, 2.0, 16)
+        for seed in range(9):
+            sequence_model.fit_mean_field(prior, sequence_model.sample_observation(signal, 256.0, seed))
         metrics = tracer.pass_metrics()
     finally:
         tracer.uninstall()
 
     assert metrics["cli.main.calls"] == 1
+    assert metrics["harness.replications"] == 9
     assert metrics["sequence_model.fit_mean_field.calls"] == 9
     assert metrics["sequence_model.tilts"] > 0
     after = _vblab_namespaces()

@@ -8,6 +8,8 @@ import pytest
 from scipy.integrate import quad
 
 from vblab import sequence_model
+from vblab._lse import _logsumexp
+from vblab._quadrature import fixed_rule
 from vblab.divergences import ScalarGaussian
 from vblab.errors import InputError
 from vblab.sequence_model import (
@@ -359,10 +361,89 @@ class TestRescaledFamilies:
         # flat in K_max; each coordinate's ratio is the one an unblocked pass gives
         fam = RescaledCauchyCoordinates(1.0, 256.0)
         ys = np.random.default_rng(5).normal(scale=0.2, size=1000)
-        monkeypatch.setattr(sequence_model, "_EVIDENCE_ROWS", 1 << 20)
+        monkeypatch.setattr(sequence_model, "_BLOCK_CELLS", 1 << 30)
         whole = fam.log_evidence_ratio(ys, 256.0)
-        monkeypatch.setattr(sequence_model, "_EVIDENCE_ROWS", 96)
+        monkeypatch.setattr(sequence_model, "_BLOCK_CELLS", 96 * 480)  # 96 coordinates a block
         np.testing.assert_array_equal(fam.log_evidence_ratio(ys, 256.0), whole)
+
+    # for s = 1e-2 a peak 1e-2 wide inside the window (|v| < 10) falls between the 480
+    # fixed nodes, in the log-space form as in this one, so adaptive quadrature is
+    # compared there only from |v| = 10 on
+    CAUCHY_V = {
+        1e-2: [10.0, 14.9, 15.5, 30.0, 100.0, 1e3],
+        1.0: [0.0, 0.3, 1.0, 3.0, 10.0, 14.9, 15.5, 30.0, 100.0, 1e3],
+        1e2: [0.0, 0.3, 1.0, 3.0, 10.0, 14.9, 15.5, 30.0, 100.0, 1e3],
+    }
+
+    @pytest.mark.parametrize("scale", sorted(CAUCHY_V))
+    def test_cauchy_reciprocal_evidence_matches_adaptive(self, scale):
+        fam = RescaledCauchyCoordinates(scale, 1.0)
+        v = np.array(self.CAUCHY_V[scale] + [-x for x in self.CAUCHY_V[scale]])
+        log_w = fam.log_evidence_ratio(v, 1.0) - 0.5 * v * v
+        want = [fam.log_evidence_adaptive(float(x), 1.0) for x in v]
+        np.testing.assert_allclose(log_w, want, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
+    def test_cauchy_reciprocal_evidence_is_the_log_space_rule(self, scale):
+        # the same 480-node rule summed in log space, at any v, the unresolved peaks too
+        fam = RescaledCauchyCoordinates(scale, 1.0)
+        v = np.concatenate((np.linspace(-40.0, 40.0, 161), [-1e3, 1e3]))
+        w, _, log_wt = fixed_rule(-15.0, 15.0, 30)
+        log_terms = fam._log_g(v[:, None] + w) - 0.5 * w**2 + log_wt
+        want = 0.5 * v * v + _logsumexp(log_terms, axis=1)
+        np.testing.assert_allclose(fam.log_evidence_ratio(v, 1.0), want, rtol=1e-15, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
+    def test_cauchy_tilt_moments_are_the_grid_moments(self, scale):
+        n = 64.0
+        fam = RescaledCauchyCoordinates(scale, n)
+        ys = np.array([-3.0, -0.6, -0.05, 0.0, 0.02, 0.4, 1.1, 2.5, 40.0])
+        means, variances = fam.tilt_moments(ys, n)
+        for y, mean, var in zip(ys, means, variances):
+            grid = fam.tilt(float(y), n)
+            sd = math.sqrt(grid.variance)
+            assert abs(mean - grid.mean) <= 1e-13 * max(abs(grid.mean), sd)
+            assert var == pytest.approx(grid.variance, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
+    def test_cauchy_tilts_are_the_log_space_grid(self, scale):
+        # the tilt weights exp(log g(u) - (u - v)^2 / 2) on linspace(v - 12, v + 12, 2001),
+        # normalized in log space: tilt() has their probabilities, tilt_moments their moments
+        n = 64.0
+        fam = RescaledCauchyCoordinates(scale, n)
+        ys = np.array([-3.0, -0.6, -0.05, 0.0, 0.02, 0.4, 1.1, 2.5, 40.0])
+        means, variances = fam.tilt_moments(ys, n)
+        for y, mean, var in zip(ys, means, variances):
+            v = math.sqrt(n) * y
+            u = np.linspace(v - 12.0, v + 12.0, 2001)
+            log_w = fam._log_g(u) - 0.5 * (u - v) ** 2
+            probs = np.exp(log_w - _logsumexp(log_w))
+            np.testing.assert_allclose(fam.tilt(float(y), n).probs, probs, rtol=1e-12, atol=0)
+            want_mean = float(probs @ u) / math.sqrt(n)
+            want_var = float(probs @ (u / math.sqrt(n) - want_mean) ** 2)
+            assert abs(mean - want_mean) <= 1e-13 * max(abs(want_mean), math.sqrt(want_var))
+            assert var == pytest.approx(want_var, rel=1e-13, abs=0)
+
+    def test_cauchy_kernels_stay_within_the_cell_cap(self, monkeypatch):
+        shapes = []
+        kernel = RescaledCauchyCoordinates._kernel
+
+        def recorded(self, v, offsets, gauss):
+            out = kernel(self, v, offsets, gauss)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(RescaledCauchyCoordinates, "_kernel", recorded)
+        fam = RescaledCauchyCoordinates(1.0, 256.0)
+        ys = np.random.default_rng(9).normal(scale=0.2, size=1000)
+        fam.log_evidence_ratio(ys, 256.0)
+        assert sum(rows for rows, _ in shapes) == 1000
+        shapes.clear()
+        fam.tilt_moments(ys[:100], 256.0)
+        assert sum(rows for rows, _ in shapes) == 100
+        fam.log_evidence_ratio(ys, 256.0)
+        assert all(rows * nodes <= sequence_model._BLOCK_CELLS for rows, nodes in shapes)
+        assert max(rows for rows, _ in shapes) > 1
 
     def test_geometric_weights_at_negative_tau(self):
         # exp(-tau k) overflows at k = 1000 for tau = -1; the weights are shifted first,
