@@ -23,7 +23,11 @@ forward-backward on that structure in O(nG) time and memory, as in the
 change-point recursions of Fearnhead (2006), over a batch of datasets at
 once.  Messages keep the datasets on the contiguous axis, the expected
 loss rides under the backward message as an unnormalized second row,
-and each site applies the kernel once to both.  grid_posterior and
+and each site applies the kernel once to both, as d P + (move . P):
+d = stay - move is the scalar 1-p, factored out of every step, or the
+column 1 - e^lambda g_b, and the column sum move . P, broadcast over the
+grid, uses no BLAS, so a dataset's bits depend neither on its place in
+the batch nor on the BLAS thread count.  grid_posterior and
 fit_markov_vb are its single-dataset case, whose one block of sites
 becomes GridChain.weights; markov_chain_risks is its batched one, its
 emissions built in site blocks capped by a cell count.  GridChain
@@ -551,71 +555,110 @@ def _smooth(
     X: np.ndarray,
     sigma: float,
     grid: np.ndarray,
-    stay,
+    diag,
     move,
     site_loss: Optional[np.ndarray] = None,
     block: Optional[int] = None,
 ):
     """Scaled backward pass for a batch of diagonal-plus-rank-one chains.
 
-    The unnormalized chain of dataset r (row r of X, shape (R, n)) is
+    The unnormalized chain of one dataset x (X itself, shape (n,), or a
+    row of a batch X of shape (R, n)) is
         exp(log_first[x_0] + e_0[x_0]) * prod_i K(x_i, x_{i+1}) exp(e_{i+1}[x_{i+1}])
-    with the Gaussian log emissions e_i = -(grid - X[r, i])^2 / 2 sigma^2
-    and K equal to stay[b] on the diagonal and move[b] off it (a (G,) row
-    or a scalar).  Emissions are built in blocks of `block` sites (all n
-    when None) from the last block back, O(block G R) at a time.  Messages,
-    stay and move are (G, R), datasets on the contiguous axis, so each op
-    runs one long inner loop.  Emission rows peak at one and beta is
-    rescaled to sum one, log Z accumulating the scales.  With site_loss
-    (n, G), U is stacked on beta: beta times the loss still expected given
-    the current value, unnormalized.  Each site adds beta * site_loss to
-    U, multiplies both rows by the emission, applies the kernel once and
-    divides both by the sum of beta, never by beta itself.
+    with the Gaussian log emissions e_i = -(grid - x_i)^2 / 2 sigma^2 and
+    K(a, b) = diag[b] [a = b] + move[b]: stay = diag + move on the
+    diagonal and move off it, diag a scalar or a (G,) row and move a (G,)
+    row.  Emissions are built in blocks of `block` sites (all n when None)
+    from the last block back, O(block G R) at a time.  Messages are (G,)
+    for one dataset and (G, R) for a batch, datasets on the contiguous
+    axis, so each op runs one long inner loop.  Emission rows peak at one
+    and beta is rescaled to sum one, log Z accumulating the scales.  With
+    site_loss (n, G), U is stacked on beta: beta times the loss still
+    expected given the current value, unnormalized.  Each site adds
+    beta * site_loss to U, multiplies both rows by the emission to give P
+    and applies the kernel once as diag P + (move . P), the column sum
+    move . P broadcast over the grid.  That sum uses no BLAS (einsum, or a
+    product and an add reduction for one dataset), so each dataset's
+    column is reduced alone, in one order wherever it sits in the batch
+    and whatever the BLAS thread count.  A scalar diag d > 0 (1-p under
+    the per-site prior) is taken out of the kernel once per call,
+    K = d (I + 1 (move / d)^T), so a site adds P and (move / d) . P and
+    log Z gains (n-1) log d.  Both rows are then multiplied by the
+    reciprocal of the sum of beta, never divided by beta itself.  The
+    site loop allocates no array: its buffers are made once per call.
 
-    Returns (first-site marginals (G, R), the step weights of the last
-    block read -- all n-1 steps, (n-1, G, R), for one block without
-    site_loss --, log Z (R,), the expected loss sum_G U (R,) or None).
+    A diag column is negative wherever move exceeds stay (the tangent
+    kernel at a large lambda).  The column sum still holds move[a] P[a],
+    so entry a stays stay[a] P[a] + sum_(b != a) move[b] P[b],
+    non-negative, up to a rounding of order eps move[a] P[a].
+
+    Returns (first-site marginals (G,) or (G, R), the step weights of the
+    last block read -- all n-1 steps, (n-1, G) or (n-1, G, R), for one
+    block without site_loss --, log Z (scalar or (R,)), the expected loss
+    sum_G U or None).
     """
-    R, n = X.shape
+    n = X.shape[-1]
+    batch = X.shape[:-1]
+    G = grid.size
     block = n if block is None else block
-    stay, move = (np.broadcast_to(np.reshape(f, (-1, 1)), (grid.size, R)).copy() for f in (stay, move))
-    beta = M = np.ones((grid.size, R))
-    if site_loss is not None:  # U under beta: no loss is to come after the last site
-        M = np.stack((beta, np.zeros_like(beta)))
-        beta = M[0]
-    log_z = 0.0
+    column = (G,) + (1,) * len(batch)  # one value per grid point, broadcast over the datasets
+    if np.ndim(diag):
+        diag, log_z = np.reshape(diag, column), 0.0
+    else:  # K = d (I + 1 (move / d)^T): a scalar d > 0 leaves every step for log Z
+        diag, move, log_z = None, move / diag, (n - 1) * math.log(diag)
+    if site_loss is None:
+        beta = M = np.ones((G,) + batch)
+        U, spec = None, "g,g...->..."
+        col = col_out = np.empty(batch)
+    else:
+        M = np.zeros((2, G) + batch)  # no loss is to come after the last site
+        beta, U = M
+        beta[...] = 1.0
+        loss = site_loss.reshape((n,) + column)
+        loss_beta = np.empty_like(beta)
+        col, spec = np.empty((2, 1) + batch), "g,kg...->k..."
+        col_out = col[:, 0]
+    prod = None if batch else np.empty(M.shape)
+    inv = np.empty(batch)
     for hi in range(n, 0, -block):
         lo = max(0, hi - block)
-        emis = _log_emissions(X[:, lo:hi], sigma, grid)  # (hi - lo, G, R)
-        shift = emis.max(axis=1, keepdims=True)
+        emis = _log_emissions(X[..., lo:hi], sigma, grid)  # (hi - lo, G) + batch
+        shift = emis.max(axis=1)
         if not np.isfinite(shift).all():
             raise NumericError("an observation is beyond reach of every grid value")
-        emis -= shift
+        emis -= shift[:, None]
         np.exp(emis, out=emis)
+        if lo == 0:
+            emis[0] *= np.exp(log_first).reshape(column)
         scales = np.empty(shift.shape)  # one per site: site s closes step s - 1
         for s in range(hi - 1, lo - 1, -1):
-            e = emis[s - lo]
-            if s == 0:
-                e *= np.exp(log_first)[:, None]
-            if site_loss is not None:
-                M[1] += beta * site_loss[s][:, None]
-            # alone, beta times the emission is the weight of step s - 1 and stays in its slot
-            P = np.multiply(M, e, out=e if M is beta and s > 0 else M)
-            if s > 0:  # the kernel as stay P + (sum_G move P - move P), every term non-negative
-                mv = move * P
-                np.subtract(mv.sum(axis=-2, keepdims=True), mv, out=mv)
-                np.multiply(P, stay, out=M)
-                M += mv
-            M /= beta.sum(axis=0, keepdims=True, out=scales[s - lo])
-        log_z += (shift + np.log(scales)).sum(axis=0)[0]
+            e, scale = emis[s - lo], scales[s - lo, ...]
+            if U is not None:
+                U += np.multiply(beta, loss[s], out=loss_beta)
+            if s:
+                # alone, beta times the emission is the weight of step s - 1 and stays in its slot
+                P = np.multiply(M, e, out=e if U is None else M)
+                if batch:
+                    np.einsum(spec, move, P, out=col_out)
+                else:  # on G values a product and a reduction cost less than einsum's set-up
+                    np.add.reduce(np.multiply(P, move, out=prod), axis=-1, out=col_out)
+                if diag is None:
+                    np.add(P, col, out=M)
+                else:
+                    np.multiply(P, diag, out=M)
+                    M += col
+            else:
+                M *= e
+            M *= np.reciprocal(np.add.reduce(beta, axis=0, out=scale), out=inv)
+        log_z += (shift + np.log(scales)).sum(axis=0)
     if not np.all(np.isfinite(log_z)):
         raise NumericError("chain smoother underflowed: the data are impossible under the prior")
-    return beta, emis[1:], log_z, None if site_loss is None else M[1].sum(axis=0)
+    return beta, emis[1:], log_z, None if U is None else U.sum(axis=0)
 
 
 def _log_emissions(X: np.ndarray, sigma: float, grid: np.ndarray) -> np.ndarray:
-    """-(t - X)^2 / 2 sigma^2 on the grid, (n, G, R) for a batch X of shape (R, n)."""
-    out = grid[:, None] - X.T[:, None, :]
+    """-(t - X)^2 / 2 sigma^2 on the grid: (n, G) for one dataset X (n,), (n, G, R) for a batch (R, n)."""
+    out = grid.reshape((-1,) + (1,) * (X.ndim - 1)) - X.T[:, None, ...]
     with np.errstate(over="ignore"):  # a square beyond float range takes its -inf limit
         out /= sigma
         np.square(out, out=out)
@@ -632,11 +675,10 @@ def _grid_pmf(density: ValueDensity, grid: np.ndarray) -> np.ndarray:
 
 
 def _site_kernel(prior: MarkovSitePrior, grid: np.ndarray):
-    """log g and the (stay, move) rows of the per-site change kernel (1-p) I + p 1 g^T."""
+    """log g, the scalar diag 1-p and the move row p g of the per-site change kernel (1-p) I + p 1 g^T."""
     p = prior.change_prob
     log_g = _grid_pmf(prior.value_density, grid)
-    move = p * np.exp(log_g)
-    return log_g, (1.0 - p) + move, move
+    return log_g, 1.0 - p, p * np.exp(log_g)
 
 
 def _chain_grid(sigma: float, grid) -> np.ndarray:
@@ -649,13 +691,16 @@ def _chain_grid(sigma: float, grid) -> np.ndarray:
     return grid
 
 
-def _single_chain(X: np.ndarray, sigma: float, grid: np.ndarray, log_first: np.ndarray, stay, move):
-    """The smoother's GridChain and log Z for one dataset X (n,), read as one block of all n sites."""
-    first, weights, log_z, _ = _smooth(log_first, X[None, :], sigma, grid, stay, move)
+def _single_chain(X: np.ndarray, sigma: float, grid: np.ndarray, log_first: np.ndarray, stay, move, diag):
+    """The smoother's GridChain and log Z for one dataset X (n,), read as one block of all n sites.
+
+    diag is stay - move as the caller holds it exactly: 1 - p, or 1 - e^lambda g.
+    """
+    first, weights, log_z, _ = _smooth(log_first, X, sigma, grid, diag, move)
     with np.errstate(divide="ignore"):
-        log_initial = np.log(first[:, 0])
-    chain = GridChain(grid=grid, log_initial=log_initial, stay=stay, move=move, weights=weights[:, :, 0])
-    return chain, float(log_z[0])
+        log_initial = np.log(first)
+    chain = GridChain(grid=grid, log_initial=log_initial, stay=stay, move=move, weights=weights)
+    return chain, float(log_z)
 
 
 def grid_posterior(
@@ -671,8 +716,8 @@ def grid_posterior(
     """
     X = data_array(X, "X")
     grid = _chain_grid(sigma, grid)
-    log_g, stay, move = _site_kernel(prior, grid)
-    return _single_chain(X, sigma, grid, log_g, stay, move)[0]
+    log_g, diag, move = _site_kernel(prior, grid)
+    return _single_chain(X, sigma, grid, log_g, diag + move, move, diag)[0]
 
 
 def fit_markov_vb(
@@ -711,7 +756,8 @@ def fit_markov_vb(
         # a single site has no change to tilt, and its objective is final
         lam = float(slopes[min(int(c_bar), n - 2)]) if n > 1 else 0.0
         # pairwise factor: copy on the diagonal, lam + fresh-draw weight off it
-        chain, log_z = _single_chain(X, sigma, grid, log_g, 1.0, np.exp(lam + log_g))
+        move = np.exp(lam + log_g)
+        chain, log_z = _single_chain(X, sigma, grid, log_g, 1.0, move, 1.0 - move)
         objective = -log_z + float(np.max(lam * counts - w))  # plus the conjugate of w at lam
         trace.append(objective)
         if n == 1 or abs(prev - objective) <= _TOL * max(1.0, abs(objective)):
@@ -745,12 +791,12 @@ def markov_chain_risks(
     if signal.values.size != n:
         raise InputError("signal length does not match the data")
     grid = _chain_grid(sigma, grid)
-    log_g, stay, move = _site_kernel(prior, grid)
+    log_g, diag, move = _site_kernel(prior, grid)
     live = np.isfinite(log_g)
-    grid, log_g, stay, move = grid[live], log_g[live], stay[live], move[live]
+    grid, log_g, move = grid[live], log_g[live], move[live]
     block = max(1, _SMOOTH_CELLS // (R * grid.size))
     return _squared_error_risk(
-        grid, signal.values, lambda sq_err: _smooth(log_g, X_batch, sigma, grid, stay, move, sq_err, block)[3]
+        grid, signal.values, lambda sq_err: _smooth(log_g, X_batch, sigma, grid, diag, move, sq_err, block)[3]
     )
 
 

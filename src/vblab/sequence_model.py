@@ -222,11 +222,14 @@ class RescaledCauchyCoordinates:
         return q, mass
 
     def normalization_error(self) -> float:
-        """|integral f - 1| via a sinh substitution (tail-safe quadrature)."""
-        s = self.scale
+        """|integral f - 1| via a sinh substitution (tail-safe quadrature).
+
+        Under u = s sinh(t) the integrand g(u) du/dt is 1 / (pi cosh t)
+        whatever the scale s, so it is evaluated in that form: u itself
+        leaves float range from about s = 1e300.
+        """
         t, wt = panel_nodes(-22.0, 22.0, panels=32, order=16)
-        u = s * np.sinh(t)
-        total = float(np.dot(wt, np.exp(self._log_g(u)) * s * np.cosh(t)))
+        total = float(np.dot(wt, 1.0 / (math.pi * np.cosh(t))))
         return abs(total - 1.0)
 
     def _check_n(self, n: float) -> None:

@@ -155,8 +155,8 @@ class TestSitePrior:
             chain = grid_posterior(X, sigma, prior, grid)
             log_q1, log_T, log_z, log_m = dense_site_posterior(X, sigma, prior, grid)
             assert_chain_matches(chain, log_q1, log_T, log_m)
-            log_g, stay, move = _site_kernel(prior, grid)
-            got = _smooth(log_g, X[None, :], sigma, grid, stay, move)[2][0]
+            log_g, diag, move = _site_kernel(prior, grid)
+            got = _smooth(log_g, X[None, :], sigma, grid, diag, move)[2][0]
             assert got == pytest.approx(log_z, rel=TOL)
 
     def test_batched_risk_matches_chain_risk(self, monkeypatch):
@@ -211,6 +211,26 @@ class TestSitePrior:
         alone = [markov_chain_risks(x[None, :], sigma, prior, grid, signal)[0] for x in X]
         np.testing.assert_allclose(alone, batch, rtol=TOL)
 
+    @pytest.mark.parametrize("R", [7, 13, 17])
+    @pytest.mark.parametrize(
+        "density", [UniformDensity(-2.25, 2.25), GaussianDensity(0.0, 1.5)], ids=["uniform", "gaussian"]
+    )
+    def test_batched_risks_follow_their_rows_at_odd_widths(self, R, density):
+        # a reduction that splits the R columns into vector blocks and a remainder
+        # (a BLAS product does) treats a row by where it sits; the column sums of
+        # the kernel must not, at any width and for a constant or a varying move row
+        rng = np.random.default_rng(R)
+        n, sigma = 120, 1.0
+        grid = make_grid(1.25, sigma, 64)
+        signal = snap_to_grid(make_prefix_signal(n, 4, 1.25, seg_len=20, amplitude=0.9), grid)
+        prior = MarkovSitePrior(1.0 / n, density)
+        X = signal.values + sigma * rng.standard_normal((R, n))
+        batch = markov_chain_risks(X, sigma, prior, grid, signal)
+        perm = rng.permutation(R)
+        np.testing.assert_array_equal(markov_chain_risks(X[perm], sigma, prior, grid, signal), batch[perm])
+        alone = [markov_chain_risks(x[None, :], sigma, prior, grid, signal)[0] for x in X]
+        np.testing.assert_allclose(alone, batch, rtol=TOL)
+
     def test_density_without_mass_on_grid_is_rejected(self):
         grid = np.linspace(-3.0, 3.0, 16)
         prior = MarkovSitePrior(0.1, UniformDensity(10.0, 11.0))
@@ -236,16 +256,22 @@ class TestTiltedKernel:
         np.testing.assert_allclose(chain.objective_trace, trace, rtol=TOL)
         assert_chain_matches(chain, log_q1, log_T, log_m)
 
-    @pytest.mark.parametrize("lam", [-3.0, 0.0, 2.5])
+    @pytest.mark.parametrize("lam", [-3.0, 0.0, 2.5, 6.0, 9.0])
     def test_smoother_matches_dense_recursion(self, lam):
+        # from lam = 6 on e^lam g_b runs into the tens or hundreds and the kernel's diag,
+        # stay - move = 1 - e^lam g_b, goes negative: the diagonal of diag P +
+        # (move . P) then cancels, yet the weights stay non-negative
         rng = np.random.default_rng(int(lam * 10) + 100)
         for _ in range(10):
             X, sigma, grid, density = random_instance(rng, "gaussian")
             log_g = log_pmf(density, grid)
             log_pmfs = np.tile(log_g, (X.size, 1))
             _, _, log_z, _ = dense_tilted(X, sigma, log_pmfs, grid, lam)
-            got = _smooth(log_g, X[None, :], sigma, grid, 1.0, np.exp(lam + log_g))
+            move = np.exp(lam + log_g)
+            assert lam < 6.0 or np.min(1.0 - move) < 0.0
+            got = _smooth(log_g, X[None, :], sigma, grid, 1.0 - move, move)
             assert got[2][0] == pytest.approx(log_z, rel=TOL)
+            assert np.all(got[1] >= 0.0)
 
     def test_sweeps_match_dense_on_random_instances(self):
         rng = np.random.default_rng(99)

@@ -354,11 +354,12 @@ def test_cauchy_config_runs_where_its_truncation_bound(tmp_path):
     assert math.isfinite(json.loads(out.read_text())[0]["mean_risk"])
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-100, 1e100, 1e200])
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-100, 1e100, 1e200, 1e300, 5e307])
 def test_cauchy_evidence_at_extreme_scales(scale, tmp_path):
     # each square (v + w)^2 / s^2 beyond float range leaves its reciprocal 0, with no
     # RuntimeWarning (an error in this suite); the fits fall to k = 0 or stay finite.
-    # At scale 1e300 the prior's normalization check overflows first, as it always has.
+    # From scale 1e300 on, s sinh(t) leaves float range: the prior's normalization
+    # check must not form it
     params = {"prior": {"family": "rescaled_cauchy", "scale": scale}}
     for posterior in ("mean_field", "empirical_bayes"):
         cfg = write_config(tmp_path, "cfg.json", _config("gsm-rate", {**params, "posterior": posterior}))
