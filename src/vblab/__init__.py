@@ -7,8 +7,8 @@ sequence_model   Gaussian sequence model with a sieve prior: exact mean-field
                  and empirical-Bayes posteriors, risks, sampling.
 truncated_series Polynomially-decaying Gaussian prior with the explicit
                  coordinate-truncation variational posterior and its exact risk.
-changepoint      Piecewise-constant signals: product posterior, grid Markov-chain
-                 posterior via forward-backward, least-squares segmentation.
+changepoint      Piecewise-constant signals: product posterior and grid Markov-chain
+                 posterior via forward-backward.
 expfamily        Exponential-family densities on [0, 1] in a trigonometric basis,
                  with a Gaussian mean-field ELBO optimizer.
 mixture          Location-scale Gaussian mixtures via conjugate coordinate ascent.

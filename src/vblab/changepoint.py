@@ -32,9 +32,6 @@ fit_markov_vb are its single-dataset case, whose one block of sites
 becomes GridChain.weights; markov_chain_risks is its batched one, its
 emissions built in site blocks capped by a cell count.  GridChain
 derives marginals, pairwise tables and samples from it on demand.
-
-A dynamic-programming least-squares segmenter is included as the
-frequentist baseline.
 """
 
 import math
@@ -64,9 +61,7 @@ __all__ = [
     "grid_posterior",
     "fit_markov_vb",
     "risk",
-    "mle_segmentation",
     "markov_chain_risks",
-    "change_count_distribution",
 ]
 
 
@@ -230,7 +225,7 @@ class UniformPositionsPrior:
     value_density: ValueDensity
 
     def __post_init__(self):
-        lw = np.asarray(self.log_dimension_weights, dtype=float)
+        lw = data_array(self.log_dimension_weights, "log_dimension_weights")
         if lw.size != self.n:
             raise InputError("need one dimension weight per piece count 1..n")
         lw = lw - _logsumexp(lw)
@@ -348,7 +343,7 @@ def fit_mean_field(
     site's value density by its own likelihood and nothing else.
     """
     X = data_array(X, "X")
-    _check_mean_field(X.size, sigma, prior, grid)
+    grid = _check_mean_field(X.size, sigma, prior, grid)
     g = prior.value_density
     mean, var = _site_moments(X, sigma, g, grid)
     kind = "truncated_gaussian" if isinstance(g, UniformDensity) else "grid"
@@ -377,7 +372,7 @@ def mean_field_risks(
     R, n = X_batch.shape
     if signal.values.size != n:
         raise InputError("signal length does not match the data")
-    _check_mean_field(n, sigma, prior, grid)
+    grid = _check_mean_field(n, sigma, prior, grid)
     risks = np.empty(R)
     rows = max(1, _MEAN_FIELD_CELLS // n)
     for lo in range(0, R, rows):
@@ -386,7 +381,8 @@ def mean_field_risks(
     return risks
 
 
-def _check_mean_field(n: int, sigma: float, prior: ChangePointPrior, grid) -> None:
+def _check_mean_field(n: int, sigma: float, prior: ChangePointPrior, grid):
+    """The grid, checked as a data array when given, once sigma, prior and n agree."""
     if not sigma > 0:
         raise InputError("sigma must be positive")
     if not isinstance(prior, (MarkovSitePrior, UniformPositionsPrior)):
@@ -395,6 +391,7 @@ def _check_mean_field(n: int, sigma: float, prior: ChangePointPrior, grid) -> No
         raise InputError(f"prior was built for n={prior.n}, data has n={n}")
     if grid is None and not isinstance(prior.value_density, UniformDensity):
         raise InputError("non-uniform value densities need an explicit grid")
+    return None if grid is None else data_array(grid, "grid")
 
 
 def _site_moments(X: np.ndarray, sigma: float, g: ValueDensity, grid) -> tuple:
@@ -525,7 +522,9 @@ class GridChain:
         return out
 
     def pairwise(self, i: int) -> np.ndarray:
-        """Joint distribution of (site i, site i+1), 0-based."""
+        """Joint distribution of (site i, site i+1), 0-based, for 0 <= i < n-1."""
+        if not 0 <= i < self.n_sites - 1:
+            raise InputError(f"pairwise needs 0 <= i < {self.n_sites - 1}, got {i}")
         T = _dense_transitions(self.stay, self.move, self.weights[i])
         return self.marginals()[i][:, None] * T
 
@@ -800,27 +799,8 @@ def markov_chain_risks(
     )
 
 
-def change_count_distribution(chain: GridChain) -> np.ndarray:
-    """Distribution of the number of value changes under a grid chain.
-
-    Dynamic program over (site, value, count); used to audit the tangent
-    bound of fit_markov_vb against the exact pattern-weight expectation.
-    """
-    n = chain.n_sites
-    dist = np.zeros((chain.grid.size, n))
-    dist[:, 0] = chain.initial
-    for i in range(n - 1):
-        T = _dense_transitions(chain.stay, chain.move, chain.weights[i])
-        stay = np.diag(T)[:, None] * dist
-        np.fill_diagonal(T, 0.0)
-        moved = T.T @ dist  # arrive at b by a change: one more count
-        dist = stay
-        dist[:, 1:] += moved[:, :-1]
-    return dist.sum(axis=0)
-
-
 # ---------------------------------------------------------------------------
-# risk and the DP baseline
+# risk
 # ---------------------------------------------------------------------------
 
 
@@ -853,42 +833,3 @@ def risk(Q: Union[GridChain, CoordinatewisePosterior], signal: PiecewiseSignal) 
         return float(_coordinatewise_risk(Q.means, Q.variances, theta))
     raise InputError(f"unsupported posterior type {type(Q).__name__}")
 
-
-def mle_segmentation(X: np.ndarray, m: int) -> tuple[np.ndarray, float]:
-    """Exact least-squares fit with at most m constant pieces.
-
-    Dynamic programming over segment boundaries with prefix-sum segment
-    costs; O(m n^2) time.
-    """
-    X = data_array(X, "X")
-    n = X.size
-    if not 1 <= m <= n:
-        raise InputError(f"m={m} outside 1..{n}")
-    s1 = np.concatenate(([0.0], np.cumsum(X)))
-    s2 = np.concatenate(([0.0], np.cumsum(X**2)))
-
-    def seg_cost(i: np.ndarray, j: int):
-        # SSE of X[i:j] around its mean, vectorized over start indices i
-        length = j - i
-        tot = s1[j] - s1[i]
-        return (s2[j] - s2[i]) - tot**2 / length
-
-    best = np.full((m + 1, n + 1), np.inf)
-    split = np.zeros((m + 1, n + 1), dtype=int)
-    best[0, 0] = 0.0
-    for pieces in range(1, m + 1):
-        for j in range(pieces, n + 1):
-            starts = np.arange(pieces - 1, j)
-            cand = best[pieces - 1, starts] + seg_cost(starts, j)
-            idx = int(np.argmin(cand))
-            best[pieces, j] = cand[idx]
-            split[pieces, j] = starts[idx]
-    pieces = int(np.argmin(best[1 : m + 1, n])) + 1
-    sse = float(best[pieces, n])
-    theta = np.empty(n)
-    j = n
-    for p in range(pieces, 0, -1):
-        i = split[p, j]
-        theta[i:j] = (s1[j] - s1[i]) / (j - i)
-        j = i
-    return theta, sse

@@ -1,11 +1,12 @@
 """Closed-form divergence calculators and the inequality-chain verifier.
 
-Finite discrete distributions and scalar Gaussians are the two atoms;
-every divergence here has an explicit finite formula.  Each discrete
-divergence is written once, as a row kernel over (m, s) arrays holding
-one distribution pair per row; the scalar functions are its one-row case
-and chain_audit checks a whole block of pairs per call, shorter rows
-zero-padded, since a cell where both masses vanish adds nothing.
+Every divergence here is between finite discrete distributions and has
+an explicit finite formula; ScalarGaussian, the tilt type of the sieve
+posteriors, is defined beside them.  Each divergence is written once, as
+a row kernel over (m, s) arrays holding one distribution pair per row;
+the scalar functions are its one-row case and chain_audit checks a whole
+block of pairs per call, shorter rows zero-padded, since a cell where
+both masses vanish adds nothing.
 Infinite values (absolute-continuity failures) are returned in-band as
 ``math.inf`` rather than raised, since they are legitimate divergence
 values.
@@ -28,8 +29,6 @@ __all__ = [
     "hellinger_discrete",
     "tv_discrete",
     "chi2_discrete",
-    "renyi_gaussian",
-    "product_gaussian_divergence",
     "chain_report",
     "renyi_monotonicity_check",
     "check_rho_grid",
@@ -227,47 +226,6 @@ def tv_discrete(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
 def chi2_discrete(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """Chi-squared divergence sum p_i^2 / q_i - 1; inf on support escape."""
     return float(_pair(p, q).chi2()[0])
-
-
-def renyi_gaussian(a: ScalarGaussian, b: ScalarGaussian, rho: float) -> float:
-    """Order-rho Renyi divergence between two scalar Gaussians.
-
-    Equal variances s reduce to rho * (mean gap)^2 / (2 s).  In the
-    general case the mixed variance  s* = rho*var(b) + (1-rho)*var(a)
-    must be positive; for rho > 1 a non-positive s* yields +inf.  Point
-    masses are only comparable to themselves (divergence 0).
-    """
-    if not (rho > 0) or rho == 1.0:
-        raise InputError("rho must lie in (0, 1) or (1, inf)")
-    if a == b:
-        return 0.0
-    if a.variance == 0:
-        raise InputError("a point-mass first argument is only comparable to itself")
-    if b.variance == 0:
-        return math.inf  # no absolute continuity against a point mass
-    s_mixed = rho * b.variance + (1.0 - rho) * a.variance
-    if s_mixed <= 0:
-        return math.inf
-    gap = a.mean - b.mean
-    log_ratio = (1.0 - rho) * math.log(a.variance) + rho * math.log(b.variance) - math.log(s_mixed)
-    return rho * gap * gap / (2.0 * s_mixed) + log_ratio / (2.0 * (rho - 1.0))
-
-
-def product_gaussian_divergence(theta_a, theta_b, n: float, rho: float) -> float:
-    """Renyi divergence between product Gaussian laws with variance 1/n.
-
-    For sequences theta_a, theta_b of equal length this is
-    (rho * n / 2) * ||theta_a - theta_b||^2; rho = 1 is allowed and gives
-    the Kullback-Leibler value (n/2) * ||.||^2.
-    """
-    ta, tb = data_array(theta_a, "theta_a"), data_array(theta_b, "theta_b")
-    if ta.shape != tb.shape:
-        raise InputError(f"shape mismatch: {ta.shape} vs {tb.shape}")
-    if not n > 0:
-        raise InputError("n must be positive")
-    if not rho > 0:
-        raise InputError("rho must be positive")
-    return 0.5 * rho * n * float(np.sum((ta - tb) ** 2))
 
 
 def chain_report(p: DiscreteDistribution, q: DiscreteDistribution) -> DivergenceReport:

@@ -130,6 +130,8 @@ def pdf(theta, x) -> np.ndarray:
 
 def sample(theta, m: int, seed: Union[int, np.random.Generator]) -> np.ndarray:
     """m draws by inverse-CDF over a 4096-point grid, deterministic per seed."""
+    if m < 0:
+        raise InputError(f"m must be non-negative, got {m}")
     d = _as_density(theta)
     rng = np.random.default_rng(seed)
     xs = np.linspace(0.0, 1.0, 4096)

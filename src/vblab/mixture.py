@@ -1,9 +1,8 @@
 """Location-scale mixture density estimation by conjugate coordinate ascent.
 
-The kernel family exp(-(|x|/sigma)^p) / (2 sigma Gamma(1 + 1/p)) is
-Gaussian at p = 2 (variance sigma^2 / 2), which is the only power with
-conjugate updates; the coordinate-ascent path is therefore restricted to
-p = 2.  The factorization keeps the weight simplex as one block:
+The kernel exp(-(x/sigma)^2) / (2 sigma Gamma(3/2)) is the Gaussian
+density of variance sigma^2 / 2, which keeps every coordinate-ascent
+update conjugate.  The factorization keeps the weight simplex as one block:
 q(tau) x q(w) x prod_j q(mu_j) times the assignment responsibilities,
 with a shared precision tau = sigma^{-2} across components.
 
@@ -77,24 +76,22 @@ __all__ = [
 ]
 
 
-def kernel_psi(x, sigma: float, p: int):
-    """Normalized kernel density exp(-(|x|/sigma)^p) / (2 sigma Gamma(1+1/p))."""
+def kernel_psi(x, sigma: float):
+    """Normalized kernel density exp(-(x/sigma)^2) / (2 sigma Gamma(3/2))."""
     if not 0 < sigma < math.inf:
         raise InputError("sigma must be positive and finite")
-    if not (isinstance(p, (int, np.integer)) and p > 0 and p % 2 == 0):
-        raise InputError("p must be a positive even integer")
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise InputError("x must be finite")
-    return _kernel(x, sigma, p)
+    return _kernel(x, sigma)
 
 
-def _kernel(x: np.ndarray, sigma: float, p: int) -> np.ndarray:
-    """kernel_psi on points and a kernel the caller has already checked."""
+def _kernel(x: np.ndarray, sigma: float) -> np.ndarray:
+    """kernel_psi on points and a scale the caller has already checked."""
     from scipy.special import gammaln
 
-    log_norm = math.log(2.0 * sigma) + gammaln(1.0 + 1.0 / p)
-    return np.exp(-np.abs(x / sigma) ** p - log_norm)
+    log_norm = math.log(2.0 * sigma) + gammaln(1.5)
+    return np.exp(-np.abs(x / sigma) ** 2 - log_norm)
 
 
 @dataclass(frozen=True)
@@ -105,7 +102,6 @@ class MixtureModel:
     mu: np.ndarray
     w: np.ndarray
     sigma: float
-    p: int = 2
 
     def __post_init__(self):
         mu = data_array(self.mu, "mu")
@@ -114,8 +110,6 @@ class MixtureModel:
             raise InputError("mu and w must have length k")
         if not self.sigma > 0:
             raise InputError("sigma must be positive")
-        if not (self.p > 0 and self.p % 2 == 0):
-            raise InputError("p must be a positive even integer")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "w", _normalized(w))
 
@@ -123,15 +117,15 @@ class MixtureModel:
 def mixture_pdf(model: MixtureModel, x):
     """sum_j w_j psi_sigma(x - mu_j)."""
     x = data_array(x, "x", scalar=True)
-    return _kernel(x[:, None] - model.mu[None, :], model.sigma, model.p) @ model.w
+    return _kernel(x[:, None] - model.mu[None, :], model.sigma) @ model.w
 
 
 def sample_mixture(
     model: MixtureModel, n: int, seed: Union[int, np.random.Generator]
 ) -> np.ndarray:
-    """n draws; Gaussian kernels only (component variance sigma^2 / 2)."""
-    if model.p != 2:
-        raise InputError("sampling is implemented for the Gaussian kernel p = 2")
+    """n draws, each component Gaussian of variance sigma^2 / 2."""
+    if n < 0:
+        raise InputError(f"n must be non-negative, got {n}")
     rng = np.random.default_rng(seed)
     comps = rng.choice(model.k, size=n, p=model.w)
     return model.mu[comps] + rng.standard_normal(n) * model.sigma / math.sqrt(2.0)
@@ -176,7 +170,7 @@ class GMFState:
         """Plug-in mixture at the factor means."""
         sigma = 1.0 / math.sqrt(self.tau_shape / self.tau_rate)
         w = self.w_concentration / self.w_concentration.sum()
-        return MixtureModel(k=self.k, mu=self.mu_mean, w=w, sigma=sigma, p=2)
+        return MixtureModel(k=self.k, mu=self.mu_mean, w=w, sigma=sigma)
 
 
 # The batched fit holds at most this many (row, component, point) cells in
@@ -471,7 +465,7 @@ def hellinger_to_truth_mc(
         mu = state.mu_mean + np.sqrt(state.mu_var) * rng.standard_normal(state.k)
         w = rng.dirichlet(state.w_concentration)
         tau = rng.gamma(state.tau_shape, 1.0 / state.tau_rate)
-        model = MixtureModel(k=state.k, mu=mu, w=w, sigma=1.0 / math.sqrt(tau), p=2)
+        model = MixtureModel(k=state.k, mu=mu, w=w, sigma=1.0 / math.sqrt(tau))
         dens = mixture_pdf(model, grid)
         total += 0.5 * float(np.trapezoid((np.sqrt(dens) - np.sqrt(f0)) ** 2, grid))
     return total / draws

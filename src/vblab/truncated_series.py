@@ -4,24 +4,21 @@ The prior puts N(0, j^{-2 beta - 1}) on coordinates j <= n and a point
 mass at zero beyond n.  The variational family frees the first k
 coordinates and shrinks coordinates k+1..n to near-degenerate
 N(0, e^{-j n}) factors (exact point masses would have infinite KL to the
-posterior).  The optimizer over that family is explicit, and so is its
-frequentist risk, which makes the rate-exponent curve computable without
+posterior).  exact_risk gives the frequentist risk of the best member
+in closed form, which makes the rate-exponent curve computable without
 any Monte Carlo: for k below n^{1/(2 beta + 1)} the risk behaves like
 k/n + k^{-2 alpha}, above it like the full posterior's
 n^{-2 (alpha ^ beta) / (2 beta + 1)}.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .sequence_model import SequenceObservation, SobolevSignal, make_signal
+from .sequence_model import SobolevSignal, make_signal
 
 __all__ = [
-    "TruncVBPosterior",
-    "fit_vb_k",
     "exact_risk",
     "worst_case_risk",
     "theory_exponent",
@@ -29,53 +26,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TruncVBPosterior:
-    """Explicit variational posterior for the free-k family.
-
-    Coordinates j <= k get N(n y_j / (n + j^{2b+1}), 1 / (n + j^{2b+1})),
-    coordinates k < j <= n get N(0, e^{-j n}), and j > n are point masses
-    at zero.
-    """
-
-    k: int
-    beta: float
-    n: int
-    coord_means: np.ndarray
-    coord_vars: np.ndarray
-
-    def log_tail_variance(self, j: int) -> float:
-        if not self.k < j <= self.n:
-            raise InputError(f"tail index {j} outside ({self.k}, {self.n}]")
-        return -float(j) * self.n
-
-
 def _decay(j: np.ndarray, beta: float) -> np.ndarray:
     # inf once j^(2 beta + 1) leaves float range; n / (n + inf) = 0 is then the exact limit
     with np.errstate(over="ignore"):
         return j ** (2.0 * beta + 1.0)
-
-
-def fit_vb_k(obs: SequenceObservation, beta: float, k: int) -> TruncVBPosterior:
-    """Instantiate the explicit posterior for a given truncation level k."""
-    if not beta >= 0:
-        raise InputError("beta must be non-negative")
-    n = int(obs.n)
-    if n != obs.n or n < 1:
-        raise InputError("this model indexes coordinates by n; n must be a positive integer")
-    if not 0 <= k <= n:
-        raise InputError(f"k={k} outside 0..{n}")
-    if obs.y.size < k:
-        raise InputError(f"need at least k={k} observed coordinates, got {obs.y.size}")
-    j = np.arange(1, k + 1, dtype=float)
-    denom = n + _decay(j, beta)
-    return TruncVBPosterior(
-        k=k,
-        beta=beta,
-        n=n,
-        coord_means=n * obs.y[:k] / denom,
-        coord_vars=1.0 / denom,
-    )
 
 
 def _log_tail_sum(k: int, n: int) -> float:
@@ -90,9 +44,11 @@ def _log_tail_sum(k: int, n: int) -> float:
 
 
 def exact_risk(signal: SobolevSignal, n: int, beta: float, k: int) -> float:
-    """Exact value of E_Y E_Q ||theta - theta*||^2 for the explicit posterior.
+    """Exact value of E_Y E_Q ||theta - theta*||^2 for the free-k variational posterior.
 
-    Five non-negative pieces: squared shrinkage bias on the free block,
+    That posterior puts N(n y_j / (n + j^{2b+1}), 1 / (n + j^{2b+1})) on
+    coordinates j <= k, N(0, e^{-j n}) on k < j <= n, and point masses at
+    zero beyond n.  Five non-negative pieces: squared shrinkage bias on the free block,
     the signal tail beyond k, the sampling variance of the shrunk
     estimates, the posterior variance of the free block, and the
     near-degenerate tail variances (computed in log space; they underflow

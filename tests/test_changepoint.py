@@ -16,7 +16,6 @@ from vblab.changepoint import (
     PiecewiseSignal,
     UniformDensity,
     UniformPositionsPrior,
-    change_count_distribution,
     fit_markov_vb,
     fit_mean_field,
     grid_posterior,
@@ -25,7 +24,6 @@ from vblab.changepoint import (
     make_prefix_signal,
     markov_chain_risks,
     mean_field_risks,
-    mle_segmentation,
     risk,
     snap_to_grid,
 )
@@ -279,6 +277,14 @@ class TestGridPosterior:
         stderr = losses.std(ddof=1) / math.sqrt(losses.size)
         assert risk(chain, sig) == pytest.approx(float(losses.mean()), abs=4 * stderr)
 
+    @pytest.mark.parametrize("i", [-1, 2, 3])
+    def test_pairwise_index_outside_the_steps(self, i):
+        # three sites have the steps 0 and 1; -1 once read the last site's marginal
+        prior = MarkovSitePrior(0.2, UniformDensity(-2.0, 2.0))
+        chain = grid_posterior(np.zeros(3), 1.0, prior, make_grid(1.0, 1.0, G=16))
+        with pytest.raises(InputError, match=r"pairwise needs 0 <= i < 2"):
+            chain.pairwise(i)
+
     def test_rows_and_marginals_normalized(self):
         prior = MarkovSitePrior(0.05, UniformDensity(-2.0, 2.0))
         grid = make_grid(1.0, 1.0, G=48)
@@ -358,8 +364,6 @@ class TestFitMarkovVb:
         rng = np.random.default_rng(77)
         X = rng.normal(size=n)
         chain = grid_posterior(X, 1.0, prior, grid)
-        pmf = change_count_distribution(chain)
-        assert pmf.sum() == pytest.approx(1.0, abs=1e-10)
 
         counts = np.zeros(n)
         for states in itertools.product(range(G), repeat=n):
@@ -370,9 +374,9 @@ class TestFitMarkovVb:
                 continue
             c = sum(1 for i in range(1, n) if states[i] != states[i - 1])
             counts[c] += math.exp(log_q)
-        np.testing.assert_allclose(pmf, counts, atol=1e-10)
+        assert counts.sum() == pytest.approx(1.0, abs=1e-10)
         assert chain.expected_change_count() == pytest.approx(
-            float(np.dot(pmf, np.arange(n))), abs=1e-10
+            float(np.dot(counts, np.arange(n))), abs=1e-10
         )
 
 
@@ -433,39 +437,6 @@ class TestRisk:
         post = fit_mean_field(np.zeros(3), 1.0, prior)
         with pytest.raises(InputError):
             risk(post, PiecewiseSignalZero(4))
-
-
-class TestMleSegmentation:
-    def test_exact_two_piece(self):
-        theta, sse = mle_segmentation(np.array([1.0, 1.0, 5.0, 5.0]), 2)
-        np.testing.assert_allclose(theta, [1, 1, 5, 5])
-        assert sse == pytest.approx(0.0, abs=1e-12)
-
-    def test_single_piece_mean_fit(self):
-        theta, sse = mle_segmentation(np.array([1.0, 1.0, 5.0, 5.0]), 1)
-        np.testing.assert_allclose(theta, 3.0)
-        assert sse == pytest.approx(16.0)
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=12)
-        _, sse = mle_segmentation(X, 3)
-        best = math.inf
-        for b1 in range(1, 12):
-            for b2 in range(b1, 12):
-                cur = 0.0
-                for lo, hi in ((0, b1), (b1, b2), (b2, 12)):
-                    if hi > lo:
-                        seg = X[lo:hi]
-                        cur += float(np.sum((seg - seg.mean()) ** 2))
-                best = min(best, cur)
-        assert sse == pytest.approx(best, abs=1e-10)
-
-    def test_m_out_of_range(self):
-        with pytest.raises(InputError):
-            mle_segmentation(np.ones(4), 0)
-        with pytest.raises(InputError):
-            mle_segmentation(np.ones(4), 5)
 
 
 class TestRiskScales:
@@ -583,7 +554,7 @@ class TestGridValidated:
 
 
 class TestDataValidated:
-    """The posterior routes read X as a non-empty 1-d array of finite numbers."""
+    """The posterior routes read X, and the mean-field routes their grid, as data arrays."""
 
     BAD_X = pytest.mark.parametrize(
         "X", [np.array([0.0, np.nan, 0.0]), np.zeros((2, 3))], ids=["nan", "2-d"]
@@ -621,6 +592,34 @@ class TestDataValidated:
         prior = MarkovSitePrior(0.1, UniformDensity(-2.0, 2.0))
         with pytest.raises(InputError, match="X_batch must be"):
             mean_field_risks(X_batch, 1.0, prior, PiecewiseSignalZero(3))
+
+    def test_mean_field_takes_a_list_grid(self):
+        prior = MarkovSitePrior(0.5, GaussianDensity(0, 1))
+        post = fit_mean_field([0.1], 1.0, prior, [0.0])
+        np.testing.assert_array_equal(post.means, [0.0])
+        np.testing.assert_array_equal(post.variances, [0.0])
+
+    def test_mean_field_risks_take_a_list_grid(self):
+        prior = MarkovSitePrior(0.5, GaussianDensity(0, 1))
+        signal = PiecewiseSignal(np.array([0.5]), 1, 1.0)
+        risks = mean_field_risks([[0.1], [-0.3]], 1.0, prior, signal, [0.0])
+        np.testing.assert_array_equal(risks, [0.25, 0.25])
+
+    BAD_GRID = pytest.mark.parametrize(
+        "grid", [[-1.0, np.nan, 1.0], np.zeros((2, 3))], ids=["nan", "2-d"]
+    )
+
+    @BAD_GRID
+    def test_mean_field_grid(self, grid):
+        prior = MarkovSitePrior(0.5, GaussianDensity(0, 1))
+        with pytest.raises(InputError, match="grid must be"):
+            fit_mean_field(np.zeros(3), 1.0, prior, grid)
+
+    @BAD_GRID
+    def test_mean_field_risks_grid(self, grid):
+        prior = MarkovSitePrior(0.5, GaussianDensity(0, 1))
+        with pytest.raises(InputError, match="grid must be"):
+            mean_field_risks(np.zeros((2, 3)), 1.0, prior, PiecewiseSignalZero(3), grid)
 
 
 @pytest.mark.parametrize(

@@ -261,7 +261,7 @@ def _edge_values(domain):
 
 
 def _boundary_cases():
-    """(command, config, dotted key, inside) at the edges of every domain MODELS declares.
+    """(command, config, dotted key, domain, inside) at the edges of every domain MODELS declares.
 
     A domain shared by several models is tried once, in the first SMALL_CONFIGS entry
     already holding the value if one does, else in the first entry carrying the domain.
@@ -287,7 +287,7 @@ def _boundary_cases():
                 node[path[-1]] = value
                 payload = {**config, "params": params}
                 case_id = f"{command}:{key}={value!r}"
-                cases.append(pytest.param(command, payload, key, inside, id=case_id))
+                cases.append(pytest.param(command, payload, key, domain, inside, id=case_id))
     return cases
 
 
@@ -296,15 +296,24 @@ def _boundary_cases():
 INSIDE_BUT_REJECTED = {"grid_points": "f0 integrates to"}
 
 
-@pytest.mark.parametrize("command, payload, key, inside", _boundary_cases())
-def test_declared_domains_hold_at_their_edges(command, payload, key, inside, tmp_path, capsys):
-    # a value just inside a declared domain runs; one just outside exits 2 naming its key
+@pytest.mark.parametrize("command, payload, key, domain, inside", _boundary_cases())
+def test_declared_domains_hold_at_their_edges(
+    command, payload, key, domain, inside, tmp_path, capsys
+):
+    # a value just inside a declared domain runs; one just outside exits 2 naming its key,
+    # and a string outside a choice tuple lists every choice
     cfg = write_config(tmp_path, "cfg.json", payload)
     rc = main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")])
-    last = capsys.readouterr().err.splitlines()[-1:]
+    err = capsys.readouterr().err
+    last = err.splitlines()[-1:]
+    domain_message = f"error: params.{key} must be"
     if not inside:
-        assert rc == 2 and last[0].startswith(f"error: params.{key} must be"), last
-    elif key in INSIDE_BUT_REJECTED:
+        assert rc == 2 and last[0].startswith(domain_message), last
+        if isinstance(domain[0], str):
+            assert f"one of {list(domain)}" in last[0], last
+        return
+    assert domain_message not in err, last
+    if key in INSIDE_BUT_REJECTED:
         assert rc == 2 and INSIDE_BUT_REJECTED[key] in last[0], last
     else:
         assert rc in (0, 3), last

@@ -1,4 +1,4 @@
-"""Tests for the discrete/Gaussian divergence calculators."""
+"""Tests for the discrete divergence calculators."""
 
 import math
 
@@ -9,14 +9,11 @@ from hypothesis import strategies as st
 
 from vblab.divergences import (
     DiscreteDistribution,
-    ScalarGaussian,
     chain_report,
     chi2_discrete,
     hellinger_discrete,
     kl_discrete,
-    product_gaussian_divergence,
     renyi_discrete,
-    renyi_gaussian,
     renyi_monotonicity_check,
     tv_discrete,
 )
@@ -125,71 +122,6 @@ class TestHellingerTvChi2:
 
     def test_tv_direct_sum(self):
         assert tv_discrete(dd(0.6, 0.4), dd(0.4, 0.6)) == pytest.approx(0.2, abs=1e-15)
-
-
-class TestRenyiGaussian:
-    def test_equal_variance_formula(self):
-        # rho/(2 sigma^2) * (mean gap)^2 with rho=2, sigma^2=1, gap=1
-        a, b = ScalarGaussian(0.0, 1.0), ScalarGaussian(1.0, 1.0)
-        assert renyi_gaussian(a, b, 2.0) == pytest.approx(1.0, abs=1e-14)
-
-    def test_identical_is_zero(self):
-        a = ScalarGaussian(0.3, 2.0)
-        assert renyi_gaussian(a, a, 2.0) == 0.0
-        assert renyi_gaussian(ScalarGaussian(1.0, 0.0), ScalarGaussian(1.0, 0.0), 2.0) == 0.0
-
-    def test_unequal_variance_monte_carlo_oracle(self):
-        # importance estimate of int p^2/q with 1e6 draws from q
-        a, b = ScalarGaussian(0.0, 1.0), ScalarGaussian(0.0, 4.0)
-        rng = np.random.default_rng(123)
-        x = rng.normal(0.0, 2.0, size=10**6)
-        log_p = -0.5 * x**2 - 0.5 * math.log(2 * math.pi)
-        log_q = -(x**2) / 8.0 - 0.5 * math.log(8 * math.pi)
-        w2 = np.exp(2 * (log_p - log_q))
-        m = w2.mean()
-        stderr_log = w2.std(ddof=1) / math.sqrt(w2.size) / m
-        assert renyi_gaussian(a, b, 2.0) == pytest.approx(math.log(m), abs=3 * stderr_log)
-
-    def test_mixed_variance_guard(self):
-        # s* = 2*0.1 + (1-2)*1.0 < 0
-        assert renyi_gaussian(ScalarGaussian(0, 1.0), ScalarGaussian(0, 0.1), 2.0) == math.inf
-
-    def test_point_mass_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            renyi_gaussian(ScalarGaussian(0.0, 0.0), ScalarGaussian(1.0, 1.0), 2.0)
-
-    def test_point_mass_reference_is_infinite(self):
-        for rho in (0.5, 2.0):
-            assert renyi_gaussian(ScalarGaussian(0.0, 1.0), ScalarGaussian(0.0, 0.0), rho) == math.inf
-
-    def test_rejects_rho_one(self):
-        with pytest.raises(InputError):
-            renyi_gaussian(ScalarGaussian(0, 1), ScalarGaussian(1, 1), 1.0)
-
-
-class TestProductGaussian:
-    def test_identical_zero(self):
-        assert product_gaussian_divergence([1.0, 2.0], [1.0, 2.0], 4.0, 2.0) == 0.0
-
-    def test_single_coordinate_value(self):
-        assert product_gaussian_divergence([1.0, 0.0], [0.0, 0.0], 4.0, 2.0) == pytest.approx(4.0)
-
-    def test_additivity_against_coordinatewise(self):
-        rng = np.random.default_rng(11)
-        n, rho = 7.5, 3.0
-        ta, tb = rng.normal(size=6), rng.normal(size=6)
-        per_coord = sum(
-            renyi_gaussian(ScalarGaussian(x, 1 / n), ScalarGaussian(y, 1 / n), rho)
-            for x, y in zip(ta, tb)
-        )
-        assert product_gaussian_divergence(ta, tb, n, rho) == pytest.approx(per_coord, abs=1e-12)
-
-    def test_kl_mode_at_rho_one(self):
-        assert product_gaussian_divergence([1.0], [0.0], 2.0, 1.0) == pytest.approx(1.0)
-
-    def test_nan_sequence_rejected(self):
-        with pytest.raises(InputError, match="theta_a"):
-            product_gaussian_divergence([math.nan], [0.0], 4.0, 2.0)
 
 
 class TestChainReport:

@@ -1,9 +1,13 @@
-"""errors.data_array through the entry points that also take a single number."""
+"""Malformed inputs raise InputError.
+
+errors.data_array is checked through the entry points that also take a
+single number, and the other checks through one call each.
+"""
 
 import numpy as np
 import pytest
 
-from vblab import expfamily, mixture, sequence_model
+from vblab import changepoint, expfamily, mixture, sequence_model
 from vblab.errors import InputError
 
 SCALAR_ENTRY_POINTS = {
@@ -25,3 +29,23 @@ def test_ragged_input_is_an_input_error_and_a_scalar_is_one_point(entry):
     assert np.all(np.isfinite(one)) and np.all(np.isfinite(many))
     # a matrix product over one row may round apart from the same row in a longer stack
     np.testing.assert_allclose(np.ravel(one), np.ravel(np.asarray(many)[0]), rtol=1e-14)
+
+
+# entry point -> (call with a malformed input, the InputError message it must raise)
+MALFORMED_INPUTS = {
+    "UniformPositionsPrior nan weight": (
+        lambda: changepoint.UniformPositionsPrior(2, [np.nan, 0.0], changepoint.GaussianDensity(0, 1)),
+        "log_dimension_weights must be",
+    ),
+    "expfamily.sample m=-1": (lambda: expfamily.sample([0.3, -0.2], -1, 0), "m must be non-negative"),
+    "sample_mixture n=-1": (
+        lambda: mixture.sample_mixture(mixture.MixtureModel(2, [0.2, 0.7], [0.4, 0.6], 0.1), -1, 0),
+        "n must be non-negative",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_is_an_input_error(call, message):
+    with pytest.raises(InputError, match=message):
+        call()

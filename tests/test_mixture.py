@@ -24,25 +24,20 @@ from vblab.mixture import (
 
 class TestKernel:
     def test_gaussian_peak_value(self):
-        # Gamma(3/2) = sqrt(pi)/2, so psi_1(0; p=2) = 1/sqrt(pi)
-        assert float(kernel_psi(0.0, 1.0, 2)) == pytest.approx(1.0 / math.sqrt(math.pi), abs=1e-12)
+        # Gamma(3/2) = sqrt(pi)/2, so psi_1(0) = 1/sqrt(pi)
+        assert float(kernel_psi(0.0, 1.0)) == pytest.approx(1.0 / math.sqrt(math.pi), abs=1e-12)
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("p", [2, 4])
-    def test_normalization(self, sigma, p):
-        val, _ = quad(lambda t: float(kernel_psi(t, sigma, p)), -np.inf, np.inf)
+    def test_normalization(self, sigma):
+        val, _ = quad(lambda t: float(kernel_psi(t, sigma)), -np.inf, np.inf)
         assert val == pytest.approx(1.0, abs=1e-8)
 
-    def test_p2_equals_gaussian_density(self):
+    def test_equals_gaussian_density(self):
         x = np.linspace(-3, 3, 41)
         for sigma in (0.5, 1.3):
             var = sigma**2 / 2.0
             gauss = np.exp(-0.5 * x**2 / var) / math.sqrt(2 * math.pi * var)
-            np.testing.assert_allclose(kernel_psi(x, sigma, 2), gauss, atol=1e-12)
-
-    def test_odd_p_rejected(self):
-        with pytest.raises(InputError):
-            kernel_psi(0.0, 1.0, 3)
+            np.testing.assert_allclose(kernel_psi(x, sigma), gauss, atol=1e-12)
 
     @pytest.mark.parametrize(
         "x,sigma",
@@ -51,14 +46,14 @@ class TestKernel:
     )
     def test_non_finite_input_rejected(self, x, sigma):
         with pytest.raises(InputError, match="x must be finite|sigma"):
-            kernel_psi(x, sigma, 2)
+            kernel_psi(x, sigma)
 
 
 class TestMixturePdf:
     def test_single_component(self):
         model = MixtureModel(1, np.array([0.0]), np.array([1.0]), 1.0)
         x = np.linspace(-2, 2, 11)
-        np.testing.assert_allclose(mixture_pdf(model, x), kernel_psi(x, 1.0, 2), atol=1e-14)
+        np.testing.assert_allclose(mixture_pdf(model, x), kernel_psi(x, 1.0), atol=1e-14)
 
     def test_symmetric_two_component_even(self):
         model = MixtureModel(2, np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 0.8)

@@ -1,4 +1,4 @@
-"""Tests for the explicit truncated-family variational posterior."""
+"""Tests for the truncated-family variational posterior's exact risk and rate curve."""
 
 import math
 
@@ -6,46 +6,13 @@ import numpy as np
 import pytest
 
 from vblab.errors import InputError
-from vblab.sequence_model import SequenceObservation, SobolevSignal, make_signal
+from vblab.sequence_model import SobolevSignal, make_signal
 from vblab.truncated_series import (
     exact_risk,
-    fit_vb_k,
     rate_exponent_curve,
     theory_exponent,
     worst_case_risk,
 )
-
-
-class TestFitVbK:
-    def test_k_zero_is_all_tail(self):
-        obs = SequenceObservation(np.array([1.0, -2.0, 0.5]), 3.0)
-        post = fit_vb_k(obs, beta=1.0, k=0)
-        assert post.coord_means.size == 0
-        assert post.log_tail_variance(1) == -3.0
-        assert post.log_tail_variance(3) == -9.0
-
-    def test_direct_formula(self):
-        obs = SequenceObservation(np.array([2.0]), 1.0)
-        post = fit_vb_k(obs, beta=0.0, k=1)
-        assert post.coord_means[0] == pytest.approx(1.0)
-        assert post.coord_vars[0] == pytest.approx(0.5)
-
-    def test_strong_decay_shrinks_later_coordinates(self):
-        obs = SequenceObservation(np.ones(10), 10.0)
-        post = fit_vb_k(obs, beta=10.0, k=10)
-        assert abs(post.coord_means[0]) > 0.4
-        assert np.all(np.abs(post.coord_means[1:]) < 1e-4)
-
-    def test_k_out_of_range(self):
-        obs = SequenceObservation(np.ones(4), 4.0)
-        with pytest.raises(InputError):
-            fit_vb_k(obs, beta=1.0, k=5)
-
-    def test_tail_index_validated(self):
-        obs = SequenceObservation(np.ones(4), 4.0)
-        post = fit_vb_k(obs, beta=1.0, k=2)
-        with pytest.raises(InputError):
-            post.log_tail_variance(2)
 
 
 def term_by_term_risk(theta, n, beta, k):
