@@ -1,7 +1,10 @@
 """Composite Gauss-Legendre quadrature: fixed rules and one panel-doubling integrator.
 
-All density normalizers and divergence integrals in vblab go through
-these helpers.  The integrand is evaluated on vectorized node arrays.
+The numerical integrals in vblab (exponential-family normalizers and
+divergences, change-point tail moments, the sieve KL gap) go through
+these helpers; the sieve's rescaled-Cauchy evidence and tilt moments
+are closed forms instead.  The integrand is evaluated on vectorized
+node arrays.
 fixed_rule serves the paths that need one smooth, fixed set of nodes;
 integrate doubles the panel count until two successive refinements
 agree to the requested relative tolerance.  A caller whose integrand is

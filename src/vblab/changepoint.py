@@ -42,7 +42,7 @@ import numpy as np
 
 from ._lse import _logsumexp
 from ._quadrature import fixed_rule
-from .errors import InputError, NumericError, data_array
+from .errors import InputError, NumericError, count, data_array
 
 __all__ = [
     "UniformDensity",
@@ -265,7 +265,7 @@ ChangePointPrior = Union[MarkovSitePrior, UniformPositionsPrior]
 
 def make_grid(B: float, sigma: float, G: int = 64) -> np.ndarray:
     """Uniform value grid covering the prior support plus likelihood spread."""
-    if G < 16:
+    if count(G, "G") < 16:
         raise InputError("need at least 16 grid points")
     half = B + 1.0 + 4.0 * sigma
     return np.linspace(-half, half, G)
@@ -525,6 +525,7 @@ class GridChain:
         """Joint distribution of (site i, site i+1), 0-based, for 0 <= i < n-1."""
         if not 0 <= i < self.n_sites - 1:
             raise InputError(f"pairwise needs 0 <= i < {self.n_sites - 1}, got {i}")
+        i = count(i, "i")
         T = _dense_transitions(self.stay, self.move, self.weights[i])
         return self.marginals()[i][:, None] * T
 
@@ -532,6 +533,7 @@ class GridChain:
         return float(sum(moved.sum() for _, moved in self._forward()))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        size = count(size, "size")
         G = self.grid.size
         out = np.empty((size, self.n_sites))
         init = self.initial

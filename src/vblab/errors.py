@@ -1,8 +1,9 @@
-"""Semantic exception hierarchy shared by all vblab modules, and the one data-array check.
+"""Semantic exception hierarchy shared by all vblab modules, and the data-array and count checks.
 
 Every library entry point reads its data arrays (samples, observations,
-signals, grids, evaluation points) through data_array, so a malformed
-array raises InputError the same way wherever it enters.
+signals, grids, evaluation points) through data_array, and its counts
+and indices (draws, grid sizes, sites) through count, so a malformed
+argument raises InputError the same way wherever it enters.
 """
 
 import numpy as np
@@ -37,3 +38,10 @@ def data_array(value, name: str, ndim: int = 1, scalar: bool = False) -> np.ndar
     if arr.ndim != ndim or arr.size == 0 or not np.isfinite(arr).all():
         raise InputError(f"{name} must be a non-empty {ndim}-d array of finite numbers")
     return arr
+
+
+def count(value, name: str) -> int:
+    """value as a non-negative int; a bool, a float or a negative number raises InputError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise InputError(f"{name} must be non-negative and an integer, got {value!r}")
+    return int(value)

@@ -37,7 +37,7 @@ import numpy as np
 
 from ._lse import _logsumexp_weights
 from ._quadrature import fixed_rule, integrate
-from .errors import InputError, NumericError, data_array
+from .errors import InputError, NumericError, count, data_array
 
 __all__ = [
     "basis_matrix",
@@ -130,8 +130,7 @@ def pdf(theta, x) -> np.ndarray:
 
 def sample(theta, m: int, seed: Union[int, np.random.Generator]) -> np.ndarray:
     """m draws by inverse-CDF over a 4096-point grid, deterministic per seed."""
-    if m < 0:
-        raise InputError(f"m must be non-negative, got {m}")
+    m = count(m, "m")
     d = _as_density(theta)
     rng = np.random.default_rng(seed)
     xs = np.linspace(0.0, 1.0, 4096)

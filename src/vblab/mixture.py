@@ -59,7 +59,7 @@ import numpy as np
 from ._lse import _logsumexp_weights
 from ._rng import derive_seed
 from .divergences import _normalized
-from .errors import InputError, data_array
+from .errors import InputError, count, data_array
 
 __all__ = [
     "MixtureModel",
@@ -108,8 +108,8 @@ class MixtureModel:
         w = np.asarray(self.w, dtype=float)
         if mu.shape != (self.k,) or w.shape != (self.k,):
             raise InputError("mu and w must have length k")
-        if not self.sigma > 0:
-            raise InputError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise InputError("sigma must be positive and finite")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "w", _normalized(w))
 
@@ -124,8 +124,7 @@ def sample_mixture(
     model: MixtureModel, n: int, seed: Union[int, np.random.Generator]
 ) -> np.ndarray:
     """n draws, each component Gaussian of variance sigma^2 / 2."""
-    if n < 0:
-        raise InputError(f"n must be non-negative, got {n}")
+    n = count(n, "n")
     rng = np.random.default_rng(seed)
     comps = rng.choice(model.k, size=n, p=model.w)
     return model.mu[comps] + rng.standard_normal(n) * model.sigma / math.sqrt(2.0)

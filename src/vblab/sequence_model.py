@@ -23,7 +23,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ._lse import _logsumexp
-from ._quadrature import fixed_rule, integrate, panel_nodes
+from ._quadrature import panel_nodes
 from .divergences import ScalarGaussian, _normalized
 from .errors import InputError, NumericError, data_array
 
@@ -49,12 +49,11 @@ __all__ = [
 
 _GRID_POINTS = 2001
 _GRID_HALF_WIDTH = 12.0  # in units of the rescaled likelihood scale
-# a Cauchy tilt's grid points sit at v + _TILT_OFFSETS, its Gaussian factor at each is fixed
-_TILT_OFFSETS = np.linspace(-_GRID_HALF_WIDTH, _GRID_HALF_WIDTH, _GRID_POINTS)
-_TILT_GAUSS = np.exp(-0.5 * _TILT_OFFSETS**2)
-# the Cauchy kernels hold at most this many (coordinate, node) cells at a time, and
-# the stacked sieve runners this many (replication, coordinate) cells
+# tilt() needs a Cauchy scale of 4 grid steps, where its moments are within ~1e-11 of the closed form
+_MIN_GRID_SCALE = 4 * 2 * _GRID_HALF_WIDTH / (_GRID_POINTS - 1)
+# the stacked sieve runners hold at most this many (replication, coordinate) cells a block
 _BLOCK_CELLS = 1 << 15
+_SQRT2 = math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -100,17 +99,18 @@ class GaussianCoordinates:
         prec = n + 1.0 / self.sigma0_sq
         return n * y / prec, np.full(y.shape, 1.0 / prec)
 
-    def normalization_error(self) -> float:
-        return 0.0  # exact by construction
-
 
 @dataclass(frozen=True)
 class RescaledCauchyCoordinates:
-    """Coordinate density sqrt(n) g(sqrt(n) x) with g a centered Cauchy.
+    """Coordinate density sqrt(n) g(sqrt(n) x) with g a centered Cauchy of scale s.
 
     The sqrt(n) rescaling matches the noise level, which is what removes
     the logarithmic factor from the contraction rate; the heavy Cauchy
     tail keeps the evidence integral well behaved for large signals.
+    With u = sqrt(n) t and v = sqrt(n) y, g smoothed by unit Gaussian
+    noise is a Voigt profile: integral g(u) exp(-(u - v)^2 / 2) du is Re w
+    for the Faddeeva function w = wofz(z) at z = (v + i s) / sqrt(2), so
+    the evidence and the tilt moments are elementwise closed forms.
     """
 
     scale: float
@@ -124,20 +124,10 @@ class RescaledCauchyCoordinates:
         s = self.scale
         return -np.log(math.pi * s) - np.log1p((u / s) ** 2)
 
-    def _kernel(self, v: np.ndarray, offsets: np.ndarray, gauss: np.ndarray) -> np.ndarray:
-        """(v.size, nodes) array of gauss / (1 + ((v + offsets) / s)^2).
+    def _w(self, v: np.ndarray) -> np.ndarray:
+        from scipy.special import wofz  # here, so importing the CLI loads no scipy
 
-        Times 1 / (pi s) this is g(v + offset) times the Gaussian factor the
-        caller fixed per node, so with v / s and offsets / s formed once a
-        row costs an add, a square and a reciprocal per node.  A square
-        beyond float range leaves 0, the limit of its reciprocal.
-        """
-        s = self.scale
-        x = (v / s)[:, None] + offsets / s
-        with np.errstate(over="ignore"):
-            np.square(x, out=x)
-        x += 1.0
-        return np.divide(gauss, x, out=x)
+        return wofz(v / _SQRT2 + 1j * (self.scale / _SQRT2))
 
     def log_pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -145,92 +135,68 @@ class RescaledCauchyCoordinates:
         return math.log(rn) + self._log_g(rn * x)
 
     def log_evidence_ratio(self, y, n: float):
-        """Vectorized log[W(y) exp(n y^2 / 2)] over an array of y.
+        """Vectorized log[W(y) exp(n y^2 / 2)] = v^2 / 2 + log Re w over an array of y.
 
-        Substituting u = sqrt(n) t and centering at v = sqrt(n) y turns
-        the ratio into exp(v^2/2) * integral g(v + w) exp(-w^2/2) dw, an
-        O(1) integral over a fixed window; 480 Gauss-Legendre nodes are
-        far below 1e-10 error for this smooth integrand.  With c_i the
-        node weights times exp(-w_i^2/2), the ratio is
-        v^2/2 - log(pi s) + log sum_i c_i / (1 + ((v + w_i)/s)^2).  Each
-        coordinate's sum is reduced alone, so its bits do not depend on
-        the block it falls in.
+        A Re w that underflows to 0 gives -inf.  A scalar y gives a float.
         """
         self._check_n(n)
         v = math.sqrt(n) * data_array(y, "y", scalar=True)
-        w, wt, _ = fixed_rule(-15.0, 15.0, 30)
-        c = wt * np.exp(-0.5 * w * w)
-        total = np.empty_like(v)
-        rows = max(1, _BLOCK_CELLS // w.size)
-        for lo in range(0, v.size, rows):
-            total[lo : lo + rows] = self._kernel(v[lo : lo + rows], w, c).sum(axis=1)
-        with np.errstate(divide="ignore"):  # every node's square overflowed: ratio -inf
-            out = 0.5 * v**2 - (math.log(math.pi) + math.log(self.scale)) + np.log(total)
+        with np.errstate(divide="ignore"):
+            out = 0.5 * v**2 + np.log(self._w(v).real)
         return out if np.ndim(y) else float(out[0])
 
-    def log_evidence_adaptive(self, y: float, n: float) -> float:
-        """Reference log W(y) by adaptive quadrature in the rescaled variable.
-
-        The integrand is scaled by g(v), its prior factor at the centre, so
-        the adaptive rule sees values of order one whatever y is.
-        """
-        self._check_n(n)
-        v = math.sqrt(n) * y
-        top = float(self._log_g(v))
-        total = integrate(
-            lambda u: np.exp(self._log_g(u) - 0.5 * (u - v) ** 2 - top),
-            v - 15.0, v + 15.0, rel_tol=1e-12,
-        )
-        return top + math.log(total)
-
     def tilt_moments(self, y, n: float) -> tuple:
-        """Means and variances of the tilts at each y, without building their grids.
+        """Means and variances of the tilts at each y, in closed form.
 
-        On the grid of tilt(y, n), with weights q over the offsets from
-        v = sqrt(n) y, the mean offset is d = sum q off / sum q and the
-        variance sum q (off - d)^2 / sum q, in units of 1/sqrt(n).
+        The tilt of u has mean s Im w / Re w and variance
+        s sqrt(2/pi) / Re w - s^2 - mean^2, which loses eps |z|^2 of itself.
+        From |z| = 8 on, off the real axis, both come from the Laplace
+        continued fraction w = i c / (sqrt(pi) z) instead: with delta = c - 1
+        and q = c conj(z), mean = -s Re q / Im q and variance
+        -s [sqrt(2) Im(delta conj z) + s (2 Re delta + |delta|^2)] |z|^2 / Im(q)^2,
+        in units of m = max(|Re z|, Im z) so that no scale overflows.  A y
+        whose Re w underflows to 0 raises InputError.
         """
         self._check_n(n)
         v = math.sqrt(n) * data_array(y, "y", scalar=True)
-        shift, var = np.empty_like(v), np.empty_like(v)
-        rows = max(1, _BLOCK_CELLS // _GRID_POINTS)
-        for lo in range(0, v.size, rows):
-            q, mass = self._tilt_weights(v[lo : lo + rows])
-            d = np.einsum("ij,j->i", q, _TILT_OFFSETS) / mass
-            dev = np.square(_TILT_OFFSETS - d[:, None])
-            shift[lo : lo + rows] = d
-            var[lo : lo + rows] = np.einsum("ij,ij->i", q, dev) / mass
-        return (v + shift) / math.sqrt(n), var / n
+        s = self.scale
+        w = self._w(v)
+        if not (w.real > 0).all():
+            raise InputError(f"scale {s} leaves a tilt no evidence")
+        x, ys = np.abs(v) / _SQRT2, s / _SQRT2
+        # where the Faddeeva package takes the fraction too; nearer the axis it misses exp(-z^2)
+        far = (np.hypot(x, ys) >= 8.0) & ((ys > 1e-10) | (x > 28.0))
+        mean, var = s * w.imag / w.real, np.empty_like(v)
+        var[~far] = s * math.sqrt(2.0 / math.pi) / w.real[~far] - s * s - mean[~far] ** 2
+        m = np.maximum(x[far], ys)
+        xh, yh, eps = x[far] / m, ys / m, m**-2.0
+        zh = xh + 1j * yh
+        t = np.zeros_like(zh)
+        for k in range(20, 0, -1):  # m times the fraction's tail from level k
+            t = 0.5 * k / (zh - eps * t)
+        dh = t / (zh - eps * t)
+        re_q = xh + eps * (dh.real * xh + dh.imag * yh)  # Re q / m
+        im_q = -yh + eps * (dh.imag * xh - dh.real * yh)  # Im q / m
+        bracket = xh * dh.imag + yh * (dh.real + eps * np.abs(dh) ** 2)  # the variance's, times m / sqrt(2)
+        r = yh / im_q  # of order one, also where y / m is tiny
+        mean[far] = -_SQRT2 * m * r * re_q
+        var[far] = -2.0 * r * (bracket / im_q) * np.abs(zh) ** 2
+        return np.copysign(mean, v) / math.sqrt(n), var / n
 
     def tilt(self, y: float, n: float) -> "GridDensity":
         """The prior coordinate reweighted by the Gaussian likelihood at y, on a grid.
 
-        Its probabilities are the weights tilt_moments reduces, so a
-        GridDensity is built only to sample or to take a KL.
+        Only sampling and the KL gap need it: weights exp(log g(u) - (u - v)^2 / 2)
+        on _GRID_POINTS points within _GRID_HALF_WIDTH of v = sqrt(n) y,
+        normalized in log space.  A scale below _MIN_GRID_SCALE raises InputError.
         """
         self._check_n(n)
+        if self.scale < _MIN_GRID_SCALE:
+            raise InputError(f"scale {self.scale} is below {_MIN_GRID_SCALE:g}, too narrow for the tilt grid")
         v = math.sqrt(n) * y
-        q, mass = self._tilt_weights(np.array([v]))
-        return GridDensity(points=(v + _TILT_OFFSETS) / math.sqrt(n), probs=q[0] / mass[0])
-
-    def _tilt_weights(self, v: np.ndarray) -> tuple:
-        """Unnormalized tilt weights on the grids around each v, and their row sums."""
-        q = self._kernel(v, _TILT_OFFSETS, _TILT_GAUSS)
-        mass = q.sum(axis=1)
-        if not mass.all():
-            raise InputError(f"scale {self.scale} leaves a tilt no mass on its grid")
-        return q, mass
-
-    def normalization_error(self) -> float:
-        """|integral f - 1| via a sinh substitution (tail-safe quadrature).
-
-        Under u = s sinh(t) the integrand g(u) du/dt is 1 / (pi cosh t)
-        whatever the scale s, so it is evaluated in that form: u itself
-        leaves float range from about s = 1e300.
-        """
-        t, wt = panel_nodes(-22.0, 22.0, panels=32, order=16)
-        total = float(np.dot(wt, 1.0 / (math.pi * np.cosh(t))))
-        return abs(total - 1.0)
+        u = np.linspace(v - _GRID_HALF_WIDTH, v + _GRID_HALF_WIDTH, _GRID_POINTS)
+        log_q = self._log_g(u) - 0.5 * (u - v) ** 2
+        return GridDensity(points=u / math.sqrt(n), probs=np.exp(log_q - _logsumexp(log_q)))
 
     def _check_n(self, n: float) -> None:
         if not math.isclose(n, self.n, rel_tol=1e-12):
@@ -270,9 +236,6 @@ class SievePrior:
         if w.ndim != 1 or w.size != self.K_max + 1:
             raise InputError("dimension_weights must have length K_max + 1")
         object.__setattr__(self, "dimension_weights", _normalized(w))
-        err = self.coordinate_family.normalization_error()
-        if err > 1e-6:
-            raise InputError(f"coordinate density normalization off by {err}")
 
     @property
     def log_dimension_weights(self) -> np.ndarray:
@@ -473,16 +436,12 @@ def _select_shells(log_weights: np.ndarray, mean_field: bool) -> tuple:
     return k, p
 
 
-def _fit_tilts(prior: SievePrior, obs: SequenceObservation, k: int) -> tuple:
-    fam = prior.coordinate_family
-    return tuple(fam.tilt(float(obs.y[j]), obs.n) for j in range(k))
-
-
 def _fit_shell(prior, obs, log_weights, mean_field: bool) -> ShellPosterior:
     lw = log_model_weights(prior, obs) if log_weights is None else log_weights
     k, p = _select_shells(lw[None, :], mean_field)
     k = int(k[0])
-    return ShellPosterior(k, float(p[0]), _fit_tilts(prior, obs, k), prior.K_max, lw)
+    tilts = tuple(prior.coordinate_family.tilt(float(obs.y[j]), obs.n) for j in range(k))
+    return ShellPosterior(k, float(p[0]), tilts, prior.K_max, lw)
 
 
 def fit_mean_field(

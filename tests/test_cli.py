@@ -365,16 +365,24 @@ def test_cauchy_config_runs_where_its_truncation_bound(tmp_path):
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-100, 1e100, 1e200, 1e300, 5e307])
 def test_cauchy_evidence_at_extreme_scales(scale, tmp_path):
-    # each square (v + w)^2 / s^2 beyond float range leaves its reciprocal 0, with no
-    # RuntimeWarning (an error in this suite); the fits fall to k = 0 or stay finite.
-    # From scale 1e300 on, s sinh(t) leaves float range: the prior's normalization
-    # check must not form it
+    # the Faddeeva closed forms form no square of the scale, so nothing overflows and no
+    # RuntimeWarning (an error in this suite) is raised; the fits fall to k = 0 or stay finite
     params = {"prior": {"family": "rescaled_cauchy", "scale": scale}}
     for posterior in ("mean_field", "empirical_bayes"):
         cfg = write_config(tmp_path, "cfg.json", _config("gsm-rate", {**params, "posterior": posterior}))
         out = tmp_path / "o.json"
         assert main(["gsm-rate", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
         assert all(math.isfinite(row["mean_risk"]) for row in json.loads(out.read_text()))
+
+
+def test_cauchy_config_at_a_narrow_scale(tmp_path):
+    # a prior far narrower than the noise runs through the config path; the evidence it
+    # uses is checked against a quadrature oracle at this scale in test_sequence_model
+    params = {"prior": {"family": "rescaled_cauchy", "scale": 1e-6}}
+    cfg = write_config(tmp_path, "cfg.json", _config("gsm-rate", params))
+    out = tmp_path / "o.json"
+    assert main(["gsm-rate", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    assert all(0.0 < row["mean_risk"] < math.inf for row in json.loads(out.read_text()))
 
 
 def test_pc_compare_at_huge_B(tmp_path, capsys):

@@ -49,3 +49,32 @@ MALFORMED_INPUTS = {
 def test_malformed_input_is_an_input_error(call, message):
     with pytest.raises(InputError, match=message):
         call()
+
+
+_CHAIN = lambda: changepoint.grid_posterior(  # noqa: E731
+    np.zeros(3), 1.0, changepoint.MarkovSitePrior(0.2, changepoint.UniformDensity(-2.0, 2.0)),
+    changepoint.make_grid(1.0, 1.0, G=16),
+)
+# entry point -> a call with a count or index that is not a non-negative integer
+BAD_COUNTS = {
+    "expfamily.sample m=2.5": lambda: expfamily.sample([0.3, -0.2], 2.5, 0),
+    "sample_mixture n=2.5": (
+        lambda: mixture.sample_mixture(mixture.MixtureModel(2, [0.2, 0.7], [0.4, 0.6], 0.1), 2.5, 0)
+    ),
+    "GridChain.sample size=-1": lambda: _CHAIN().sample(np.random.default_rng(0), -1),
+    "GridChain.pairwise i=0.5": lambda: _CHAIN().pairwise(0.5),
+    "make_grid G=16.5": lambda: changepoint.make_grid(1, 1, 16.5),
+    "make_grid G=True": lambda: changepoint.make_grid(1, 1, True),
+}
+
+
+@pytest.mark.parametrize("call", BAD_COUNTS.values(), ids=BAD_COUNTS.keys())
+def test_bad_count_is_an_input_error(call):
+    with pytest.raises(InputError, match="must be non-negative and an integer"):
+        call()
+
+
+def test_mixture_model_needs_a_finite_sigma():
+    # an infinite kernel scale would give a density that is 0 everywhere
+    with pytest.raises(InputError, match="sigma must be positive and finite"):
+        mixture.MixtureModel(1, [0.0], [1.0], float("inf"))

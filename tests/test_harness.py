@@ -364,7 +364,7 @@ class TestStackedRunners:
 
     @pytest.mark.parametrize("posterior", ["mean_field", "empirical_bayes"])
     def test_gsm_row_in_a_batch_is_the_row_alone(self, monkeypatch, posterior):
-        # block edges fall inside the stack: every kernel reduces a row by itself
+        # block edges fall inside the stack: each row's ratios and moments are elementwise wofz calls
         monkeypatch.setattr(sequence_model, "_BLOCK_CELLS", 3 * 2001)
         params = parse_params({"alpha": 1.0, "B": 2.0, "posterior": posterior,
                                "prior": {"family": "rescaled_cauchy"}}, "gsm_risk")

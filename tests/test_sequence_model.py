@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erfcx
 
 from vblab import sequence_model
 from vblab._lse import _logsumexp
-from vblab._quadrature import fixed_rule
 from vblab.divergences import ScalarGaussian
 from vblab.errors import InputError
 from vblab.sequence_model import (
@@ -58,6 +58,39 @@ def quad_log_evidence(y, n, sigma0_sq=1.0):
     hi = max(0.0, y) + 10 * math.sqrt(sigma0_sq)
     val, _ = quad(f, lo, hi, points=[y, 0.0], epsabs=1e-300, epsrel=1e-12, limit=200)
     return math.log(val)
+
+
+def quad_cauchy_tilt(v, s):
+    """(log evidence ratio, mean, variance) of the Cauchy tilt of u at v, by brute-force quadrature.
+
+    The integrand is g(u) exp(-(u - v)^2 / 2), g the Cauchy of scale s.  Its
+    Gaussian factor is below exp(-800) beyond 40 of v, so at the scales
+    tested the window [v - 40, v + 40] holds the whole integral.  When the
+    prior's peak lies in that window the quadrature runs in u itself, with
+    breakpoints at the peak and at geometric steps s 4^j out from it, which
+    resolve a peak far narrower than the window; otherwise it runs in the
+    offset u - v, which stays exact at large v.
+    """
+    c = 0.0 if abs(v) <= 40.0 else v
+    lo, hi = v - c - 40.0, v - c + 40.0
+    pts = {lo, v - c, hi}
+    if c == 0.0:
+        pts.update(sg * s * 4.0**j for j in range(-1, 60) for sg in (-1, 1) if s * 4.0**j < 80)
+        pts.add(0.0)
+    pts = sorted(x for x in pts if lo <= x <= hi)
+
+    def integral(f):
+        def dens(x):
+            return f(x) * s / (math.pi * (s * s + (c + x) ** 2)) * math.exp(-0.5 * (x + c - v) ** 2)
+
+        return sum(quad(dens, a, b, epsabs=0, epsrel=1.2e-14, limit=500)[0] for a, b in zip(pts[:-1], pts[1:]))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # quad may call its 1.2e-14 target out of reach on a piece
+        Z = integral(lambda x: 1.0)
+        m = integral(lambda x: x) / Z
+        var = integral(lambda x: (x - m) ** 2) / Z
+    return 0.5 * v * v + math.log(Z), c + m, var
 
 
 class TestCoordinateEvidence:
@@ -332,17 +365,6 @@ class TestMakeSignal:
 
 
 class TestRescaledFamilies:
-    def test_cauchy_batched_ratio_matches_adaptive(self):
-        n = 64.0
-        fam = RescaledCauchyCoordinates(1.0, n)
-        rng = np.random.default_rng(3)
-        ys = rng.uniform(-1.5, 1.5, size=20)
-        ratios = fam.log_evidence_ratio(ys, n)
-        for y, r in zip(ys, ratios):
-            assert r - 0.5 * n * y * y == pytest.approx(
-                fam.log_evidence_adaptive(float(y), n), abs=1e-9
-            )
-
     @pytest.mark.parametrize("y", [math.nan, [0.5, math.inf], [[0.5]]], ids=["nan", "inf", "2-d"])
     def test_cauchy_ratio_rejects_bad_y(self, y):
         fam = RescaledCauchyCoordinates(1.0, 16.0)
@@ -356,94 +378,77 @@ class TestRescaledFamilies:
         # posterior mean sits between 0 (prior center) and y
         assert 0.0 < tilt.mean < 0.7
 
-    def test_cauchy_ratio_in_blocks_keeps_every_bit(self, monkeypatch):
-        # the windows are taken a block of coordinates at a time, so memory stays
-        # flat in K_max; each coordinate's ratio is the one an unblocked pass gives
-        fam = RescaledCauchyCoordinates(1.0, 256.0)
-        ys = np.random.default_rng(5).normal(scale=0.2, size=1000)
-        monkeypatch.setattr(sequence_model, "_BLOCK_CELLS", 1 << 30)
-        whole = fam.log_evidence_ratio(ys, 256.0)
-        monkeypatch.setattr(sequence_model, "_BLOCK_CELLS", 96 * 480)  # 96 coordinates a block
-        np.testing.assert_array_equal(fam.log_evidence_ratio(ys, 256.0), whole)
+    ORACLE_V = [0.0, 0.3, 1.0, 3.0, 7.9, 8.1, 11.0, 15.0, 30.0, 100.0, 1e3]
 
-    # for s = 1e-2 a peak 1e-2 wide inside the window (|v| < 10) falls between the 480
-    # fixed nodes, in the log-space form as in this one, so adaptive quadrature is
-    # compared there only from |v| = 10 on
-    CAUCHY_V = {
-        1e-2: [10.0, 14.9, 15.5, 30.0, 100.0, 1e3],
-        1.0: [0.0, 0.3, 1.0, 3.0, 10.0, 14.9, 15.5, 30.0, 100.0, 1e3],
-        1e2: [0.0, 0.3, 1.0, 3.0, 10.0, 14.9, 15.5, 30.0, 100.0, 1e3],
-    }
-
-    @pytest.mark.parametrize("scale", sorted(CAUCHY_V))
-    def test_cauchy_reciprocal_evidence_matches_adaptive(self, scale):
+    @pytest.mark.parametrize("scale", [1e-6, 1e-2, 1.0, 1e2, 1e6])
+    def test_cauchy_ratio_is_the_quad_oracle(self, scale):
         fam = RescaledCauchyCoordinates(scale, 1.0)
-        v = np.array(self.CAUCHY_V[scale] + [-x for x in self.CAUCHY_V[scale]])
-        log_w = fam.log_evidence_ratio(v, 1.0) - 0.5 * v * v
-        want = [fam.log_evidence_adaptive(float(x), 1.0) for x in v]
-        np.testing.assert_allclose(log_w, want, rtol=0, atol=1e-10)
+        v = np.array(self.ORACLE_V + [-x for x in self.ORACLE_V[1:]])
+        want = [quad_cauchy_tilt(float(x), scale)[0] for x in v]
+        np.testing.assert_allclose(fam.log_evidence_ratio(v, 1.0), want, rtol=0, atol=1e-12)
+        # at v = 0 the evidence is erfcx(s / sqrt(2)) in closed form
+        assert fam.log_evidence_ratio(0.0, 1.0) == pytest.approx(math.log(erfcx(scale / math.sqrt(2))), abs=1e-15)
 
-    @pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
-    def test_cauchy_reciprocal_evidence_is_the_log_space_rule(self, scale):
-        # the same 480-node rule summed in log space, at any v, the unresolved peaks too
+    @pytest.mark.parametrize("scale", [1e-100, 1e-20, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6, 1e8])
+    def test_cauchy_tilt_moments_are_the_quad_oracle(self, scale):
+        # from |z| = 8 on the moments come from the continued fraction, except where the
+        # scale is so small that exp(-v^2 / 2) still counts beside it (1e-100 up to |v| ~ 21)
+        fam = RescaledCauchyCoordinates(scale, 4.0)
+        v = np.array(self.ORACLE_V + [1e4] + [-x for x in self.ORACLE_V[1:]])
+        means, variances = fam.tilt_moments(v / 2.0, 4.0)
+        for x, mean, var in zip(v, 2.0 * means, 4.0 * variances):
+            _, want_mean, want_var = quad_cauchy_tilt(float(x), scale)
+            assert abs(mean - want_mean) <= 1e-13 * max(abs(want_mean), math.sqrt(want_var))
+            assert var == pytest.approx(want_var, rel=5e-12, abs=0)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 5e307])
+    def test_cauchy_closed_forms_at_extreme_scales(self, scale):
+        # no square of the scale is formed: a RuntimeWarning would fail this suite
         fam = RescaledCauchyCoordinates(scale, 1.0)
-        v = np.concatenate((np.linspace(-40.0, 40.0, 161), [-1e3, 1e3]))
-        w, _, log_wt = fixed_rule(-15.0, 15.0, 30)
-        log_terms = fam._log_g(v[:, None] + w) - 0.5 * w**2 + log_wt
-        want = 0.5 * v * v + _logsumexp(log_terms, axis=1)
-        np.testing.assert_allclose(fam.log_evidence_ratio(v, 1.0), want, rtol=1e-15, atol=1e-12)
+        v = np.array([0.0, 0.5, -3.0, 11.5, 30.0, 50.0, -1e3, 1e6])
+        ratios = fam.log_evidence_ratio(v, 1.0)
+        means, variances = fam.tilt_moments(v, 1.0)
+        assert np.isfinite(ratios).all() and np.isfinite(means).all() and (variances > 0).all()
+        if scale > 1.0:  # the prior is flat over the likelihood: the tilt is N(v, 1)
+            np.testing.assert_allclose(means, v, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(variances, 1.0, rtol=1e-15)
+        else:  # a point mass at 0 up to |v| ~ 38, then the likelihood alone
+            np.testing.assert_allclose(variances[:2], scale * math.sqrt(2 / math.pi) * np.exp(v[:2] ** 2 / 2))
+            np.testing.assert_allclose(means[5:], v[5:] * (1 - 2 / v[5:] ** 2), rtol=1e-3)
+            with pytest.raises(InputError, match="leaves a tilt no evidence"):  # Re w underflows to 0
+                fam.tilt_moments([1e200], 1.0)
 
-    @pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
-    def test_cauchy_tilt_moments_are_the_grid_moments(self, scale):
-        n = 64.0
-        fam = RescaledCauchyCoordinates(scale, n)
-        ys = np.array([-3.0, -0.6, -0.05, 0.0, 0.02, 0.4, 1.1, 2.5, 40.0])
-        means, variances = fam.tilt_moments(ys, n)
-        for y, mean, var in zip(ys, means, variances):
-            grid = fam.tilt(float(y), n)
-            sd = math.sqrt(grid.variance)
-            assert abs(mean - grid.mean) <= 1e-13 * max(abs(grid.mean), sd)
-            assert var == pytest.approx(grid.variance, rel=1e-13, abs=0)
-
-    @pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
+    @pytest.mark.parametrize("scale", [1.0, 1e2])
     def test_cauchy_tilts_are_the_log_space_grid(self, scale):
         # the tilt weights exp(log g(u) - (u - v)^2 / 2) on linspace(v - 12, v + 12, 2001),
-        # normalized in log space: tilt() has their probabilities, tilt_moments their moments
+        # normalized in log space
         n = 64.0
         fam = RescaledCauchyCoordinates(scale, n)
-        ys = np.array([-3.0, -0.6, -0.05, 0.0, 0.02, 0.4, 1.1, 2.5, 40.0])
-        means, variances = fam.tilt_moments(ys, n)
-        for y, mean, var in zip(ys, means, variances):
+        for y in [-3.0, -0.6, -0.05, 0.0, 0.02, 0.4, 1.1, 2.5, 40.0]:
             v = math.sqrt(n) * y
             u = np.linspace(v - 12.0, v + 12.0, 2001)
             log_w = fam._log_g(u) - 0.5 * (u - v) ** 2
             probs = np.exp(log_w - _logsumexp(log_w))
-            np.testing.assert_allclose(fam.tilt(float(y), n).probs, probs, rtol=1e-12, atol=0)
-            want_mean = float(probs @ u) / math.sqrt(n)
-            want_var = float(probs @ (u / math.sqrt(n) - want_mean) ** 2)
-            assert abs(mean - want_mean) <= 1e-13 * max(abs(want_mean), math.sqrt(want_var))
-            assert var == pytest.approx(want_var, rel=1e-13, abs=0)
+            np.testing.assert_allclose(fam.tilt(y, n).probs, probs, rtol=1e-12, atol=0)
 
-    def test_cauchy_kernels_stay_within_the_cell_cap(self, monkeypatch):
-        shapes = []
-        kernel = RescaledCauchyCoordinates._kernel
+    @pytest.mark.parametrize("scale", [sequence_model._MIN_GRID_SCALE, 1.0, 1e2])
+    def test_cauchy_grid_tilt_moments_are_the_closed_form(self, scale):
+        # the grid sums an analytic integrand whose poles sit s off the real axis, so its
+        # moments converge like exp(-2 pi s / step): about 1e-11 at the 4 steps it requires
+        n = 64.0
+        fam = RescaledCauchyCoordinates(scale, n)
+        ys = np.array([-3.0, -0.6, -0.05, 0.0, 0.02, 0.4, 1.1, 2.5, 40.0])
+        for y, mean, var in zip(ys, *fam.tilt_moments(ys, n)):
+            grid = fam.tilt(float(y), n)
+            assert abs(grid.mean - mean) <= 1e-10 * max(abs(mean), math.sqrt(var))
+            assert grid.variance == pytest.approx(var, rel=1e-10, abs=0)
 
-        def recorded(self, v, offsets, gauss):
-            out = kernel(self, v, offsets, gauss)
-            shapes.append(out.shape)
-            return out
-
-        monkeypatch.setattr(RescaledCauchyCoordinates, "_kernel", recorded)
-        fam = RescaledCauchyCoordinates(1.0, 256.0)
-        ys = np.random.default_rng(9).normal(scale=0.2, size=1000)
-        fam.log_evidence_ratio(ys, 256.0)
-        assert sum(rows for rows, _ in shapes) == 1000
-        shapes.clear()
-        fam.tilt_moments(ys[:100], 256.0)
-        assert sum(rows for rows, _ in shapes) == 100
-        fam.log_evidence_ratio(ys, 256.0)
-        assert all(rows * nodes <= sequence_model._BLOCK_CELLS for rows, nodes in shapes)
-        assert max(rows for rows, _ in shapes) > 1
+    def test_cauchy_tilt_below_four_grid_steps_is_an_input_error(self):
+        fam = RescaledCauchyCoordinates(0.99 * sequence_model._MIN_GRID_SCALE, 64.0)
+        with pytest.raises(InputError, match="too narrow for the tilt grid"):
+            fam.tilt(0.1, 64.0)
+        means, variances = fam.tilt_moments([0.1], 64.0)  # the closed form has no grid
+        assert np.isfinite(means).all() and (variances > 0).all()
 
     def test_geometric_weights_at_negative_tau(self):
         # exp(-tau k) overflows at k = 1000 for tau = -1; the weights are shifted first,
