@@ -1,23 +1,16 @@
-"""Composite Gauss-Legendre quadrature: fixed rules and one panel-doubling integrator.
+"""Composite Gauss-Legendre rules, each with a fixed set of nodes.
 
 The numerical integrals in vblab (exponential-family normalizers and
-divergences, change-point tail moments, the sieve KL gap) go through
-these helpers; the sieve's rescaled-Cauchy evidence and tilt moments
-are closed forms instead.  The integrand is evaluated on vectorized
-node arrays.
-fixed_rule serves the paths that need one smooth, fixed set of nodes;
-integrate doubles the panel count until two successive refinements
-agree to the requested relative tolerance.  A caller whose integrand is
-far from unit scale divides it by a reference value and adds that
-value's log back to the log of the result.
+divergences, change-point tail moments, the sieve KL gap) are sums over
+these rules; the sieve's rescaled-Cauchy evidence and tilt moments and
+the change-point Gaussian tilts are closed forms instead.  Each caller
+sizes its rule for its integrand: the exponential family by a stated
+Bernstein-ellipse error bound, the others by the integrand's scale.
 """
 
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
-
-from .errors import NumericError
 
 
 @lru_cache(maxsize=None)
@@ -44,33 +37,3 @@ def fixed_rule(a: float, b: float, panels: int, order: int = 16) -> tuple[np.nda
     for arr in rule:
         arr.flags.writeable = False
     return rule
-
-
-# integrate doubles its order-16 panels at most this many times
-_MAX_DOUBLINGS = 14
-
-
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-14,
-) -> float:
-    """Integrate a vectorized integrand over [a, b] to the given tolerance.
-
-    Raises NumericError if panel doubling does not converge.
-    """
-    prev = None
-    panels = 1
-    for _ in range(_MAX_DOUBLINGS + 1):
-        nodes, weights = panel_nodes(a, b, panels)
-        val = float(np.dot(weights, f(nodes)))
-        if prev is not None and abs(val - prev) <= rel_tol * abs(val) + abs_tol:
-            return val
-        prev = val
-        panels *= 2
-    raise NumericError(
-        f"quadrature on [{a}, {b}] did not reach rel_tol={rel_tol} "
-        f"within {_MAX_DOUBLINGS} panel doublings"
-    )

@@ -268,6 +268,8 @@ def make_grid(B: float, sigma: float, G: int = 64) -> np.ndarray:
     if count(G, "G") < 16:
         raise InputError("need at least 16 grid points")
     half = B + 1.0 + 4.0 * sigma
+    if not 0 < half < math.inf:
+        raise InputError(f"B + 1 + 4 sigma must be positive and finite, got {half!r}")
     return np.linspace(-half, half, G)
 
 
@@ -280,13 +282,12 @@ def make_grid(B: float, sigma: float, G: int = 64) -> np.ndarray:
 class CoordinatewisePosterior:
     """Means and variances of the tilted densities q_i(t) ~ g(t) exp(-(t - X_i)^2 / 2 sigma^2).
 
-    kind records how they were computed: "truncated_gaussian" in closed
-    form when g is uniform, "grid" by quadrature on a value grid otherwise.
+    Both are closed forms: a truncated Gaussian's when g is uniform, the
+    conjugate Gaussian's when g is Gaussian.
     """
 
     means: np.ndarray
     variances: np.ndarray
-    kind: str
 
     def __len__(self) -> int:
         return self.means.size
@@ -330,24 +331,18 @@ def _truncnorm_moments(x: np.ndarray, sigma: float, lo: float, hi: float):
     return mean, var
 
 
-def fit_mean_field(
-    X: np.ndarray,
-    sigma: float,
-    prior: ChangePointPrior,
-    grid: Optional[np.ndarray] = None,
-) -> CoordinatewisePosterior:
+def fit_mean_field(X: np.ndarray, sigma: float, prior: ChangePointPrior) -> CoordinatewisePosterior:
     """Product-measure variational optimum.
 
     Any product candidate with finite divergence to the posterior must
     put zero mass on neighbour-equality events, so the optimum tilts each
-    site's value density by its own likelihood and nothing else.
+    site's value density by its own likelihood and nothing else.  Each
+    tilt's moments are closed forms (_site_moments).
     """
     X = data_array(X, "X")
-    grid = _check_mean_field(X.size, sigma, prior, grid)
-    g = prior.value_density
-    mean, var = _site_moments(X, sigma, g, grid)
-    kind = "truncated_gaussian" if isinstance(g, UniformDensity) else "grid"
-    return CoordinatewisePosterior(means=mean, variances=var, kind=kind)
+    _check_mean_field(X.size, sigma, prior)
+    mean, var = _site_moments(X, sigma, prior.value_density)
+    return CoordinatewisePosterior(means=mean, variances=var)
 
 
 # mean_field_risks fits blocks of at most _MEAN_FIELD_CELLS (replication, site) cells.
@@ -359,53 +354,49 @@ def mean_field_risks(
     sigma: float,
     prior: ChangePointPrior,
     signal: PiecewiseSignal,
-    grid: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """risk(fit_mean_field(X, sigma, prior, grid), signal) for each row of an (R, n) batch.
+    """risk(fit_mean_field(X, sigma, prior), signal) for each row of an (R, n) batch.
 
     The rows are fitted in blocks of at most _MEAN_FIELD_CELLS cells,
-    whatever R is.  Under a uniform value density the moments are
-    elementwise and each row's sum is taken alone, so a row has the bits
-    it has in fit_mean_field and risk.
+    whatever R is.  The moments are elementwise and each row's sum is
+    taken alone, so a row has the bits it has in fit_mean_field and risk.
     """
     X_batch = data_array(X_batch, "X_batch", 2)
     R, n = X_batch.shape
     if signal.values.size != n:
         raise InputError("signal length does not match the data")
-    grid = _check_mean_field(n, sigma, prior, grid)
+    _check_mean_field(n, sigma, prior)
     risks = np.empty(R)
     rows = max(1, _MEAN_FIELD_CELLS // n)
     for lo in range(0, R, rows):
-        mean, var = _site_moments(X_batch[lo : lo + rows], sigma, prior.value_density, grid)
+        mean, var = _site_moments(X_batch[lo : lo + rows], sigma, prior.value_density)
         risks[lo : lo + rows] = _coordinatewise_risk(mean, var, signal.values)
     return risks
 
 
-def _check_mean_field(n: int, sigma: float, prior: ChangePointPrior, grid):
-    """The grid, checked as a data array when given, once sigma, prior and n agree."""
+def _check_mean_field(n: int, sigma: float, prior: ChangePointPrior) -> None:
+    """InputError unless sigma > 0 and the prior and its value density are supported kinds, for n sites."""
     if not sigma > 0:
         raise InputError("sigma must be positive")
     if not isinstance(prior, (MarkovSitePrior, UniformPositionsPrior)):
         raise InputError(f"unsupported prior type {type(prior).__name__}")
     if isinstance(prior, UniformPositionsPrior) and prior.n != n:
         raise InputError(f"prior was built for n={prior.n}, data has n={n}")
-    if grid is None and not isinstance(prior.value_density, UniformDensity):
-        raise InputError("non-uniform value densities need an explicit grid")
-    return None if grid is None else data_array(grid, "grid")
+    if not isinstance(prior.value_density, (UniformDensity, GaussianDensity)):
+        raise InputError(f"unsupported value density {type(prior.value_density).__name__}")
 
 
-def _site_moments(X: np.ndarray, sigma: float, g: ValueDensity, grid) -> tuple:
+def _site_moments(X: np.ndarray, sigma: float, g: ValueDensity) -> tuple:
     """Means and variances of each site's tilt q_i, for data X of any shape.
 
-    In closed form when g is uniform, else by quadrature on the value grid.
+    A truncated Gaussian's when g is uniform; when g is N(mu0, tau^2), the
+    conjugate var = 1 / (1 / tau^2 + 1 / sigma^2) and
+    mean = var (mu0 / tau^2 + X / sigma^2).
     """
     if isinstance(g, UniformDensity):
         return _truncnorm_moments(X, sigma, g.lo, g.hi)
-    logw = g.log_pdf(grid) - 0.5 * ((grid - X[..., None]) / sigma) ** 2
-    logw = logw - _logsumexp(logw, axis=-1, keepdims=True)
-    probs = np.exp(logw)
-    means = probs @ grid
-    return means, probs @ grid**2 - means**2
+    var = 1.0 / (1.0 / g.variance + 1.0 / sigma**2)
+    return var * (g.mean / g.variance + X / sigma**2), np.full(X.shape, var)
 
 
 def _coordinatewise_risk(means: np.ndarray, variances: np.ndarray, theta: np.ndarray):

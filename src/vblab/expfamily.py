@@ -4,8 +4,14 @@ A density is exp(sum_j theta_j h_j(x) - c(theta)) against Lebesgue
 measure, where the basis pairs sqrt(2) cos(2 pi l x) with
 sqrt(2) sin(2 pi l x); the constant function is index 0 and its
 coefficient is fixed to zero, so theta_1, theta_2, ... fully determine
-the density.  The normalizer c(theta) and all divergences are evaluated
-by panel-doubled Gauss-Legendre quadrature.
+the density.  The divergences are functions of normalizers alone
+(Wainwright & Jordan 2008, section 3): the Hellinger affinity is
+exp(c((theta_a + theta_b) / 2) - (c_a + c_b) / 2), KL(a || b) is
+(theta_a - theta_b) . E_a[h] - c_a + c_b and D_2(a || b) is
+c(2 theta_a - theta_b) - 2 c_a + c_b.  Each c and E[h] is a sum over one
+fixed rule of order-8 Gauss-Legendre panels, the fewest (a power of two,
+at most 4096) whose error bound _rule_error meets 1e-12 at the
+||theta||_1 at hand; past 4096 panels NumericError names ||theta||_1.
 
 The variational route fits a Gaussian mean-field factor per coefficient
 at a fixed active length k, against N(0, sigma0_sq) prior coordinates;
@@ -16,9 +22,8 @@ given the seed the objective is a deterministic smooth function, so
 plain gradients (and finite-difference checks) apply.  elbo, its
 gradient and the fit share one input check and one draw of those numbers.
 
-c(theta) and E_theta[h] inside the ELBO come from one fixed rule of
-order-8 Gauss-Legendre panels per active length k: the fewest panels, a
-power of two up to 64, whose Bernstein-ellipse error bound (_rule_error)
+c(theta) and E_theta[h] inside the ELBO come from one such rule per
+active length k: the fewest panels, a power of two up to 64, whose bound
 stays below _ELBO_TARGET = 1e-12 at every draw with ||theta||_1 at most
 _ELBO_CAP = 2.5.  Every step checks its draws against the cap; a fit
 whose draws ever cross it runs on the 64-panel rule from its first step,
@@ -31,12 +36,12 @@ one-row case.
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
 from ._lse import _logsumexp_weights
-from ._quadrature import fixed_rule, integrate
+from ._quadrature import fixed_rule
 from .errors import InputError, NumericError, count, data_array
 
 __all__ = [
@@ -65,6 +70,8 @@ _ELBO_ORDER = 8
 _ELBO_MAX_PANELS = 64
 _ELBO_CAP = 2.5
 _ELBO_TARGET = 1e-12
+# c(theta) and the divergences take a rule sized for their ||theta||_1, of at most this many panels.
+_EXACT_MAX_PANELS = 4096
 # A stacked fit holds at most this many (row, draw, node) cells at a time.
 _FIT_CELLS = 1 << 17
 
@@ -87,30 +94,34 @@ def _basis(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def log_normalizer(theta) -> float:
-    """c(theta) = log integral_0^1 exp(sum_j theta_j h_j(x)) dx."""
-    theta = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(theta)):
-        raise InputError("coefficients must be finite")
-    if theta.size == 0:
-        return 0.0
+    """c(theta) = log integral_0^1 exp(sum_j theta_j h_j(x)) dx; exactly 0.0 for zero or no coefficients."""
+    return FourierDensity(theta).c
 
-    def integrand(x):
-        return np.exp(_basis(x, theta.size) @ theta)
 
-    return math.log(integrate(integrand, 0.0, 1.0, rel_tol=1e-10))
+def _exact_stats(theta: np.ndarray):
+    """c(theta) and E_theta[h] for one checked coefficient vector, on the rule sized for its ||theta||_1."""
+    if not theta.any():  # the uniform density
+        return 0.0, np.zeros(theta.size)
+    with np.errstate(over="ignore"):  # a norm past float range needs too many panels anyway
+        norm = float(np.abs(theta).sum())
+    panels = norm < math.inf and _exact_panels(theta.size, max(_ELBO_CAP, math.ceil(2.0 * norm) / 2.0))
+    if not panels:
+        raise NumericError(f"||theta||_1 = {norm:g} needs more than {_EXACT_MAX_PANELS} quadrature panels")
+    c, moments = _normalizer_stats(theta, panels)
+    return float(c), moments
 
 
 @dataclass(frozen=True)
 class FourierDensity:
-    """Coefficients plus their cached normalizer c(theta)."""
+    """Coefficients, a finite 1-d array (possibly empty), plus their cached normalizer c(theta)."""
 
     theta: np.ndarray
     c: float = field(init=False)
 
     def __post_init__(self):
-        t = np.asarray(self.theta, dtype=float)
+        t = data_array(self.theta, "coefficients", empty=True)
         object.__setattr__(self, "theta", t)
-        object.__setattr__(self, "c", log_normalizer(t))
+        object.__setattr__(self, "c", _exact_stats(t)[0])
 
     def log_pdf(self, x) -> np.ndarray:
         x = data_array(x, "points", scalar=True)
@@ -120,7 +131,7 @@ class FourierDensity:
 
 
 def _as_density(d) -> FourierDensity:
-    return d if isinstance(d, FourierDensity) else FourierDensity(np.asarray(d, dtype=float))
+    return d if isinstance(d, FourierDensity) else FourierDensity(d)
 
 
 def pdf(theta, x) -> np.ndarray:
@@ -140,51 +151,30 @@ def sample(theta, m: int, seed: Union[int, np.random.Generator]) -> np.ndarray:
     return np.interp(rng.random(m), cdf, xs)
 
 
-def _padded(a: FourierDensity, b: FourierDensity):
+def _pair(theta_a, theta_b):
+    """Both densities' coefficients, zero-padded to one length, and their normalizers c_a and c_b."""
+    a, b = _as_density(theta_a), _as_density(theta_b)
     k = max(a.theta.size, b.theta.size)
-    ta = np.zeros(k)
-    tb = np.zeros(k)
-    ta[: a.theta.size] = a.theta
-    tb[: b.theta.size] = b.theta
-    return ta, tb, k
+    return np.pad(a.theta, (0, k - a.theta.size)), np.pad(b.theta, (0, k - b.theta.size)), a.c, b.c
 
 
 def hellinger_numeric(theta_a, theta_b) -> float:
-    """Hellinger distance between two basis densities, by quadrature."""
-    a, b = _as_density(theta_a), _as_density(theta_b)
-    ta, tb, k = _padded(a, b)
-    mid = 0.5 * (ta + tb)
-    shift = 0.5 * (a.c + b.c)
-
-    def integrand(x):
-        return np.exp(_basis(x, k) @ mid - shift)
-
-    affinity = integrate(integrand, 0.0, 1.0, rel_tol=1e-10)
-    return math.sqrt(min(max(1.0 - affinity, 0.0), 1.0))
+    """Hellinger distance between two basis densities, from their normalizers."""
+    ta, tb, c_a, c_b = _pair(theta_a, theta_b)
+    log_affinity = _exact_stats(0.5 * (ta + tb))[0] - 0.5 * (c_a + c_b)
+    return math.sqrt(min(max(-math.expm1(log_affinity), 0.0), 1.0))
 
 
 def kl_numeric(theta_a, theta_b) -> float:
-    """KL(P_a || P_b) by quadrature of the density log-ratio."""
-    a, b = _as_density(theta_a), _as_density(theta_b)
-    ta, tb, k = _padded(a, b)
-
-    def integrand(x):
-        H = _basis(x, k)
-        return np.exp(H @ ta - a.c) * (H @ (ta - tb) - (a.c - b.c))
-
-    return max(integrate(integrand, 0.0, 1.0, rel_tol=1e-10, abs_tol=1e-13), 0.0)
+    """KL(P_a || P_b) = (theta_a - theta_b) . E_a[h] - c_a + c_b."""
+    ta, tb, c_a, c_b = _pair(theta_a, theta_b)
+    return max(float((ta - tb) @ _exact_stats(ta)[1]) - c_a + c_b, 0.0)
 
 
 def d2_numeric(theta_a, theta_b) -> float:
-    """Order-2 Renyi divergence log integral p_a^2 / p_b, by quadrature."""
-    a, b = _as_density(theta_a), _as_density(theta_b)
-    ta, tb, k = _padded(a, b)
-
-    def integrand(x):
-        H = _basis(x, k)
-        return np.exp(2.0 * (H @ ta - a.c) - (H @ tb - b.c))
-
-    return max(math.log(integrate(integrand, 0.0, 1.0, rel_tol=1e-10)), 0.0)
+    """Order-2 Renyi divergence log integral p_a^2 / p_b = c(2 theta_a - theta_b) - 2 c_a + c_b."""
+    ta, tb, c_a, c_b = _pair(theta_a, theta_b)
+    return max(_exact_stats(2.0 * ta - tb)[0] - 2.0 * c_a + c_b, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +219,11 @@ class OptConfig:
             raise InputError("n_iters and n_mc must be at least 1")
 
 
-def _rule_error(panels: int, L: int) -> float:
+def _rule_error(panels: int, L: int, cap: float) -> float:
     """Bound on the error of c(theta) and of each E_theta[h_j] on a rule of panels panels.
 
-    It holds for every theta with ||theta||_1 <= cap = _ELBO_CAP whose
+    It holds for every theta with ||theta||_1 <= cap (_ELBO_CAP for the
+    ELBO, the rounded-up ||theta||_1 at hand for _exact_stats) whose
     frequencies are at most L.  On one panel, mapped to t in [-1, 1],
     f = exp(theta . h) is entire in t.  On the Bernstein ellipse E_rho,
     where |Im t| <= b = (rho - 1/rho) / 2, Re(theta . h) is at most
@@ -250,7 +241,7 @@ def _rule_error(panels: int, L: int) -> float:
     at most sqrt(2) (1 + cosh(w b)) A / (1 - A), which covers both.  The
     bound returned is its minimum over a grid of rho.
     """
-    m, cap = _ELBO_ORDER, _ELBO_CAP
+    m = _ELBO_ORDER
     K = math.sqrt(2.0) * cap * (2.0 * math.pi * L) ** 2
     peak = math.sqrt(2.0 * math.pi / K) * math.erf(math.sqrt(K / 8.0))
     log_lead = math.log(32.0 / 15.0) + min(-math.log(peak), math.sqrt(2.0) * cap)
@@ -264,26 +255,32 @@ def _rule_error(panels: int, L: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _elbo_panels(k: int) -> int:
-    """Panels of the ELBO rule at active length k, by _rule_error at L = ceil(k / 2).
+def _exact_panels(k: int, cap: float) -> Optional[int]:
+    """Panels of the rule for c(theta) and E_theta[h] at active length k and ||theta||_1 <= cap.
 
-    The fewest, a power of two, whose bound meets _ELBO_TARGET at the cap;
-    _ELBO_MAX_PANELS when none up to it does.
+    The fewest, a power of two, whose _rule_error at L = ceil(k / 2)
+    meets _ELBO_TARGET; None when _EXACT_MAX_PANELS do not.
     """
-    L = (k + 1) // 2
     panels = 1
-    while panels < _ELBO_MAX_PANELS and not _rule_error(panels, L) <= _ELBO_TARGET:
+    while not _rule_error(panels, (k + 1) // 2, cap) <= _ELBO_TARGET:
+        if panels == _EXACT_MAX_PANELS:
+            return None
         panels *= 2
     return panels
 
 
+def _elbo_panels(k: int) -> int:
+    """Panels of the ELBO rule at active length k: _exact_panels at _ELBO_CAP, or 64 where that needs more."""
+    return min(_exact_panels(k, _ELBO_CAP) or _ELBO_MAX_PANELS, _ELBO_MAX_PANELS)
+
+
 @lru_cache(maxsize=None)
 def _elbo_rule(k: int, panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only basis values (nodes, k), weights and log weights of an ELBO rule.
+    """Read-only basis values (nodes, k), weights and log weights of a rule.
 
     panels order-8 Gauss-Legendre panels on [0, 1]: _elbo_panels(k) for a
     fit whose draws stay within the cap, _ELBO_MAX_PANELS for one whose
-    draws cross it.
+    draws cross it, and _exact_panels for the normalizer and divergences.
     """
     nodes, wts, log_wts = fixed_rule(0.0, 1.0, panels, order=_ELBO_ORDER)
     H = _basis(nodes, k)
@@ -298,7 +295,8 @@ def _normalizer_stats(draws: np.ndarray, panels: int):
     it ascends is smooth and deterministic (required by the
     common-random-number gradient checks).  At draws with ||theta||_1 <=
     _ELBO_CAP the _elbo_panels(k) rule is within _ELBO_TARGET of the exact
-    values; draws past the cap are evaluated on the 64-panel rule only.
+    values; a fit's draws past the cap are evaluated on the 64-panel rule
+    only, and _exact_stats sizes its rule for the theta it is given.
     """
     k = draws.shape[-1]
     H, _, log_wts = _elbo_rule(k, panels)  # H: (nodes, k)

@@ -142,8 +142,8 @@ class MixtureHyper:
     xi0: float = 2.0
 
     def __post_init__(self):
-        if min(self.sigma0_sq, self.alpha0, self.a0, self.b0, self.xi0) <= 0:
-            raise InputError("all hyperparameters must be positive")
+        if not all(0 < v < math.inf for v in (self.sigma0_sq, self.alpha0, self.a0, self.b0, self.xi0)):
+            raise InputError("all hyperparameters must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -81,11 +81,12 @@ class GaussianCoordinates:
         W(y) = integral of f(t) exp(-n (t - y)^2 / 2) dt; the Gaussian
         convolution gives W = (1 + n s)^{-1/2} exp(-y^2 / (2 (s + 1/n)))
         with s the prior variance, so the ratio is computed without
-        cancellation.  A scalar y gives a float.
+        cancellation.  A scalar y gives a float; past float range, NumericError.
         """
         v = data_array(y, "y", scalar=True)
         ns = n * self.sigma0_sq
-        out = -0.5 * math.log1p(ns) + 0.5 * n * v**2 * (ns / (ns + 1.0))
+        with np.errstate(over="ignore"):
+            out = _in_range(-0.5 * math.log1p(ns) + 0.5 * n * v**2 * (ns / (ns + 1.0)), v)
         return out if np.ndim(y) else float(out[0])
 
     def tilt(self, y: float, n: float) -> ScalarGaussian:
@@ -117,8 +118,8 @@ class RescaledCauchyCoordinates:
     n: float
 
     def __post_init__(self):
-        if not (self.scale > 0 and self.n > 0):
-            raise InputError("scale and n must be positive")
+        if not (0 < self.scale < math.inf and self.n > 0):
+            raise InputError("scale must be positive and finite, and n positive")
 
     def _log_g(self, u):
         s = self.scale
@@ -137,12 +138,14 @@ class RescaledCauchyCoordinates:
     def log_evidence_ratio(self, y, n: float):
         """Vectorized log[W(y) exp(n y^2 / 2)] = v^2 / 2 + log Re w over an array of y.
 
-        A Re w that underflows to 0 gives -inf.  A scalar y gives a float.
+        A Re w that underflows to 0 gives -inf.  A scalar y gives a float;
+        a ratio past float range (v^2 / 2 overflows) raises NumericError.
         """
         self._check_n(n)
-        v = math.sqrt(n) * data_array(y, "y", scalar=True)
-        with np.errstate(divide="ignore"):
-            out = 0.5 * v**2 + np.log(self._w(v).real)
+        y_arr = data_array(y, "y", scalar=True)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            v = math.sqrt(n) * y_arr
+            out = _in_range(0.5 * v**2 + np.log(self._w(v).real), y_arr)
         return out if np.ndim(y) else float(out[0])
 
     def tilt_moments(self, y, n: float) -> tuple:
@@ -201,6 +204,14 @@ class RescaledCauchyCoordinates:
     def _check_n(self, n: float) -> None:
         if not math.isclose(n, self.n, rel_tol=1e-12):
             raise InputError(f"family was rescaled for n={self.n}, called with n={n}")
+
+
+def _in_range(ratios: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """ratios, once none is +inf or nan: an observation y that large leaves the evidence past float range."""
+    if not (ratios < np.inf).all():
+        size = np.max(np.abs(y))
+        raise NumericError(f"an observation of size {size:g} takes its evidence ratio past float range")
+    return ratios
 
 
 def RescaledGaussianCoordinates(variance: float, n: float) -> GaussianCoordinates:
@@ -268,15 +279,19 @@ class SobolevSignal:
         object.__setattr__(self, "theta", data_array(self.theta, "theta"))
         if not (self.alpha > 0 and self.B > 0):
             raise InputError("alpha and B must be positive")
-        if self.ball_weight() > self.B**2 * (1 + 1e-9):
+        # in log space, where neither side overflows at a huge B
+        if np.logaddexp.reduce(self._log_ball_terms(), initial=-np.inf) > 2.0 * math.log(self.B) + 1e-9:
             raise InputError("signal violates the smoothness ball constraint")
 
     def ball_weight(self) -> float:
-        # sum_j j^{2 alpha} theta_j^2 over the nonzero theta_j, in log space,
-        # since j^{2 alpha} alone overflows at large alpha
+        """sum_j j^{2 alpha} theta_j^2; inf past float range."""
+        with np.errstate(over="ignore"):
+            return float(np.sum(np.exp(self._log_ball_terms())))
+
+    def _log_ball_terms(self) -> np.ndarray:
+        # log j^{2 alpha} theta_j^2 over the nonzero theta_j, since j^{2 alpha} alone overflows at large alpha
         nz = np.flatnonzero(self.theta)
-        log_terms = 2 * (self.alpha * np.log(nz + 1.0) + np.log(np.abs(self.theta[nz])))
-        return float(np.sum(np.exp(log_terms)))
+        return 2 * (self.alpha * np.log(nz + 1.0) + np.log(np.abs(self.theta[nz])))
 
 
 @dataclass(frozen=True)
@@ -544,7 +559,7 @@ def make_signal(
         j = np.arange(1, K_max + 1, dtype=float)
         raw = j ** (-(alpha + 0.51))
         weight = np.sum(j**-1.02)  # sum_j j^{2 alpha} raw_j^2, which overflows if formed
-        theta = raw * math.sqrt(0.95 * B**2 / weight)
+        theta = raw * (B * math.sqrt(0.95 / weight))  # B**2 would overflow at huge B
     else:
         raise InputError(f"unknown signal kind {kind!r}")
     return SobolevSignal(theta=theta, alpha=alpha, B=B)

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericError, count
 from .sequence_model import SobolevSignal, make_signal
 
 __all__ = [
@@ -58,7 +58,7 @@ def exact_risk(signal: SobolevSignal, n: int, beta: float, k: int) -> float:
         raise InputError("beta must be non-negative")
     if n < 1 or int(n) != n:
         raise InputError("n must be a positive integer")
-    if not 0 <= k <= n:
+    if not 0 <= count(k, "k") <= n:
         raise InputError(f"k={k} outside 0..{n}")
     theta = signal.theta
     kk = min(k, theta.size)
@@ -68,13 +68,15 @@ def exact_risk(signal: SobolevSignal, n: int, beta: float, k: int) -> float:
 
     # decay / denom tends to 1 where the decay overflows, and n / denom^2 to 0
     shrink = np.divide(decay[:kk], denom[:kk], out=np.ones(kk), where=np.isfinite(decay[:kk]))
-    bias_head = float(np.sum(shrink**2 * theta[:kk] ** 2))
-    tail_signal = float(np.sum(theta[k:] ** 2))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a signal term past float range is a NumericError below
+        bias_head = float(np.sum(shrink**2 * theta[:kk] ** 2))
+        tail_signal = float(np.sum(theta[k:] ** 2))
         sampling_var = float(np.sum(n / denom**2))
     posterior_var = float(np.sum(1.0 / denom))
     log_tail = _log_tail_sum(k, int(n))
     tail_var = math.exp(log_tail) if log_tail > -745.0 else 0.0
+    if bias_head + tail_signal == math.inf:
+        raise NumericError("the signal's exact risk is beyond float range")
     return bias_head + tail_signal + sampling_var + posterior_var + tail_var
 
 

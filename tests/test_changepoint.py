@@ -66,7 +66,6 @@ class TestMeanField:
     def test_symmetric_truncated_gaussian(self):
         prior = MarkovSitePrior(0.25, UniformDensity(-2.0, 2.0))
         post = fit_mean_field(np.zeros(5), 1.0, prior)
-        assert post.kind == "truncated_gaussian"
         np.testing.assert_allclose(post.means, 0.0, atol=1e-14)
         assert np.all(post.variances < 1.0)  # truncation cuts the tails
 
@@ -98,18 +97,16 @@ class TestMeanField:
             risks.append(risk(fit_mean_field(X, 1.0, prior), signal))
         assert np.mean(risks) >= 0.5 * n * sigma_trunc
 
-    def test_generic_density_needs_grid(self):
-        from vblab.changepoint import GaussianDensity
-
-        prior = MarkovSitePrior(0.1, GaussianDensity(0.0, 1.0))
-        with pytest.raises(InputError):
-            fit_mean_field(np.zeros(3), 1.0, prior)
-        grid = make_grid(1.0, 1.0, G=301)
-        post = fit_mean_field(np.zeros(3), 1.0, prior, grid=grid)
-        assert post.kind == "grid"
-        np.testing.assert_allclose(post.means, 0.0, atol=1e-9)
-        # product of two standard normals has variance 1/2
-        np.testing.assert_allclose(post.variances, 0.5, atol=1e-3)
+    @pytest.mark.parametrize("mean, variance, sigma", [(0.0, 1.0, 1.0), (0.3, 2.5, 0.7), (-4.0, 0.01, 3.0)])
+    def test_gaussian_density_is_the_conjugate_tilt(self, mean, variance, sigma):
+        # N(mean, variance) times the likelihood N(X, sigma^2) is Gaussian with precision
+        # 1 / variance + 1 / sigma^2 and the precision-weighted mean
+        X = np.array([-2.0, 0.0, 0.4, 1.5, 30.0])
+        post = fit_mean_field(X, sigma, MarkovSitePrior(0.1, GaussianDensity(mean, variance)))
+        var = variance * sigma**2 / (variance + sigma**2)
+        np.testing.assert_allclose(post.variances, var, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(post.means, (mean * sigma**2 + X * variance) / (variance + sigma**2),
+                                   rtol=1e-15, atol=1e-15)
 
 
 class TestMeanFieldRisks:
@@ -133,21 +130,23 @@ class TestMeanFieldRisks:
         monkeypatch.undo()
         np.testing.assert_array_equal(got, [risk(fit_mean_field(x, 0.8, prior), signal) for x in X])
 
-    def test_grid_density_rows(self):
-        prior = MarkovSitePrior(0.5, GaussianDensity(0.0, 1.0))
-        grid = make_grid(1.0, 1.0, G=101)
-        X = np.random.default_rng(9).standard_normal((4, 12))
-        got = mean_field_risks(X, 1.0, prior, PiecewiseSignalZero(12), grid)
-        want = [risk(fit_mean_field(x, 1.0, prior, grid), PiecewiseSignalZero(12)) for x in X]
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    @pytest.mark.parametrize(
+        "density", [UniformDensity(-2.0, 2.0), GaussianDensity(0.3, 2.0)], ids=["uniform", "gaussian"]
+    )
+    def test_rows_have_the_bits_of_their_fits(self, monkeypatch, density):
+        monkeypatch.setattr(changepoint, "_MEAN_FIELD_CELLS", 2 * 12)  # two rows a block
+        prior = MarkovSitePrior(0.5, density)
+        signal = make_prefix_signal(12, 2, 1.0, seg_len=6)
+        X = signal.values + np.random.default_rng(9).standard_normal((5, 12))
+        got = mean_field_risks(X, 1.0, prior, signal)
+        np.testing.assert_array_equal(got, [risk(fit_mean_field(x, 1.0, prior), signal) for x in X])
 
     def test_input_checks(self):
         prior = MarkovSitePrior(0.5, UniformDensity(-2.0, 2.0))
         with pytest.raises(InputError, match="signal length"):
             mean_field_risks(np.zeros((2, 8)), 1.0, prior, PiecewiseSignalZero(9))
-        with pytest.raises(InputError, match="explicit grid"):
-            mean_field_risks(np.zeros((2, 8)), 1.0, MarkovSitePrior(0.5, GaussianDensity(0.0, 1.0)),
-                             PiecewiseSignalZero(8))
+        with pytest.raises(InputError, match="unsupported value density"):
+            mean_field_risks(np.zeros((2, 8)), 1.0, MarkovSitePrior(0.5, object()), PiecewiseSignalZero(8))
         with pytest.raises(InputError, match="built for n=6"):
             mean_field_risks(np.zeros((2, 8)), 1.0, UniformPositionsPrior.power(6, UniformDensity(-2.0, 2.0)),
                              PiecewiseSignalZero(8))
@@ -554,7 +553,7 @@ class TestGridValidated:
 
 
 class TestDataValidated:
-    """The posterior routes read X, and the mean-field routes their grid, as data arrays."""
+    """The posterior routes read X as a data array."""
 
     BAD_X = pytest.mark.parametrize(
         "X", [np.array([0.0, np.nan, 0.0]), np.zeros((2, 3))], ids=["nan", "2-d"]
@@ -592,34 +591,6 @@ class TestDataValidated:
         prior = MarkovSitePrior(0.1, UniformDensity(-2.0, 2.0))
         with pytest.raises(InputError, match="X_batch must be"):
             mean_field_risks(X_batch, 1.0, prior, PiecewiseSignalZero(3))
-
-    def test_mean_field_takes_a_list_grid(self):
-        prior = MarkovSitePrior(0.5, GaussianDensity(0, 1))
-        post = fit_mean_field([0.1], 1.0, prior, [0.0])
-        np.testing.assert_array_equal(post.means, [0.0])
-        np.testing.assert_array_equal(post.variances, [0.0])
-
-    def test_mean_field_risks_take_a_list_grid(self):
-        prior = MarkovSitePrior(0.5, GaussianDensity(0, 1))
-        signal = PiecewiseSignal(np.array([0.5]), 1, 1.0)
-        risks = mean_field_risks([[0.1], [-0.3]], 1.0, prior, signal, [0.0])
-        np.testing.assert_array_equal(risks, [0.25, 0.25])
-
-    BAD_GRID = pytest.mark.parametrize(
-        "grid", [[-1.0, np.nan, 1.0], np.zeros((2, 3))], ids=["nan", "2-d"]
-    )
-
-    @BAD_GRID
-    def test_mean_field_grid(self, grid):
-        prior = MarkovSitePrior(0.5, GaussianDensity(0, 1))
-        with pytest.raises(InputError, match="grid must be"):
-            fit_mean_field(np.zeros(3), 1.0, prior, grid)
-
-    @BAD_GRID
-    def test_mean_field_risks_grid(self, grid):
-        prior = MarkovSitePrior(0.5, GaussianDensity(0, 1))
-        with pytest.raises(InputError, match="grid must be"):
-            mean_field_risks(np.zeros((2, 3)), 1.0, prior, PiecewiseSignalZero(3), grid)
 
 
 @pytest.mark.parametrize(

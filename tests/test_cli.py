@@ -399,6 +399,24 @@ def test_pc_compare_at_huge_B(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines()[-1].startswith("numeric failure:")
 
 
+@pytest.mark.parametrize(
+    "command, params, message",
+    [
+        ("gsm-rate", {"prior": {"family": "gaussian"}}, "evidence ratio past float range"),
+        ("gsm-rate", {"prior": {"family": "rescaled_cauchy"}}, "evidence ratio past float range"),
+        ("trunc-curve", {}, "exact risk is beyond float range"),
+    ],
+    ids=["gaussian", "rescaled_cauchy", "trunc-curve"],
+)
+def test_huge_B_is_a_numeric_failure(command, params, message, tmp_path, capsys):
+    # the signals are inside the ball, but the evidence ratios (v^2 / 2) or the risk's squared
+    # signal pass float range; a RuntimeWarning on the way would be an error in this suite
+    cfg = write_config(tmp_path, "cfg.json", _config(command, {**params, "B": 1e200}))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure:") and message in err[0]
+
+
 def test_trunc_curve_exponents_finite_for_large_beta(tmp_path):
     # j^(2 beta + 1) overflows float range here; the risk terms have finite limits
     payload = _config("trunc-curve", {"beta": 200.0}, n_grid=[1024, 2048, 4096])

@@ -7,7 +7,7 @@ single number, and the other checks through one call each.
 import numpy as np
 import pytest
 
-from vblab import changepoint, expfamily, mixture, sequence_model
+from vblab import changepoint, expfamily, mixture, sequence_model, truncated_series
 from vblab.errors import InputError
 
 SCALAR_ENTRY_POINTS = {
@@ -38,6 +38,15 @@ MALFORMED_INPUTS = {
         "log_dimension_weights must be",
     ),
     "expfamily.sample m=-1": (lambda: expfamily.sample([0.3, -0.2], -1, 0), "m must be non-negative"),
+    "MixtureHyper sigma0_sq=nan": (
+        lambda: mixture.MixtureHyper(sigma0_sq=np.nan), "hyperparameters must be positive and finite"
+    ),
+    "RescaledCauchyCoordinates scale=inf": (
+        lambda: sequence_model.RescaledCauchyCoordinates(np.inf, 10.0), "scale must be positive and finite"
+    ),
+    "FourierDensity 2-d": (lambda: expfamily.FourierDensity(np.zeros((2, 2))), "coefficients must be a 1-d"),
+    "FourierDensity nan": (lambda: expfamily.FourierDensity([0.1, np.nan]), "coefficients must be a 1-d"),
+    "make_grid B=nan": (lambda: changepoint.make_grid(np.nan, 1.0), "must be positive and finite"),
     "sample_mixture n=-1": (
         lambda: mixture.sample_mixture(mixture.MixtureModel(2, [0.2, 0.7], [0.4, 0.6], 0.1), -1, 0),
         "n must be non-negative",
@@ -65,6 +74,9 @@ BAD_COUNTS = {
     "GridChain.pairwise i=0.5": lambda: _CHAIN().pairwise(0.5),
     "make_grid G=16.5": lambda: changepoint.make_grid(1, 1, 16.5),
     "make_grid G=True": lambda: changepoint.make_grid(1, 1, True),
+    "truncated_series.exact_risk k=2.5": (
+        lambda: truncated_series.exact_risk(sequence_model.make_signal("zero", 1.0, 1.0, 8), 16, 1.0, 2.5)
+    ),
 }
 
 

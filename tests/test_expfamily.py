@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from vblab._quadrature import fixed_rule, panel_nodes
-from vblab.errors import InputError
+from vblab.errors import InputError, NumericError
 from vblab.expfamily import (
     FourierDensity,
     GaussMFVariational,
@@ -30,6 +31,7 @@ from vblab.expfamily import (
     _ELBO_TARGET,
     _elbo_panels,
     _elbo_rule,
+    _exact_panels,
     _normalizer_stats,
     _rule_error,
     fit_gaussian_mf_batch,
@@ -37,7 +39,7 @@ from vblab.expfamily import (
 
 S0 = 1.0  # prior variance of each coefficient
 # every active length whose ELBO rule meets the target at the cap
-ADMITTED = [k for k in range(1, 33) if _rule_error(_elbo_panels(k), (k + 1) // 2) <= _ELBO_TARGET]
+ADMITTED = [k for k in range(1, 33) if _rule_error(_elbo_panels(k), (k + 1) // 2, _ELBO_CAP) <= _ELBO_TARGET]
 
 
 def cap_draws(k, seed):
@@ -90,6 +92,7 @@ class TestNormalizer:
     def test_zero_coefficients(self):
         assert log_normalizer(np.zeros(4)) == 0.0
         assert log_normalizer(np.array([])) == 0.0
+        assert FourierDensity([]).c == 0.0
 
     def test_against_dense_trapezoid(self):
         theta = np.array([0.5])
@@ -194,6 +197,67 @@ class TestDivergences:
             checked += 1
 
 
+def quad_log_integral(g):
+    """log of the integral over [0, 1] of exp(g(x)), by scipy quad, shifted by g's maximum on a fine grid."""
+    top = max(g(x) for x in np.linspace(0.0, 1.0, 2049))
+    value, _ = quad(lambda x: math.exp(g(x) - top), 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=400)
+    return top + math.log(value)
+
+
+def oracle(ta, tb):
+    """c_a, H^2, KL and D_2 of a pair of equal-length coefficient vectors, each by its own quad integral."""
+    k = ta.size
+    dot = lambda t: lambda x: float(basis_matrix(x, k)[0] @ t)  # noqa: E731
+    c_a, c_b = quad_log_integral(dot(ta)), quad_log_integral(dot(tb))
+    log_a = lambda x: dot(ta)(x) - c_a  # noqa: E731
+    log_b = lambda x: dot(tb)(x) - c_b  # noqa: E731
+    h2 = 1.0 - math.exp(quad_log_integral(lambda x: 0.5 * (log_a(x) + log_b(x))))
+    kl = quad(lambda x: math.exp(log_a(x)) * (log_a(x) - log_b(x)), 0.0, 1.0, epsabs=1e-15, epsrel=1e-13,
+              limit=400)[0]
+    d2 = quad_log_integral(lambda x: 2.0 * log_a(x) - log_b(x))
+    return c_a, h2, kl, d2
+
+
+def oracle_pairs():
+    rng = np.random.default_rng(2022)
+    pairs = []
+    for _ in range(6):
+        k = int(rng.integers(1, 11))
+        pairs.append((rng.normal(scale=0.5, size=k), rng.normal(scale=0.5, size=k)))
+    # ||theta_a||_1 = 20 at k = 10: c_a needs 128 panels, c(2 theta_a - theta_b) more
+    big = rng.normal(size=10)
+    pairs.append((20.0 * big / np.abs(big).sum(), rng.normal(scale=0.3, size=10)))
+    return pairs
+
+
+class TestExactRule:
+    """c(theta) and the divergences on the rule sized for ||theta||_1, against scipy quad."""
+
+    @pytest.mark.parametrize("ta, tb", oracle_pairs())
+    def test_against_quad(self, ta, tb):
+        c_a, h2, kl, d2 = oracle(ta, tb)
+        assert abs(log_normalizer(ta) - c_a) <= 1e-12
+        assert abs(hellinger_numeric(ta, tb) ** 2 - h2) <= 1e-12
+        assert abs(kl_numeric(ta, tb) - kl) <= 1e-12
+        assert abs(d2_numeric(ta, tb) - d2) <= 1e-12
+
+    def test_large_norm_takes_more_than_the_elbo_rule(self):
+        assert _exact_panels(10, 20.0) > _ELBO_MAX_PANELS
+        # at the cap, the rule is the ELBO's wherever that one meets the target
+        assert all(_exact_panels(k, _ELBO_CAP) == _elbo_panels(k) for k in ADMITTED)
+
+    def test_past_4096_panels_is_a_numeric_error(self):
+        with pytest.raises(NumericError, match="1e\\+06 needs more than 4096"):
+            log_normalizer([1e6])
+        with pytest.raises(NumericError, match="needs more than 4096"):
+            kl_numeric([1e308, 1e308], [0.0])
+
+    def test_sharp_density_samples(self):
+        # exp(800 sqrt(2) cos 2 pi x) peaks at x = 0 with width about 0.005
+        draws = sample([800.0], 200, seed=3)
+        assert np.all(np.minimum(draws, 1.0 - draws) < 0.05)
+
+
 class TestCachedRules:
     def test_elbo_rule_built_once_per_k(self):
         H, wts, log_wts = _elbo_rule(3, 64)
@@ -225,7 +289,8 @@ class TestElboRule:
         assert panels == sorted(panels) and set(panels) <= {1, 2, 4, 8, 16, 32, 64}
         assert ADMITTED == list(range(1, len(ADMITTED) + 1)) and len(ADMITTED) >= 6
         for k in ADMITTED:  # the fewest panels: half as many miss the target
-            assert _elbo_panels(k) == 1 or _rule_error(_elbo_panels(k) // 2, (k + 1) // 2) > _ELBO_TARGET
+            fewer = _elbo_panels(k) // 2
+            assert fewer == 0 or _rule_error(fewer, (k + 1) // 2, _ELBO_CAP) > _ELBO_TARGET
 
     @pytest.mark.parametrize("k", ADMITTED)
     def test_rule_within_target_at_the_cap(self, k):
@@ -242,7 +307,7 @@ class TestElboRule:
         c_ref, moments_ref = _normalizer_stats(draws, _ELBO_MAX_PANELS)
         checked = 0
         for panels in (1, 2, 4, 8, 16):
-            bound = _rule_error(panels, L)
+            bound = _rule_error(panels, L, _ELBO_CAP)
             if not 1e-13 < bound < 1.0:
                 continue
             c, moments = _normalizer_stats(draws, panels)
@@ -418,6 +483,8 @@ class TestFit:
             np.testing.assert_array_equal(c.sigma2, a.sigma2)
 
     def test_batch_groups_stay_within_the_cell_cap(self, monkeypatch):
+        # drawn first: the sample's normalizer also goes through _normalizer_stats
+        samples = np.stack([sample(np.array([0.7, -0.4, 0.2]), 100, seed=s) for s in range(5)])
         cells = []
 
         def recording(draws, panels):
@@ -427,7 +494,6 @@ class TestFit:
         stats = expfamily._normalizer_stats
         monkeypatch.setattr(expfamily, "_normalizer_stats", recording)
         monkeypatch.setattr(expfamily, "_FIT_CELLS", 2 * 32 * 8 * 16)  # two rows at 16 panels
-        samples = np.stack([sample(np.array([0.7, -0.4, 0.2]), 100, seed=s) for s in range(5)])
         fits = fit_gaussian_mf_batch(samples, S0, 3, OptConfig(n_iters=5, n_mc=32), range(5))
         assert len(fits) == 5 and max(cells) <= expfamily._FIT_CELLS
 
