@@ -1,11 +1,10 @@
-"""Composite Gauss-Legendre rules, each with a fixed set of nodes.
+"""Composite order-16 Gauss-Legendre rules, each with a fixed set of nodes.
 
-The numerical integrals in vblab (exponential-family normalizers and
-divergences, change-point tail moments, the sieve KL gap) are sums over
-these rules; the sieve's rescaled-Cauchy evidence and tilt moments and
-the change-point Gaussian tilts are closed forms instead.  Each caller
-sizes its rule for its integrand: the exponential family by a stated
-Bernstein-ellipse error bound, the others by the integrand's scale.
+The change-point tail moments and the sieve KL gap are sums over these
+rules, each sized by its integrand's scale.  The exponential-family
+normalizers and divergences take the periodic trapezoidal rule instead
+(vblab.expfamily), and the sieve's rescaled-Cauchy evidence and tilt
+moments and the change-point Gaussian tilts are closed forms.
 """
 
 from functools import lru_cache
@@ -14,13 +13,13 @@ import numpy as np
 
 
 @lru_cache(maxsize=None)
-def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
+def _gl_nodes() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(16)  # at first use: numpy.polynomial is slow to import
 
 
-def panel_nodes(a: float, b: float, panels: int, order: int = 16) -> tuple[np.ndarray, np.ndarray]:
+def panel_nodes(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of a composite Gauss-Legendre rule on [a, b]."""
-    x, w = _gl_nodes(order)
+    x, w = _gl_nodes()
     edges = np.linspace(a, b, panels + 1)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
@@ -30,10 +29,9 @@ def panel_nodes(a: float, b: float, panels: int, order: int = 16) -> tuple[np.nd
 
 
 @lru_cache(maxsize=None)
-def fixed_rule(a: float, b: float, panels: int, order: int = 16) -> tuple[np.ndarray, ...]:
-    """Read-only nodes, weights and log weights of panel_nodes, built once per argument set."""
-    nodes, weights = panel_nodes(a, b, panels, order)
-    rule = (nodes, weights, np.log(weights))
+def fixed_rule(a: float, b: float, panels: int) -> tuple[np.ndarray, ...]:
+    """Read-only nodes and weights of panel_nodes, built once per argument set."""
+    rule = panel_nodes(a, b, panels)
     for arr in rule:
         arr.flags.writeable = False
     return rule

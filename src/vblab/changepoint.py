@@ -322,7 +322,7 @@ def _truncnorm_moments(x: np.ndarray, sigma: float, lo: float, hi: float):
         s = sigma * r
         with np.errstate(divide="ignore"):
             span = np.minimum((hi - lo) / s, 50.0)[:, None]
-        nodes, weights, _ = fixed_rule(0.0, 1.0, 16)
+        nodes, weights = fixed_rule(0.0, 1.0, 16)
         v = span * nodes
         dens = weights * np.exp(-v - 0.5 * (r[:, None] * v) ** 2)
         gap = (dens * v).sum(axis=1) / dens.sum(axis=1)

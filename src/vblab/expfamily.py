@@ -9,9 +9,11 @@ the density.  The divergences are functions of normalizers alone
 exp(c((theta_a + theta_b) / 2) - (c_a + c_b) / 2), KL(a || b) is
 (theta_a - theta_b) . E_a[h] - c_a + c_b and D_2(a || b) is
 c(2 theta_a - theta_b) - 2 c_a + c_b.  Each c and E[h] is a sum over one
-fixed rule of order-8 Gauss-Legendre panels, the fewest (a power of two,
-at most 4096) whose error bound _rule_error meets 1e-12 at the
-||theta||_1 at hand; past 4096 panels NumericError names ||theta||_1.
+fixed N-point trapezoidal rule, the nodes i / N each of weight 1 / N:
+exp(theta . h) is 1-periodic and entire, so the rule converges
+geometrically (Trefethen & Weideman, SIAM Rev. 2014).  N is the fewest,
+at most 32768, whose strip bound _rule_error meets 1e-12 at the
+||theta||_1 at hand; past 32768 nodes NumericError names ||theta||_1.
 
 The variational route fits a Gaussian mean-field factor per coefficient
 at a fixed active length k, against N(0, sigma0_sq) prior coordinates;
@@ -23,14 +25,15 @@ plain gradients (and finite-difference checks) apply.  elbo, its
 gradient and the fit share one input check and one draw of those numbers.
 
 c(theta) and E_theta[h] inside the ELBO come from one such rule per
-active length k: the fewest panels, a power of two up to 64, whose bound
-stays below _ELBO_TARGET = 1e-12 at every draw with ||theta||_1 at most
-_ELBO_CAP = 2.5.  Every step checks its draws against the cap; a fit
-whose draws ever cross it runs on the 64-panel rule from its first step,
-so no trajectory changes rule midway.  fit_gaussian_mf_batch ascends the
-rows of an (R, n) stack of samples together, each with its own data, CRN
-normals, best iterate and divergence check; fit_gaussian_mf is its
-one-row case.
+active length k: the fewest nodes, at most 512, whose bound stays below
+_ELBO_TARGET = 1e-12 at every draw with ||theta||_1 at most
+_ELBO_CAP = 2.5 (41 nodes at k = 3).  There |theta . h| <= sqrt(2) 2.5
+< 3.6, so the rule exponentiates its draws without a max shift.  Every
+step checks its draws against the cap; a fit whose draws ever cross it
+runs on the shifted 512-node rule from its first step, so no trajectory
+changes rule midway.  fit_gaussian_mf_batch ascends the rows of an
+(R, n) stack of samples together, each with its own data, CRN normals,
+best iterate and divergence check; fit_gaussian_mf is its one-row case.
 """
 
 import math
@@ -40,8 +43,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._lse import _logsumexp_weights
-from ._quadrature import fixed_rule
+from ._lse import _shifted_exp
 from .errors import InputError, NumericError, count, data_array
 
 __all__ = [
@@ -61,17 +63,18 @@ __all__ = [
     "fit_gaussian_mf_batch",
 ]
 
-# The ELBO rule: order-8 Gauss-Legendre panels, as few (a power of two, at
-# most _ELBO_MAX_PANELS) as keep the bound on the error of c(theta) and
+# The ELBO rule: the trapezoidal rule of as few nodes (at most
+# _ELBO_MAX_NODES) as keep the bound on the error of c(theta) and
 # E_theta[h] below _ELBO_TARGET for every ||theta||_1 <= _ELBO_CAP.  The
 # shipped fits' draws stay below 2.2; rows that cross the cap, and active
-# lengths no smaller rule covers, use _ELBO_MAX_PANELS.
-_ELBO_ORDER = 8
-_ELBO_MAX_PANELS = 64
+# lengths no smaller rule covers, use _ELBO_MAX_NODES.
+_ELBO_MAX_NODES = 512
 _ELBO_CAP = 2.5
 _ELBO_TARGET = 1e-12
-# c(theta) and the divergences take a rule sized for their ||theta||_1, of at most this many panels.
-_EXACT_MAX_PANELS = 4096
+# c(theta) and the divergences take a rule sized for their ||theta||_1, of at most this many nodes.
+_EXACT_MAX_NODES = 32768
+# 2 pi L a on the grid of strip half-widths a that _rule_error minimizes over.
+_STRIP = np.geomspace(1e-3, 40.0, 800)
 # A stacked fit holds at most this many (row, draw, node) cells at a time.
 _FIT_CELLS = 1 << 17
 
@@ -102,12 +105,12 @@ def _exact_stats(theta: np.ndarray):
     """c(theta) and E_theta[h] for one checked coefficient vector, on the rule sized for its ||theta||_1."""
     if not theta.any():  # the uniform density
         return 0.0, np.zeros(theta.size)
-    with np.errstate(over="ignore"):  # a norm past float range needs too many panels anyway
+    with np.errstate(over="ignore"):  # a norm past float range needs too many nodes anyway
         norm = float(np.abs(theta).sum())
-    panels = norm < math.inf and _exact_panels(theta.size, max(_ELBO_CAP, math.ceil(2.0 * norm) / 2.0))
-    if not panels:
-        raise NumericError(f"||theta||_1 = {norm:g} needs more than {_EXACT_MAX_PANELS} quadrature panels")
-    c, moments = _normalizer_stats(theta, panels)
+    nodes = 2.0 * norm < math.inf and _exact_nodes(theta.size, max(_ELBO_CAP, math.ceil(2.0 * norm) / 2.0))
+    if not nodes:
+        raise NumericError(f"||theta||_1 = {norm:g} needs more than {_EXACT_MAX_NODES} quadrature nodes")
+    c, moments = _normalizer_stats(theta, nodes)
     return float(c), moments
 
 
@@ -213,97 +216,125 @@ class OptConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.step_size > 0:
-            raise InputError("step_size must be positive")
-        if self.n_iters < 1 or self.n_mc < 1:
-            raise InputError("n_iters and n_mc must be at least 1")
+        if not 0.0 < self.step_size < math.inf:
+            raise InputError("step_size must be positive and finite")
+        _positive_count(self.n_iters, "n_iters")
+        _positive_count(self.n_mc, "n_mc")
+        count(self.seed, "seed")
 
 
-def _rule_error(panels: int, L: int, cap: float) -> float:
-    """Bound on the error of c(theta) and of each E_theta[h_j] on a rule of panels panels.
+def _positive_count(value, name: str) -> int:
+    """value read through errors.count, which must also be at least 1."""
+    value = count(value, name)
+    if value < 1:
+        raise InputError(f"{name} must be at least 1")
+    return value
+
+
+def _rule_error(nodes: int, L: int, cap: float) -> float:
+    """Bound on the error of c(theta) and of each E_theta[h_j] on the trapezoidal rule of N = nodes nodes.
 
     It holds for every theta with ||theta||_1 <= cap (_ELBO_CAP for the
     ELBO, the rounded-up ||theta||_1 at hand for _exact_stats) whose
-    frequencies are at most L.  On one panel, mapped to t in [-1, 1],
-    f = exp(theta . h) is entire in t.  On the Bernstein ellipse E_rho,
-    where |Im t| <= b = (rho - 1/rho) / 2, Re(theta . h) is at most
-    max_x theta . h(x) + sqrt(2) cap (cosh(w b) - 1), w = pi L / panels,
-    since Re cos(u + iv) = cos(u) cosh(v), and likewise for sin.  With
-    |f| <= M on E_rho, m-node Gauss-Legendre is off by at most
-    (64/15) M rho^(-2m) / (rho^2 - 1) on [-1, 1] (Trefethen, SIAM Rev.
-    2008), so all panels together are off by half that.  The integral Z
-    of f is at least 1 (Jensen: each h_j integrates to 0), and at least
-    exp(max theta . h) times the integral of exp(-K y^2 / 2) over
-    |y| <= 1/2, where K = sqrt(2) cap (2 pi L)^2 bounds the curvature of
-    the 1-periodic theta . h.  That bounds the relative error A of Z,
-    and so the error of c = log Z by A / (1 - A).  E_theta[h_j] = N_j / Z
-    is off by the rule's error on (h_j - E h_j) f divided by the rule's Z,
-    at most sqrt(2) (1 + cosh(w b)) A / (1 - A), which covers both.  The
-    bound returned is its minimum over a grid of rho.
+    frequencies are at most L.  f = exp(theta . h) is 1-periodic and
+    entire.  On the strip |Im x| <= a, Re(theta . h) is at most
+    max_x theta . h(x) + sqrt(2) cap (cosh(2 pi L a) - 1), since
+    Re cos(u + iv) = cos(u) cosh(v), and likewise for sin.  With |f| <= M
+    there, the N-node rule is off by at most 2 M / (exp(2 pi a N) - 1)
+    (Trefethen & Weideman, SIAM Rev. 2014, Thm 3.2, on a period of 1).
+    The integral Z of f is at least 1 (Jensen: each h_j integrates to 0),
+    and at least exp(max theta . h) times the integral of exp(-K y^2 / 2)
+    over |y| <= 1/2, where K = sqrt(2) cap (2 pi L)^2 bounds the
+    curvature of the 1-periodic theta . h.  That bounds the relative
+    error A of Z, and so the error of c = log Z by A / (1 - A).
+    E_theta[h_j] = N_j / Z is off by the rule's error on (h_j - E h_j) f
+    divided by the rule's Z, at most sqrt(2) (1 + cosh(2 pi L a)) A / (1 - A),
+    which covers both.  The bound returned is its minimum over a fixed
+    grid of a, so it falls as nodes grows.
     """
-    m = _ELBO_ORDER
-    K = math.sqrt(2.0) * cap * (2.0 * math.pi * L) ** 2
-    peak = math.sqrt(2.0 * math.pi / K) * math.erf(math.sqrt(K / 8.0))
-    log_lead = math.log(32.0 / 15.0) + min(-math.log(peak), math.sqrt(2.0) * cap)
-    rho = 1.0 + np.geomspace(1e-3, 8.0 * panels / L, 400)
-    ch = np.cosh(math.pi * L / panels * 0.5 * (rho - 1.0 / rho))
-    log_a = log_lead + math.sqrt(2.0) * cap * (ch - 1.0) - 2 * m * np.log(rho) - np.log(rho**2 - 1.0)
-    with np.errstate(divide="ignore"):  # where A >= 1 the bound is void: log1p(-1) = -inf
+    K = math.sqrt(2.0) * cap * (2.0 * math.pi * L) ** 2  # inf for a cap near float range
+    log_peak = 0.5 * (math.log(2.0 * math.pi) - math.log(K)) + math.log(math.erf(math.sqrt(K / 8.0)))
+    log_lead = math.log(2.0) + min(-log_peak, math.sqrt(2.0) * cap)
+    ch = np.cosh(_STRIP)
+    decay = _STRIP * (nodes / L)  # 2 pi a N
+    # log(exp(t) - 1) is taken as t + log(-expm1(-t)), which cannot overflow.  Where A >= 1 the
+    # bound is void: log1p(-1) = -inf, as where a cap near float range overflows the strip term
+    with np.errstate(over="ignore", divide="ignore"):
+        log_a = log_lead + math.sqrt(2.0) * cap * (ch - 1.0) - decay - np.log(-np.expm1(-decay))
         log_err = np.log(math.sqrt(2.0) * (1.0 + ch)) + log_a - np.log1p(-np.exp(np.minimum(log_a, 0.0)))
     lowest = float(log_err.min())
     return math.exp(lowest) if lowest < 700.0 else math.inf
 
 
 @lru_cache(maxsize=None)
-def _exact_panels(k: int, cap: float) -> Optional[int]:
-    """Panels of the rule for c(theta) and E_theta[h] at active length k and ||theta||_1 <= cap.
+def _exact_nodes(k: int, cap: float) -> Optional[int]:
+    """Nodes of the rule for c(theta) and E_theta[h] at active length k and ||theta||_1 <= cap.
 
-    The fewest, a power of two, whose _rule_error at L = ceil(k / 2)
-    meets _ELBO_TARGET; None when _EXACT_MAX_PANELS do not.
+    The fewest whose _rule_error at L = ceil(k / 2) meets _ELBO_TARGET,
+    found by doubling and then bisection; None when _EXACT_MAX_NODES do not.
     """
-    panels = 1
-    while not _rule_error(panels, (k + 1) // 2, cap) <= _ELBO_TARGET:
-        if panels == _EXACT_MAX_PANELS:
+    L = (k + 1) // 2
+
+    def meets(nodes):
+        return _rule_error(nodes, L, cap) <= _ELBO_TARGET
+
+    hi = 1
+    while not meets(hi):
+        if hi == _EXACT_MAX_NODES:
             return None
-        panels *= 2
-    return panels
+        hi *= 2
+    lo = hi // 2  # misses the target, or is 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if meets(mid) else (mid, hi)
+    return hi
 
 
-def _elbo_panels(k: int) -> int:
-    """Panels of the ELBO rule at active length k: _exact_panels at _ELBO_CAP, or 64 where that needs more."""
-    return min(_exact_panels(k, _ELBO_CAP) or _ELBO_MAX_PANELS, _ELBO_MAX_PANELS)
+def _elbo_nodes(k: int) -> int:
+    """Nodes of the ELBO rule at active length k: _exact_nodes at _ELBO_CAP, or 512 where that needs more."""
+    return min(_exact_nodes(k, _ELBO_CAP) or _ELBO_MAX_NODES, _ELBO_MAX_NODES)
 
 
-@lru_cache(maxsize=None)
-def _elbo_rule(k: int, panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only basis values (nodes, k), weights and log weights of a rule.
+@lru_cache(maxsize=64)
+def _elbo_rule(k: int, nodes: int) -> np.ndarray:
+    """Read-only basis values (nodes, k) at the nodes i / nodes of a trapezoidal rule.
 
-    panels order-8 Gauss-Legendre panels on [0, 1]: _elbo_panels(k) for a
-    fit whose draws stay within the cap, _ELBO_MAX_PANELS for one whose
-    draws cross it, and _exact_panels for the normalizer and divergences.
+    nodes is _elbo_nodes(k) for a fit whose draws stay within the cap,
+    _ELBO_MAX_NODES for one whose draws cross it, and _exact_nodes for
+    the normalizer and divergences; that one can be any count up to 32768,
+    so only the rules used last are kept.
     """
-    nodes, wts, log_wts = fixed_rule(0.0, 1.0, panels, order=_ELBO_ORDER)
-    H = _basis(nodes, k)
+    H = _basis(np.arange(nodes) / nodes, k)
     H.flags.writeable = False
-    return H, wts, log_wts
+    return H
 
 
-def _normalizer_stats(draws: np.ndarray, panels: int):
-    """c(theta) and E_theta[h] for (..., k) coefficient draws, on the rule of panels panels.
+def _normalizer_stats(draws: np.ndarray, nodes: int, capped: bool = False):
+    """c(theta) and E_theta[h] for (..., k) coefficient draws, on the rule of nodes nodes.
 
     A fit keeps one rule for its whole run, so the map theta -> c(theta)
     it ascends is smooth and deterministic (required by the
     common-random-number gradient checks).  At draws with ||theta||_1 <=
-    _ELBO_CAP the _elbo_panels(k) rule is within _ELBO_TARGET of the exact
-    values; a fit's draws past the cap are evaluated on the 64-panel rule
+    _ELBO_CAP the _elbo_nodes(k) rule is within _ELBO_TARGET of the exact
+    values; a fit's draws past the cap are evaluated on the 512-node rule
     only, and _exact_stats sizes its rule for the theta it is given.
+    capped says every draw is within the cap, so that |theta . h| < 3.6
+    and exp(theta . h) needs no shift by its maximum.  The weights 1 / nodes
+    cancel from E_theta[h] and enter c as the mean of the node values,
+    whose log rounds at the scale of c rather than of log(nodes).
     """
     k = draws.shape[-1]
-    H, _, log_wts = _elbo_rule(k, panels)  # H: (nodes, k)
+    H = _elbo_rule(k, nodes)  # (nodes, k)
     g = draws.reshape(-1, k) @ H.T  # (draws, nodes)
-    g += log_wts
-    c, dens = _logsumexp_weights(g, axis=1, out=g)  # dens: quadrature masses, in g's buffer
-    moments = dens @ H  # (draws, k): E[h_j] under each drawn density
+    if capped:
+        top, f = 0.0, np.exp(g, out=g)
+    else:
+        top, f = _shifted_exp(g, axis=1, out=g)  # f = exp(g - top), in g's buffer
+        top = top[:, 0]
+    total = f.sum(axis=1)
+    c = np.log(total / nodes) + top
+    moments = f @ H
+    moments /= total[:, None]
     return c.reshape(draws.shape[:-1]), moments.reshape(draws.shape)
 
 
@@ -317,10 +348,11 @@ def _elbo_inputs(data, sigma0_sq: float, k: int, n_mc: int, seed):
     data = data_array(data, "data")
     if np.any((data < 0) | (data > 1)):
         raise InputError("data must lie in [0, 1]")
-    if not sigma0_sq > 0:
-        raise InputError("sigma0_sq must be positive")
-    if n_mc < 1:
-        raise InputError("n_mc must be at least 1")
+    if not 0.0 < sigma0_sq < math.inf:
+        raise InputError("sigma0_sq must be positive and finite")
+    n_mc = _positive_count(n_mc, "n_mc")
+    if not isinstance(seed, np.random.Generator):
+        seed = count(seed, "seed")
     eps = np.random.default_rng(seed).standard_normal((n_mc, k))
     return _basis(data, k).sum(axis=0), data.size, eps
 
@@ -345,13 +377,14 @@ def elbo(
     return elbo_and_gradient(q, data, sigma0_sq, n_mc, seed)[0]
 
 
-def _elbo_terms(draws, mu, sigma, eps, suff, n, s0, panels):
+def _elbo_terms(draws, mu, sigma, eps, suff, n, s0, nodes):
     """ELBO values and gradients for rows of (rows, k) factors and (rows, S, k) draws.
 
     suff holds each row's sum_i h(X_i), the (k,) sufficient statistic of its
-    n data points; draws = mu + sigma eps.
+    n data points; draws = mu + sigma eps.  A rule below _ELBO_MAX_NODES
+    only ever sees draws within the cap.
     """
-    c, moments = _normalizer_stats(draws, panels)
+    c, moments = _normalizer_stats(draws, nodes, capped=nodes < _ELBO_MAX_NODES)
     mean_c = c.mean(axis=1)
     mean_moment = moments.mean(axis=1)
     kl = 0.5 * np.sum((sigma**2 + mu**2) / s0 - 1.0 - np.log(sigma**2 / s0), axis=1)
@@ -375,8 +408,8 @@ def elbo_and_gradient(
         raise InputError("gradients need strictly positive variances")
     mu, sigma, eps = q.mu[None, :], np.sqrt(q.sigma2)[None, :], eps[None]
     draws = mu[:, None, :] + sigma[:, None, :] * eps
-    panels = _ELBO_MAX_PANELS if _crossed(draws)[0] else _elbo_panels(q.k)
-    value, grad_mu, grad_ls = _elbo_terms(draws, mu, sigma, eps, suff[None, :], n, sigma0_sq, panels)
+    nodes = _ELBO_MAX_NODES if _crossed(draws)[0] else _elbo_nodes(q.k)
+    value, grad_mu, grad_ls = _elbo_terms(draws, mu, sigma, eps, suff[None, :], n, sigma0_sq, nodes)
     return float(value[0]), grad_mu[0], grad_ls[0]
 
 
@@ -401,15 +434,14 @@ def fit_gaussian_mf_batch(samples, sigma0_sq: float, k: int, opt_config: OptConf
     Row r draws its (n_mc, k) CRN normals from seeds[r] (opt_config.seed
     is not read) and keeps its own best iterate, so the result is
     [fit_gaussian_mf(samples[r], sigma0_sq, k, opt_config with seeds[r])].
-    Rows ascend on the _elbo_panels(k) rule in groups of at most _FIT_CELLS
+    Rows ascend on the _elbo_nodes(k) rule in groups of at most _FIT_CELLS
     cells; a row leaves its group at the first step whose draws cross
     _ELBO_CAP and is run again from its first step, with the other such
-    rows, on the 64-panel rule.  A row whose ELBO falls below -1e12 raises
+    rows, on the 512-node rule.  A row whose ELBO falls below -1e12 raises
     NumericError naming it rep=r.
     """
     x = data_array(samples, "samples", 2)
-    if k < 1:
-        raise InputError("k must be at least 1")
+    k = _positive_count(k, "k")
     if len(seeds) != x.shape[0]:
         raise InputError(f"need one seed per sample, got {len(seeds)} for {x.shape[0]}")
     n_mc = opt_config.n_mc
@@ -418,13 +450,13 @@ def fit_gaussian_mf_batch(samples, sigma0_sq: float, k: int, opt_config: OptConf
     eps = np.stack([row_eps for _, _, row_eps in inputs])
     mu, log_sigma = np.empty_like(suff), np.empty_like(suff)
     rows = np.arange(x.shape[0])
-    for panels in (_elbo_panels(k), _ELBO_MAX_PANELS):
-        per_group = max(1, _FIT_CELLS // (n_mc * _ELBO_ORDER * panels))
+    for nodes in (_elbo_nodes(k), _ELBO_MAX_NODES):
+        per_group = max(1, _FIT_CELLS // (n_mc * nodes))
         crossed = []
         for lo in range(0, rows.size, per_group):
             group = rows[lo : lo + per_group]
             done, mu[group], log_sigma[group] = _ascend(
-                suff[group], x.shape[1], eps[group], sigma0_sq, opt_config, panels, group
+                suff[group], x.shape[1], eps[group], sigma0_sq, opt_config, nodes, group
             )
             crossed.extend(group[~done])
         rows = np.asarray(crossed, dtype=int)
@@ -433,11 +465,11 @@ def fit_gaussian_mf_batch(samples, sigma0_sq: float, k: int, opt_config: OptConf
     return [GaussMFVariational(mu=m, sigma2=np.exp(2.0 * ls)) for m, ls in zip(mu, log_sigma)]
 
 
-def _ascend(suff, n, eps, s0, opt_config: OptConfig, panels: int, reps):
+def _ascend(suff, n, eps, s0, opt_config: OptConfig, nodes: int, reps):
     """Gradient ascent for one group of rows on one rule.
 
     Returns which rows finished, with every row's best (mu, log sigma);
-    on a rule below _ELBO_MAX_PANELS a row whose draws cross the cap stops
+    on a rule below _ELBO_MAX_NODES a row whose draws cross the cap stops
     there, unfinished.  reps names the rows in errors.
     """
     rows, k = suff.shape
@@ -449,14 +481,14 @@ def _ascend(suff, n, eps, s0, opt_config: OptConfig, panels: int, reps):
     for _ in range(opt_config.n_iters):
         sigma = np.exp(log_sigma)
         draws = mu[:, None, :] + sigma[:, None, :] * eps
-        if panels < _ELBO_MAX_PANELS:
+        if nodes < _ELBO_MAX_NODES:
             keep = ~_crossed(draws)
             if not keep.all():
                 live, mu, log_sigma, sigma = live[keep], mu[keep], log_sigma[keep], sigma[keep]
                 draws, eps, suff = draws[keep], eps[keep], suff[keep]
                 if live.size == 0:
                     break
-        value, grad_mu, grad_ls = _elbo_terms(draws, mu, sigma, eps, suff, n, s0, panels)
+        value, grad_mu, grad_ls = _elbo_terms(draws, mu, sigma, eps, suff, n, s0, nodes)
         if np.any(value < -1e12):
             rep = reps[live[np.argmax(value < -1e12)]]
             raise NumericError(f"rep={rep}: ELBO diverged below -1e12")

@@ -413,7 +413,7 @@ class ModelSpec:
     replications, fitted as a stack in blocks, each drawn from its own rng
     only, so the table does not depend on batching.  A stacked expfamily row ascends
     on the ELBO rule of its k, or, once its draws cross the ||theta||_1 cap,
-    from its first step again on the 64-panel rule, as a fit alone would.
+    from its first step again on the 512-node rule, as a fit alone would.
     The one exception is rounding: pc_markov_chain's kernel takes a
     replication's column sum move . P over the grid in one order alone and
     in another within a batch, which moved a risk by at most 4.7e-15

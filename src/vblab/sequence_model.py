@@ -582,7 +582,7 @@ def _kl_to_tilt(prior, obs, j: int, g) -> float:
     """KL(g || tilted coordinate j) for a Gaussian or grid candidate."""
     if isinstance(g, ScalarGaussian):
         sd = math.sqrt(g.variance)
-        nodes, wts = panel_nodes(g.mean - 10 * sd, g.mean + 10 * sd, panels=24, order=16)
+        nodes, wts = panel_nodes(g.mean - 10 * sd, g.mean + 10 * sd, panels=24)
         log_q = -0.5 * ((nodes - g.mean) / sd) ** 2 - math.log(sd * math.sqrt(2 * math.pi))
         dens = np.exp(log_q)
         return float(np.dot(wts, dens * (log_q - _log_tilt_pdf(prior, obs, j, nodes))))

@@ -46,6 +46,12 @@ MALFORMED_INPUTS = {
     ),
     "FourierDensity 2-d": (lambda: expfamily.FourierDensity(np.zeros((2, 2))), "coefficients must be a 1-d"),
     "FourierDensity nan": (lambda: expfamily.FourierDensity([0.1, np.nan]), "coefficients must be a 1-d"),
+    "OptConfig step_size=inf": (
+        lambda: expfamily.OptConfig(step_size=np.inf), "step_size must be positive and finite"
+    ),
+    "fit_gaussian_mf sigma0_sq=inf": (
+        lambda: expfamily.fit_gaussian_mf([0.2, 0.6], np.inf, 2), "sigma0_sq must be positive and finite"
+    ),
     "make_grid B=nan": (lambda: changepoint.make_grid(np.nan, 1.0), "must be positive and finite"),
     "sample_mixture n=-1": (
         lambda: mixture.sample_mixture(mixture.MixtureModel(2, [0.2, 0.7], [0.4, 0.6], 0.1), -1, 0),
@@ -67,6 +73,18 @@ _CHAIN = lambda: changepoint.grid_posterior(  # noqa: E731
 # entry point -> a call with a count or index that is not a non-negative integer
 BAD_COUNTS = {
     "expfamily.sample m=2.5": lambda: expfamily.sample([0.3, -0.2], 2.5, 0),
+    "OptConfig n_iters=2.5": lambda: expfamily.OptConfig(n_iters=2.5),
+    "OptConfig n_iters=True": lambda: expfamily.OptConfig(n_iters=True),
+    "OptConfig n_mc=3.5": lambda: expfamily.OptConfig(n_mc=3.5),
+    "OptConfig seed=-1": lambda: expfamily.OptConfig(seed=-1),
+    "fit_gaussian_mf k=2.5": lambda: expfamily.fit_gaussian_mf([0.2, 0.6], 1.0, k=2.5),
+    "fit_gaussian_mf k=True": lambda: expfamily.fit_gaussian_mf([0.2, 0.6], 1.0, k=True),
+    "fit_gaussian_mf_batch seed=2.5": (
+        lambda: expfamily.fit_gaussian_mf_batch(np.array([[0.2, 0.6]]), 1.0, 2, expfamily.OptConfig(), [2.5])
+    ),
+    "expfamily.elbo seed=-1": (
+        lambda: expfamily.elbo(expfamily.GaussMFVariational(np.zeros(2), np.ones(2)), [0.3], 1.0, seed=-1)
+    ),
     "sample_mixture n=2.5": (
         lambda: mixture.sample_mixture(mixture.MixtureModel(2, [0.2, 0.7], [0.4, 0.6], 0.1), 2.5, 0)
     ),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vblab._quadrature import fixed_rule, panel_nodes
+from vblab._quadrature import fixed_rule
 from vblab.errors import InputError, NumericError
 from vblab.expfamily import (
     FourierDensity,
@@ -27,11 +27,11 @@ from vblab import expfamily
 from vblab._lse import _logsumexp_weights
 from vblab.expfamily import (
     _ELBO_CAP,
-    _ELBO_MAX_PANELS,
+    _ELBO_MAX_NODES,
     _ELBO_TARGET,
-    _elbo_panels,
+    _elbo_nodes,
     _elbo_rule,
-    _exact_panels,
+    _exact_nodes,
     _normalizer_stats,
     _rule_error,
     fit_gaussian_mf_batch,
@@ -39,7 +39,7 @@ from vblab.expfamily import (
 
 S0 = 1.0  # prior variance of each coefficient
 # every active length whose ELBO rule meets the target at the cap
-ADMITTED = [k for k in range(1, 33) if _rule_error(_elbo_panels(k), (k + 1) // 2, _ELBO_CAP) <= _ELBO_TARGET]
+ADMITTED = [k for k in range(1, 33) if _rule_error(_elbo_nodes(k), (k + 1) // 2, _ELBO_CAP) <= _ELBO_TARGET]
 
 
 def cap_draws(k, seed):
@@ -59,12 +59,15 @@ def cap_draws(k, seed):
     return np.concatenate([single, top, norm * spread])
 
 
-def ref_fit(data, s0, k, cfg, panels=_ELBO_MAX_PANELS):
-    """The per-fit gradient ascent the stacked fit replaced, on one fixed rule.
+def ref_fit(data, s0, k, cfg, nodes=_ELBO_MAX_NODES):
+    """The per-fit gradient ascent the stacked fit replaced, on one fixed trapezoidal rule.
 
-    Returns the best (mu, sigma2) and the largest ||theta||_1 of any draw.
+    A rule below _ELBO_MAX_NODES exponentiates the draws without a shift,
+    as the ELBO does for draws within the cap; the 512-node rule shifts
+    each draw by its maximum.  Returns the best (mu, sigma2) and the
+    largest ||theta||_1 of any draw.
     """
-    H, _, log_wts = _elbo_rule(k, panels)
+    H = _elbo_rule(k, nodes)
     suff, n = basis_matrix(data, k).sum(axis=0), data.size
     eps = np.random.default_rng(cfg.seed).standard_normal((cfg.n_mc, k))
     mu, log_sigma = np.zeros(k), np.full(k, -0.5 * math.log(n))
@@ -74,9 +77,10 @@ def ref_fit(data, s0, k, cfg, panels=_ELBO_MAX_PANELS):
         draws = mu[None, :] + sigma[None, :] * eps
         widest = max(widest, float(np.abs(draws).sum(axis=1).max()))
         g = draws @ H.T
-        g += log_wts
-        c, dens = _logsumexp_weights(g, axis=1)
-        moments = dens @ H
+        top = g.max(axis=1) if nodes == _ELBO_MAX_NODES else np.zeros(len(g))
+        f = np.exp(g - top[:, None])
+        total = f.sum(axis=1)
+        c, moments = np.log(total / nodes) + top, (f @ H) / total[:, None]
         kl = 0.5 * np.sum((sigma**2 + mu**2) / s0 - 1.0 - np.log(sigma**2 / s0))
         value = float(mu @ suff - n * float(c.mean()) - kl)
         grad_mu = suff - n * moments.mean(axis=0) - mu / s0
@@ -224,7 +228,7 @@ def oracle_pairs():
     for _ in range(6):
         k = int(rng.integers(1, 11))
         pairs.append((rng.normal(scale=0.5, size=k), rng.normal(scale=0.5, size=k)))
-    # ||theta_a||_1 = 20 at k = 10: c_a needs 128 panels, c(2 theta_a - theta_b) more
+    # ||theta_a||_1 = 20 at k = 10: c_a needs 237 nodes, c(2 theta_a - theta_b) more
     big = rng.normal(size=10)
     pairs.append((20.0 * big / np.abs(big).sum(), rng.normal(scale=0.3, size=10)))
     return pairs
@@ -242,15 +246,19 @@ class TestExactRule:
         assert abs(d2_numeric(ta, tb) - d2) <= 1e-12
 
     def test_large_norm_takes_more_than_the_elbo_rule(self):
-        assert _exact_panels(10, 20.0) > _ELBO_MAX_PANELS
+        assert _exact_nodes(10, 20.0) == 237 and _exact_nodes(10, 50.0) == 361
+        assert _exact_nodes(10, 20.0) > _elbo_nodes(10)
         # at the cap, the rule is the ELBO's wherever that one meets the target
-        assert all(_exact_panels(k, _ELBO_CAP) == _elbo_panels(k) for k in ADMITTED)
+        assert all(_exact_nodes(k, _ELBO_CAP) == _elbo_nodes(k) for k in ADMITTED)
 
-    def test_past_4096_panels_is_a_numeric_error(self):
-        with pytest.raises(NumericError, match="1e\\+06 needs more than 4096"):
-            log_normalizer([1e6])
-        with pytest.raises(NumericError, match="needs more than 4096"):
+    def test_past_32768_nodes_is_a_numeric_error(self):
+        assert math.isfinite(log_normalizer([1e6]))  # 10281 nodes
+        with pytest.raises(NumericError, match="1e\\+07 needs more than 32768"):
+            log_normalizer([1e7])
+        with pytest.raises(NumericError, match="needs more than 32768"):
             kl_numeric([1e308, 1e308], [0.0])
+        with pytest.raises(NumericError, match="1e\\+308 needs more than 32768"):
+            log_normalizer([1e308])  # twice the norm is past float range
 
     def test_sharp_density_samples(self):
         # exp(800 sqrt(2) cos 2 pi x) peaks at x = 0 with width about 0.005
@@ -260,12 +268,9 @@ class TestExactRule:
 
 class TestCachedRules:
     def test_elbo_rule_built_once_per_k(self):
-        H, wts, log_wts = _elbo_rule(3, 64)
-        nodes, weights = panel_nodes(0.0, 1.0, 64, order=8)
-        assert _elbo_rule(3, 64)[0] is H
-        np.testing.assert_array_equal(H, basis_matrix(nodes, 3))
-        np.testing.assert_array_equal(wts, weights)
-        np.testing.assert_array_equal(log_wts, np.log(weights))
+        H = _elbo_rule(3, 41)
+        assert _elbo_rule(3, 41) is H
+        np.testing.assert_array_equal(H, basis_matrix(np.arange(41) / 41, 3))
 
     @pytest.mark.parametrize(
         "x", [math.nan, [0.2, math.inf], np.zeros((2, 2))], ids=["nan", "inf", "2-d"]
@@ -275,42 +280,63 @@ class TestCachedRules:
             basis_matrix(x, 3)
 
     def test_cached_arrays_are_read_only(self):
-        # the ELBO rule and the sequence model's evidence window are shared by every call
-        for arr in (*_elbo_rule(2, 16), *fixed_rule(-15.0, 15.0, 30)):
+        # the ELBO rule and the change-point tail rule are shared by every call
+        for arr in (_elbo_rule(2, 21), *fixed_rule(0.0, 1.0, 16)):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
 
 class TestElboRule:
     def test_rule_sizes(self):
-        # the shipped active length k = 3 (frequencies up to 2) takes 16 panels
-        panels = [_elbo_panels(k) for k in range(1, 33)]
-        assert panels[:6] == [8, 8, 16, 16, 32, 32]
-        assert panels == sorted(panels) and set(panels) <= {1, 2, 4, 8, 16, 32, 64}
+        # the shipped active length k = 3 (frequencies up to 2) takes 41 nodes
+        nodes = [_elbo_nodes(k) for k in range(1, 33)]
+        assert nodes[:6] == [21, 21, 41, 41, 62, 62]
+        assert nodes == sorted(nodes) and nodes[-1] <= _ELBO_MAX_NODES
         assert ADMITTED == list(range(1, len(ADMITTED) + 1)) and len(ADMITTED) >= 6
-        for k in ADMITTED:  # the fewest panels: half as many miss the target
-            fewer = _elbo_panels(k) // 2
-            assert fewer == 0 or _rule_error(fewer, (k + 1) // 2, _ELBO_CAP) > _ELBO_TARGET
+        for k in ADMITTED:  # the fewest nodes: one fewer misses the target
+            assert _rule_error(_elbo_nodes(k) - 1, (k + 1) // 2, _ELBO_CAP) > _ELBO_TARGET
+
+    @pytest.mark.parametrize("nodes", [3, 8, 41])
+    def test_exact_on_trigonometric_polynomials_below_degree_nodes(self, nodes):
+        # the basis up to frequency L and its products, up to 2 L < nodes, integrate exactly
+        k = 2 * ((nodes - 1) // 2)
+        H = _elbo_rule(k, nodes)
+        np.testing.assert_allclose(H.mean(axis=0), 0.0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(H.T @ H / nodes, np.eye(k), rtol=0, atol=1e-14)
+        # frequency nodes aliases onto the constant: cos(2 pi nodes x) is 1 at every node
+        assert _elbo_rule(2 * nodes - 1, nodes)[:, -1].mean() == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
     @pytest.mark.parametrize("k", ADMITTED)
     def test_rule_within_target_at_the_cap(self, k):
         draws = cap_draws(k, seed=k)
-        c, moments = _normalizer_stats(draws, _elbo_panels(k))
-        c_ref, moments_ref = _normalizer_stats(draws, _ELBO_MAX_PANELS)
+        c, moments = _normalizer_stats(draws, _elbo_nodes(k), capped=True)
+        c_ref, moments_ref = _normalizer_stats(draws, _ELBO_MAX_NODES)
         assert np.max(np.abs(c - c_ref)) <= _ELBO_TARGET
         assert np.max(np.abs(moments - moments_ref)) <= _ELBO_TARGET
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_shift_free_path_is_the_shifted_one_within_the_cap(self, k):
+        draws = cap_draws(k, seed=k)
+        nodes = _elbo_nodes(k)
+        c, moments = _normalizer_stats(draws, nodes, capped=True)
+        log_sum, dens = _logsumexp_weights(draws @ _elbo_rule(k, nodes).T, axis=1)
+        # relative to the log of the rule's sum, before the weights 1 / nodes fold in
+        np.testing.assert_allclose(c + math.log(nodes), log_sum, rtol=1e-15, atol=0)
+        # relative to the basis' scale sqrt(2): some moments vanish by symmetry
+        moments_ref = dens @ _elbo_rule(k, nodes)
+        np.testing.assert_allclose(moments, moments_ref, rtol=0, atol=math.sqrt(2.0) * 1e-15)
 
     @pytest.mark.parametrize("L", [1, 2, 3])
     def test_bound_holds_on_coarse_rules(self, L):
         # where the bound is large enough to be seen, the actual error stays below it
         draws = cap_draws(2 * L, seed=L)
-        c_ref, moments_ref = _normalizer_stats(draws, _ELBO_MAX_PANELS)
+        c_ref, moments_ref = _normalizer_stats(draws, _ELBO_MAX_NODES)
         checked = 0
-        for panels in (1, 2, 4, 8, 16):
-            bound = _rule_error(panels, L, _ELBO_CAP)
+        for nodes in range(1, _elbo_nodes(2 * L) + 1):
+            bound = _rule_error(nodes, L, _ELBO_CAP)
             if not 1e-13 < bound < 1.0:
                 continue
-            c, moments = _normalizer_stats(draws, panels)
+            c, moments = _normalizer_stats(draws, nodes, capped=True)
             worst = max(np.max(np.abs(c - c_ref)), np.max(np.abs(moments - moments_ref)))
             assert worst <= bound
             checked += 1
@@ -450,13 +476,13 @@ class TestFit:
     def test_fit_within_the_cap_is_the_per_fit_loop_on_its_rule(self):
         data = sample(np.array([0.7, -0.4, 0.2]), 400, seed=31)
         cfg = OptConfig(n_iters=80, seed=4)
-        mu, sigma2, widest = ref_fit(data, S0, 3, cfg, panels=_elbo_panels(3))
+        mu, sigma2, widest = ref_fit(data, S0, 3, cfg, nodes=_elbo_nodes(3))
         assert widest <= _ELBO_CAP
         q = fit_gaussian_mf(data, S0, k=3, opt_config=cfg)
         np.testing.assert_array_equal(q.mu, mu)
         np.testing.assert_array_equal(q.sigma2, sigma2)
 
-    def test_fit_crossing_the_cap_is_the_64_panel_fit(self):
+    def test_fit_crossing_the_cap_is_the_512_node_fit(self):
         data = sample(np.array([1.2, -0.8, 0.4]), 200, seed=32)
         cfg = OptConfig(n_iters=80, seed=5)
         mu, sigma2, widest = ref_fit(data, S0, 3, cfg)
@@ -487,13 +513,13 @@ class TestFit:
         samples = np.stack([sample(np.array([0.7, -0.4, 0.2]), 100, seed=s) for s in range(5)])
         cells = []
 
-        def recording(draws, panels):
-            cells.append(draws.shape[0] * draws.shape[1] * 8 * panels)
-            return stats(draws, panels)
+        def recording(draws, nodes, capped=False):
+            cells.append(draws.shape[0] * draws.shape[1] * nodes)
+            return stats(draws, nodes, capped)
 
         stats = expfamily._normalizer_stats
         monkeypatch.setattr(expfamily, "_normalizer_stats", recording)
-        monkeypatch.setattr(expfamily, "_FIT_CELLS", 2 * 32 * 8 * 16)  # two rows at 16 panels
+        monkeypatch.setattr(expfamily, "_FIT_CELLS", 2 * 32 * 41)  # two rows at 41 nodes
         fits = fit_gaussian_mf_batch(samples, S0, 3, OptConfig(n_iters=5, n_mc=32), range(5))
         assert len(fits) == 5 and max(cells) <= expfamily._FIT_CELLS
 
