@@ -41,16 +41,14 @@ def _logsumexp(x, axis=None, keepdims=False):
     return out if keepdims else np.squeeze(out, axis=axis)
 
 
-def _logsumexp_weights(x, axis: int, out=None):
+def _logsumexp_weights(x, axis: int):
     """_logsumexp(x, axis) and the normalized weights exp(x - logsumexp).
 
     Both come from one set of shifted exponentials: the weights are those
-    divided by their sum along axis, so x is exponentiated once.  The
-    weights are written to out when it is given, which may be x itself,
-    so a caller done with x allocates no array of its shape.
+    divided by their sum along axis, so x is exponentiated once.
     """
     x = np.asarray(x, dtype=float)
-    top, weights = _shifted_exp(x, axis, out)
+    top, weights = _shifted_exp(x, axis)
     total = weights.sum(axis=axis, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite slice has nan weights
         lse = np.log(total)

@@ -31,8 +31,8 @@ _ELBO_CAP = 2.5 (41 nodes at k = 3).  There |theta . h| <= sqrt(2) 2.5
 < 3.6, so the rule exponentiates its draws without a max shift.  Every
 step checks its draws against the cap; a fit whose draws ever cross it
 runs on the shifted 512-node rule from its first step, so no trajectory
-changes rule midway.  fit_gaussian_mf_batch ascends the rows of an
-(R, n) stack of samples together, each with its own data, CRN normals,
+changes rule midway.  fit_gaussian_mf_batch ascends a list of samples,
+of any lengths, together, each row with its own data, n, CRN normals,
 best iterate and divergence check; fit_gaussian_mf is its one-row case.
 """
 
@@ -381,14 +381,16 @@ def _elbo_terms(draws, mu, sigma, eps, suff, n, s0, nodes):
     """ELBO values and gradients for rows of (rows, k) factors and (rows, S, k) draws.
 
     suff holds each row's sum_i h(X_i), the (k,) sufficient statistic of its
-    n data points; draws = mu + sigma eps.  A rule below _ELBO_MAX_NODES
-    only ever sees draws within the cap.
+    n data points, where n is one size for every row or a (rows,) array of
+    sizes; draws = mu + sigma eps.  A rule below _ELBO_MAX_NODES only ever
+    sees draws within the cap.
     """
     c, moments = _normalizer_stats(draws, nodes, capped=nodes < _ELBO_MAX_NODES)
     mean_c = c.mean(axis=1)
     mean_moment = moments.mean(axis=1)
+    n = np.reshape(n, (-1, 1))
     kl = 0.5 * np.sum((sigma**2 + mu**2) / s0 - 1.0 - np.log(sigma**2 / s0), axis=1)
-    value = np.vecdot(mu, suff) - n * mean_c - kl
+    value = np.vecdot(mu, suff) - n[:, 0] * mean_c - kl
     grad_mu = suff - n * mean_moment - mu / s0
     # d/d log sigma: through theta = mu + sigma eps and through the KL term
     grad_ls = -n * (moments * eps).mean(axis=1) * sigma - (sigma**2 / s0 - 1.0)
@@ -428,35 +430,46 @@ def fit_gaussian_mf(
     return fit_gaussian_mf_batch(x, sigma0_sq, k, opt_config, [opt_config.seed])[0]
 
 
-def fit_gaussian_mf_batch(samples, sigma0_sq: float, k: int, opt_config: OptConfig, seeds) -> list:
-    """fit_gaussian_mf for each row of an (R, n) stack of samples, in one stacked ascent.
+def fit_gaussian_mf_batch(
+    samples, sigma0_sq: float, k: int, opt_config: OptConfig, seeds, labels=None
+) -> list:
+    """fit_gaussian_mf for each of a list of samples, of any lengths, in one stacked ascent.
 
-    Row r draws its (n_mc, k) CRN normals from seeds[r] (opt_config.seed
-    is not read) and keeps its own best iterate, so the result is
+    Row r is samples[r], of its own size n_r (an (R, n) array gives its R
+    rows).  It draws its (n_mc, k) CRN normals from seeds[r] (opt_config.seed
+    is not read), starts at log sigma = -log(n_r) / 2, steps by its gradient
+    over n_r and keeps its own best iterate, so the result is
     [fit_gaussian_mf(samples[r], sigma0_sq, k, opt_config with seeds[r])].
     Rows ascend on the _elbo_nodes(k) rule in groups of at most _FIT_CELLS
     cells; a row leaves its group at the first step whose draws cross
     _ELBO_CAP and is run again from its first step, with the other such
-    rows, on the 512-node rule.  A row whose ELBO falls below -1e12 raises
-    NumericError naming it rep=r.
+    rows, on the 512-node rule.  A row whose ELBO is not finite or falls
+    below -1e12 raises NumericError named by labels[r], "rep=r" by default.
     """
-    x = data_array(samples, "samples", 2)
+    if not isinstance(samples, (list, tuple)):
+        samples = data_array(samples, "samples", 2)
     k = _positive_count(k, "k")
-    if len(seeds) != x.shape[0]:
-        raise InputError(f"need one seed per sample, got {len(seeds)} for {x.shape[0]}")
+    if len(samples) == 0:
+        raise InputError("need at least one sample")
+    labels = [f"rep={r}" for r in range(len(samples))] if labels is None else labels
+    if not len(seeds) == len(labels) == len(samples):
+        raise InputError(
+            f"need one seed and label per sample, got {len(seeds)} and {len(labels)} for {len(samples)}"
+        )
     n_mc = opt_config.n_mc
-    inputs = [_elbo_inputs(row, sigma0_sq, k, n_mc, seed) for row, seed in zip(x, seeds)]
+    inputs = [_elbo_inputs(row, sigma0_sq, k, n_mc, seed) for row, seed in zip(samples, seeds)]
     suff = np.stack([row_suff for row_suff, _, _ in inputs])
+    n = np.array([row_n for _, row_n, _ in inputs])
     eps = np.stack([row_eps for _, _, row_eps in inputs])
     mu, log_sigma = np.empty_like(suff), np.empty_like(suff)
-    rows = np.arange(x.shape[0])
+    rows = np.arange(len(samples))
     for nodes in (_elbo_nodes(k), _ELBO_MAX_NODES):
         per_group = max(1, _FIT_CELLS // (n_mc * nodes))
         crossed = []
         for lo in range(0, rows.size, per_group):
             group = rows[lo : lo + per_group]
             done, mu[group], log_sigma[group] = _ascend(
-                suff[group], x.shape[1], eps[group], sigma0_sq, opt_config, nodes, group
+                suff[group], n[group], eps[group], sigma0_sq, opt_config, nodes, [labels[r] for r in group]
             )
             crossed.extend(group[~done])
         rows = np.asarray(crossed, dtype=int)
@@ -465,40 +478,44 @@ def fit_gaussian_mf_batch(samples, sigma0_sq: float, k: int, opt_config: OptConf
     return [GaussMFVariational(mu=m, sigma2=np.exp(2.0 * ls)) for m, ls in zip(mu, log_sigma)]
 
 
-def _ascend(suff, n, eps, s0, opt_config: OptConfig, nodes: int, reps):
-    """Gradient ascent for one group of rows on one rule.
+def _ascend(suff, n, eps, s0, opt_config: OptConfig, nodes: int, labels):
+    """Gradient ascent for one group of rows, of sizes n, on one rule.
 
     Returns which rows finished, with every row's best (mu, log sigma);
     on a rule below _ELBO_MAX_NODES a row whose draws cross the cap stops
-    there, unfinished.  reps names the rows in errors.
+    there, unfinished.  labels name the rows in errors.  Overflow and nan
+    are not warned about: an ELBO they reach is not finite, and raises.
     """
     rows, k = suff.shape
     mu = np.zeros((rows, k))
-    log_sigma = np.full((rows, k), -0.5 * math.log(n))
+    log_sigma = np.array([[-0.5 * math.log(row_n)] * k for row_n in n])
     best_value = np.full(rows, -math.inf)
     best_mu, best_ls = mu.copy(), log_sigma.copy()
     live = np.arange(rows)  # the rows still ascending
-    for _ in range(opt_config.n_iters):
-        sigma = np.exp(log_sigma)
-        draws = mu[:, None, :] + sigma[:, None, :] * eps
-        if nodes < _ELBO_MAX_NODES:
-            keep = ~_crossed(draws)
-            if not keep.all():
-                live, mu, log_sigma, sigma = live[keep], mu[keep], log_sigma[keep], sigma[keep]
-                draws, eps, suff = draws[keep], eps[keep], suff[keep]
-                if live.size == 0:
-                    break
-        value, grad_mu, grad_ls = _elbo_terms(draws, mu, sigma, eps, suff, n, s0, nodes)
-        if np.any(value < -1e12):
-            rep = reps[live[np.argmax(value < -1e12)]]
-            raise NumericError(f"rep={rep}: ELBO diverged below -1e12")
-        up = value > best_value[live]
-        best_value[live[up]] = value[up]
-        best_mu[live[up]] = mu[up]
-        best_ls[live[up]] = log_sigma[up]
-        mu = mu + opt_config.step_size * grad_mu / n
-        log_sigma = log_sigma + opt_config.step_size * grad_ls / n
-        log_sigma = np.maximum(log_sigma, -13.8)  # sigma^2 floor 1e-12
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(opt_config.n_iters):
+            sigma = np.exp(log_sigma)
+            draws = mu[:, None, :] + sigma[:, None, :] * eps
+            if nodes < _ELBO_MAX_NODES:
+                keep = ~_crossed(draws)
+                if not keep.all():
+                    live, mu, log_sigma, sigma = live[keep], mu[keep], log_sigma[keep], sigma[keep]
+                    draws, eps, suff, n = draws[keep], eps[keep], suff[keep], n[keep]
+                    if live.size == 0:
+                        break
+            value, grad_mu, grad_ls = _elbo_terms(draws, mu, sigma, eps, suff, n, s0, nodes)
+            bad = ~(value >= -1e12)  # nan included
+            if bad.any():
+                row = np.argmax(bad)
+                why = "diverged below -1e12" if value[row] < -1e12 else "is not finite"
+                raise NumericError(f"{labels[live[row]]}: ELBO {why}")
+            up = value > best_value[live]
+            best_value[live[up]] = value[up]
+            best_mu[live[up]] = mu[up]
+            best_ls[live[up]] = log_sigma[up]
+            mu = mu + opt_config.step_size * grad_mu / n[:, None]
+            log_sigma = log_sigma + opt_config.step_size * grad_ls / n[:, None]
+            log_sigma = np.maximum(log_sigma, -13.8)  # sigma^2 floor 1e-12
     done = np.zeros(rows, dtype=bool)
     done[live] = True
     return done, best_mu, best_ls

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
@@ -236,6 +237,28 @@ def parse_params(params, model: str) -> dict:
     return _conform(params, MODELS[model].defaults, "params")
 
 
+@contextmanager
+def _at(n: int):
+    """Re-raise a VblabError with the sample size n it arose at."""
+    try:
+        yield
+    except VblabError as exc:
+        raise type(exc)(f"n={n}: {exc}") from exc
+
+
+def _per_n(run: Callable) -> Callable:
+    """A runner over the n grid from run(params, n, rngs), which takes one n's replications."""
+
+    def runner(p: dict, ns, rngs) -> list:
+        out = []
+        for n, n_rngs in zip(ns, rngs):
+            with _at(n):
+                out.append(run(p, n, n_rngs))
+        return out
+
+    return runner
+
+
 def _resolve_spike_index(j0, alpha: float, n: int):
     if j0 == "adversary":
         # spike just beyond twice the effective dimension (n / log n)^{1/(2a+1)}
@@ -393,27 +416,38 @@ def _run_mixture_hellinger_batch(p, n, rngs):
     return [mixture.hellinger_to_truth(state, f0, grid) for _, state in fits]
 
 
-def _run_expfamily_hellinger_batch(p, n, rngs):
+def _run_expfamily_hellinger_batch(p, ns, rngs):
+    """Every replication of every n, fitted as one stack of rows of differing n."""
     truth = expfamily.FourierDensity(np.asarray(p["theta_star"], dtype=float))
     k = truth.theta.size if p["k"] is None else p["k"]
-    samples, seeds = [], []
-    for rng in rngs:  # each replication's stream: its fit seed, then its sample
-        seeds.append(int(rng.integers(2**63)))
-        samples.append(expfamily.sample(truth, n, seed=rng))
+    samples, seeds, labels = [], [], []
+    for n, n_rngs in zip(ns, rngs):
+        for rep, rng in enumerate(n_rngs):  # each replication's stream: its fit seed, then its sample
+            seeds.append(int(rng.integers(2**63)))
+            samples.append(expfamily.sample(truth, n, seed=rng))
+            labels.append(f"n={n}: rep={rep}")
     cfg = expfamily.OptConfig(**p["opt"])
-    fits = expfamily.fit_gaussian_mf_batch(np.stack(samples), p["sigma0_sq"], k, cfg, seeds)
-    return [expfamily.hellinger_numeric(q.mu, truth) ** 2 for q in fits]
+    fits = iter(expfamily.fit_gaussian_mf_batch(samples, p["sigma0_sq"], k, cfg, seeds, labels))
+    out = []
+    for n, n_rngs in zip(ns, rngs):
+        with _at(n):
+            out.append([expfamily.hellinger_numeric(next(fits).mu, truth) ** 2 for _ in n_rngs])
+    return out
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """Everything decided per model id.
 
-    ``runner`` maps (parsed params, n, rngs) to the metrics of one n's
-    replications, fitted as a stack in blocks, each drawn from its own rng
-    only, so the table does not depend on batching.  A stacked expfamily row ascends
-    on the ELBO rule of its k, or, once its draws cross the ||theta||_1 cap,
-    from its first step again on the 512-node rule, as a fit alone would.
+    ``runner`` maps (parsed params, the n grid, one list of rngs per n)
+    to one array of metrics per n, with an error naming the n it arose at.
+    The replications are fitted as stacks in blocks, each drawn from its
+    own rng only, so the table does not depend on batching: the sieve,
+    change-point and mixture runners take one n at a time through _per_n,
+    and expfamily stacks the rows of every n in one ascent.  A stacked
+    expfamily row ascends with its own n on the ELBO rule of its k, or,
+    once its draws cross the ||theta||_1 cap, from its first step again on
+    the 512-node rule, as a fit alone would.
     The one exception is rounding: pc_markov_chain's kernel takes a
     replication's column sum move . P over the grid in one order alone and
     in another within a batch, which moved a risk by at most 4.7e-15
@@ -459,13 +493,15 @@ _EXPFAM_DEFAULTS = {  # k defaults to len(theta_star)
 
 MODELS = {
     "divergence_chain": ModelSpec("divcheck", None, _DIV_DEFAULTS, "divergence_chain_report"),
-    "gsm_risk": ModelSpec("gsm-rate", _run_gsm, _GSM_DEFAULTS),
-    "gsm_dimension": ModelSpec("gsm-dim", lambda *args: _run_gsm(*args, dimension=True), _GSM_DEFAULTS),
-    "gsm_spike_risk": ModelSpec("gsm-lower", _run_gsm, _GSM_DEFAULTS),
+    "gsm_risk": ModelSpec("gsm-rate", _per_n(_run_gsm), _GSM_DEFAULTS),
+    "gsm_dimension": ModelSpec(
+        "gsm-dim", _per_n(lambda *args: _run_gsm(*args, dimension=True)), _GSM_DEFAULTS
+    ),
+    "gsm_spike_risk": ModelSpec("gsm-lower", _per_n(_run_gsm), _GSM_DEFAULTS),
     "trunc_exact_risk": ModelSpec("trunc-curve", None, _TRUNC_DEFAULTS, "trunc_curve_rows"),
-    "pc_mean_field": ModelSpec("pc-compare", _run_pc_mean_field_batch, _PC_MF_DEFAULTS),
-    "pc_markov_chain": ModelSpec("pc-compare", _run_pc_markov_chain_batch, _PC_CHAIN_DEFAULTS),
-    "mixture_hellinger": ModelSpec("mix-fit", _run_mixture_hellinger_batch, _MIX_DEFAULTS),
+    "pc_mean_field": ModelSpec("pc-compare", _per_n(_run_pc_mean_field_batch), _PC_MF_DEFAULTS),
+    "pc_markov_chain": ModelSpec("pc-compare", _per_n(_run_pc_markov_chain_batch), _PC_CHAIN_DEFAULTS),
+    "mixture_hellinger": ModelSpec("mix-fit", _per_n(_run_mixture_hellinger_batch), _MIX_DEFAULTS),
     "expfamily_hellinger": ModelSpec("expfam-fit", _run_expfamily_hellinger_batch, _EXPFAM_DEFAULTS),
 }
 
@@ -475,19 +511,20 @@ def run_experiment(config: ExperimentConfig) -> RateTable:
 
     The stream for replication r at sample size n is derived from
     (master_seed, n, r), so any subset of the table can be reproduced in
-    isolation; failures are re-raised with n, and with the rep a runner names.
+    isolation.  The runner takes the whole grid in one call, and its
+    failures name n, and the rep where one replication failed.
     """
     spec = MODELS.get(config.model)
     if spec is None or spec.runner is None:
         raise InputError(f"unknown model id {config.model!r}")
     params = parse_params(config.params, config.model)
+    rngs = [
+        [generator(config.master_seed, n, rep) for rep in range(config.replications)]
+        for n in config.n_grid
+    ]
     means, ses = [], []
-    for n in config.n_grid:
-        rngs = [generator(config.master_seed, n, rep) for rep in range(config.replications)]
-        try:
-            vals = np.asarray(spec.runner(params, n, rngs), dtype=float)
-        except VblabError as exc:
-            raise type(exc)(f"n={n}: {exc}") from exc
+    for vals in spec.runner(params, config.n_grid, rngs):
+        vals = np.asarray(vals, dtype=float)
         means.append(float(vals.mean()))
         ses.append(float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0)
     reps = np.full(len(config.n_grid), config.replications)

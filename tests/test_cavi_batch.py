@@ -275,8 +275,8 @@ def ref_hellinger_runner(p, n, rng):
 def test_harness_hellinger_matches_per_replication_runner(n):
     params = harness.parse_params({}, "mixture_hellinger")
     got = harness.MODELS["mixture_hellinger"].runner(
-        params, n, [generator(17, n, rep) for rep in range(3)]
-    )
+        params, [n], [[generator(17, n, rep) for rep in range(3)]]
+    )[0]
     want = [ref_hellinger_runner(params, n, generator(17, n, rep)) for rep in range(3)]
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 

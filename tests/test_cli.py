@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -351,6 +352,20 @@ def test_numeric_failures_exit_3(tmp_path, capsys, monkeypatch):
     )
     assert main(["gsm-rate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
     assert "n=4096: rep=0: model weight argmax reached K_max/2 = 8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step_size", [1e6, 1e300])
+def test_overflowing_ascent_exits_3(tmp_path, capsys, step_size):
+    # so long a step overflows sigma, and the ELBO turns nan; no RuntimeWarning gets out
+    cfg = write_config(tmp_path, "step.json", {
+        "model": "expfamily_hellinger", "n_grid": [10], "replications": 2, "master_seed": 1,
+        "params": {"opt": {"step_size": step_size}},
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["expfam-fit", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
+    assert capsys.readouterr().err == "numeric failure: n=10: rep=0: ELBO is not finite\n"
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_cauchy_config_runs_where_its_truncation_bound(tmp_path):

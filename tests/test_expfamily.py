@@ -508,6 +508,28 @@ class TestFit:
             np.testing.assert_array_equal(c.mu, a.mu)
             np.testing.assert_array_equal(c.sigma2, a.sigma2)
 
+    def test_batch_rows_of_differing_n_match_their_fits_alone(self, monkeypatch):
+        # the n = 200 row's draws cross the cap, so it reruns alone on the 512-node rule,
+        # while the n = 400 and n = 100 rows finish on the k = 3 rule
+        samples = [sample(np.array(t), n, seed=s) for t, n, s in (
+            ([0.7, -0.4, 0.2], 400, 31), ([1.2, -0.8, 0.4], 200, 32), ([0.3, 0.1, -0.2], 100, 33))]
+        seeds = [4, 5, 6]
+        assert ref_fit(samples[1], S0, 3, OptConfig(n_iters=80, seed=5))[2] > _ELBO_CAP
+        runs = []
+        ascend = expfamily._ascend
+
+        def recording(suff, n, eps, s0, opt_config, nodes, labels):
+            runs.append((list(n), nodes))
+            return ascend(suff, n, eps, s0, opt_config, nodes, labels)
+
+        monkeypatch.setattr(expfamily, "_ascend", recording)
+        fits = fit_gaussian_mf_batch(samples, S0, 3, OptConfig(n_iters=80), seeds)
+        assert runs == [([400, 200, 100], _elbo_nodes(3)), ([200], _ELBO_MAX_NODES)]
+        for x, seed, q in zip(samples, seeds, fits):
+            alone = fit_gaussian_mf(x, S0, 3, OptConfig(n_iters=80, seed=seed))
+            np.testing.assert_array_equal(q.mu, alone.mu)
+            np.testing.assert_array_equal(q.sigma2, alone.sigma2)
+
     def test_batch_groups_stay_within_the_cell_cap(self, monkeypatch):
         # drawn first: the sample's normalizer also goes through _normalizer_stats
         samples = np.stack([sample(np.array([0.7, -0.4, 0.2]), 100, seed=s) for s in range(5)])

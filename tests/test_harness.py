@@ -1,5 +1,6 @@
 """Tests for the experiment harness: seeding, fits, emission, runners."""
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -180,14 +181,16 @@ class TestExpfamilyRunner:
     def test_matches_per_replication_runner(self, theta_star):
         params = parse_params({"theta_star": theta_star, "opt": {"n_iters": 60}}, "expfamily_hellinger")
         got = harness.MODELS["expfamily_hellinger"].runner(
-            params, 200, [generator(17, 200, rep) for rep in range(4)]
-        )
+            params, [200], [[generator(17, 200, rep) for rep in range(4)]]
+        )[0]
         want = [ref_expfamily_runner(params, 200, generator(17, 200, rep)) for rep in range(4)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("cells", [None, 1], ids=["one-group", "row-per-group"])
-    def test_diverging_row_names_its_rep(self, monkeypatch, cells):
-        # replication 2's ELBO is forced below -1e12 inside the stack of four
+    @pytest.mark.parametrize("cells, n_grid", [
+        (None, (200,)), (1, (200,)), (None, (100, 200)), (1, (100, 200)),
+    ], ids=["one-group", "row-per-group", "one-group-two-n", "row-per-group-two-n"])
+    def test_diverging_row_names_its_rep(self, monkeypatch, cells, n_grid):
+        # replication 2's ELBO at n = 200 is forced below -1e12 inside the stack of every row
         if cells is not None:
             monkeypatch.setattr(expfamily, "_FIT_CELLS", cells)
         rng = generator(23, 200, 2)
@@ -201,9 +204,45 @@ class TestExpfamilyRunner:
             return value, grad_mu, grad_ls
 
         monkeypatch.setattr(expfamily, "_elbo_terms", diverging)
-        config = ExperimentConfig("expfamily_hellinger", (200,), 4, 23, {"opt": {"n_iters": 20}})
+        config = ExperimentConfig("expfamily_hellinger", n_grid, 4, 23, {"opt": {"n_iters": 20}})
         with pytest.raises(NumericError, match=r"^n=200: rep=2: ELBO diverged below -1e12$"):
             run_experiment(config)
+
+
+# a small run of every model id with a runner, over a grid of two or more n
+GRID_RUNS = {
+    "gsm_risk": ((64, 256, 1024), {"alpha": 1.0, "B": 2.0}),
+    "gsm_dimension": ((64, 256, 1024), {"alpha": 1.0, "B": 2.0, "prior": {"family": "rescaled_cauchy"}}),
+    "gsm_spike_risk": ((128, 512), {"alpha": 1.0, "B": 2.0, "signal": {"kind": "spike", "j0": "adversary"}}),
+    "pc_mean_field": ((40, 80), {"G": 16, "signal": {"kind": "prefix", "k_star": 2, "seg_len": 10}}),
+    "pc_markov_chain": ((40, 80), {"G": 16, "signal": {"kind": "prefix", "k_star": 2, "seg_len": 10}}),
+    "mixture_hellinger": ((100, 200), {"k_candidates": [1, 2, 3]}),
+    # eight of its nine rows cross the cap and rerun on the 512-node rule, four rows a group
+    "expfamily_hellinger": ((100, 200, 400), {"theta_star": [1.2, -0.8, 0.4], "opt": {"n_iters": 60}}),
+}
+
+
+def assert_rows_reproduce_alone(config):
+    table = run_experiment(config)
+    for row, n in enumerate(config.n_grid):
+        alone = run_experiment(dataclasses.replace(config, n_grid=(n,)))
+        assert table.mean_risk[row : row + 1].tobytes() == alone.mean_risk.tobytes(), n
+        assert table.stderr[row : row + 1].tobytes() == alone.stderr.tobytes(), n
+
+
+class TestGridSubsets:
+    def test_every_runner_has_a_case(self):
+        assert set(GRID_RUNS) == {model for model, spec in harness.MODELS.items() if spec.runner is not None}
+
+    @pytest.mark.parametrize("model", sorted(GRID_RUNS))
+    def test_each_n_is_the_run_at_that_n_alone(self, model):
+        n_grid, params = GRID_RUNS[model]
+        assert_rows_reproduce_alone(ExperimentConfig(model, n_grid, 3, 43, params))
+
+    def test_shipped_expfam_fit(self):
+        # 15 rows at three n ascend as one stack
+        payload = json.loads((REPO / "configs" / "expfam_fit.json").read_text())
+        assert_rows_reproduce_alone(ExperimentConfig.from_json(json.dumps({**payload, "master_seed": 20250810})))
 
 
 class TestSieveRefit:
@@ -224,7 +263,7 @@ class TestSieveRefit:
         np.testing.assert_array_equal(theta, direct_signal.theta)
         np.testing.assert_array_equal(Y[0], obs.y)
         np.testing.assert_array_equal(lw[0], direct.log_weights)
-        risk = harness.MODELS["gsm_risk"].runner(params, 4096, [generator(0, 4096, 0)])
+        risk = harness.MODELS["gsm_risk"].runner(params, [4096], [[generator(0, 4096, 0)]])[0]
         assert risk[0] == sequence_model.expected_risk(direct, direct_signal)
 
     def test_refit_keeps_the_signal_and_its_noise(self):
@@ -349,9 +388,9 @@ class TestStackedRunners:
         )
         for n in (64, 1024):
             rngs = lambda: [generator(29, n, rep) for rep in range(6)]  # noqa: E731
-            risks = harness.MODELS["gsm_risk"].runner(params, n, rngs())
+            risks = harness.MODELS["gsm_risk"].runner(params, [n], [rngs()])[0]
             np.testing.assert_allclose(risks, [ref_gsm_risk(params, n, r) for r in rngs()], rtol=1e-12, atol=0)
-            dims = harness.MODELS["gsm_dimension"].runner(params, n, rngs())
+            dims = harness.MODELS["gsm_dimension"].runner(params, [n], [rngs()])[0]
             np.testing.assert_array_equal(dims, [ref_gsm_dimension(params, n, r) for r in rngs()])
 
     def test_gsm_refit_rows_match_per_replication_runner(self):
@@ -359,7 +398,7 @@ class TestStackedRunners:
         payload = json.loads((REPO / "configs" / "gsm_rate_cauchy.json").read_text())
         params = parse_params(payload["params"], "gsm_risk")
         rngs = lambda: [generator(13150348164293828904, 256, rep) for rep in range(8)]  # noqa: E731
-        got = harness.MODELS["gsm_risk"].runner(params, 256, rngs())
+        got = harness.MODELS["gsm_risk"].runner(params, [256], [rngs()])[0]
         np.testing.assert_allclose(got, [ref_gsm_risk(params, 256, r) for r in rngs()], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("posterior", ["mean_field", "empirical_bayes"])
@@ -368,9 +407,10 @@ class TestStackedRunners:
         monkeypatch.setattr(sequence_model, "_BLOCK_CELLS", 3 * 2001)
         params = parse_params({"alpha": 1.0, "B": 2.0, "posterior": posterior,
                                "prior": {"family": "rescaled_cauchy"}}, "gsm_risk")
-        batch = harness.MODELS["gsm_risk"].runner(params, 512, [generator(31, 512, rep) for rep in range(7)])
+        rngs = [generator(31, 512, rep) for rep in range(7)]
+        batch = harness.MODELS["gsm_risk"].runner(params, [512], [rngs])[0]
         for rep in range(7):
-            alone = harness.MODELS["gsm_risk"].runner(params, 512, [generator(31, 512, rep)])
+            alone = harness.MODELS["gsm_risk"].runner(params, [512], [[generator(31, 512, rep)]])[0]
             assert alone[0] == batch[rep]
 
     def test_gsm_blocks_stay_within_the_cell_cap(self, monkeypatch):
@@ -390,7 +430,7 @@ class TestStackedRunners:
         monkeypatch.setattr(harness, "_fit_gsm", recorded)
         params = parse_params({"alpha": 1.0, "B": 2.0, "k_max_factor": 4096.0}, "gsm_risk")
         rngs = lambda: [generator(41, 64, rep) for rep in range(5)]  # noqa: E731
-        got = harness.MODELS["gsm_risk"].runner(params, 64, rngs())
+        got = harness.MODELS["gsm_risk"].runner(params, [64], [rngs()])[0]
         assert blocks == [([0, 1], (2, 16384)), ([2, 3], (2, 16384)), ([4], (1, 16384))]
         np.testing.assert_allclose(got, [ref_gsm_risk(params, 64, r) for r in rngs()], rtol=1e-12, atol=0)
 
@@ -400,7 +440,7 @@ class TestStackedRunners:
         params = parse_params(payload["params"], "gsm_risk")
         rngs = lambda: [generator(13150348164293828904, 256, rep) for rep in range(8)]  # noqa: E731
         blocks.clear()
-        got = harness.MODELS["gsm_risk"].runner(params, 256, rngs())
+        got = harness.MODELS["gsm_risk"].runner(params, [256], [rngs()])[0]
         assert blocks == [([0, 1], (2, 26)), ([2, 3], (2, 26)), ([4], (1, 26)), ([5], (1, 52)),
                           ([6, 7], (2, 26))]
         np.testing.assert_allclose(got, [ref_gsm_risk(params, 256, r) for r in rngs()], rtol=1e-12, atol=0)
@@ -417,7 +457,8 @@ class TestStackedRunners:
         monkeypatch.setattr(changepoint, "_truncnorm_moments", recorded)
         monkeypatch.setattr(changepoint, "_MEAN_FIELD_CELLS", 3 * 200)
         params = parse_params({"sigma": 0.7, "B": 1.0, "signal": signal}, "pc_mean_field")
-        got = harness.MODELS["pc_mean_field"].runner(params, 200, [generator(37, 200, rep) for rep in range(8)])
+        rngs = [generator(37, 200, rep) for rep in range(8)]
+        got = harness.MODELS["pc_mean_field"].runner(params, [200], [rngs])[0]
         assert blocks == [(3, 200), (3, 200), (2, 200)]
         monkeypatch.undo()
         want = [ref_pc_mean_field(params, 200, generator(37, 200, rep)) for rep in range(8)]

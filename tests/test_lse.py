@@ -101,11 +101,6 @@ def test_weights_share_the_logsumexp(shape, axis, offset):
     np.testing.assert_array_equal(lse, _logsumexp(x, axis=axis))
     assert weights.shape == x.shape
     np.testing.assert_allclose(weights, softmax(x, axis=axis), rtol=1e-13, atol=0)
-    y = x.copy()
-    lse_in_place, weights_in_place = _logsumexp_weights(y, axis=axis, out=y)
-    assert weights_in_place is y
-    np.testing.assert_array_equal(lse_in_place, lse)
-    np.testing.assert_array_equal(weights_in_place, weights)
 
 
 def test_weights_edge_rows_match_logsumexp():
