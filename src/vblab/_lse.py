@@ -41,14 +41,15 @@ def _logsumexp(x, axis=None, keepdims=False):
     return out if keepdims else np.squeeze(out, axis=axis)
 
 
-def _logsumexp_weights(x, axis: int):
-    """_logsumexp(x, axis) and the normalized weights exp(x - logsumexp).
+def _logsumexp_weights(x, axis: int, out=None):
+    """_logsumexp(x, axis) and the normalized weights exp(x - logsumexp), written to out if given.
 
     Both come from one set of shifted exponentials: the weights are those
-    divided by their sum along axis, so x is exponentiated once.
+    divided by their sum along axis, so x is exponentiated once.  out may be
+    x itself, which a caller done with x passes to allocate nothing of its size.
     """
     x = np.asarray(x, dtype=float)
-    top, weights = _shifted_exp(x, axis)
+    top, weights = _shifted_exp(x, axis, out=out)
     total = weights.sum(axis=axis, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite slice has nan weights
         lse = np.log(total)

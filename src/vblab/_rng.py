@@ -4,10 +4,12 @@ Per-replication streams are derived by mixing the master seed with the
 experiment coordinates through splitmix64, so replications can run in any
 order (or concurrently) and still reproduce bit-identical results.
 pcg64_states derives the generator states of a block of such streams at
-once, for callers that draw a little from each of very many streams.
+once, for callers that draw a little from each of very many streams, and
+generators builds a block of such streams' Generators from the same words.
 """
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _MASK = (1 << 64) - 1
 
@@ -57,14 +59,12 @@ def _hashmix(words: np.ndarray, const: int, mult: int):
     return words ^ (words >> np.uint32(16)), const
 
 
-def pcg64_states(seeds) -> list:
-    """The PCG64 (state, inc) of np.random.default_rng(s), for each 64-bit seed s.
+def _seed_words(seeds) -> np.ndarray:
+    """SeedSequence(s).generate_state(4, np.uint64) for each 64-bit seed s, one row each.
 
-    SeedSequence(s).generate_state(4, np.uint64) is computed for all seeds at
-    once in uint32 array arithmetic: a 64-bit seed is at most two entropy
-    words, and the hash fills a short entropy out with zero words anyway.
-    PCG64 then steps from state 0 with inc = 2 initseq + 1, adds initstate
-    and steps again.
+    The words are computed for all seeds at once in uint32 array arithmetic:
+    a 64-bit seed is at most two entropy words, and the hash fills a short
+    entropy out with zero words anyway.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     zero = np.zeros(seeds.shape, dtype=np.uint32)
@@ -82,9 +82,38 @@ def pcg64_states(seeds) -> list:
     for i in range(8):
         word, const = _hashmix(pool[i % 4], const, _MULT_B)
         halves.append(word.astype(np.uint64))
-    state_words = [halves[2 * k] | halves[2 * k + 1] << np.uint64(32) for k in range(4)]
+    return np.stack([halves[2 * k] | halves[2 * k + 1] << np.uint64(32) for k in range(4)], axis=-1)
+
+
+def pcg64_states(seeds) -> list:
+    """The PCG64 (state, inc) of np.random.default_rng(s), for each 64-bit seed s.
+
+    From the seed words (initstate, initseq), PCG64 steps from state 0 with
+    inc = 2 initseq + 1, adds initstate and steps again.
+    """
     states = []
-    for s0, s1, s2, s3 in zip(*(w.tolist() for w in state_words)):
+    for s0, s1, s2, s3 in _seed_words(seeds).tolist():
         inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
         states.append(((((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128, inc))
     return states
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence that hands PCG64 the four words SeedSequence would generate for it."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"these words seed PCG64 alone, not {n_words} words of {np.dtype(dtype)}")
+        return self.words
+
+
+def generators(seeds) -> list:
+    """np.random.default_rng(s) for each 64-bit seed s, with the same draws, seeded in bulk.
+
+    Each Generator's PCG64 is seeded from its row of _seed_words instead of
+    building a SeedSequence per seed, which costs several times more.
+    """
+    return [np.random.Generator(np.random.PCG64(_SeedWords(words))) for words in _seed_words(seeds)]

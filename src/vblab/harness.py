@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import changepoint, divergences, expfamily, mixture, sequence_model, truncated_series
-from ._rng import derive_seed, generator, pcg64_states
+from ._rng import derive_seed, generators, pcg64_states
 from .errors import InputError, NumericError, VblabError
 
 __all__ = [
@@ -400,7 +400,8 @@ def _run_pc_markov_chain_batch(p, n, rngs):
     return changepoint.markov_chain_risks(X, sigma, prior, grid, signal)
 
 
-def _run_mixture_hellinger_batch(p, n, rngs):
+def _run_mixture_hellinger_batch(p, ns, rngs):
+    """Every replication of every n, fitted as one CAVI stack of rows of differing n."""
     mu, w = (np.asarray(p["truth"][key], dtype=float) for key in ("mu", "w"))
     truth = mixture.MixtureModel(k=mu.size, mu=mu, w=w, sigma=p["truth"]["sigma"])
     hyper = mixture.MixtureHyper(**p["hyper"])
@@ -409,11 +410,12 @@ def _run_mixture_hellinger_batch(p, n, rngs):
     # a grid too coarse for the truth fails here, before any fit
     f0, grid = mixture._check_grid_density(mixture.mixture_pdf(truth, grid), grid)
     samples, seeds = [], []
-    for rng in rngs:  # each replication's stream: its sample, then its fit seed
-        samples.append(mixture.sample_mixture(truth, n, seed=rng))
-        seeds.append(int(rng.integers(2**63)))
-    fits = mixture.select_k_batch(np.stack(samples), p["k_candidates"], hyper, seeds)
-    return [mixture.hellinger_to_truth(state, f0, grid) for _, state in fits]
+    for n, n_rngs in zip(ns, rngs):
+        for rng in n_rngs:  # each replication's stream: its sample, then its fit seed
+            samples.append(mixture.sample_mixture(truth, n, seed=rng))
+            seeds.append(int(rng.integers(2**63)))
+    fits = iter(mixture.select_k_batch(samples, p["k_candidates"], hyper, seeds))
+    return [[mixture.hellinger_to_truth(next(fits)[1], f0, grid) for _ in n_rngs] for n_rngs in rngs]
 
 
 def _run_expfamily_hellinger_batch(p, ns, rngs):
@@ -442,12 +444,15 @@ class ModelSpec:
     ``runner`` maps (parsed params, the n grid, one list of rngs per n)
     to one array of metrics per n, with an error naming the n it arose at.
     The replications are fitted as stacks in blocks, each drawn from its
-    own rng only, so the table does not depend on batching: the sieve,
-    change-point and mixture runners take one n at a time through _per_n,
-    and expfamily stacks the rows of every n in one ascent.  A stacked
-    expfamily row ascends with its own n on the ELBO rule of its k, or,
-    once its draws cross the ||theta||_1 cap, from its first step again on
-    the 512-node rule, as a fit alone would.
+    own rng only, so the table does not depend on batching: the sieve and
+    change-point runners take one n at a time through _per_n, while
+    expfamily stacks the rows of every n in one ascent and the mixture
+    every (n, rep, k) row in one CAVI stack.  A stacked expfamily row
+    ascends with its own n on the ELBO rule of its k, or, once its draws
+    cross the ||theta||_1 cap, from its first step again on the 512-node
+    rule, as a fit alone would.  A stacked mixture row counts its own
+    sweeps and takes its per-point work in its n's block, so it too is the
+    fit it would be alone; errors of the mixture config name no n.
     The one exception is rounding: pc_markov_chain's kernel takes a
     replication's column sum move . P over the grid in one order alone and
     in another within a batch, which moved a risk by at most 4.7e-15
@@ -501,7 +506,7 @@ MODELS = {
     "trunc_exact_risk": ModelSpec("trunc-curve", None, _TRUNC_DEFAULTS, "trunc_curve_rows"),
     "pc_mean_field": ModelSpec("pc-compare", _per_n(_run_pc_mean_field_batch), _PC_MF_DEFAULTS),
     "pc_markov_chain": ModelSpec("pc-compare", _per_n(_run_pc_markov_chain_batch), _PC_CHAIN_DEFAULTS),
-    "mixture_hellinger": ModelSpec("mix-fit", _per_n(_run_mixture_hellinger_batch), _MIX_DEFAULTS),
+    "mixture_hellinger": ModelSpec("mix-fit", _run_mixture_hellinger_batch, _MIX_DEFAULTS),
     "expfamily_hellinger": ModelSpec("expfam-fit", _run_expfamily_hellinger_batch, _EXPFAM_DEFAULTS),
 }
 
@@ -518,10 +523,8 @@ def run_experiment(config: ExperimentConfig) -> RateTable:
     if spec is None or spec.runner is None:
         raise InputError(f"unknown model id {config.model!r}")
     params = parse_params(config.params, config.model)
-    rngs = [
-        [generator(config.master_seed, n, rep) for rep in range(config.replications)]
-        for n in config.n_grid
-    ]
+    index = np.arange(config.replications, dtype=np.uint64)
+    rngs = [generators(derive_seed(config.master_seed, n, index)) for n in config.n_grid]
     means, ses = [], []
     for vals in spec.runner(params, config.n_grid, rngs):
         vals = np.asarray(vals, dtype=float)

@@ -10,8 +10,8 @@ Model selection maximizes the converged bound plus the log prior weight
 of the component count (Poisson by default), ties to the smaller k.
 
 There is one coordinate ascent, _cavi_rows, and it fits a stack of rows
-at once: each row is one (sample, k) pair at a common n, padded to the
-stack's largest k.  Padded components get log-weight -inf, so their
+at once: each row is one (sample, k) pair, at that sample's own n, padded
+to the stack's largest k.  Padded components get log-weight -inf, so their
 responsibilities are exactly 0, and they are masked out of every term of
 the bound.  The -E[tau] x^2 term of the log-responsibilities is the same
 for every component and cancels in the normalization, so they are affine
@@ -26,13 +26,16 @@ the digamma-weighted E log w and E log tau terms cancel, so the bound is
 evaluated in that collapsed form.  The first sweep starts from equal
 E log w on the live components: the prior's value is one constant per
 row, which cancels in the responsibilities but swamps them at tiny
-alpha0.  One stopping rule holds for every row: it leaves the stack once
-its own bound moves by at most _TOL relative (absolute below 1), or
-after _MAX_SWEEPS sweeps.  The stack is cut into groups of at most
-_CAVI_CELLS (row, component, point) cells, so neither a row's result nor
-the memory depends on how many rows are fit together.  select_k_batch
-fits every candidate k of every sample this way; cavi_fixed_k and
-select_k are its one-row and one-sample cases.
+alpha0.  One stopping rule holds for every row, which counts its own
+sweeps: it leaves the stack once its own bound moves by at most _TOL
+relative (absolute below 1), or after _MAX_SWEEPS sweeps.  Rows join the
+stack in row order as others leave, while it holds at most _CAVI_CELLS
+(row, component, point) cells, and a sweep's per-point work runs on one
+block per distinct n, so neither a row's result nor the memory depends
+on how many rows, or which n, are fit together.  select_k_batch fits
+every candidate k of every sample, of any lengths, this way, and keeps
+each sample's best state as its rows finish; cavi_fixed_k and select_k
+are its one-row and one-sample cases.
 
 Plain coordinate ascent crawls along the flat directions of a redundant
 component, so a row still running at sweep _S0 = 20 over-relaxes its
@@ -52,7 +55,7 @@ A row that stops before _S0 is plain CAVI, bit for bit.
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -91,7 +94,8 @@ def _kernel(x: np.ndarray, sigma: float) -> np.ndarray:
     from scipy.special import gammaln
 
     log_norm = math.log(2.0 * sigma) + gammaln(1.5)
-    return np.exp(-np.abs(x / sigma) ** 2 - log_norm)
+    with np.errstate(over="ignore"):  # a square past the float range has density exp(-inf) = 0
+        return np.exp(-np.abs(x / sigma) ** 2 - log_norm)
 
 
 @dataclass(frozen=True)
@@ -173,7 +177,7 @@ class GMFState:
 
 
 # The batched fit holds at most this many (row, component, point) cells in
-# one stack, so its memory grows with neither replications nor candidates.
+# one stack, so its memory grows with neither replications, candidates nor n grid.
 _CAVI_CELLS = 1 << 17
 # A fit stops once its bound moves by at most _TOL relative (absolute below
 # 1), or after _MAX_SWEEPS sweeps.
@@ -192,33 +196,122 @@ def _init_centers(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
     return qs + 0.01 * x.std() * rng.standard_normal(k)
 
 
-def _cavi_rows(samples, rows, hyper: MixtureHyper, k_max: int):
-    """Coordinate ascent for a sequence of rows; yields one GMFState per row, in order.
+class _Stack(NamedTuple):
+    """The per-row fields of a CAVI stack, its rows sorted by n (in joining order within an n).
 
-    Row (i, k, seed) fits samples[i] with k components, its centers
-    initialized from seed (a Generator or a seed for one).  The rows go
-    through the sweep in groups of at most _CAVI_CELLS cells, each padded to
-    k_max components, and only one group is held at a time.  A row leaves
-    its group at the sweep where its own bound stops moving (or at
-    _MAX_SWEEPS), so its trace, flag and state do not depend on the rows it
-    was grouped with.
+    Fixed for a row: its index, n, k, live mask and -inf padding, sample mean
+    c, q(tau) shape a and the terms of its bound that do not move.  Then its
+    last accepted CAVI point (m, v, alpha, e_tau, e_logw), with the centers m
+    less c, the start of its next sweep (m_s, e_logw_s), the factor eta that
+    start was over-relaxed by, its last bound and the sweeps it has run.
     """
-    n = samples.shape[1]
-    per_group = max(1, _CAVI_CELLS // (n * k_max))
-    for lo in range(0, len(rows), per_group):
-        group = rows[lo : lo + per_group]
-        x = samples[[i for i, _, _ in group]]
-        k = np.array([k for _, k, _ in group])
-        m, v = np.zeros((len(group), k_max)), np.ones((len(group), k_max))
-        for row, (_, kr, seed) in enumerate(group):
-            rng = np.random.default_rng(seed)
-            m[row, :kr] = _init_centers(x[row], kr, rng)
-            v[row, :kr] = x[row].var() / kr + 1e-6
-        yield from _cavi_group(x, k, m, v, hyper)
+
+    row: np.ndarray
+    n: np.ndarray
+    k: np.ndarray
+    live: np.ndarray
+    pad: np.ndarray
+    c: np.ndarray
+    a: np.ndarray
+    fixed: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    alpha: np.ndarray
+    e_tau: np.ndarray
+    e_logw: np.ndarray
+    m_s: np.ndarray
+    e_logw_s: np.ndarray
+    eta: np.ndarray
+    last: np.ndarray
+    sweep: np.ndarray
 
 
-def _cavi_group(x, k, m, v, hyper: MixtureHyper):
-    """Run one (rows, k_max, n) stack to the end; GMFStates in row order.
+def _start_rows(samples, joining, hyper: MixtureHyper, k_max: int):
+    """The _Stack of the rows joining a stack (None for no rows), and one moments block per n.
+
+    joining holds (row index, (i, k, seed)) pairs in row order.  Each row's
+    centers are drawn from its seed, and its data are taken about its
+    sample's mean c: with y = x - c, a block holds each row's (1, y, y^2).
+    """
+    from scipy.special import gammaln
+
+    a0, b0, alpha0 = hyper.a0, hyper.b0, hyper.alpha0
+    fields, blocks = [], {}
+    for n in sorted({samples[i].size for _, (i, _, _) in joining}):
+        group = [(row, i, k, seed) for row, (i, k, seed) in joining if samples[i].size == n]
+        rows = len(group)
+        x = np.stack([samples[i] for _, i, _, _ in group])
+        k = np.array([k for _, _, k, _ in group])
+        m, v = np.zeros((rows, k_max)), np.ones((rows, k_max))
+        for j, (_, _, kj, seed) in enumerate(group):
+            m[j, :kj] = _init_centers(x[j], kj, np.random.default_rng(seed))
+            v[j, :kj] = x[j].var() / kj + 1e-6
+        live = (np.arange(k_max) < k[:, None]).astype(float)
+        c = x.mean(axis=1, keepdims=True)
+        blocks[n] = moments = np.empty((rows, n, 3))
+        moments[..., 0] = 1.0
+        y = np.subtract(x, c, out=moments[..., 1])
+        np.multiply(y, y, out=moments[..., 2])
+        # q(tau) has shape a0 + n / 2 after the first cycle, whatever the data
+        a = a0 + 0.5 * n
+        # the terms of the bound that are fixed per row: the normalizers of the
+        # priors on w (Dir(alpha0) on the row's k components) and tau, gammaln(a)
+        # from the entropy of q(tau), and the constant of the likelihood
+        fixed = (
+            gammaln(k * alpha0) - k * gammaln(alpha0)
+            + a0 * math.log(b0) - gammaln(a0)
+            + gammaln(a) - 0.5 * n * math.log(math.pi)
+        )
+        m, e_logw = m - c, np.zeros((rows, k_max))
+        fields.append(_Stack(
+            row=np.array([row for row, _, _, _ in group]), n=np.full(rows, n), k=k, live=live,
+            pad=np.where(live > 0, 0.0, -np.inf), c=c, a=np.full(rows, a), fixed=fixed,
+            m=m, v=v, alpha=np.full((rows, k_max), alpha0), e_tau=np.full((rows, 1), a0 / b0),
+            e_logw=e_logw, m_s=m, e_logw_s=e_logw, eta=np.ones((rows, 1)),
+            last=np.zeros(rows), sweep=np.zeros(rows, dtype=int),
+        ))
+    new = _Stack(*(np.concatenate(field) for field in zip(*fields))) if fields else None
+    return new, blocks
+
+
+def _restack(stack, keep, blocks, new, new_blocks):
+    """The kept rows of a stack and the new ones, sorted by n, with their blocks.
+
+    Only the block of an n that loses or gains rows is rebuilt.
+    """
+    if stack is None:
+        return new, new_blocks
+    out = {}
+    for n in sorted(set(blocks) | set(new_blocks)):
+        block, kept = blocks.get(n), keep[stack.n == n]
+        if block is not None and not kept.all():
+            block = block[kept]
+        if n in new_blocks:
+            block = new_blocks[n] if block is None else np.concatenate((block, new_blocks[n]))
+        if block.shape[0]:
+            out[n] = block
+    stack = _Stack(*(field[keep] for field in stack))
+    if new is not None:
+        stack = _Stack(*(np.concatenate(pair) for pair in zip(stack, new)))
+        order = np.concatenate([np.flatnonzero(stack.n == n) for n in out])
+        stack = _Stack(*(field[order] for field in stack))
+    return stack, out
+
+
+def _cavi_rows(samples, rows, hyper: MixtureHyper, k_max: int):
+    """Coordinate ascent for a sequence of rows; yields (row index, GMFState) as each row finishes.
+
+    Row (i, k, seed) fits samples[i], a 1-d array of any length, with k
+    components, its centers initialized from seed (a Generator or a seed
+    for one).  The rows run as one stack padded to k_max components: they
+    join it in row order while the cells held, k_max times each row's n,
+    stay within _CAVI_CELLS (a row always joins an empty stack), and each
+    leaves at the sweep where its own bound stops moving, or at its own
+    _MAX_SWEEPS-th sweep.  Every row counts its own sweeps, and a sweep's
+    cell work runs on one (rows_n, k_max, n) block per distinct n, with no
+    row padded along its points, so a row's trace, flag and state do not
+    depend on the rows it ran with.  When a row joins or leaves, only its
+    n's block is rebuilt.
 
     Each sweep cycles responsibilities -> q(w) -> q(mu) -> q(tau) and
     evaluates the bound after the full cycle.  With y = x - c, c the row's
@@ -237,53 +330,58 @@ def _cavi_group(x, k, m, v, hyper: MixtureHyper):
     first sweep starts from E log w = 0 on the live components, not from the
     prior's digamma(alpha0) - digamma(k alpha0), about -1 / alpha0, which is
     one constant per row but swamps the responsibilities at tiny alpha0.
-    _TOL and _MAX_SWEEPS stop each row.  From sweep _S0 on the rows still
-    running take the over-relaxed steps of the module docstring; m_s and
-    e_logw_s hold each row's start.
+    From its sweep _S0 on a row still running takes the over-relaxed steps
+    of the module docstring; m_s and e_logw_s hold each row's start.
     """
     from scipy.special import digamma, gammaln
 
-    rows, n = x.shape
-    k_max = m.shape[1]
-    ids = np.arange(rows)
-    live = (np.arange(k_max) < k[:, None]).astype(float)
-    pad = np.where(live > 0, 0.0, -np.inf)
-    # y = x - c, and m holds the centers less c
-    c = x.mean(axis=1, keepdims=True)
-    y = x - c
-    m = m - c
-    moments = np.stack([np.ones_like(y), y, y * y], axis=2)  # (rows, n, 3)
-    a0, b0, alpha0, s0 = hyper.a0, hyper.b0, hyper.alpha0, hyper.sigma0_sq
-    # q(tau) has shape a0 + n / 2 after the first cycle, whatever the data
-    a = a0 + 0.5 * n
-    # the terms of the bound that are fixed per row: the normalizers of the
-    # priors on w (Dir(alpha0) on the row's k components) and tau, gammaln(a)
-    # from the entropy of q(tau), and the constant of the likelihood
-    fixed = (
-        gammaln(k * alpha0) - k * gammaln(alpha0)
-        + a0 * math.log(b0) - gammaln(a0)
-        + gammaln(a) - 0.5 * n * math.log(math.pi)
-    )
+    b0, alpha0, s0 = hyper.b0, hyper.alpha0, hyper.sigma0_sq
     log_mu0 = -0.5 * math.log(2 * math.pi * s0)
-
-    alpha = np.full((rows, k_max), alpha0)
-    e_tau = np.full((rows, 1), a0 / b0)
-    e_logw = np.zeros((rows, k_max))
-    # a sweep starts from (m_s, v, e_tau, e_logw_s); (m, v, alpha, e_tau, e_logw)
-    # is the last accepted CAVI point, and eta the factor each row's start was
-    # over-relaxed by (1 for a plain sweep, which starts at that point)
-    m_s, e_logw_s = m, e_logw
-    eta = np.ones((rows, 1))
-    traces = [[] for _ in range(rows)]
-    out = [None] * rows
-    for sweep in range(_MAX_SWEEPS):
+    stack, blocks, done, joined, traces = None, {}, None, 0, {}
+    # the most cells the stack ever holds: _CAVI_CELLS, or one row past it, or every row
+    sizes = [k_max * samples[i].size for i, _, _ in rows]
+    buffer = np.empty(min(sum(sizes), max(_CAVI_CELLS, max(sizes, default=0))))
+    while True:
+        if done is None or done.any():
+            # the rows that finished leave, and the next rows join while their cells fit
+            keep = None if stack is None else ~done
+            held = 0 if stack is None else k_max * int(stack.n[keep].sum())
+            joining = []
+            while joined < len(rows):
+                cells = k_max * samples[rows[joined][0]].size
+                if held and held + cells > _CAVI_CELLS:
+                    break
+                held += cells
+                joining.append((joined, rows[joined]))
+                joined += 1
+            if not held:
+                return
+            stack, blocks = _restack(stack, keep, blocks, *_start_rows(samples, joining, hyper, k_max))
+            traces.update((row, []) for row, _ in joining)
+            # each block's rows in the stack, in n order, and its cells in the one buffer
+            # that takes every block's logits and then its responsibilities
+            spans, views, lo, offset = [], [], 0, 0
+            for moments in blocks.values():
+                rows_n, n = moments.shape[:2]
+                spans.append((lo, lo + rows_n))
+                views.append(buffer[offset : offset + rows_n * k_max * n].reshape(rows_n, k_max, n))
+                lo, offset = lo + rows_n, offset + rows_n * k_max * n
+        ids, _, k, live, pad, c, a, fixed, m, v, alpha, e_tau, e_logw, m_s, e_logw_s, eta, last, sweep = stack
         A = e_logw_s - e_tau * (m_s * m_s + v)
         B = 2.0 * e_tau * m_s
         prev = m, v, alpha, e_tau, e_logw  # the last accepted CAVI point
-        lse, r = _logsumexp_weights((A + pad)[:, :, None] + B[:, :, None] * y[:, None, :], axis=1)
-        stats = r @ moments
+        logits_a = A + pad
+        stats, lse_sums, weights = [], [], []
+        for (lo_n, hi_n), moments, z in zip(spans, blocks.values(), views):
+            np.multiply(B[lo_n:hi_n, :, None], moments[:, None, :, 1], out=z)  # B y
+            z += logits_a[lo_n:hi_n, :, None]
+            lse, r = _logsumexp_weights(z, axis=1, out=z)
+            stats.append(r @ moments)
+            lse_sums.append(lse.sum(axis=1))
+            weights.append(r)
+        stats = np.concatenate(stats)
         N, S1, S2 = stats[..., 0], stats[..., 1], stats[..., 2]
-        h_assign = lse.sum(axis=1) - (A * N + B * S1).sum(axis=1)
+        h_assign = np.concatenate(lse_sums) - (A * N + B * S1).sum(axis=1)
 
         alpha = alpha0 + N
         v = 1.0 / (1.0 / s0 + 2.0 * e_tau * N)
@@ -303,65 +401,56 @@ def _cavi_group(x, k, m, v, hyper: MixtureHyper):
         )
         elbo = fixed + (per_k * live).sum(axis=1) - gammaln(alpha_hat) - a * np.log(b) + h_assign
 
-        if sweep:
-            stop = np.abs(elbo - last) <= _TOL * np.maximum(1.0, np.abs(elbo))
-        else:
-            stop = np.zeros(ids.size, dtype=bool)
-        stand = np.ones(ids.size, dtype=bool)
-        if sweep >= _S0:
-            # an over-relaxed sweep stands only if its bound is finite and no
-            # lower than the last one; otherwise the row goes back to prev
-            stand = (eta[:, 0] == 1.0) | (np.isfinite(elbo) & (elbo >= last))
-            eta = np.where(stand[:, None], np.minimum(_ETA_GROWTH * eta, _ETA_MAX), 1.0)
-            back = ~stand
-            if back.any():
-                for new, old in zip((m, v, alpha, e_tau, e_logw), prev):
-                    new[back] = old[back]
-                elbo[back], stop[back] = last[back], False
-        last = elbo
-        for i, value in zip(ids[stand], elbo[stand].tolist()):
+        # a row's first sweep has no bound to compare with; last holds a 0 there
+        stop = (sweep > 0) & (np.abs(elbo - last) <= _TOL * np.maximum(1.0, np.abs(elbo)))
+        # an over-relaxed sweep stands only if its bound is finite and no lower
+        # than the last one; otherwise the row goes back to prev.  Rows before
+        # their sweep _S0 keep eta = 1, so their sweeps all stand
+        stand = (eta[:, 0] == 1.0) | (np.isfinite(elbo) & (elbo >= last))
+        # the next start is over-relaxed by the grown eta, except after a dropped
+        # sweep, and before sweep _S0 or at the last two sweeps, which are plain
+        grow = stand & (sweep >= _S0) & (sweep + 2 < _MAX_SWEEPS)
+        eta = np.where(grow[:, None], np.minimum(_ETA_GROWTH * eta, _ETA_MAX), 1.0)
+        back = ~stand
+        if back.any():
+            for new, old in zip((m, v, alpha, e_tau, e_logw), prev):
+                new[back] = old[back]
+            elbo[back], stop[back] = last[back], False
+        for i, value in zip(ids[stand].tolist(), elbo[stand].tolist()):
             traces[i].append(value)
         done = stop | (sweep + 1 == _MAX_SWEEPS)
-        for j in np.flatnonzero(done):
-            kj, i = int(k[j]), ids[j]
-            out[i] = GMFState(
-                k=kj,
-                mu_mean=mu[j, :kj].copy(),
-                mu_var=v[j, :kj].copy(),
-                w_concentration=alpha[j, :kj].copy(),
-                tau_shape=float(a),
-                tau_rate=float(b[j]),
-                responsibilities=np.ascontiguousarray(r[j, :kj].T),
-                elbo_trace=tuple(traces[i]),
-                converged=bool(stop[j]),
-                hyper=hyper,
-            )
-        if done.all():
-            break
-        m_prev, alpha_prev = prev[0], prev[2]
-        if done.any():
-            keep = ~done
-            ids, k, live, pad, c, y, moments = (
-                ids[keep], k[keep], live[keep], pad[keep], c[keep], y[keep], moments[keep]
-            )
-            m, v, alpha, e_tau, e_logw, fixed, last = (
-                m[keep], v[keep], alpha[keep], e_tau[keep], e_logw[keep], fixed[keep], last[keep]
-            )
-            m_prev, alpha_prev, eta = m_prev[keep], alpha_prev[keep], eta[keep]
-        if sweep >= _S0 and sweep + 2 < _MAX_SWEEPS:
+        for (lo_n, hi_n), r in zip(spans, weights) if done.any() else ():
+            for j in np.flatnonzero(done[lo_n:hi_n]) + lo_n:
+                kj, i = int(k[j]), int(ids[j])
+                yield i, GMFState(
+                    k=kj,
+                    mu_mean=mu[j, :kj].copy(),
+                    mu_var=v[j, :kj].copy(),
+                    w_concentration=alpha[j, :kj].copy(),
+                    tau_shape=float(a[j]),
+                    tau_rate=float(b[j]),
+                    responsibilities=r[j - lo_n, :kj].T.copy(),  # a copy even at k = 1
+                    elbo_trace=tuple(traces.pop(i)),
+                    converged=bool(stop[j]),
+                    hyper=hyper,
+                )
+        step = eta > 1.0
+        if step.any():
             # theta + eta (theta_C - theta) from the two last accepted points.  Stepping
             # from the over-relaxed start instead would grow by (1 - eta) per sweep the
             # directions the sweep pins, such as a well-separated component's mean,
             # which the bound does not see until they overflow
-            step = eta > 1.0
+            m_prev, alpha_prev = prev[0], prev[2]
             alpha_x = alpha_prev * (alpha / alpha_prev) ** eta
             e_logw_x = digamma(alpha_x) - digamma((alpha_x * live).sum(axis=1))[:, None]
             m_s = np.where(step, m_prev + eta * (m - m_prev), m)
             e_logw_s = np.where(step, e_logw_x, e_logw)
         else:
             m_s, e_logw_s = m, e_logw
-            eta[:] = 1.0
-    return out
+        stack = stack._replace(
+            m=m, v=v, alpha=alpha, e_tau=e_tau, e_logw=e_logw, m_s=m_s, e_logw_s=e_logw_s,
+            eta=eta, last=elbo, sweep=sweep + 1,
+        )
 
 
 def cavi_fixed_k(
@@ -377,11 +466,11 @@ def cavi_fixed_k(
     to float roundoff (a decrease beyond 1e-9 would indicate a bug, and
     the tests enforce that).  This is the one-row case of the batched fit.
     """
-    x = data_array(data, "data")[None, :]
+    x = data_array(data, "data")
     if k < 1:
         raise InputError("k must be at least 1")
     k = int(k)
-    return next(_cavi_rows(x, [(0, k, seed)], hyper, k))
+    return next(_cavi_rows([x], [(0, k, seed)], hyper, k))[1]
 
 
 def select_k_batch(
@@ -390,34 +479,38 @@ def select_k_batch(
     hyper: MixtureHyper,
     seeds: Sequence[int],
 ) -> list:
-    """select_k for each row of an (R, n) stack of samples, in one batched fit.
+    """select_k for each of a list of samples, of any lengths, in one stacked fit.
 
-    Row r is fit at every candidate k from derive_seed(seeds[r], k); the
-    result is [(k, state)] in row order, equal to select_k(samples[r],
-    k_candidates, hyper, seeds[r]) for each r.
+    An (R, n) array gives its R rows.  Sample r is fit at every candidate k
+    from derive_seed(seeds[r], k); the result is [(k, state)] in sample
+    order, equal to select_k(samples[r], k_candidates, hyper, seeds[r]) for
+    each r.  Rows finish in any order, and each sample holds only its best
+    state so far.
     """
     from scipy.special import gammaln
 
-    x = data_array(samples, "samples", 2)
+    if not isinstance(samples, (list, tuple)):
+        samples = data_array(samples, "samples", 2)
+    xs = [data_array(x, "samples") for x in samples]
+    if not xs:
+        raise InputError("need at least one sample")
     cands = sorted(set(int(k) for k in k_candidates))
     if not cands:
         raise InputError("need at least one candidate k")
     if cands[0] < 1:
         raise InputError(f"candidate k must be at least 1, got {cands[0]}")
-    if len(seeds) != x.shape[0]:
-        raise InputError(f"need one seed per sample, got {len(seeds)} for {x.shape[0]}")
-    rows = [(rep, k, derive_seed(seed, k)) for rep, seed in enumerate(seeds) for k in cands]
-    states = _cavi_rows(x, rows, hyper, cands[-1])
-    out = []
-    for _ in seeds:  # each sample's candidates come out together, in increasing k
-        best = None
-        for k in cands:
-            state = next(states)
-            score = state.elbo + k * math.log(hyper.xi0) - hyper.xi0 - gammaln(k + 1.0)
-            if best is None or score > best[0]:
-                best = (score, k, state)
-        out.append(best[1:])
-    return out
+    if len(seeds) != len(xs):
+        raise InputError(f"need one seed per sample, got {len(seeds)} for {len(xs)}")
+    rows = [(i, k, derive_seed(seed, k)) for i, seed in enumerate(seeds) for k in cands]
+    best = [None] * len(xs)
+    for row, state in _cavi_rows(xs, rows, hyper, cands[-1]):
+        i, k, _ = rows[row]
+        score = state.elbo + k * math.log(hyper.xi0) - hyper.xi0 - gammaln(k + 1.0)
+        if math.isnan(score):  # a scan in increasing k keeps a nan first and never picks one later
+            score = math.inf if k == cands[0] else -math.inf
+        if best[i] is None or (score, -k) > best[i][:2]:  # ties to the smaller k
+            best[i] = (score, -k, state)
+    return [(-neg_k, state) for _, neg_k, state in best]
 
 
 def select_k(
@@ -440,7 +533,8 @@ def _check_grid_density(f0, grid) -> tuple[np.ndarray, np.ndarray]:
     f0, grid = data_array(f0, "f0"), data_array(grid, "grid")
     if f0.shape != grid.shape:
         raise InputError("f0 must be tabulated on the grid")
-    total = float(np.trapezoid(f0, grid))
+    with np.errstate(over="ignore"):  # an integral past the float range is inf, and refused
+        total = float(np.trapezoid(f0, grid))
     if abs(total - 1.0) > 1e-3:
         raise InputError(f"f0 integrates to {total} on this grid; refine or widen it")
     return f0, grid

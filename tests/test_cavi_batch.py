@@ -8,6 +8,7 @@ from log(r).
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -200,10 +201,16 @@ def plain(monkeypatch):
     monkeypatch.setattr(mixture, "_S0", mixture._MAX_SWEEPS + 1)
 
 
+def in_row_order(states):
+    """The (row index, state) pairs of _cavi_rows, which come out as rows finish, as a list in row order."""
+    states = dict(states)
+    return [states[row] for row in range(len(states))]
+
+
 def fit_rows(samples, seeds, candidates):
     rows = [(i, k, derive_seed(s, k)) for i, s in enumerate(seeds) for k in candidates]
     k_max = max(candidates)
-    return list(mixture._cavi_rows(samples, rows, HYPER, k_max))
+    return in_row_order(mixture._cavi_rows(samples, rows, HYPER, k_max))
 
 
 @pytest.mark.parametrize("seed,n,reps", [(0, 200, 3), (2, 60, 4), (10, 800, 2)])
@@ -238,9 +245,9 @@ def test_overshooting_step_is_dropped(monkeypatch):
     x, seed = samples[1], derive_seed(seeds[1], 4)
     sweeps = []
 
-    def counting(z, axis):
+    def counting(z, axis, out=None):
         sweeps.append(z.shape[0])
-        return lse(z, axis)
+        return lse(z, axis, out)
 
     lse = mixture._logsumexp_weights
     monkeypatch.setattr(mixture, "_logsumexp_weights", counting)
@@ -288,18 +295,18 @@ def test_padded_components_are_inert(monkeypatch):
     rows = [(i, k, derive_seed(s, k)) for i, s in enumerate(seeds) for k in (1, 2)]
     weights = []
 
-    def recording(x, axis):
-        lse, r = mixture_lse(x, axis)
+    def recording(x, axis, out=None):
+        lse, r = mixture_lse(x, axis, out)
         weights.append(r.copy())
         return lse, r
 
     mixture_lse = mixture._logsumexp_weights
     monkeypatch.setattr(mixture, "_logsumexp_weights", recording)
-    padded = list(mixture._cavi_rows(samples, rows, HYPER, 4))
+    padded = in_row_order(mixture._cavi_rows(samples, rows, HYPER, 4))
     monkeypatch.undo()
     assert weights and all(r.shape[1] == 4 and not r[:, 2:].any() for r in weights)
     for (i, k, seed), state in zip(rows, padded):
-        alone = next(mixture._cavi_rows(samples, [(i, k, seed)], HYPER, k))
+        (_, alone), = mixture._cavi_rows(samples, [(i, k, seed)], HYPER, k)
         assert state.responsibilities.shape == (250, k)
         np.testing.assert_allclose(state.responsibilities.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert_same(state, alone, rtol=1e-12, atol=1e-15)
@@ -327,6 +334,68 @@ def test_grouping_does_not_change_any_bit(monkeypatch):
     assert [k for k, _ in grouped] == singles
 
 
+def ragged(seed):
+    """Two samples at each of n = 150, 333 and 1000, the n interleaved, and a fit seed each."""
+    truth = MixtureModel(2, np.array([-3.0, 3.0]), np.array([0.5, 0.5]), 0.5)
+    rng = np.random.default_rng([seed, 25])
+    samples = [mixture.sample_mixture(truth, n, seed=rng) for n in (333, 1000, 150, 1000, 150, 333)]
+    return samples, [int(rng.integers(2**63)) for _ in samples]
+
+
+@pytest.mark.parametrize("cells", [1, 4096, None], ids=["row-alone", "4096-cells", "default-cells"])
+@pytest.mark.parametrize("seed", [21, 22])
+def test_stack_over_several_n_is_the_per_n_fits(monkeypatch, seed, cells):
+    # rows of three n share one stack and join it as others finish, each counting its
+    # own sweeps, yet every state, trace and flag is the one its n's stack gives, bit
+    # for bit, and every row is that row fit alone at the same padding
+    samples, seeds = ragged(seed)
+    want = {}
+    for n in (150, 333, 1000):
+        at_n = [i for i, x in enumerate(samples) if x.size == n]
+        x, n_seeds = np.stack([samples[i] for i in at_n]), [seeds[i] for i in at_n]
+        want.update(zip(at_n, mixture.select_k_batch(x, CANDIDATES, HYPER, n_seeds)))
+    rows = [(i, k, derive_seed(s, k)) for i, s in enumerate(seeds) for k in CANDIDATES]
+    alone = [next(mixture._cavi_rows(samples, [row], HYPER, 4))[1] for row in rows]
+    assert max(len(state.elbo_trace) for state in alone) > mixture._S0  # some rows over-relax
+    if cells is not None:
+        monkeypatch.setattr(mixture, "_CAVI_CELLS", cells)
+    for i, (k, state) in enumerate(mixture.select_k_batch(samples, CANDIDATES, HYPER, seeds)):
+        assert k == want[i][0]
+        assert_same(state, want[i][1])
+    for state, single in zip(in_row_order(mixture._cavi_rows(samples, rows, HYPER, 4)), alone):
+        assert_same(state, single)
+
+
+def scan(elbos, hyper):
+    """The component count select_k picks by scanning candidates 1, 2, ... in increasing order."""
+    best = None
+    for k, elbo in enumerate(elbos, start=1):
+        score = elbo + k * math.log(hyper.xi0) - hyper.xi0 - gammaln(k + 1.0)
+        if best is None or score > best[0]:
+            best = (score, k)
+    return best[1]
+
+
+@pytest.mark.parametrize("elbos, want", [
+    ((math.inf, math.inf, 0.0), 1),
+    ((-math.inf, -math.inf, -math.inf), 1),
+    ((math.nan, 5.0, 6.0), 1),
+    ((5.0, math.nan, 6.0), 3),
+    ((-math.inf, math.nan, -math.inf), 1),
+    ((0.0, 1e9, math.nan), 2),
+])
+@pytest.mark.parametrize("order", ["first-k-first", "last-k-first"])
+def test_selection_is_the_increasing_k_scan_in_any_finishing_order(monkeypatch, elbos, want, order):
+    def finishing(samples, rows, hyper, k_max):
+        for row in range(len(rows)) if order == "first-k-first" else reversed(range(len(rows))):
+            yield row, SimpleNamespace(elbo=elbos[rows[row][1] - 1])
+
+    monkeypatch.setattr(mixture, "_cavi_rows", finishing)
+    (k, state), = mixture.select_k_batch([np.zeros(5)], [1, 2, 3], HYPER, [0])
+    assert k == scan(elbos, HYPER) == want
+    assert state.elbo is elbos[want - 1]
+
+
 def test_batch_input_checks():
     samples, seeds = stack(7, 50, 2)
     with pytest.raises(InputError):
@@ -341,20 +410,24 @@ def test_batch_input_checks():
         mixture.select_k_batch(bad, CANDIDATES, HYPER, seeds)
 
 
-def _fit_peak(reps):
-    truth = MixtureModel(2, np.array([-3.0, 3.0]), np.array([0.5, 0.5]), 0.5)
-    samples, seeds = stack(8, 1600, reps, truth)
+def _fit_peak(reps, ns):
+    samples, seeds = [], []
+    for n in ns:
+        at_n, n_seeds = stack(8, n, reps)
+        samples += list(at_n)
+        seeds += n_seeds
     tracemalloc.start()
     try:
         fits = mixture.select_k_batch(samples, [1, 2], HYPER, seeds)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(fits) == reps
+    assert len(fits) == reps * len(ns)
     return peak - held  # working memory beyond the selected states returned
 
 
 def test_batch_memory_does_not_grow_with_replications(monkeypatch):
-    monkeypatch.setattr(mixture, "_CAVI_CELLS", 2 * 1600 * 2)  # two rows per group
-    small, large = _fit_peak(4), _fit_peak(40)
-    assert large <= 1.5 * small
+    monkeypatch.setattr(mixture, "_CAVI_CELLS", 2 * 1600 * 2)  # two rows of n = 1600 at a time
+    for ns in ((1600,), (400, 800, 1600)):
+        small, large = _fit_peak(4, ns), _fit_peak(40, ns)
+        assert large <= 1.5 * small, ns

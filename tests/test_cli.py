@@ -330,6 +330,20 @@ def test_coarse_mix_fit_grid_exits_before_the_fits(tmp_path, capsys, monkeypatch
     assert "f0 integrates to" in capsys.readouterr().err.splitlines()[-1]
 
 
+@pytest.mark.parametrize(
+    "truth",
+    [{"sigma": 1e-300}, {"mu": [-1e200, 1e200]}, {"mu": [-3.0, 1e200], "sigma": 1e-300}],
+    ids=["tiny-sigma", "huge-mu", "both"],
+)
+def test_truth_past_float_range_exits_2(truth, tmp_path, capsys):
+    # the kernel's square overflows to exp(-inf) = 0 and an overflowing integral is inf, with
+    # no RuntimeWarning (an error in this suite) on the way to the grid check's one error line
+    cfg = write_config(tmp_path, "cfg.json", _config("mix-fit", {"truth": truth}))
+    assert main(["mix-fit", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: f0 integrates to"), err
+
+
 def test_numeric_failures_exit_3(tmp_path, capsys, monkeypatch):
     # a tiny K_max cap makes the truncation-binding guard fire, and a K_max limit
     # equal to that cap leaves it no room to refit

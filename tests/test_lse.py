@@ -103,6 +103,17 @@ def test_weights_share_the_logsumexp(shape, axis, offset):
     np.testing.assert_allclose(weights, softmax(x, axis=axis), rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+def test_weights_in_place_are_the_same_bits(axis):
+    x = _sample((400, 4), 50.0)
+    lse, weights = _logsumexp_weights(x, axis=axis)
+    buffer = x.copy()
+    lse_in, weights_in = _logsumexp_weights(buffer, axis=axis, out=buffer)
+    assert weights_in is buffer
+    np.testing.assert_array_equal(lse_in, lse)
+    np.testing.assert_array_equal(weights_in, weights)
+
+
 def test_weights_edge_rows_match_logsumexp():
     x = np.array(list(EDGE_ROWS.values()))
     with warnings.catch_warnings():

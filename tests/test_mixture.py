@@ -187,6 +187,22 @@ class TestSelectK:
         k_b, _ = select_k(rng.permutation(x), [1, 2, 3], seed=7)
         assert k_a == k_b
 
+    def test_states_own_their_arrays(self):
+        # a k = 1 state's responsibilities were once a view that kept its whole stack alive
+        x, _ = self.make_separated_data()
+        hyper = MixtureHyper()
+        states = [cavi_fixed_k(x, k, hyper, seed=k) for k in (1, 2, 4)]
+        states += [select_k(x, [1], hyper, seed=3)[1], select_k(x, [1, 2, 3], hyper, seed=3)[1]]
+        for samples in (np.stack([x, x[::-1]]), [x, x[:150], x[:150]]):
+            for k_candidates in ([1], [1, 2, 3, 4]):
+                seeds = list(range(len(samples)))
+                states += [s for _, s in mixture.select_k_batch(samples, k_candidates, hyper, seeds)]
+        assert {s.k for s in states} >= {1, 2}
+        for state in states:
+            for field in ("mu_mean", "mu_var", "w_concentration", "responsibilities"):
+                value = getattr(state, field)
+                assert value.base is None and value.flags.c_contiguous, (state.k, field)
+
     def test_empty_candidates_rejected(self):
         with pytest.raises(InputError):
             select_k(np.zeros(10), [])
