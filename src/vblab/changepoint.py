@@ -20,23 +20,27 @@ Both chain kernels are a diagonal plus a rank-one term: (1-p) + p g_b on
 the diagonal and p g_b off it for the per-site prior, 1 and e^lambda g_b
 for the tangent sweep.  One scaled linear-space smoother (_smooth) runs
 forward-backward on that structure in O(nG) time and memory, as in the
-change-point recursions of Fearnhead (2006), over a batch of datasets at
-once.  Messages keep the datasets on the contiguous axis, the expected
-loss rides under the backward message as an unnormalized second row,
-and each site applies the kernel once to both, as d P + (move . P):
-d = stay - move is the scalar 1-p, factored out of every step, or the
-column 1 - e^lambda g_b, and the column sum move . P, broadcast over the
-grid, uses no BLAS, so a dataset's bits depend neither on its place in
-the batch nor on the BLAS thread count.  grid_posterior and
+change-point recursions of Fearnhead (2006), over one dataset or over a
+whole n grid of batches at once.  The grid's groups are aligned at site
+0, and a group joins the backward pass at its own last site, so the pass
+takes max n sites, not their sum.  Messages keep the datasets on the
+contiguous axis, the expected loss rides under the backward message as an
+unnormalized second row, and each site applies the kernel once to both,
+as d P + (move . P): d = stay - move is the scalar 1-p, factored out of
+every step, or the column 1 - e^lambda g_b, and the column sum move . P,
+broadcast over the grid, uses no BLAS, so a dataset's bits depend neither
+on its place in the batch, nor on the groups beside it, nor on the BLAS
+thread count.  grid_posterior and
 fit_markov_vb are its single-dataset case, whose one block of sites
-becomes GridChain.weights; markov_chain_risks is its batched one, its
-emissions built in site blocks capped by a cell count.  GridChain
-derives marginals, pairwise tables and samples from it on demand.
+becomes GridChain.weights; markov_chain_risks is its batched one at one
+n and _grid_chain_risks the n grid's, their emissions built in site
+blocks capped by a cell count.  GridChain derives marginals, pairwise
+tables and samples from it on demand.
 """
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -188,8 +192,8 @@ def snap_to_grid(signal: PiecewiseSignal, grid: np.ndarray) -> PiecewiseSignal:
     Used by the rate experiments so that grid quantization (an O(1/G^2)
     floor per site) does not contaminate the contraction measurement.
     """
-    idx = np.argmin(np.abs(signal.values[:, None] - grid[None, :]), axis=1)
-    snapped = grid[idx]
+    levels, at = np.unique(signal.values, return_inverse=True)  # each distinct level snapped once
+    snapped = grid[np.argmin(np.abs(levels[:, None] - grid[None, :]), axis=1)][at]
     pieces = 1 + int(np.sum(snapped[1:] != snapped[:-1]))
     return PiecewiseSignal(values=snapped, k_star=pieces, B=float(max(signal.B, np.max(np.abs(snapped)))))
 
@@ -416,6 +420,8 @@ _TOL = 1e-8
 _MAX_SWEEPS = 500
 # markov_chain_risks streams emission blocks of at most _SMOOTH_CELLS (site, value, replication) cells.
 _SMOOTH_CELLS = 1 << 18
+# GridChain._forward takes its step factors in blocks of at most _FORWARD_CELLS (step, value) cells.
+_FORWARD_CELLS = 1 << 15
 
 
 def _step_factors(stay: np.ndarray, move: np.ndarray, weights: np.ndarray):
@@ -494,15 +500,21 @@ class GridChain:
             return np.log(self.transitions)
 
     def _forward(self):
-        """Yield each later site's marginal and the part of it that arrived by a change."""
-        st, mv, norm = _step_factors(self.stay, self.move, self.weights)
-        np.maximum(norm, _TINY, out=norm)  # a row with zero sum is unreachable
+        """Yield each later site's marginal and the part of it that arrived by a change.
+
+        The step factors are taken a block of steps at a time, so the pass
+        holds no (n-1, G) table; each step's factors are its own row's.
+        """
         m = self.initial
-        for i in range(self.n_sites - 1):
-            u = m / norm[i]
-            moved = mv[i] * (u.sum() - u)
-            m = st[i] * u + moved
-            yield m, moved
+        steps = max(1, _FORWARD_CELLS // self.grid.size)
+        for lo in range(0, self.n_sites - 1, steps):
+            st, mv, norm = _step_factors(self.stay, self.move, self.weights[lo : lo + steps])
+            np.maximum(norm, _TINY, out=norm)  # a row with zero sum is unreachable
+            for i in range(st.shape[0]):
+                u = m / norm[i]
+                moved = mv[i] * (u.sum() - u)
+                m = st[i] * u + moved
+                yield m, moved
 
     def marginals(self) -> np.ndarray:
         """Site marginals by forward propagation of the transitions."""
@@ -544,115 +556,167 @@ class GridChain:
 
 def _smooth(
     log_first: np.ndarray,
-    X: np.ndarray,
+    X,
     sigma: float,
     grid: np.ndarray,
     diag,
-    move,
-    site_loss: Optional[np.ndarray] = None,
-    block: Optional[int] = None,
+    move: np.ndarray,
+    site_loss: Optional[Callable] = None,
+    cells: Optional[int] = None,
+    labels: Optional[list] = None,
 ):
-    """Scaled backward pass for a batch of diagonal-plus-rank-one chains.
+    """Scaled backward pass for diagonal-plus-rank-one chains: one dataset, or an n grid of batches.
 
-    The unnormalized chain of one dataset x (X itself, shape (n,), or a
-    row of a batch X of shape (R, n)) is
+    The unnormalized chain of one dataset x of n sites is
         exp(log_first[x_0] + e_0[x_0]) * prod_i K(x_i, x_{i+1}) exp(e_{i+1}[x_{i+1}])
     with the Gaussian log emissions e_i = -(grid - x_i)^2 / 2 sigma^2 and
     K(a, b) = diag[b] [a = b] + move[b]: stay = diag + move on the
-    diagonal and move off it, diag a scalar or a (G,) row and move a (G,)
-    row.  Emissions are built in blocks of `block` sites (all n when None)
-    from the last block back, O(block G R) at a time.  Messages are (G,)
-    for one dataset and (G, R) for a batch, datasets on the contiguous
-    axis, so each op runs one long inner loop.  Emission rows peak at one
-    and beta is rescaled to sum one, log Z accumulating the scales.  With
-    site_loss (n, G), U is stacked on beta: beta times the loss still
-    expected given the current value, unnormalized.  Each site adds
-    beta * site_loss to U, multiplies both rows by the emission to give P
-    and applies the kernel once as diag P + (move . P), the column sum
-    move . P broadcast over the grid.  That sum uses no BLAS (einsum, or a
-    product and an add reduction for one dataset), so each dataset's
-    column is reduced alone, in one order wherever it sits in the batch
-    and whatever the BLAS thread count.  A scalar diag d > 0 (1-p under
-    the per-site prior) is taken out of the kernel once per call,
-    K = d (I + 1 (move / d)^T), so a site adds P and (move / d) . P and
-    log Z gains (n-1) log d.  Both rows are then multiplied by the
-    reciprocal of the sum of beta, never divided by beta itself.  The
-    site loop allocates no array: its buffers are made once per call.
+    diagonal and move off it.  X is either one dataset (n,), whose diag is
+    a scalar or a (G,) row and whose move is a (G,) row, or a list of K
+    groups (n_k, data_k) with n_k increasing, whose diag holds one scalar
+    per group and whose move is (G, K), one column per group.
+    data_k(edges) gives group k's (R, n_k) batch of datasets cut at the
+    site edges 0, n_0, ..., n_k into (R, b - a) chunks.
+
+    The groups are aligned at site 0 and share one backward pass: group k
+    joins when the pass reaches its last site n_k - 1, with beta = 1 and
+    U = 0, in front of the groups already open, which change only at an
+    n_k.  Its data are asked for when it joins, and the chunks of every
+    open group are dropped once the pass leaves their sites, so the data
+    held never exceed (K - j) R n_j values at the join of group j.
+    Messages are (G,) for one dataset and (G, K, R) over the open groups,
+    contiguous, datasets on the last axis, so each op runs long inner
+    loops.  Emissions are built in site blocks that end on every n_k, from
+    the last block back, each of at most `cells` (site, value, dataset)
+    cells over the open groups (all sites up to the next n_k when None).
+    Emission rows peak at one.  With site_loss, U is stacked on beta: beta
+    times the loss still expected given the current value, unnormalized;
+    site_loss(j, lo, hi) gives the (hi - lo, G, K - j) loss of sites
+    lo..hi-1 for groups j..K-1.  Each site adds beta * loss to U,
+    multiplies both rows by the emission to give P and applies the kernel
+    once as diag P + (move . P), the column sum move . P broadcast over the
+    grid.  That sum uses no BLAS (einsum, or a product and an add reduction
+    for one dataset), so each dataset's column is reduced alone, in one
+    order wherever it sits in the batch, whichever groups share the pass
+    and whatever the BLAS thread count; a lone replication (R = 1) runs as
+    two equal columns, since numpy sums one contiguous column in another
+    order.  A scalar diag d > 0 (1-p under the per-site prior) is taken out
+    of the kernel once per group, K = d (I + 1 (move / d)^T), so a site adds
+    P and (move / d) . P and log Z gains (n-1) log d.  Both rows are then
+    multiplied by the reciprocal of the sum of beta, never divided by beta
+    itself, and log Z accumulates the sums.  The site loop allocates no
+    array: its buffers are made once per call, or per joining group.
 
     A diag column is negative wherever move exceeds stay (the tangent
     kernel at a large lambda).  The column sum still holds move[a] P[a],
     so entry a stays stay[a] P[a] + sum_(b != a) move[b] P[b],
     non-negative, up to a rounding of order eps move[a] P[a].
 
-    Returns (first-site marginals (G,) or (G, R), the step weights of the
-    last block read -- all n-1 steps, (n-1, G) or (n-1, G, R), for one
-    block without site_loss --, log Z (scalar or (R,)), the expected loss
-    sum_G U or None).
+    A NumericError of a group starts with its entry of labels, if given.
+    Returns (first-site marginals, (G,) or (G, K, R); for one dataset the
+    n-1 step weights (n-1, G), each the emission at site i+1 times its
+    backward message normalized to sum one, else None; log Z, a scalar or
+    (K, R); the expected loss sum_G U, (K, R), or None).
     """
-    n = X.shape[-1]
-    batch = X.shape[:-1]
     G = grid.size
-    block = n if block is None else block
-    column = (G,) + (1,) * len(batch)  # one value per grid point, broadcast over the datasets
-    if np.ndim(diag):
-        diag, log_z = np.reshape(diag, column), 0.0
-    else:  # K = d (I + 1 (move / d)^T): a scalar d > 0 leaves every step for log Z
-        diag, move, log_z = None, move / diag, (n - 1) * math.log(diag)
-    if site_loss is None:
-        beta = M = np.ones((G,) + batch)
-        U, spec = None, "g,g...->..."
-        col = col_out = np.empty(batch)
+    single = isinstance(X, np.ndarray)
+    if single:
+        ns, batch = [X.shape[-1]], ()
+        if np.ndim(diag):
+            diag, log_z = np.asarray(diag), 0.0
+        else:  # K = d (I + 1 (move / d)^T): a scalar d > 0 leaves every step for log Z
+            diag, move, log_z = None, move / diag, (ns[0] - 1) * math.log(diag)
+        M = beta = np.ones(G)
+        U, inv = None, np.empty(())
+        col, prod = np.empty(()), np.empty(G)
     else:
-        M = np.zeros((2, G) + batch)  # no loss is to come after the last site
-        beta, U = M
-        beta[...] = 1.0
-        loss = site_loss.reshape((n,) + column)
-        loss_beta = np.empty_like(beta)
-        col, spec = np.empty((2, 1) + batch), "g,kg...->k..."
-        col_out = col[:, 0]
-    prod = None if batch else np.empty(M.shape)
-    inv = np.empty(batch)
-    for hi in range(n, 0, -block):
-        lo = max(0, hi - block)
-        emis = _log_emissions(X[..., lo:hi], sigma, grid)  # (hi - lo, G) + batch
-        shift = emis.max(axis=1)
-        if not np.isfinite(shift).all():
-            raise NumericError("an observation is beyond reach of every grid value")
-        emis -= shift[:, None]
-        np.exp(emis, out=emis)
-        if lo == 0:
-            emis[0] *= np.exp(log_first).reshape(column)
-        scales = np.empty(shift.shape)  # one per site: site s closes step s - 1
-        for s in range(hi - 1, lo - 1, -1):
-            e, scale = emis[s - lo], scales[s - lo, ...]
+        ns, d = [n for n, _ in X], np.asarray(diag, dtype=float)
+        move, diag, log_z = move / d, None, (np.asarray(ns) - 1) * np.log(d)
+        chunks = [None] * len(ns)
+    edges = [0] + ns
+    for j in range(len(ns) - 1, -1, -1):  # the sites where groups j.. are open
+        if not single:  # group j joins in front, contiguous with the others: beta = 1 and U = 0
+            chunks[j] = X[j][1](edges[: j + 2])
+            if j == len(ns) - 1:  # the first group to join sets the width
+                width = chunks[j][0].shape[0]
+                R = max(width, 2)  # the sums over the grid of a lone column would take another order; it runs as two
+                log_z = np.repeat(log_z[:, None], R, axis=1)
+                M = np.empty((1 if site_loss is None else 2, G, 0, R))
+            if width == 1:
+                chunks[j] = [np.repeat(c, 2, axis=0) for c in chunks[j]]
+            joined = np.zeros(M.shape[:2] + (M.shape[2] + 1, R))
+            joined[0, :, 0] = 1.0
+            joined[:, :, 1:] = M
+            M, batch = joined, joined.shape[2:]
+            beta, U = M[0], M[1] if site_loss is not None else None
+            move_j, inv = np.ascontiguousarray(move[:, j:]), np.empty(batch)
+            col, loss_beta = np.empty((M.shape[0], 1) + batch), np.empty((G,) + batch)
+            col_sum = col[:, 0]
+        sites = edges[j + 1] - edges[j] if cells is None else max(1, cells // (G * inv.size))
+        for hi in range(edges[j + 1], edges[j], -sites):
+            lo = max(edges[j], hi - sites)
+            block = X[lo:hi] if single else np.stack([c[j][:, lo - edges[j] : hi - edges[j]] for c in chunks[j:]])
+            emis = e = None  # the last block's emissions go before this block's are made
+            emis = _log_emissions(block, sigma, grid)  # (hi - lo, G) + batch
+            shift = emis.max(axis=1)
+            if not np.isfinite(shift).all():
+                where = 0 if single else j + int(np.argmin(np.isfinite(shift).all(axis=(0, 2))))
+                raise _numeric(labels, where, "an observation is beyond reach of every grid value")
+            emis -= shift[:, None]
+            np.exp(emis, out=emis)
+            if lo == 0:
+                emis[0] *= np.exp(log_first).reshape((G,) + (1,) * len(batch))
             if U is not None:
-                U += np.multiply(beta, loss[s], out=loss_beta)
-            if s:
-                # alone, beta times the emission is the weight of step s - 1 and stays in its slot
-                P = np.multiply(M, e, out=e if U is None else M)
-                if batch:
-                    np.einsum(spec, move, P, out=col_out)
-                else:  # on G values a product and a reduction cost less than einsum's set-up
-                    np.add.reduce(np.multiply(P, move, out=prod), axis=-1, out=col_out)
-                if diag is None:
-                    np.add(P, col, out=M)
+                loss = site_loss(j, lo, hi)[..., None]
+            scales = np.empty(shift.shape)  # one per site: site s closes step s - 1
+            for s in range(hi - 1, lo - 1, -1):
+                e, scale = emis[s - lo], scales[s - lo, ...]
+                if U is not None:
+                    U += np.multiply(beta, loss[s - lo], out=loss_beta)
+                if s == 0:
+                    M *= e
+                elif single:
+                    # alone, beta times the emission is the weight of step s - 1 and stays in its slot;
+                    # on G values a product and a reduction cost less than einsum's set-up
+                    P = np.multiply(M, e, out=e)
+                    np.add.reduce(np.multiply(P, move, out=prod), axis=-1, out=col)
+                    if diag is None:
+                        np.add(P, col, out=M)
+                    else:
+                        np.multiply(P, diag, out=M)
+                        M += col
                 else:
-                    np.multiply(P, diag, out=M)
+                    P = np.multiply(M, e, out=M)
+                    np.einsum("gk,jgkr->jkr", move_j, P, out=col_sum)
                     M += col
+                M *= np.reciprocal(np.add.reduce(beta, axis=0, out=scale), out=inv)
+            if single:
+                log_z += (shift + np.log(scales)).sum(axis=0)
             else:
-                M *= e
-            M *= np.reciprocal(np.add.reduce(beta, axis=0, out=scale), out=inv)
-        log_z += (shift + np.log(scales)).sum(axis=0)
-    if not np.all(np.isfinite(log_z)):
-        raise NumericError("chain smoother underflowed: the data are impossible under the prior")
-    return beta, emis[1:], log_z, None if U is None else U.sum(axis=0)
+                log_z[j:] += (shift + np.log(scales)).sum(axis=0)
+        if not single:  # every open group's data of these sites is read
+            for c in chunks[j:]:
+                c[j] = None
+    bad = ~np.isfinite(log_z)
+    if bad.any():
+        where = 0 if single else int(np.argmax(bad.any(axis=1)))
+        raise _numeric(labels, where, "chain smoother underflowed: the data are impossible under the prior")
+    if single:
+        return beta, emis[1:], log_z, None
+    return beta[..., :width], None, log_z[:, :width], None if U is None else U.sum(axis=0)[:, :width]
+
+
+def _numeric(labels: Optional[list], group: int, message: str) -> NumericError:
+    """A NumericError whose message starts with the group's label, if there are labels."""
+    return NumericError(message if labels is None else f"{labels[group]}: {message}")
 
 
 def _log_emissions(X: np.ndarray, sigma: float, grid: np.ndarray) -> np.ndarray:
-    """-(t - X)^2 / 2 sigma^2 on the grid: (n, G) for one dataset X (n,), (n, G, R) for a batch (R, n)."""
-    out = grid.reshape((-1,) + (1,) * (X.ndim - 1)) - X.T[:, None, ...]
+    """-(t - X)^2 / 2 sigma^2 on the grid, sites first: (n, G) for one dataset X (n,), (n, G) + b for X b + (n,)."""
+    out = grid.reshape((-1,) + (1,) * (X.ndim - 1)) - np.moveaxis(X, -1, 0)[:, None, ...]
     with np.errstate(over="ignore"):  # a square beyond float range takes its -inf limit
-        out /= sigma
+        if sigma != 1.0:  # dividing by one changes no bit
+            out /= sigma
         np.square(out, out=out)
     out *= -0.5
     return out
@@ -771,25 +835,59 @@ def markov_chain_risks(
 
     Streaming evaluator for the rate experiments: the smoother of
     grid_posterior run on all R replications in one backward pass, with
-    the risk as a second message instead of one GridChain per dataset.
-    The emissions stream through in site blocks of at most _SMOOTH_CELLS
-    (site, value, replication) cells, bounded whatever n and R are.  Grid
-    values outside the support of the value density are dropped first:
-    neither the first site nor a change can land on them, so their
-    posterior mass is exactly zero.  Tests pin agreement with grid_posterior.
+    the risk as a second message instead of one GridChain per dataset
+    (_grid_chain_risks, here for one n).  Tests pin agreement with
+    grid_posterior.
     """
     X_batch = data_array(X_batch, "X_batch", 2)
-    R, n = X_batch.shape
-    if signal.values.size != n:
+    if signal.values.size != X_batch.shape[1]:
         raise InputError("signal length does not match the data")
+    return _grid_chain_risks([_cut(X_batch)], sigma, [prior], grid, [signal])[0]
+
+
+def _cut(X_batch: np.ndarray) -> Callable:
+    """The data function of _smooth for a batch held whole: views of it cut at the edges."""
+    return lambda edges: [X_batch[:, a:b] for a, b in zip(edges, edges[1:])]
+
+
+def _grid_chain_risks(draws: list, sigma: float, priors: list, grid, signals: list, labels=None) -> list:
+    """markov_chain_risks for each (draws[k], priors[k], signals[k]) of an n grid, in one backward pass.
+
+    draws[k](edges) gives an (R, n_k) batch cut at the site edges, as the
+    data of _smooth; the n_k = signals[k].values.size increase, and the
+    priors differ in their change probabilities only.  The emissions
+    stream through in site blocks of at most _SMOOTH_CELLS (site, value,
+    replication) cells over the groups still open, bounded whatever the n
+    grid and R are.
+    Grid values outside the support of the value density are dropped
+    first: neither the first site nor a change can land on them, so their
+    posterior mass is exactly zero.  Each group's risks have the bits they
+    have when its n runs alone.  A NumericError of a group starts with its
+    entry of labels, if given.  Returns one (R,) array of risks per group.
+    """
     grid = _chain_grid(sigma, grid)
-    log_g, diag, move = _site_kernel(prior, grid)
+    if any(p.value_density != priors[0].value_density for p in priors):
+        raise InputError("the priors of one pass must share their value density")
+    kernels = [_site_kernel(p, grid) for p in priors]
+    log_g = kernels[0][0]
     live = np.isfinite(log_g)
-    grid, log_g, move = grid[live], log_g[live], move[live]
-    block = max(1, _SMOOTH_CELLS // (R * grid.size))
-    return _squared_error_risk(
-        grid, signal.values, lambda sq_err: _smooth(log_g, X_batch, sigma, grid, diag, move, sq_err, block)[3]
-    )
+    grid, log_g = grid[live], log_g[live]
+    move = np.stack([mv[live] for _, _, mv in kernels], axis=1)
+    scaled = [_scaled(grid, s.values) for s in signals]
+
+    def site_loss(j, lo, hi):  # the scaled squared errors of sites lo..hi-1 for groups j..
+        return np.stack([(g[None, :] - t[lo:hi, None]) ** 2 for g, t, _ in scaled[j:]], axis=-1)
+
+    groups = [(s.values.size, draw) for s, draw in zip(signals, draws)]
+    diags = [d for _, d, _ in kernels]
+    expected = _smooth(log_g, groups, sigma, grid, diags, move, site_loss, _SMOOTH_CELLS, labels)[3]
+    out = []
+    for k, (_, _, e) in enumerate(scaled):
+        try:
+            out.append(_unscaled(expected[k], e))
+        except NumericError as exc:
+            raise _numeric(labels, k, str(exc)) from exc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -797,14 +895,18 @@ def markov_chain_risks(
 # ---------------------------------------------------------------------------
 
 
-def _squared_error_risk(grid: np.ndarray, theta: np.ndarray, expected):
-    """expected(sq_err) for sq_err = (grid - theta)^2, (n, G), in units of 4^e.
+def _scaled(grid: np.ndarray, theta: np.ndarray):
+    """grid and theta in units of 2^e, and e, so (grid - theta)^2 comes in units of 4^e.
 
     2^e >= max|grid| + max|theta| keeps each scaled error below one; powers
-    of two scale exactly.  A risk beyond float range is a NumericError.
+    of two scale exactly.
     """
     e = max(math.frexp(float(np.max(np.abs(v))))[1] for v in (grid, theta)) + 1
-    scaled = expected((np.ldexp(grid, -e)[None, :] - np.ldexp(theta, -e)[:, None]) ** 2)
+    return np.ldexp(grid, -e), np.ldexp(theta, -e), e
+
+
+def _unscaled(scaled, e: int):
+    """An expected scaled error back in its units; a risk beyond float range is a NumericError."""
     with np.errstate(over="ignore"):
         out = np.ldexp(scaled, 2 * e)
     if not np.all(np.isfinite(out)):
@@ -819,7 +921,8 @@ def risk(Q: Union[GridChain, CoordinatewisePosterior], signal: PiecewiseSignal) 
         if Q.n_sites != theta.size:
             raise InputError(f"chain has {Q.n_sites} sites, signal has {theta.size}")
         m = Q.marginals()  # before the errors: its forward pass sets the peak
-        return float(_squared_error_risk(Q.grid, theta, lambda sq_err: np.sum(m * sq_err)))
+        g, t, e = _scaled(Q.grid, theta)
+        return float(_unscaled(np.sum(m * (g[None, :] - t[:, None]) ** 2), e))
     if isinstance(Q, CoordinatewisePosterior):
         if len(Q) != theta.size:
             raise InputError(f"posterior has {len(Q)} sites, signal has {theta.size}")

@@ -189,9 +189,6 @@ class DivergenceReport:
     def chain(self) -> tuple[float, ...]:
         return tuple(_chain(*astuple(self)).tolist())
 
-    def satisfies_ordering(self, slack: float = 1e-10) -> bool:
-        return bool(_non_decreasing(np.array(self.chain()), slack))
-
 
 def _pair(p: DiscreteDistribution, q: DiscreteDistribution) -> _Pairs:
     return _Pairs(p.probabilities[None, :], q.probabilities[None, :])

@@ -373,11 +373,26 @@ def _pc_common(p, n):
     return sigma, B, grid, signal
 
 
+def _pc_draw(signal, sigma: float, rngs, edges) -> list:
+    """The (R, n) data signal + sigma Z, row r drawn from rngs[r], in place, cut at the site edges.
+
+    Chunk i holds sites edges[i] to edges[i+1] - 1; a row's normals come
+    from its stream in site order, as they would in one draw of n.
+    """
+    chunks = [np.empty((len(rngs), b - a)) for a, b in zip(edges, edges[1:])]
+    for row, rng in enumerate(rngs):
+        for chunk in chunks:
+            rng.standard_normal(out=chunk[row])
+    for a, chunk in zip(edges, chunks):
+        chunk *= sigma
+        chunk += signal.values[a : a + chunk.shape[1]]
+    return chunks
+
+
 def _run_pc_mean_field_batch(p, n, rngs):
     sigma, B, _, signal = _pc_common(p, n)
     prior = changepoint.MarkovSitePrior(0.5, changepoint.UniformDensity(-B - 1, B + 1))
-    X = np.stack([signal.values + sigma * rng.standard_normal(n) for rng in rngs])
-    return changepoint.mean_field_risks(X, sigma, prior, signal)
+    return changepoint.mean_field_risks(_pc_draw(signal, sigma, rngs, (0, n))[0], sigma, prior, signal)
 
 
 def _change_prob(prob, n: int) -> float:
@@ -391,13 +406,20 @@ def _change_prob(prob, n: int) -> float:
     return _number(prob, "params.change_prob")
 
 
-def _run_pc_markov_chain_batch(p, n, rngs):
-    sigma, B, grid, signal = _pc_common(p, n)
-    prior = changepoint.MarkovSitePrior(
-        _change_prob(p["change_prob"], n), changepoint.UniformDensity(-B - 1, B + 1)
-    )
-    X = np.stack([signal.values + sigma * rng.standard_normal(n) for rng in rngs])
-    return changepoint.markov_chain_risks(X, sigma, prior, grid, signal)
+def _run_pc_markov_chain_batch(p, ns, rngs):
+    """Every replication of every n, smoothed in one backward pass over the n grid.
+
+    Each n's data are drawn when its replications join the pass.
+    """
+    draws, priors, signals = [], [], []
+    for n, n_rngs in zip(ns, rngs):
+        with _at(n):
+            sigma, B, grid, signal = _pc_common(p, n)
+            density = changepoint.UniformDensity(-B - 1, B + 1)
+            priors.append(changepoint.MarkovSitePrior(_change_prob(p["change_prob"], n), density))
+        draws.append(lambda edges, signal=signal, n_rngs=n_rngs: _pc_draw(signal, sigma, n_rngs, edges))
+        signals.append(signal)
+    return changepoint._grid_chain_risks(draws, sigma, priors, grid, signals, [f"n={n}" for n in ns])
 
 
 def _run_mixture_hellinger_batch(p, ns, rngs):
@@ -445,18 +467,19 @@ class ModelSpec:
     to one array of metrics per n, with an error naming the n it arose at.
     The replications are fitted as stacks in blocks, each drawn from its
     own rng only, so the table does not depend on batching: the sieve and
-    change-point runners take one n at a time through _per_n, while
-    expfamily stacks the rows of every n in one ascent and the mixture
-    every (n, rep, k) row in one CAVI stack.  A stacked expfamily row
+    change-point mean-field runners take one n at a time through _per_n,
+    while pc_markov_chain smooths every n's replications in one backward
+    pass, expfamily stacks the rows of every n in one ascent and the
+    mixture every (n, rep, k) row in one CAVI stack.  A smoothed column
+    joins the pass at its own last site and is reduced alone, so it has
+    the bits of its n run alone; errors of the chain's shared checks
+    (sigma, the grid) name no n.  A stacked expfamily row
     ascends with its own n on the ELBO rule of its k, or, once its draws
     cross the ||theta||_1 cap, from its first step again on the 512-node
     rule, as a fit alone would.  A stacked mixture row counts its own
     sweeps and takes its per-point work in its n's block, so it too is the
     fit it would be alone; errors of the mixture config name no n.
-    The one exception is rounding: pc_markov_chain's kernel takes a
-    replication's column sum move . P over the grid in one order alone and
-    in another within a batch, which moved a risk by at most 4.7e-15
-    relative at seed 20250810.  None means no table.
+    None means no table.
     ``report`` names the function of this module that ``command`` emits
     instead of a table.  ``defaults`` is the params schema, with the
     domains _conform checks declared next to their defaults.
@@ -505,7 +528,7 @@ MODELS = {
     "gsm_spike_risk": ModelSpec("gsm-lower", _per_n(_run_gsm), _GSM_DEFAULTS),
     "trunc_exact_risk": ModelSpec("trunc-curve", None, _TRUNC_DEFAULTS, "trunc_curve_rows"),
     "pc_mean_field": ModelSpec("pc-compare", _per_n(_run_pc_mean_field_batch), _PC_MF_DEFAULTS),
-    "pc_markov_chain": ModelSpec("pc-compare", _per_n(_run_pc_markov_chain_batch), _PC_CHAIN_DEFAULTS),
+    "pc_markov_chain": ModelSpec("pc-compare", _run_pc_markov_chain_batch, _PC_CHAIN_DEFAULTS),
     "mixture_hellinger": ModelSpec("mix-fit", _run_mixture_hellinger_batch, _MIX_DEFAULTS),
     "expfamily_hellinger": ModelSpec("expfam-fit", _run_expfamily_hellinger_batch, _EXPFAM_DEFAULTS),
 }

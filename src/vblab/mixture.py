@@ -75,7 +75,6 @@ __all__ = [
     "select_k",
     "select_k_batch",
     "hellinger_to_truth",
-    "hellinger_to_truth_mc",
 ]
 
 
@@ -545,20 +544,3 @@ def hellinger_to_truth(state: GMFState, f0, grid) -> float:
     f0, grid = _check_grid_density(f0, grid)
     fit = mixture_pdf(state.posterior_mean_model(), grid)
     return 0.5 * float(np.trapezoid((np.sqrt(fit) - np.sqrt(f0)) ** 2, grid))
-
-
-def hellinger_to_truth_mc(
-    state: GMFState, f0, grid, draws: int = 32, seed: Union[int, np.random.Generator] = 0
-) -> float:
-    """Average squared Hellinger distance over draws from the fitted factors."""
-    f0, grid = _check_grid_density(f0, grid)
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    for _ in range(draws):
-        mu = state.mu_mean + np.sqrt(state.mu_var) * rng.standard_normal(state.k)
-        w = rng.dirichlet(state.w_concentration)
-        tau = rng.gamma(state.tau_shape, 1.0 / state.tau_rate)
-        model = MixtureModel(k=state.k, mu=mu, w=w, sigma=1.0 / math.sqrt(tau))
-        dens = mixture_pdf(model, grid)
-        total += 0.5 * float(np.trapezoid((np.sqrt(dens) - np.sqrt(f0)) ** 2, grid))
-    return total / draws

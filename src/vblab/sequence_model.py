@@ -283,11 +283,6 @@ class SobolevSignal:
         if np.logaddexp.reduce(self._log_ball_terms(), initial=-np.inf) > 2.0 * math.log(self.B) + 1e-9:
             raise InputError("signal violates the smoothness ball constraint")
 
-    def ball_weight(self) -> float:
-        """sum_j j^{2 alpha} theta_j^2; inf past float range."""
-        with np.errstate(over="ignore"):
-            return float(np.sum(np.exp(self._log_ball_terms())))
-
     def _log_ball_terms(self) -> np.ndarray:
         # log j^{2 alpha} theta_j^2 over the nonzero theta_j, since j^{2 alpha} alone overflows at large alpha
         nz = np.flatnonzero(self.theta)

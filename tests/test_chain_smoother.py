@@ -28,7 +28,7 @@ from vblab.changepoint import (
     risk,
     snap_to_grid,
 )
-from vblab.errors import InputError
+from vblab.errors import InputError, NumericError
 
 TOL = 1e-12
 
@@ -156,7 +156,9 @@ class TestSitePrior:
             log_q1, log_T, log_z, log_m = dense_site_posterior(X, sigma, prior, grid)
             assert_chain_matches(chain, log_q1, log_T, log_m)
             log_g, diag, move = _site_kernel(prior, grid)
-            got = _smooth(log_g, X[None, :], sigma, grid, diag, move)[2][0]
+            assert _smooth(log_g, X, sigma, grid, diag, move)[2] == pytest.approx(log_z, rel=TOL)
+            got = _smooth(log_g, [(X.size, changepoint._cut(X[None, :]))], sigma, grid, [diag], move[:, None])
+            got = got[2][0, 0]
             assert got == pytest.approx(log_z, rel=TOL)
 
     def test_batched_risk_matches_chain_risk(self, monkeypatch):
@@ -173,7 +175,7 @@ class TestSitePrior:
             read = []
 
             def recording(X_block, *args):
-                read.append(X_block.shape[1])
+                read.append(X_block.shape[-1])  # sites are the last axis
                 return emissions(X_block, *args)
 
             monkeypatch.setattr(changepoint, "_log_emissions", recording)
@@ -269,8 +271,8 @@ class TestTiltedKernel:
             _, _, log_z, _ = dense_tilted(X, sigma, log_pmfs, grid, lam)
             move = np.exp(lam + log_g)
             assert lam < 6.0 or np.min(1.0 - move) < 0.0
-            got = _smooth(log_g, X[None, :], sigma, grid, 1.0 - move, move)
-            assert got[2][0] == pytest.approx(log_z, rel=TOL)
+            got = _smooth(log_g, X, sigma, grid, 1.0 - move, move)
+            assert got[2] == pytest.approx(log_z, rel=TOL)
             assert np.all(got[1] >= 0.0)
 
     def test_sweeps_match_dense_on_random_instances(self):
@@ -329,3 +331,89 @@ class TestLinearMemory:
         prior = MarkovSitePrior(1.0 / n, UniformDensity(grid[0], grid[-1]))
         peak = self.peak_bytes(lambda: markov_chain_risks(X, sigma, prior, grid, signal))
         assert peak < 16 * n * self.G * 8
+
+
+class TestGridPass:
+    """The n grid's groups of replications in one backward pass of the smoother."""
+
+    ns, sigma, B = (40, 75, 128), 1.0, 1.25
+
+    def risks(self, X, priors, grid, signals, labels=None):
+        draws = [changepoint._cut(x) for x in X]
+        return changepoint._grid_chain_risks(draws, self.sigma, priors, grid, signals, labels)
+
+    def groups(self, R, density, seed=8):
+        grid = make_grid(self.B, self.sigma, 32)
+        rng = np.random.default_rng(seed)
+        signals = [snap_to_grid(make_prefix_signal(n, 3, self.B, seg_len=10), grid) for n in self.ns]
+        X = [s.values + self.sigma * rng.standard_normal((R, s.values.size)) for s in signals]
+        priors = [MarkovSitePrior(1.0 / n, density) for n in self.ns]
+        return X, priors, grid, signals
+
+    @pytest.mark.parametrize("R", [1, 5])
+    @pytest.mark.parametrize(
+        "density", [UniformDensity(-2.25, 2.25), GaussianDensity(0.2, 1.5)], ids=["uniform", "gaussian"]
+    )
+    def test_each_group_is_its_n_alone(self, monkeypatch, R, density):
+        # 7 sites a block while one group is open, 3 while two are and 2 while all three are:
+        # block edges fall between the n values, and a lone replication runs as two columns
+        X, priors, grid, signals = self.groups(R, density)
+        live = int(np.isfinite(_site_kernel(priors[0], grid)[0]).sum())
+        default = self.risks(X, priors, grid, signals)
+        monkeypatch.setattr(changepoint, "_SMOOTH_CELLS", 7 * max(R, 2) * live)
+        full = self.risks(X, priors, grid, signals)
+        pair = self.risks(X[::2], priors[::2], grid, signals[::2])
+        for k in range(len(self.ns)):
+            alone = self.risks([X[k]], [priors[k]], grid, [signals[k]])[0]
+            assert alone.tobytes() == full[k].tobytes() == default[k].tobytes()
+            for r in range(R):
+                row = markov_chain_risks(X[k][r : r + 1], self.sigma, priors[k], grid, signals[k])
+                assert row.tobytes() == full[k][r : r + 1].tobytes()
+            chains = [risk(grid_posterior(x, self.sigma, priors[k], grid), signals[k]) for x in X[k]]
+            np.testing.assert_allclose(full[k], chains, rtol=TOL)
+        assert [p.tobytes() for p in pair] == [full[0].tobytes(), full[2].tobytes()]
+
+    def test_observation_beyond_reach_names_its_n(self):
+        X, priors, grid, signals = self.groups(3, UniformDensity(-2.25, 2.25))
+        X[1][2, 10] = 1e300
+        labels = [f"n={n}" for n in self.ns]
+        with pytest.raises(NumericError, match=r"^n=75: an observation is beyond reach of every grid value$"):
+            self.risks(X, priors, grid, signals, labels)
+
+    def test_priors_share_their_value_density(self):
+        X, priors, grid, signals = self.groups(3, UniformDensity(-2.25, 2.25))
+        priors[1] = MarkovSitePrior(1.0 / 75, GaussianDensity(0.0, 1.0))
+        with pytest.raises(InputError, match="value density"):
+            self.risks(X, priors, grid, signals)
+
+
+class TestBlockedForward:
+    def test_step_blocks_keep_the_marginals(self, monkeypatch):
+        # 3 steps a block leaves a ragged last block; every step's factors are its own row's
+        n, sigma, grid = 50, 0.8, make_grid(1.0, 0.8, 24)
+        X = np.random.default_rng(4).normal(0.0, 1.0, n)
+        chains = [
+            grid_posterior(X, sigma, MarkovSitePrior(0.05, UniformDensity(-2.0, 2.0)), grid),
+            fit_markov_vb(X, sigma, UniformPositionsPrior.power(n, GaussianDensity(0.0, 1.0)), grid),
+        ]
+        whole = [(c.marginals(), c.expected_change_count()) for c in chains]
+        monkeypatch.setattr(changepoint, "_FORWARD_CELLS", 3 * grid.size)
+        for chain, (m, count) in zip(chains, whole):
+            assert chain.marginals().tobytes() == m.tobytes()
+            assert chain.expected_change_count() == count
+
+    def test_risk_holds_no_table_of_step_factors(self):
+        # the marginals, the scaled errors and their product: three (n, G) tables, where the
+        # whole-chain step factors added three more
+        n, G, sigma, B = 4096, 64, 1.0, 1.25
+        grid = make_grid(B, sigma, G)
+        signal = snap_to_grid(make_prefix_signal(n, 4, B, seg_len=20, amplitude=0.9), grid)
+        X = signal.values + sigma * np.random.default_rng(5).standard_normal(n)
+        chain = grid_posterior(X, sigma, MarkovSitePrior(1.0 / n, UniformDensity(-B - 1, B + 1)), grid)
+        tracemalloc.start()
+        try:
+            risk(chain, signal)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * G * 8

@@ -495,6 +495,29 @@ class TestSignals:
         with pytest.raises(InputError):
             make_prefix_signal(64, 2, 1.0, seg_len=-4)
 
+    def test_snap_takes_each_site_to_its_nearest_grid_value(self):
+        # the distinct levels are snapped once; every site lands where its own argmin puts it,
+        # a level halfway between two grid values and a signed zero included
+        grid = make_grid(1.25, 1.0, G=64)
+        halfway = 0.5 * (grid[33] + grid[34])
+        values = np.array([0.9, 0.9, -0.0, 0.0, halfway, -0.9, -0.9, 0.3])
+        snapped = snap_to_grid(PiecewiseSignal(values=values, k_star=5, B=1.25), grid)
+        want = grid[np.argmin(np.abs(values[:, None] - grid[None, :]), axis=1)]
+        assert snapped.values.tobytes() == want.tobytes()
+        signal = make_prefix_signal(4096, 4, 1.25, seg_len=20, amplitude=0.9)
+        want = grid[np.argmin(np.abs(signal.values[:, None] - grid[None, :]), axis=1)]
+        assert snap_to_grid(signal, grid).values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.7, 1e-200])
+def test_log_emissions_are_the_scaled_squares(sigma):
+    # at sigma = 1 the division is skipped, which changes no bit
+    grid = make_grid(1.25, 1.0, G=32)
+    X = np.random.default_rng(3).normal(0.0, 1.5, (4, 9))
+    with np.errstate(over="ignore"):
+        want = -0.5 * ((grid[None, :, None] - X.T[:, None, :]) / sigma) ** 2
+    assert changepoint._log_emissions(X, sigma, grid).tobytes() == want.tobytes()
+
 
 class TestSigmaValidated:
     """Every posterior route rejects a non-positive noise level, as grid_posterior does."""

@@ -428,6 +428,24 @@ def test_pc_compare_at_huge_B(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines()[-1].startswith("numeric failure:")
 
 
+def test_pc_compare_names_the_n_of_an_observation_beyond_reach(tmp_path, capsys, monkeypatch):
+    # one observation at n = 75 sits where every grid value's squared error overflows; the
+    # grid's one backward pass reaches it while n = 128 is open too, and names n = 75
+    draw = harness._pc_draw
+
+    def corrupted(signal, sigma, rngs, edges):
+        chunks = draw(signal, sigma, rngs, edges)
+        if edges[-1] == 75:
+            chunks[0][1, 30] = 1e300  # site 30, below n = 40
+        return chunks
+
+    monkeypatch.setattr(harness, "_pc_draw", corrupted)
+    cfg = write_config(tmp_path, "pc.json", _config("pc-compare", n_grid=[40, 75, 128]))
+    assert main(["pc-compare", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
+    err = "numeric failure: n=75: an observation is beyond reach of every grid value\n"
+    assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize(
     "command, params, message",
     [

@@ -4,12 +4,13 @@ import dataclasses
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vblab import changepoint, expfamily, harness, sequence_model
-from vblab._rng import derive_seed, generator
+from vblab._rng import derive_seed, generator, generators
 from vblab.errors import InputError, NumericError
 from vblab.harness import (
     ExperimentConfig,
@@ -463,6 +464,44 @@ class TestStackedRunners:
         monkeypatch.undo()
         want = [ref_pc_mean_field(params, 200, generator(37, 200, rep)) for rep in range(8)]
         np.testing.assert_array_equal(got, want)
+
+
+class TestChangePointRunners:
+    @pytest.mark.parametrize("n", [128, 256, 512, 1024, 2048, 4096])
+    def test_draws_in_place_are_the_stacked_rows(self, n):
+        # signal + sigma * Z drawn row by row into chunks cut at the grid's n values, or into one
+        # array, against the stack of a list
+        payload = json.loads((REPO / "configs" / "pc_markov_chain.json").read_text())
+        params = parse_params(payload["params"], "pc_markov_chain")
+        sigma, _, _, signal = harness._pc_common({**params, "sigma": 0.7}, n)
+        rngs = lambda: [generator(20250810, n, rep) for rep in range(5)]  # noqa: E731
+        stacked = np.stack([signal.values + sigma * rng.standard_normal(n) for rng in rngs()])
+        edges = [0] + [m for m in payload["n_grid"] if m <= n]
+        chunks = harness._pc_draw(signal, sigma, rngs(), edges)
+        assert [c.shape[1] for c in chunks] == np.diff(edges).tolist()
+        assert np.concatenate(chunks, axis=1).tobytes() == stacked.tobytes()
+        assert harness._pc_draw(signal, sigma, rngs(), (0, n))[0].tobytes() == stacked.tobytes()
+
+    def test_markov_chain_runner_memory(self):
+        # each n's data are drawn when it joins the pass and dropped a stretch of sites at a time,
+        # so at most (K - j) R n_j values are held at the join of the j-th n (3.3 MB on the shipped
+        # grid, where holding every n's data takes 6.45 MB), while one emission block of at most
+        # _SMOOTH_CELLS cells (2.1 MB) streams through; the bound allows two blocks
+        payload = json.loads((REPO / "configs" / "pc_markov_chain.json").read_text())
+        config = ExperimentConfig.from_json(json.dumps(payload))
+        params = parse_params(config.params, config.model)
+        index = np.arange(config.replications, dtype=np.uint64)
+        rngs = [generators(derive_seed(config.master_seed, n, index)) for n in config.n_grid]
+        tracemalloc.start()
+        try:
+            harness.MODELS[config.model].runner(params, config.n_grid, rngs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ns = config.n_grid
+        held = max((len(ns) - j) * n for j, n in enumerate(ns)) * config.replications
+        bound = 8 * held + 2 * 8 * changepoint._SMOOTH_CELLS
+        assert peak < bound
 
 
 class TestDivergenceReport:
