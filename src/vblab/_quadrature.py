@@ -1,7 +1,8 @@
 """Composite order-16 Gauss-Legendre rules, each with a fixed set of nodes.
 
-The change-point tail moments and the sieve KL gap are sums over these
-rules, each sized by its integrand's scale.  The exponential-family
+The change-point tilt moments where their closed form loses digits and
+the sieve KL gap are sums over these rules, each sized by its integrand's
+scale.  The exponential-family
 normalizers and divergences take the periodic trapezoidal rule instead
 (vblab.expfamily), and the sieve's rescaled-Cauchy evidence and tilt
 moments and the change-point Gaussian tilts are closed forms.

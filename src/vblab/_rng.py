@@ -3,9 +3,9 @@
 Per-replication streams are derived by mixing the master seed with the
 experiment coordinates through splitmix64, so replications can run in any
 order (or concurrently) and still reproduce bit-identical results.
-pcg64_states derives the generator states of a block of such streams at
-once, for callers that draw a little from each of very many streams, and
-generators builds a block of such streams' Generators from the same words.
+generators builds the Generators of a block of such streams from seed
+words computed for the whole block at once, one Generator at a time, for
+callers that draw a little from each of very many streams.
 """
 
 import numpy as np
@@ -43,12 +43,11 @@ def generator(master_seed: int, *coords: int) -> np.random.Generator:
 
 
 # numpy's SeedSequence hash on its 4-word pool (bit_generator.pyx, after
-# O'Neill's seed_seq), and PCG64's default multiplier
+# O'Neill's seed_seq)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32 = (1 << 32) - 1
 
 
 def _hashmix(words: np.ndarray, const: int, mult: int):
@@ -85,19 +84,6 @@ def _seed_words(seeds) -> np.ndarray:
     return np.stack([halves[2 * k] | halves[2 * k + 1] << np.uint64(32) for k in range(4)], axis=-1)
 
 
-def pcg64_states(seeds) -> list:
-    """The PCG64 (state, inc) of np.random.default_rng(s), for each 64-bit seed s.
-
-    From the seed words (initstate, initseq), PCG64 steps from state 0 with
-    inc = 2 initseq + 1, adds initstate and steps again.
-    """
-    states = []
-    for s0, s1, s2, s3 in _seed_words(seeds).tolist():
-        inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
-        states.append(((((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128, inc))
-    return states
-
-
 class _SeedWords(ISeedSequence):
     """A seed sequence that hands PCG64 the four words SeedSequence would generate for it."""
 
@@ -110,10 +96,12 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def generators(seeds) -> list:
-    """np.random.default_rng(s) for each 64-bit seed s, with the same draws, seeded in bulk.
+def generators(seeds):
+    """np.random.default_rng(s) for each 64-bit seed s in turn, with the same draws, seeded in bulk.
 
-    Each Generator's PCG64 is seeded from its row of _seed_words instead of
-    building a SeedSequence per seed, which costs several times more.
+    Each Generator's PCG64 is seeded from its row of _seed_words, taken for every s at once,
+    instead of from a SeedSequence per seed, which costs several times more.  Each is built
+    when asked for, so a caller that draws from each in turn holds one at a time.
     """
-    return [np.random.Generator(np.random.PCG64(_SeedWords(words))) for words in _seed_words(seeds)]
+    for words in _seed_words(seeds):
+        yield np.random.Generator(np.random.PCG64(_SeedWords(words)))

@@ -286,8 +286,8 @@ def make_grid(B: float, sigma: float, G: int = 64) -> np.ndarray:
 class CoordinatewisePosterior:
     """Means and variances of the tilted densities q_i(t) ~ g(t) exp(-(t - X_i)^2 / 2 sigma^2).
 
-    Both are closed forms: a truncated Gaussian's when g is uniform, the
-    conjugate Gaussian's when g is Gaussian.
+    Closed forms: a truncated Gaussian's when g is uniform (by quadrature where
+    that form loses digits), the conjugate Gaussian's when g is Gaussian.
     """
 
     means: np.ndarray
@@ -297,41 +297,49 @@ class CoordinatewisePosterior:
         return self.means.size
 
 
-# Near 37 sigmas outside [lo, hi] the truncated mass z reaches its 1e-300
-# floor and the closed form loses the mean; from _TAIL sigmas out,
-# _truncnorm_moments takes the moments of the nearer edge's tail instead.
+# Near 37 sigmas outside [lo, hi] the truncated mass z reaches its 1e-300 floor and the
+# closed form loses the mean; on a support narrower than sigma its variance, sigma^2 times
+# a bracket near ((hi - lo) / sigma)^2 / 12, cancels.  From _TAIL sigmas out, and on
+# such a support, _truncnorm_moments takes the moments by quadrature instead.
 _TAIL = 37.0
 
 
 def _truncnorm_moments(x: np.ndarray, sigma: float, lo: float, hi: float):
     from scipy.special import ndtr
 
-    # past |t| = 40, phi(t) and ndtr(-t) are 0 and ndtr(t) is 1 in floats, so clipping
-    # the edges there (an infinite one too) changes no result and keeps their squares finite
-    with np.errstate(over="ignore"):
-        a, b = (np.clip((edge - x) / sigma, -40.0, 40.0) for edge in (lo, hi))
-    phi_a = np.exp(-0.5 * a * a) / math.sqrt(2 * math.pi)
-    phi_b = np.exp(-0.5 * b * b) / math.sqrt(2 * math.pi)
-    z = np.maximum(ndtr(b) - ndtr(a), 1e-300)
-    shift = (phi_a - phi_b) / z
-    mean = x + sigma * shift
-    var = np.maximum(sigma**2 * (1.0 + (a * phi_a - b * phi_b) / z - shift**2), 0.0)
     dist = np.maximum(lo - x, x - hi)
-    tail = dist > _TAIL * sigma
-    if tail.any():
-        # at distance d outside, the density at v * s inside the nearer edge, with
-        # s = sigma^2 / d, is proportional to exp(-v - (sigma v / d)^2 / 2); its moments
-        # by quadrature over v up to the support's width, or 50, past which e^-v is below 1e-21
-        r = sigma / dist[tail]
-        s = sigma * r
-        with np.errstate(divide="ignore"):
-            span = np.minimum((hi - lo) / s, 50.0)[:, None]
+    if hi - lo < sigma:
+        quad, mean, var = np.ones(x.shape, dtype=bool), np.empty(x.shape), np.empty(x.shape)
+    else:
+        quad = dist > _TAIL * sigma
+        # past |t| = 40, phi(t) and ndtr(-t) are 0 and ndtr(t) is 1 in floats, so clipping
+        # the edges there (an infinite one too) changes no result and keeps their squares finite
+        with np.errstate(over="ignore"):
+            a, b = (np.clip((edge - x) / sigma, -40.0, 40.0) for edge in (lo, hi))
+        phi_a = np.exp(-0.5 * a * a) / math.sqrt(2 * math.pi)
+        phi_b = np.exp(-0.5 * b * b) / math.sqrt(2 * math.pi)
+        z = np.maximum(ndtr(b) - ndtr(a), 1e-300)
+        shift = (phi_a - phi_b) / z
+        mean = x + sigma * shift
+        var = np.maximum(sigma * sigma * (1.0 + (a * phi_a - b * phi_b) / z - shift**2), 0.0)
+    if quad.any():
+        # at t = edge -/+ width u, u in [0, 1], the density is proportional to exp(-u (p + q u)),
+        # q = (width / sigma)^2 / 2.  The edge is hi above the support and lo elsewhere, and
+        # p = e (hi - lo) / sigma, e = (x - hi) / sigma above and (lo - x) / sigma elsewhere.
+        # At e sigmas outside, the density at v s inside the edge, s = sigma / e, goes as
+        # exp(-v - (v / e)^2 / 2): p stops at 50, where e^-v < 1e-21, and the width at 50 s
+        x = x[quad]
+        above = x > hi
+        with np.errstate(over="ignore", divide="ignore"):
+            e = np.where(above, x - hi, lo - x) / sigma
+            p = np.minimum(e * ((hi - lo) / sigma), 50.0)
+            width = np.where(p < 50.0, hi - lo, 50.0 * sigma / e)
         nodes, weights = fixed_rule(0.0, 1.0, 16)
-        v = span * nodes
-        dens = weights * np.exp(-v - 0.5 * (r[:, None] * v) ** 2)
-        gap = (dens * v).sum(axis=1) / dens.sum(axis=1)
-        mean[tail] = np.where(x[tail] > hi, hi - s * gap, lo + s * gap)
-        var[tail] = s * s * (dens * (v - gap[:, None]) ** 2).sum(axis=1) / dens.sum(axis=1)
+        dens = weights * np.exp(-nodes * (p[:, None] + 0.5 * (width / sigma)[:, None] ** 2 * nodes))
+        total = dens.sum(axis=1)
+        u = (dens * nodes).sum(axis=1) / total
+        mean[quad] = np.where(above, hi - width * u, lo + width * u)
+        var[quad] = width * width * (dens * (nodes - u[:, None]) ** 2).sum(axis=1) / total
     return mean, var
 
 
@@ -341,7 +349,7 @@ def fit_mean_field(X: np.ndarray, sigma: float, prior: ChangePointPrior) -> Coor
     Any product candidate with finite divergence to the posterior must
     put zero mass on neighbour-equality events, so the optimum tilts each
     site's value density by its own likelihood and nothing else.  Each
-    tilt's moments are closed forms (_site_moments).
+    tilt's moments are closed forms or a fixed quadrature (_site_moments).
     """
     X = data_array(X, "X")
     _check_mean_field(X.size, sigma, prior)
@@ -399,13 +407,14 @@ def _site_moments(X: np.ndarray, sigma: float, g: ValueDensity) -> tuple:
     """
     if isinstance(g, UniformDensity):
         return _truncnorm_moments(X, sigma, g.lo, g.hi)
-    var = 1.0 / (1.0 / g.variance + 1.0 / sigma**2)
-    return var * (g.mean / g.variance + X / sigma**2), np.full(X.shape, var)
+    var = 1.0 / (1.0 / g.variance + 1.0 / (sigma * sigma))
+    return var * (g.mean / g.variance + X / (sigma * sigma)), np.full(X.shape, var)
 
 
 def _coordinatewise_risk(means: np.ndarray, variances: np.ndarray, theta: np.ndarray):
-    """The sum over the last axis of variance + (mean - theta)^2."""
-    return np.sum(variances + (means - theta) ** 2, axis=-1)
+    """The sum over the last axis of variance + (mean - theta)^2, checked as _unscaled checks a risk."""
+    with np.errstate(over="ignore"):
+        return _unscaled(np.sum(variances + (means - theta) ** 2, axis=-1), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import changepoint, divergences, expfamily, mixture, sequence_model, truncated_series
-from ._rng import derive_seed, generators, pcg64_states
+from ._rng import derive_seed, generators
 from .errors import InputError, NumericError, VblabError
 
 __all__ = [
@@ -261,6 +261,8 @@ def _per_n(run: Callable) -> Callable:
 
 def _resolve_spike_index(j0, alpha: float, n: int):
     if j0 == "adversary":
+        if n < 2:
+            raise InputError("params.signal.j0 'adversary' needs n >= 2, since it scales with n / log n")
         # spike just beyond twice the effective dimension (n / log n)^{1/(2a+1)}
         return math.ceil(2.0 * (n / math.log(n)) ** (1.0 / (2.0 * alpha + 1.0)))
     if j0 is None or type(j0) is int:
@@ -547,7 +549,7 @@ def run_experiment(config: ExperimentConfig) -> RateTable:
         raise InputError(f"unknown model id {config.model!r}")
     params = parse_params(config.params, config.model)
     index = np.arange(config.replications, dtype=np.uint64)
-    rngs = [generators(derive_seed(config.master_seed, n, index)) for n in config.n_grid]
+    rngs = [list(generators(derive_seed(config.master_seed, n, index))) for n in config.n_grid]
     means, ses = [], []
     for vals in spec.runner(params, config.n_grid, rngs):
         vals = np.asarray(vals, dtype=float)
@@ -573,22 +575,17 @@ def _pair_blocks(master_seed: int, pairs: int, lo: int, hi: int):
     """Successive blocks of audit pairs as (2, pairs, hi) arrays of p and q rows.
 
     Pair i draws its size, then p, then q from the stream (master_seed, 0, i);
-    each row is zero-padded from its size to hi cells.  The streams' PCG64
-    states are derived a block at a time and assigned to one generator.  A
+    each row is zero-padded from its size to hi cells.  A block's streams
+    are seeded in one generators call and drawn from one at a time.  A
     Dirichlet(1) draw is standard exponentials times one over their
     sequential sum, which trailing zeros leave unchanged, so p and q carry
     the bits rng.dirichlet(np.ones(size)) gives.
     """
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
     per_block = max(1, min(_AUDIT_PAIRS, _AUDIT_CELLS // hi))
     for start in range(0, pairs, per_block):
         index = np.arange(start, min(start + per_block, pairs), dtype=np.uint64)
-        seeds = derive_seed(master_seed, 0, index)
         draws = np.zeros((2, index.size, hi))
-        for row, (state, inc) in enumerate(pcg64_states(seeds)):
-            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                          "has_uint32": 0, "uinteger": 0}
+        for row, rng in enumerate(generators(derive_seed(master_seed, 0, index))):
             size = int(rng.integers(lo, hi + 1))
             draws[:, row, :size] = rng.standard_exponential((2, size))
         draws *= 1 / np.add.accumulate(draws, axis=-1)[..., -1:]

@@ -60,9 +60,9 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from ._lse import _logsumexp_weights
-from ._rng import derive_seed
+from ._rng import derive_seed, generators
 from .divergences import _normalized
-from .errors import InputError, count, data_array
+from .errors import InputError, NumericError, count, data_array
 
 __all__ = [
     "MixtureModel",
@@ -190,11 +190,6 @@ _ETA_GROWTH = 1.5
 _ETA_MAX = 4.0
 
 
-def _init_centers(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    qs = np.quantile(x, (np.arange(k) + 0.5) / k)
-    return qs + 0.01 * x.std() * rng.standard_normal(k)
-
-
 class _Stack(NamedTuple):
     """The per-row fields of a CAVI stack, its rows sorted by n (in joining order within an n).
 
@@ -241,10 +236,15 @@ def _start_rows(samples, joining, hyper: MixtureHyper, k_max: int):
         rows = len(group)
         x = np.stack([samples[i] for _, i, _, _ in group])
         k = np.array([k for _, _, k, _ in group])
+        with np.errstate(over="ignore"):
+            var = x.var(axis=1)
+        if not np.isfinite(var).all():
+            raise NumericError("a sample's spread squares past the float range")
         m, v = np.zeros((rows, k_max)), np.ones((rows, k_max))
         for j, (_, _, kj, seed) in enumerate(group):
-            m[j, :kj] = _init_centers(x[j], kj, np.random.default_rng(seed))
-            v[j, :kj] = x[j].var() / kj + 1e-6
+            jitter = 0.01 * math.sqrt(var[j]) * np.random.default_rng(seed).standard_normal(kj)
+            m[j, :kj] = np.quantile(x[j], (np.arange(kj) + 0.5) / kj) + jitter
+            v[j, :kj] = var[j] / kj + 1e-6
         live = (np.arange(k_max) < k[:, None]).astype(float)
         c = x.mean(axis=1, keepdims=True)
         blocks[n] = moments = np.empty((rows, n, 3))
@@ -298,19 +298,19 @@ def _restack(stack, keep, blocks, new, new_blocks):
 
 
 def _cavi_rows(samples, rows, hyper: MixtureHyper, k_max: int):
-    """Coordinate ascent for a sequence of rows; yields (row index, GMFState) as each row finishes.
+    """Coordinate ascent for an iterable of rows; yields (row index, GMFState) as each row finishes.
 
     Row (i, k, seed) fits samples[i], a 1-d array of any length, with k
     components, its centers initialized from seed (a Generator or a seed
-    for one).  The rows run as one stack padded to k_max components: they
-    join it in row order while the cells held, k_max times each row's n,
-    stay within _CAVI_CELLS (a row always joins an empty stack), and each
-    leaves at the sweep where its own bound stops moving, or at its own
-    _MAX_SWEEPS-th sweep.  Every row counts its own sweeps, and a sweep's
-    cell work runs on one (rows_n, k_max, n) block per distinct n, with no
-    row padded along its points, so a row's trace, flag and state do not
-    depend on the rows it ran with.  When a row joins or leaves, only its
-    n's block is rebuilt.
+    for one).  The rows run as one stack padded to k_max components: each
+    is taken from the iterable as it joins, in row order, while the cells
+    held, k_max times each row's n, stay within _CAVI_CELLS (a row always
+    joins an empty stack), and each leaves at the sweep where its own bound
+    stops moving, or at its own _MAX_SWEEPS-th sweep.  Every row counts its
+    own sweeps, and a sweep's cell work runs on one (rows_n, k_max, n) block
+    per distinct n, with no row padded along its points, so a row's trace,
+    flag and state do not depend on the rows it ran with.  When a row joins
+    or leaves, only its n's block is rebuilt.
 
     Each sweep cycles responsibilities -> q(w) -> q(mu) -> q(tau) and
     evaluates the bound after the full cycle.  With y = x - c, c the row's
@@ -337,24 +337,27 @@ def _cavi_rows(samples, rows, hyper: MixtureHyper, k_max: int):
     b0, alpha0, s0 = hyper.b0, hyper.alpha0, hyper.sigma0_sq
     log_mu0 = -0.5 * math.log(2 * math.pi * s0)
     stack, blocks, done, joined, traces = None, {}, None, 0, {}
-    # the most cells the stack ever holds: _CAVI_CELLS, or one row past it, or every row
-    sizes = [k_max * samples[i].size for i, _, _ in rows]
-    buffer = np.empty(min(sum(sizes), max(_CAVI_CELLS, max(sizes, default=0))))
+    rows, buffer = iter(rows), None
+    pending = next(rows, None)  # the next row to join
     while True:
         if done is None or done.any():
             # the rows that finished leave, and the next rows join while their cells fit
             keep = None if stack is None else ~done
             held = 0 if stack is None else k_max * int(stack.n[keep].sum())
             joining = []
-            while joined < len(rows):
-                cells = k_max * samples[rows[joined][0]].size
+            while pending is not None:
+                cells = k_max * samples[pending[0]].size
                 if held and held + cells > _CAVI_CELLS:
                     break
                 held += cells
-                joining.append((joined, rows[joined]))
+                joining.append((joined, pending))
                 joined += 1
+                pending = next(rows, None)
             if not held:
                 return
+            if buffer is None:  # every row, or the most the stack holds: _CAVI_CELLS or one row past it
+                most = max(_CAVI_CELLS, k_max * max(x.size for x in samples))
+                buffer = np.empty(held if pending is None else most)
             stack, blocks = _restack(stack, keep, blocks, *_start_rows(samples, joining, hyper, k_max))
             traces.update((row, []) for row, _ in joining)
             # each block's rows in the stack, in n order, and its cells in the one buffer
@@ -481,10 +484,10 @@ def select_k_batch(
     """select_k for each of a list of samples, of any lengths, in one stacked fit.
 
     An (R, n) array gives its R rows.  Sample r is fit at every candidate k
-    from derive_seed(seeds[r], k); the result is [(k, state)] in sample
-    order, equal to select_k(samples[r], k_candidates, hyper, seeds[r]) for
-    each r.  Rows finish in any order, and each sample holds only its best
-    state so far.
+    from the stream derive_seed(seeds[r], k), seeded in bulk; the result is
+    [(k, state)] in sample order, equal to select_k(samples[r], k_candidates,
+    hyper, seeds[r]) for each r.  Rows finish in any order, and each sample
+    holds only its best state so far.
     """
     from scipy.special import gammaln
 
@@ -500,10 +503,11 @@ def select_k_batch(
         raise InputError(f"candidate k must be at least 1, got {cands[0]}")
     if len(seeds) != len(xs):
         raise InputError(f"need one seed per sample, got {len(seeds)} for {len(xs)}")
-    rows = [(i, k, derive_seed(seed, k)) for i, seed in enumerate(seeds) for k in cands]
+    pairs = [(i, k) for i in range(len(xs)) for k in cands]
+    rngs = generators([derive_seed(seeds[i], k) for i, k in pairs])
     best = [None] * len(xs)
-    for row, state in _cavi_rows(xs, rows, hyper, cands[-1]):
-        i, k, _ = rows[row]
+    for row, state in _cavi_rows(xs, ((i, k, rng) for (i, k), rng in zip(pairs, rngs)), hyper, cands[-1]):
+        i, k = pairs[row]
         score = state.elbo + k * math.log(hyper.xi0) - hyper.xi0 - gammaln(k + 1.0)
         if math.isnan(score):  # a scan in increasing k keeps a nan first and never picks one later
             score = math.inf if k == cands[0] else -math.inf

@@ -387,6 +387,7 @@ def scan(elbos, hyper):
 @pytest.mark.parametrize("order", ["first-k-first", "last-k-first"])
 def test_selection_is_the_increasing_k_scan_in_any_finishing_order(monkeypatch, elbos, want, order):
     def finishing(samples, rows, hyper, k_max):
+        rows = list(rows)
         for row in range(len(rows)) if order == "first-k-first" else reversed(range(len(rows))):
             yield row, SimpleNamespace(elbo=elbos[rows[row][1] - 1])
 

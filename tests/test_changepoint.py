@@ -204,6 +204,44 @@ def test_mean_field_moments_far_outside_support(X, sigma, lo, hi):
         assert var == pytest.approx(want_var, rel=1e-9)
 
 
+# (sigma, x, mean, variance) of the tilt of UniformDensity(-2, 2) by N(x, sigma^2), from a
+# 40-digit mpmath quadrature: x inside, just outside, 2 sigmas below and 50 sigmas above
+WIDE_SIGMA_MOMENTS = [
+    (1e3, 0.5, 6.666663111111344e-07, 1.333332622222091),
+    (1e3, 3.0, 3.999997866657473e-06, 1.3333326222127577),
+    (1e3, -2002.0, -0.0026693290567115498, 1.3333283470354849),
+    (1e3, 50002.0, 0.06662489036021414, 1.3306699738336272),
+    (1e5, 0.5, 6.666666666311111e-11, 1.3333333332622221),
+    (1e5, 3.0, 3.9999999997866666e-10, 1.3333333332622221),
+    (1e5, -200002.0, -2.6666933329066568e-05, 1.333333332835547),
+    (1e5, 5000002.0, 0.0006666668888532843, 1.3333330665953846),
+    (1e8, 0.5, 6.666666666666666e-17, 1.3333333333333333),
+    (1e8, 3.0, 4e-16, 1.3333333333333333),
+    (1e8, -200000002.0, -2.666666693333333e-08, 1.3333333333333328),
+    (1e8, 5000000002.0, 6.666666669332889e-07, 1.3333333333330666),
+    (1e200, 0.5, 0.0, 1.3333333333333333),
+    (1e200, 3.0, 0.0, 1.3333333333333333),
+    (1e200, -2e200, 0.0, 1.3333333333333333),
+    (1e200, 5e201, 0.0, 1.3333333333333333),
+]
+
+
+@pytest.mark.parametrize("sigma, x, want_mean, want_var", WIDE_SIGMA_MOMENTS)
+def test_mean_field_moments_on_a_support_narrower_than_sigma(sigma, x, want_mean, want_var):
+    # the closed-form variance cancels as (hi - lo) / sigma -> 0, and sigma^2 overflows past 1.3e154
+    post = fit_mean_field(np.array([x]), sigma, MarkovSitePrior(0.5, UniformDensity(-2.0, 2.0)))
+    assert abs(post.means[0] - want_mean) <= 4e-15
+    assert post.variances[0] == pytest.approx(want_var, rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma, want_var", [(1e3, 2.0 / (1.0 + 2e-6)), (1e200, 2.0)])
+def test_gaussian_density_at_wide_sigma(sigma, want_var):
+    # past sigma = 1.3e154 the likelihood's precision is 0 and the tilt is the prior itself
+    post = fit_mean_field(np.array([0.5, 1e300]), sigma, MarkovSitePrior(0.5, GaussianDensity(0.3, 2.0)))
+    np.testing.assert_allclose(post.variances, want_var, rtol=1e-15)
+    np.testing.assert_allclose(post.means, want_var * (0.15 + np.array([0.5, 1e300]) / sigma / sigma), rtol=1e-15)
+
+
 def PiecewiseSignalZero(n):
     from vblab.changepoint import PiecewiseSignal
 

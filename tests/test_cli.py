@@ -211,6 +211,7 @@ INVALID_INPUTS = {
     "gsm-j0-huge": (
         "gsm-lower", _config("gsm-lower", {"signal": {"kind": "spike", "j0": 10**13}})
     ),
+    "gsm-j0-adversary-at-n-1": ("gsm-lower", _config("gsm-lower", n_grid=[1, 512])),
     "gsm-j0-without-spike": (
         "gsm-rate", _config("gsm-rate", {"signal": {"kind": "sobolev_boundary", "j0": 4}})
     ),
@@ -342,6 +343,43 @@ def test_truth_past_float_range_exits_2(truth, tmp_path, capsys):
     assert main(["mix-fit", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: f0 integrates to"), err
+
+
+def test_adversary_spike_names_its_key_and_n_at_n_1(tmp_path, capsys):
+    # n / log n, the adversary's effective dimension, divides by zero at n = 1
+    cfg = write_config(tmp_path, "cfg.json", _config("gsm-lower", n_grid=[1, 512]))
+    assert main(["gsm-lower", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    err = "error: n=1: params.signal.j0 'adversary' needs n >= 2, since it scales with n / log n\n"
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("sigma", [1e154, 1e200])
+def test_truth_whose_sample_spread_squares_past_float_range_exits_3(sigma, tmp_path, capsys):
+    # the sample variance overflows; no RuntimeWarning (an error in this suite) gets out
+    cfg = write_config(tmp_path, "cfg.json", _config("mix-fit", {"truth": {"sigma": sigma}}))
+    assert main(["mix-fit", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
+    err = "numeric failure: a sample's spread squares past the float range\n"
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("sigma", [1e6, 1e8, 1e200])
+def test_pc_mean_field_at_wide_sigma(sigma, tmp_path):
+    # each site's tilt is all but uniform on [-2, 2], of variance 4/3, so the risk at n = 128
+    # is 128 * 4/3; the closed-form variance cancelled there, and sigma^2 overflowed at 1e200
+    params = {"sigma": sigma, "signal": {"kind": "zero"}}
+    cfg = write_config(tmp_path, "cfg.json", {**PC_MEAN_FIELD, "n_grid": [128], "replications": 4,
+                                              "master_seed": 1, "params": params})
+    out = tmp_path / "o.json"
+    assert main(["pc-compare", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    assert json.loads(out.read_text())[0]["mean_risk"] == pytest.approx(128 * 4 / 3, rel=1e-5)
+
+
+def test_pc_mean_field_risk_beyond_float_range_exits_3(tmp_path, capsys):
+    # at B = sigma = 1e200 the tilts' means square past float range; no RuntimeWarning gets out
+    cfg = write_config(tmp_path, "cfg.json", {**PC_MEAN_FIELD, "params": {"sigma": 1e200, "B": 1e200}})
+    assert main(["pc-compare", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
+    assert capsys.readouterr().err == "numeric failure: n=64: the expected squared error is beyond float range\n"
 
 
 def test_numeric_failures_exit_3(tmp_path, capsys, monkeypatch):

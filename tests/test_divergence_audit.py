@@ -15,7 +15,7 @@ import pytest
 
 from vblab import divergences, harness
 from vblab._lse import _logsumexp
-from vblab._rng import derive_seed, generator, pcg64_states
+from vblab._rng import derive_seed, generator, generators
 from vblab.errors import InputError
 from vblab.harness import ExperimentConfig, divergence_chain_report
 
@@ -239,12 +239,12 @@ def test_audit_memory_does_not_grow_with_block_of_large_sizes():
 SHIPPED_SEED = 20250810  # configs/divcheck.json: 10,000 pairs of sizes 2 to 64
 
 
-def test_pcg64_states_equal_default_rng():
+def test_generators_equal_default_rng():
     seeds = [derive_seed(SHIPPED_SEED, 0, i) for i in range(10_000)]
     assert derive_seed(SHIPPED_SEED, 0, np.arange(10_000, dtype=np.uint64)).tolist() == seeds
     seeds += [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
-    for seed, (state, inc) in zip(seeds, pcg64_states(seeds)):
-        assert np.random.default_rng(seed).bit_generator.state["state"] == {"state": state, "inc": inc}, seed
+    for seed, rng in zip(seeds, generators(seeds)):
+        assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state, seed
 
 
 def test_padded_draws_equal_dirichlet_bits():

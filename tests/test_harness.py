@@ -491,7 +491,7 @@ class TestChangePointRunners:
         config = ExperimentConfig.from_json(json.dumps(payload))
         params = parse_params(config.params, config.model)
         index = np.arange(config.replications, dtype=np.uint64)
-        rngs = [generators(derive_seed(config.master_seed, n, index)) for n in config.n_grid]
+        rngs = [list(generators(derive_seed(config.master_seed, n, index))) for n in config.n_grid]
         tracemalloc.start()
         try:
             harness.MODELS[config.model].runner(params, config.n_grid, rngs)
