@@ -297,11 +297,11 @@ class CoordinatewisePosterior:
         return self.means.size
 
 
-# Near 37 sigmas outside [lo, hi] the truncated mass z reaches its 1e-300 floor and the
-# closed form loses the mean; on a support narrower than sigma its variance, sigma^2 times
-# a bracket near ((hi - lo) / sigma)^2 / 12, cancels.  From _TAIL sigmas out, and on
-# such a support, _truncnorm_moments takes the moments by quadrature instead.
-_TAIL = 37.0
+# Below lo the closed form's z = ndtr(b) - ndtr(a) cancels: the variance is off by 5e-12
+# relative 3 sigmas out, 1e-7 at 5, and z hits its 1e-300 floor from 8.  On a support narrower
+# than sigma the variance, sigma^2 times about ((hi - lo) / sigma)^2 / 12, cancels.  From _TAIL
+# sigmas out, and on such a support, quadrature takes the moments, within 7e-16 relative.
+_TAIL = 1.5
 
 
 def _truncnorm_moments(x: np.ndarray, sigma: float, lo: float, hi: float):
@@ -313,15 +313,16 @@ def _truncnorm_moments(x: np.ndarray, sigma: float, lo: float, hi: float):
     else:
         quad = dist > _TAIL * sigma
         # past |t| = 40, phi(t) and ndtr(-t) are 0 and ndtr(t) is 1 in floats, so clipping
-        # the edges there (an infinite one too) changes no result and keeps their squares finite
+        # the edges there (an infinite one too) changes no result and keeps their squares finite;
+        # on the quadrature rows, which overwrite it, the closed form may overflow
         with np.errstate(over="ignore"):
             a, b = (np.clip((edge - x) / sigma, -40.0, 40.0) for edge in (lo, hi))
-        phi_a = np.exp(-0.5 * a * a) / math.sqrt(2 * math.pi)
-        phi_b = np.exp(-0.5 * b * b) / math.sqrt(2 * math.pi)
-        z = np.maximum(ndtr(b) - ndtr(a), 1e-300)
-        shift = (phi_a - phi_b) / z
-        mean = x + sigma * shift
-        var = np.maximum(sigma * sigma * (1.0 + (a * phi_a - b * phi_b) / z - shift**2), 0.0)
+            phi_a = np.exp(-0.5 * a * a) / math.sqrt(2 * math.pi)
+            phi_b = np.exp(-0.5 * b * b) / math.sqrt(2 * math.pi)
+            z = np.maximum(ndtr(b) - ndtr(a), 1e-300)
+            shift = (phi_a - phi_b) / z
+            mean = x + sigma * shift
+            var = np.maximum(sigma * sigma * (1.0 + (a * phi_a - b * phi_b) / z - shift**2), 0.0)
     if quad.any():
         # at t = edge -/+ width u, u in [0, 1], the density is proportional to exp(-u (p + q u)),
         # q = (width / sigma)^2 / 2.  The edge is hi above the support and lo elsewhere, and
@@ -339,7 +340,8 @@ def _truncnorm_moments(x: np.ndarray, sigma: float, lo: float, hi: float):
         total = dens.sum(axis=1)
         u = (dens * nodes).sum(axis=1) / total
         mean[quad] = np.where(above, hi - width * u, lo + width * u)
-        var[quad] = width * width * (dens * (nodes - u[:, None]) ** 2).sum(axis=1) / total
+        with np.errstate(over="ignore"):  # a width past 1e154 squares to inf, which the risk check reports
+            var[quad] = width * width * (dens * (nodes - u[:, None]) ** 2).sum(axis=1) / total
     return mean, var
 
 
@@ -563,6 +565,8 @@ class GridChain:
         return out
 
 
+# a sum of beta that underflows to 0 gives a non-finite log Z, which raises NumericError
+@np.errstate(divide="ignore", invalid="ignore")
 def _smooth(
     log_first: np.ndarray,
     X,
@@ -571,7 +575,6 @@ def _smooth(
     diag,
     move: np.ndarray,
     site_loss: Optional[Callable] = None,
-    cells: Optional[int] = None,
     labels: Optional[list] = None,
 ):
     """Scaled backward pass for diagonal-plus-rank-one chains: one dataset, or an n grid of batches.
@@ -596,8 +599,9 @@ def _smooth(
     Messages are (G,) for one dataset and (G, K, R) over the open groups,
     contiguous, datasets on the last axis, so each op runs long inner
     loops.  Emissions are built in site blocks that end on every n_k, from
-    the last block back, each of at most `cells` (site, value, dataset)
-    cells over the open groups (all sites up to the next n_k when None).
+    the last block back: one of all n sites for one dataset, whose step
+    weights are returned, else blocks of at most _SMOOTH_CELLS (site, value,
+    dataset) cells over the open groups.
     Emission rows peak at one.  With site_loss, U is stacked on beta: beta
     times the loss still expected given the current value, unnormalized;
     site_loss(j, lo, hi) gives the (hi - lo, G, K - j) loss of sites
@@ -661,7 +665,7 @@ def _smooth(
             move_j, inv = np.ascontiguousarray(move[:, j:]), np.empty(batch)
             col, loss_beta = np.empty((M.shape[0], 1) + batch), np.empty((G,) + batch)
             col_sum = col[:, 0]
-        sites = edges[j + 1] - edges[j] if cells is None else max(1, cells // (G * inv.size))
+        sites = edges[j + 1] - edges[j] if single else max(1, _SMOOTH_CELLS // (G * inv.size))
         for hi in range(edges[j + 1], edges[j], -sites):
             lo = max(edges[j], hi - sites)
             block = X[lo:hi] if single else np.stack([c[j][:, lo - edges[j] : hi - edges[j]] for c in chunks[j:]])
@@ -889,7 +893,7 @@ def _grid_chain_risks(draws: list, sigma: float, priors: list, grid, signals: li
 
     groups = [(s.values.size, draw) for s, draw in zip(signals, draws)]
     diags = [d for _, d, _ in kernels]
-    expected = _smooth(log_g, groups, sigma, grid, diags, move, site_loss, _SMOOTH_CELLS, labels)[3]
+    expected = _smooth(log_g, groups, sigma, grid, diags, move, site_loss, labels)[3]
     out = []
     for k, (_, _, e) in enumerate(scaled):
         try:

@@ -283,12 +283,12 @@ _GSM_FAMILIES = {
 }
 
 
-def _fit_gsm(p: dict, n: int, rngs) -> tuple:
-    """The family and an iterator of (reps, theta, Y, log_weights) blocks of one n's replications.
+def _run_gsm(p: dict, n: int, rngs, dimension: bool = False) -> np.ndarray:
+    """Each replication's shell k, or its risk from tilt moments below its k only.
 
     Replication r draws from rngs[r].  A block holds at most _BLOCK_CELLS
     coordinates (or one row), whatever the replication count.  Rows whose
-    argmax reaches K_max/2 refit in blocks of their own at 2 K_max on the
+    argmax reaches K_max/2 refit right after their block at 2 K_max on the
     zero-padded signal, drawing only the added noise and evidence ratios.
     """
     alpha, B = p["alpha"], p["B"]
@@ -311,48 +311,39 @@ def _fit_gsm(p: dict, n: int, rngs) -> tuple:
     if stray:
         raise InputError(f"params.prior.{stray[0]} does not apply to family {spec['family']!r}")
     fam = coordinates(1.0 if spec[key] is None else spec[key], n)
-    theta = sequence_model.make_signal(kind, alpha, B, K_max, j0=j0).theta
-    pending = [(np.arange(len(rngs)), theta) + (np.empty((len(rngs), 0)),) * 2]  # nothing drawn yet
-
-    def blocks():
-        while pending:
-            reps, theta, Y, ratios = pending.pop()
-            K, have = theta.size, Y.shape[1]
-            rows = max(1, sequence_model._BLOCK_CELLS // K)
-            if reps.size > rows:  # the other rows wait for this block and its refits
-                pending.append((reps[rows:], theta, Y[rows:], ratios[rows:]))
-                reps, Y, ratios = reps[:rows], Y[:rows], ratios[:rows]
-            Y, ratios = (np.pad(a, ((0, 0), (0, K - have))) for a in (Y, ratios))
-            for row, r in enumerate(reps):  # the added coordinates' noise, next in each stream
-                Y[row, have:] = theta[have:] + rngs[r].standard_normal(K - have) / math.sqrt(n)
-            ratios[:, have:] = fam.log_evidence_ratio(Y[:, have:].ravel(), float(n)).reshape(-1, K - have)
-            prior = sequence_model.SievePrior.geometric(spec["tau"], K, fam)
-            lw = sequence_model._log_weights(prior, ratios, reps)
-            bound = np.argmax(lw, axis=1) >= K // 2
-            if bound.any():  # the binding rows go on top, to refit right after this block
-                if 2 * K > _K_MAX_LIMIT:
-                    raise NumericError(
-                        f"rep={reps[bound][0]}: model weight argmax reached K_max/2 = {K // 2}, "
-                        f"and 2 K_max passes the limit {_K_MAX_LIMIT}; truncation binds"
-                    )
-                pending.append((reps[bound], np.pad(theta, (0, K)), Y[bound], ratios[bound]))
-                reps, Y, lw = reps[~bound], Y[~bound], lw[~bound]
-            yield reps, theta, Y, lw
-
-    return fam, blocks()
-
-
-def _run_gsm(p: dict, n: int, rngs, dimension: bool = False) -> np.ndarray:
-    """Each replication's shell k, or its risk from tilt moments below its k only."""
-    fam, blocks = _fit_gsm(p, n, rngs)
     out = np.empty(len(rngs))
-    for reps, theta, Y, lw in blocks:
-        k, mix = sequence_model._select_shells(lw, p["posterior"] == "mean_field")
-        active = np.arange(0 if dimension else k.max(initial=0)) < k[:, None]
-        moments = np.zeros((2,) + active.shape)
-        if active.any():
-            moments[:, active] = fam.tilt_moments(Y[:, : active.shape[1]][active], float(n))
-        out[reps] = k if dimension else sequence_model._shell_risks(k, mix, *moments, theta)
+
+    def fit(reps, theta, Y, ratios):
+        """Fill out[reps] at K_max = theta.size, given the rows' first Y.shape[1] coordinates."""
+        K, have = theta.size, Y.shape[1]
+        prior = sequence_model.SievePrior.geometric(spec["tau"], K, fam)
+        rows = max(1, sequence_model._BLOCK_CELLS // K)
+        for at in range(0, reps.size, rows):
+            block = reps[at : at + rows]
+            Yb, rb = (np.pad(a[at : at + rows], ((0, 0), (0, K - have))) for a in (Y, ratios))
+            for row, r in enumerate(block):  # the added coordinates' noise, next in each stream
+                Yb[row, have:] = theta[have:] + rngs[r].standard_normal(K - have) / math.sqrt(n)
+            rb[:, have:] = fam.log_evidence_ratio(Yb[:, have:].ravel(), float(n)).reshape(-1, K - have)
+            lw = sequence_model._log_weights(prior, rb, block)
+            bound = np.argmax(lw, axis=1) >= K // 2
+            if bound.any() and 2 * K > _K_MAX_LIMIT:
+                raise NumericError(
+                    f"rep={block[bound][0]}: model weight argmax reached K_max/2 = {K // 2}, "
+                    f"and 2 K_max passes the limit {_K_MAX_LIMIT}; truncation binds"
+                )
+            k, mix = sequence_model._select_shells(lw[~bound], p["posterior"] == "mean_field")
+            active = np.arange(0 if dimension else k.max(initial=0)) < k[:, None]
+            moments = np.zeros((2,) + active.shape)
+            if active.any():
+                moments[:, active] = fam.tilt_moments(Yb[~bound, : active.shape[1]][active], float(n))
+            out[block[~bound]] = k if dimension else sequence_model._shell_risks(k, mix, *moments, theta)
+            if bound.any():  # the block's arrays go before the binding rows' refit
+                refit = block[bound], np.pad(theta, (0, K)), Yb[bound], rb[bound]
+                del Yb, rb, lw, active, moments
+                fit(*refit)
+
+    theta = sequence_model.make_signal(kind, alpha, B, K_max, j0=j0).theta
+    fit(np.arange(len(rngs)), theta, *(np.empty((len(rngs), 0)),) * 2)  # nothing drawn yet
     return out
 
 

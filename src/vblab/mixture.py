@@ -337,7 +337,7 @@ def _cavi_rows(samples, rows, hyper: MixtureHyper, k_max: int):
     b0, alpha0, s0 = hyper.b0, hyper.alpha0, hyper.sigma0_sq
     log_mu0 = -0.5 * math.log(2 * math.pi * s0)
     stack, blocks, done, joined, traces = None, {}, None, 0, {}
-    rows, buffer = iter(rows), None
+    rows = iter(rows)
     pending = next(rows, None)  # the next row to join
     while True:
         if done is None or done.any():
@@ -355,27 +355,18 @@ def _cavi_rows(samples, rows, hyper: MixtureHyper, k_max: int):
                 pending = next(rows, None)
             if not held:
                 return
-            if buffer is None:  # every row, or the most the stack holds: _CAVI_CELLS or one row past it
-                most = max(_CAVI_CELLS, k_max * max(x.size for x in samples))
-                buffer = np.empty(held if pending is None else most)
             stack, blocks = _restack(stack, keep, blocks, *_start_rows(samples, joining, hyper, k_max))
             traces.update((row, []) for row, _ in joining)
-            # each block's rows in the stack, in n order, and its cells in the one buffer
-            # that takes every block's logits and then its responsibilities
-            spans, views, lo, offset = [], [], 0, 0
-            for moments in blocks.values():
-                rows_n, n = moments.shape[:2]
-                spans.append((lo, lo + rows_n))
-                views.append(buffer[offset : offset + rows_n * k_max * n].reshape(rows_n, k_max, n))
-                lo, offset = lo + rows_n, offset + rows_n * k_max * n
+            edges = np.cumsum([0] + [moments.shape[0] for moments in blocks.values()])
+            spans = list(zip(edges, edges[1:]))  # each block's rows in the stack, in n order
         ids, _, k, live, pad, c, a, fixed, m, v, alpha, e_tau, e_logw, m_s, e_logw_s, eta, last, sweep = stack
         A = e_logw_s - e_tau * (m_s * m_s + v)
         B = 2.0 * e_tau * m_s
         prev = m, v, alpha, e_tau, e_logw  # the last accepted CAVI point
         logits_a = A + pad
         stats, lse_sums, weights = [], [], []
-        for (lo_n, hi_n), moments, z in zip(spans, blocks.values(), views):
-            np.multiply(B[lo_n:hi_n, :, None], moments[:, None, :, 1], out=z)  # B y
+        for (lo_n, hi_n), moments in zip(spans, blocks.values()):
+            z = B[lo_n:hi_n, :, None] * moments[:, None, :, 1]  # B y
             z += logits_a[lo_n:hi_n, :, None]
             lse, r = _logsumexp_weights(z, axis=1, out=z)
             stats.append(r @ moments)

@@ -387,6 +387,35 @@ class TestGridPass:
             self.risks(X, priors, grid, signals)
 
 
+@pytest.mark.filterwarnings("error")
+class TestImpossibleData:
+    """Data no chain of the prior reaches: one NumericError, and no warning before it."""
+
+    sigma, grid = 0.01, make_grid(1.0, 0.01, 16)
+    prior = MarkovSitePrior(1e-300, UniformDensity(-2.0, 2.0))  # the two changes weigh 1e-600
+    X = np.array([-1.0, 1.0, -1.0])
+    underflow = "chain smoother underflowed: the data are impossible under the prior$"
+
+    def test_grid_posterior(self):
+        with pytest.raises(NumericError, match="^" + self.underflow):
+            grid_posterior(self.X, self.sigma, self.prior, self.grid)
+
+    def test_markov_chain_risks(self):
+        signal = changepoint.PiecewiseSignal(values=self.X, k_star=3, B=1.0)
+        with pytest.raises(NumericError, match="^" + self.underflow):
+            markov_chain_risks(np.stack([self.X, self.X]), self.sigma, self.prior, self.grid, signal)
+
+    def test_grid_pass_names_its_n(self):
+        # the n = 2 group alone runs; in the pass, the n = 3 group fails and is named
+        X = [np.array([[-1.0, -1.0]]), self.X[None, :]]
+        signals = [changepoint.PiecewiseSignal(values=x[0], k_star=k, B=1.0) for x, k in zip(X, (1, 3))]
+        draws = [changepoint._cut(x) for x in X]
+        alone = changepoint._grid_chain_risks(draws[:1], self.sigma, [self.prior], self.grid, signals[:1])
+        assert np.isfinite(alone[0]).all()
+        with pytest.raises(NumericError, match="^n=3: " + self.underflow):
+            changepoint._grid_chain_risks(draws, self.sigma, [self.prior] * 2, self.grid, signals, ["n=2", "n=3"])
+
+
 class TestBlockedForward:
     def test_step_blocks_keep_the_marginals(self, monkeypatch):
         # 3 steps a block leaves a ragged last block; every step's factors are its own row's

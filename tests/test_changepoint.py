@@ -194,7 +194,7 @@ def _tail_moments(x, sigma, lo, hi):
     ],
 )
 def test_mean_field_moments_far_outside_support(X, sigma, lo, hi):
-    # beyond about 37 sigmas the truncated mass underflows; the moments are the nearer edge's tail
+    # past _TAIL sigmas the moments are the nearer edge's tail, taken by quadrature
     post = fit_mean_field(np.array(X), sigma, MarkovSitePrior(0.5, UniformDensity(lo, hi)))
     assert np.all((post.means >= lo) & (post.means <= hi))
     for x, mean, var in zip(X, post.means, post.variances):
@@ -232,6 +232,32 @@ def test_mean_field_moments_on_a_support_narrower_than_sigma(sigma, x, want_mean
     post = fit_mean_field(np.array([x]), sigma, MarkovSitePrior(0.5, UniformDensity(-2.0, 2.0)))
     assert abs(post.means[0] - want_mean) <= 4e-15
     assert post.variances[0] == pytest.approx(want_var, rel=1e-12)
+
+
+# (x, mean, variance) of the tilt of UniformDensity(-2, 2) by N(x, 1), 2, 3, 5, 8 and 15 sigmas
+# below and above the support, from the closed form in 80-digit mpmath, with the truncated
+# mass taken from upper tails so that nothing cancels
+OFF_SUPPORT_MOMENTS = [
+    (-4.0, -1.6267846313299603, 0.11427848296746232),
+    (4.0, 1.6267846313299603, 0.11427848296746232),
+    (-5.0, -1.716901348723891, 0.07055917274943843),
+    (5.0, 1.716901348723891, 0.07055917274943843),
+    (-7.0, -1.813496032875702, 0.032696434611064355),
+    (7.0, 1.813496032875702, 0.032696434611064355),
+    (-10.0, -1.8786318877638872, 0.014324883443340866),
+    (10.0, 1.8786318877638872, 0.014324883443340866),
+    (-17.0, -1.933913172832178, 0.004330123757559894),
+    (17.0, 1.933913172832178, 0.004330123757559894),
+]
+
+
+@pytest.mark.parametrize("x, want_mean, want_var", OFF_SUPPORT_MOMENTS)
+def test_mean_field_moments_a_few_sigmas_outside_support(x, want_mean, want_var):
+    # below lo the closed form's z = ndtr(b) - ndtr(a) cancels, leaving its variance off by
+    # 5e-12 relative at 3 sigmas, 1e-7 at 5 and lost from about 8, so these take the quadrature
+    post = fit_mean_field(np.array([x]), 1.0, MarkovSitePrior(0.5, UniformDensity(-2.0, 2.0)))
+    assert post.means[0] == pytest.approx(want_mean, rel=1e-15, abs=0)
+    assert post.variances[0] == pytest.approx(want_var, rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("sigma, want_var", [(1e3, 2.0 / (1.0 + 2e-6)), (1e200, 2.0)])

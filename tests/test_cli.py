@@ -375,6 +375,60 @@ def test_pc_mean_field_at_wide_sigma(sigma, tmp_path):
     assert json.loads(out.read_text())[0]["mean_risk"] == pytest.approx(128 * 4 / 3, rel=1e-5)
 
 
+# (command, config payload, the error it exits 2 with): checks that no shipped config reaches
+CONFIG_CHECKS = {
+    "replications-0": ("gsm-rate", _config("gsm-rate", replications=0), "replications must be at least 1"),
+    "master-seed-negative": (
+        "gsm-rate", _config("gsm-rate", master_seed=-1), "master_seed must be a 64-bit unsigned integer"
+    ),
+    "master-seed-2**64": (
+        "gsm-rate", _config("gsm-rate", master_seed=2**64), "master_seed must be a 64-bit unsigned integer"
+    ),
+    "config-a-list": ("gsm-rate", "[1]", "config must be a JSON object"),
+    "out-a-number": ("gsm-rate", _config("gsm-rate", out=5), "config key 'out' must be a path string"),
+    "divcheck-size-1": ("divcheck", _config("divcheck", n_grid=[1, 16]), "distribution sizes start at 2"),
+    "change-prob-power-0": (
+        "pc-compare", _config("pc-compare", {"change_prob": {"power": 0.0}}),
+        "n=64: params.change_prob.power must be positive",
+    ),
+    "change-prob-power-bool": (
+        "pc-compare", _config("pc-compare", {"change_prob": {"power": True}}),
+        "n=64: params.change_prob.power must be a finite number, got True",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_CHECKS))
+def test_config_checks_exit_2_with_their_message(case, tmp_path, capsys):
+    command, payload, message = CONFIG_CHECKS[case]
+    (tmp_path / "cfg.json").write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    assert main([command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_change_prob_power_one_is_the_reciprocal(tmp_path):
+    # n^-1.0 and 1 / n are the same float at these n, so the runs agree byte for byte
+    outs = []
+    for name, prob in (("reciprocal", "reciprocal"), ("power", {"power": 1.0})):
+        payload = _config("pc-compare", {"change_prob": prob}, n_grid=[128, 256, 384])
+        cfg = write_config(tmp_path, f"{name}.json", payload)
+        assert main(["pc-compare", "--config", cfg, "--out", str(tmp_path / f"{name}.csv")]) == 0
+        outs.append((tmp_path / f"{name}.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_vanished_model_weights_exit_3(tmp_path, capsys):
+    # tau = -1e300 leaves prior weight on k = K_max alone, where the spike's evidence ratio under
+    # a subnormal Cauchy scale is -inf: no dimension keeps a weight, and no warning gets out
+    cfg = write_config(tmp_path, "cfg.json", {
+        "model": "gsm_risk", "n_grid": [64, 128], "replications": 3, "master_seed": 1,
+        "params": {"B": 100.0, "prior": {"family": "rescaled_cauchy", "tau": -1e300, "scale": 5e-324},
+                   "signal": {"kind": "spike", "j0": 1}},
+    })
+    assert main(["gsm-rate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
+    assert capsys.readouterr().err == "numeric failure: n=64: rep=0: all model weights vanished\n"
+
+
 def test_pc_mean_field_risk_beyond_float_range_exits_3(tmp_path, capsys):
     # at B = sigma = 1e200 the tilts' means square past float range; no RuntimeWarning gets out
     cfg = write_config(tmp_path, "cfg.json", {**PC_MEAN_FIELD, "params": {"sigma": 1e200, "B": 1e200}})

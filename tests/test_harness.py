@@ -246,45 +246,83 @@ class TestGridSubsets:
         assert_rows_reproduce_alone(ExperimentConfig.from_json(json.dumps({**payload, "master_seed": 20250810})))
 
 
+def record_sieve_blocks(monkeypatch, family) -> list:
+    """The blocks the sieve runner fits, in order, read off the library calls it makes.
+
+    Each block is a dict: "reps", the rows it fits; "shape", that of its
+    evidence ratios; "added", its rows' data drawn for this block (each
+    refit draws only the coordinates it adds); "lw", its rows' log model
+    weights; and "theta", the signal of its free rows' risks.
+    """
+    blocks = []
+    ratio, log_weights, shell_risks = (
+        family.log_evidence_ratio, sequence_model._log_weights, sequence_model._shell_risks
+    )
+
+    def recorded_ratio(self, y, n):
+        blocks.append({"added": np.array(y)})
+        return ratio(self, y, n)
+
+    def recorded_log_weights(prior, ratios, reps=None):
+        lw = log_weights(prior, ratios, reps)
+        added = blocks[-1]["added"].reshape(len(reps), -1)
+        blocks[-1].update(reps=list(reps), shape=ratios.shape, added=added, lw=lw)
+        return lw
+
+    def recorded_shell_risks(k, p, means, variances, theta):
+        blocks[-1]["theta"] = theta
+        return shell_risks(k, p, means, variances, theta)
+
+    monkeypatch.setattr(family, "log_evidence_ratio", recorded_ratio)
+    monkeypatch.setattr(sequence_model, "_log_weights", recorded_log_weights)
+    monkeypatch.setattr(sequence_model, "_shell_risks", recorded_shell_risks)
+    return blocks
+
+
 class TestSieveRefit:
-    def test_binding_truncation_refits_at_twice_k_max(self):
+    def test_binding_truncation_refits_at_twice_k_max(self, monkeypatch):
         # K_max = 16 puts the spike at K_max/2, so the guard fires once; the refit is
         # the direct fit at K_max = 32 on the same spike, from the same stream
         params = parse_params(
             {"alpha": 1.0, "B": 2.0, "k_max_factor": 0.01, "signal": {"kind": "spike", "j0": 8}},
             "gsm_risk",
         )
-        _, blocks = harness._fit_gsm(params, 4096, [generator(0, 4096, 0)])
-        (free, *_), (reps, theta, Y, lw) = blocks
-        assert free.size == 0 and list(reps) == [0] and theta.size == 32
+        with monkeypatch.context() as recording:
+            blocks = record_sieve_blocks(recording, sequence_model.GaussianCoordinates)
+            risk = harness.MODELS["gsm_risk"].runner(params, [4096], [[generator(0, 4096, 0)]])[0]
+        first, refit = blocks
+        assert first["reps"] == [0] and np.argmax(first["lw"][0]) >= 16 // 2  # no row is free at 16
+        assert refit["reps"] == [0] and refit["theta"].size == 32
         prior = sequence_model.SievePrior.geometric(1.0, 32, sequence_model.GaussianCoordinates(1.0))
         direct_signal = sequence_model.make_signal("spike", 1.0, 2.0, 32, j0=8)
         obs = sequence_model.sample_observation(direct_signal, 4096.0, generator(0, 4096, 0))
         direct = sequence_model.fit_mean_field(prior, obs)
-        np.testing.assert_array_equal(theta, direct_signal.theta)
-        np.testing.assert_array_equal(Y[0], obs.y)
-        np.testing.assert_array_equal(lw[0], direct.log_weights)
-        risk = harness.MODELS["gsm_risk"].runner(params, [4096], [[generator(0, 4096, 0)]])[0]
+        np.testing.assert_array_equal(refit["theta"], direct_signal.theta)
+        np.testing.assert_array_equal(np.concatenate((first["added"][0], refit["added"][0])), obs.y)
+        np.testing.assert_array_equal(refit["lw"][0], direct.log_weights)
         assert risk[0] == sequence_model.expected_risk(direct, direct_signal)
 
-    def test_refit_keeps_the_signal_and_its_noise(self):
+    def test_refit_keeps_the_signal_and_its_noise(self, monkeypatch):
         # the shipped Cauchy config bound at this replication with K_max = 26
         payload = json.loads((REPO / "configs" / "gsm_rate_cauchy.json").read_text())
         params = parse_params(payload["params"], "gsm_risk")
         seed = 13150348164293828904
-        _, blocks = harness._fit_gsm(params, 256, [generator(seed, 256, 5)])
-        (free, *_), (reps, theta, Y, lw) = blocks
-        assert free.size == 0 and theta.size == Y.shape[1] == 52
+        blocks = record_sieve_blocks(monkeypatch, sequence_model.RescaledCauchyCoordinates)
+        harness.MODELS["gsm_risk"].runner(params, [256], [[generator(seed, 256, 5)]])
+        first, refit = blocks
+        assert np.argmax(first["lw"][0]) >= 26 // 2  # no row is free at 26
+        theta = refit["theta"]
+        assert theta.size == refit["shape"][1] == 52
         original = sequence_model.make_signal("sobolev_boundary", 1.0, 2.0, 26)
         np.testing.assert_array_equal(theta[:26], original.theta)
         assert not theta[26:].any()
-        assert int(np.argmax(lw[0])) < 26
+        assert int(np.argmax(refit["lw"][0])) < 26
 
     def test_refit_stops_at_the_k_max_limit(self, monkeypatch):
         monkeypatch.setattr(harness, "_K_MAX_LIMIT", 16)
         params = {"alpha": 1.0, "B": 2.0, "k_max_factor": 0.01, "signal": {"kind": "spike", "j0": 8}}
         with pytest.raises(NumericError, match="^rep=0: .*truncation binds$"):
-            list(harness._fit_gsm(parse_params(params, "gsm_risk"), 4096, [generator(0, 4096, 0)])[1])
+            harness._run_gsm(parse_params(params, "gsm_risk"), 4096, [generator(0, 4096, 0)])
 
     def test_refits_keep_the_evidence_ratios_they_have(self, monkeypatch):
         # each doubling computes only the ratios of its K_max added coordinates; the
@@ -300,13 +338,17 @@ class TestSieveRefit:
             return ratio(self, y, n)
 
         monkeypatch.setattr(sequence_model.RescaledCauchyCoordinates, "log_evidence_ratio", counted)
-        fam, blocks = harness._fit_gsm(params, 256, [generator(seed, 256, rep) for rep in range(8)])
-        (reps, theta, Y, lw) = list(blocks)[1]
+        with monkeypatch.context() as recording:
+            blocks = record_sieve_blocks(recording, sequence_model.RescaledCauchyCoordinates)
+            harness.MODELS["gsm_risk"].runner(params, [256], [[generator(seed, 256, rep) for rep in range(8)]])
+        first, refit = blocks
         assert sizes == [8 * 26, 26]
-        assert list(reps) == [5] and theta.size == 52
+        assert refit["reps"] == [5] and refit["shape"] == (1, 52)
+        y = np.concatenate((first["added"][5], refit["added"][0]))
+        fam = sequence_model.RescaledCauchyCoordinates(payload["params"]["prior"]["scale"], 256)
         prior = sequence_model.SievePrior.geometric(1.0, 52, fam)
-        fresh = sequence_model.log_model_weights(prior, sequence_model.SequenceObservation(Y[0], 256.0))
-        np.testing.assert_array_equal(lw[0], fresh)
+        fresh = sequence_model.log_model_weights(prior, sequence_model.SequenceObservation(y, 256.0))
+        np.testing.assert_array_equal(refit["lw"][0], fresh)
 
         # a prior leaning to large k keeps binding: K_max 8 -> 16 -> 32, then the limit
         monkeypatch.setattr(harness, "_K_MAX_LIMIT", 32)
@@ -416,34 +458,27 @@ class TestStackedRunners:
 
     def test_gsm_blocks_stay_within_the_cell_cap(self, monkeypatch):
         # K_max = 4096 * 64^(1/3) = 16384 holds two rows a block at the shipped cap
-        blocks = []
-        fit = harness._fit_gsm
-
-        def recorded(*args):
-            fam, it = fit(*args)
-
-            def record():
-                for block in it:
-                    blocks.append((list(block[0]), block[2].shape))
-                    yield block
-            return fam, record()
-
-        monkeypatch.setattr(harness, "_fit_gsm", recorded)
         params = parse_params({"alpha": 1.0, "B": 2.0, "k_max_factor": 4096.0}, "gsm_risk")
         rngs = lambda: [generator(41, 64, rep) for rep in range(5)]  # noqa: E731
-        got = harness.MODELS["gsm_risk"].runner(params, [64], [rngs()])[0]
-        assert blocks == [([0, 1], (2, 16384)), ([2, 3], (2, 16384)), ([4], (1, 16384))]
+        with monkeypatch.context() as recording:
+            blocks = record_sieve_blocks(recording, sequence_model.GaussianCoordinates)
+            got = harness.MODELS["gsm_risk"].runner(params, [64], [rngs()])[0]
+        assert [(b["reps"], b["shape"]) for b in blocks] == [([0, 1], (2, 16384)), ([2, 3], (2, 16384)),
+                                                              ([4], (1, 16384))]
         np.testing.assert_allclose(got, [ref_gsm_risk(params, 64, r) for r in rngs()], rtol=1e-12, atol=0)
 
-        # refits block their rows again at 2 K_max: 52 cells hold two rows of 26, one of 52
+        # refits block their rows again at 2 K_max: 52 cells hold two rows of 26, one of 52;
+        # row 5 binds in its block and refits before the next block
         monkeypatch.setattr(sequence_model, "_BLOCK_CELLS", 52)
         payload = json.loads((REPO / "configs" / "gsm_rate_cauchy.json").read_text())
         params = parse_params(payload["params"], "gsm_risk")
         rngs = lambda: [generator(13150348164293828904, 256, rep) for rep in range(8)]  # noqa: E731
-        blocks.clear()
-        got = harness.MODELS["gsm_risk"].runner(params, [256], [rngs()])[0]
-        assert blocks == [([0, 1], (2, 26)), ([2, 3], (2, 26)), ([4], (1, 26)), ([5], (1, 52)),
-                          ([6, 7], (2, 26))]
+        with monkeypatch.context() as recording:
+            blocks = record_sieve_blocks(recording, sequence_model.RescaledCauchyCoordinates)
+            got = harness.MODELS["gsm_risk"].runner(params, [256], [rngs()])[0]
+        assert [(b["reps"], b["shape"]) for b in blocks] == [([0, 1], (2, 26)), ([2, 3], (2, 26)),
+                                                              ([4, 5], (2, 26)), ([5], (1, 52)), ([6, 7], (2, 26))]
+        assert (np.argmax(blocks[2]["lw"], axis=1) >= 26 // 2).tolist() == [False, True]
         np.testing.assert_allclose(got, [ref_gsm_risk(params, 256, r) for r in rngs()], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("signal", [{"kind": "zero"}, {"kind": "prefix", "k_star": 3}], ids=["zero", "prefix"])
@@ -568,6 +603,34 @@ class TestEmission:
         fit = RateFit(slope=-0.8, intercept=1.1, r_squared=0.99)
         payload = json.loads(to_text(fit, "json"))
         assert set(payload) == {"slope", "intercept", "r_squared"}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n,risk\n64,0.5\n", r"^unexpected CSV header \['n', 'risk'\]$"),
+            ("n,mean_risk,stderr,replications\n128,0.5,0.1,3\n64,0.9,0.1,3\n", "^rows must be sorted by strictly"),
+            ("n,mean_risk,stderr,replications\n64,0.5,-0.1,3\n", "^standard errors must be non-negative$"),
+        ],
+        ids=["header", "unsorted-n", "negative-stderr"],
+    )
+    def test_malformed_table_file_is_an_input_error(self, tmp_path, text, message):
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        with pytest.raises(InputError, match=message):
+            read_table(str(path), "csv")
+
+    def test_unknown_format_object_or_file_is_an_input_error(self, tmp_path):
+        table = make_table([64], [0.5])
+        with pytest.raises(InputError, match="^format must be 'csv' or 'json', got 'xml'$"):
+            to_text(table, "xml")
+        with pytest.raises(InputError, match="^cannot emit object of type set$"):
+            to_text({1}, "csv")
+        path = tmp_path / "table.csv"
+        emit(table, "csv", str(path))
+        with pytest.raises(InputError, match="^format must be 'csv' or 'json', got 'xml'$"):
+            read_table(str(path), "xml")
+        with pytest.raises(InputError, match="^cannot read .*missing.csv"):
+            read_table(str(tmp_path / "missing.csv"))
 
     def test_unwritable_path_reports_path(self):
         table = make_table([2], [1.0])
