@@ -200,8 +200,9 @@ def test_mean_field_moments_far_outside_support(X, sigma, lo, hi):
     for x, mean, var in zip(X, post.means, post.variances):
         want_mean, want_var = _tail_moments(x, sigma, lo, hi)
         edge = hi if x > hi else lo
-        assert abs(mean - edge) == pytest.approx(abs(want_mean - edge), rel=1e-12)
-        assert var == pytest.approx(want_var, rel=1e-9)
+        # abs=0: the default abs=1e-12 would pass a 1e-16 variance at any relative error
+        assert abs(mean - edge) == pytest.approx(abs(want_mean - edge), rel=1e-12, abs=0)
+        assert var == pytest.approx(want_var, rel=1e-9, abs=0)
 
 
 # (sigma, x, mean, variance) of the tilt of UniformDensity(-2, 2) by N(x, sigma^2), from a

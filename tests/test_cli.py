@@ -391,6 +391,8 @@ CONFIG_CHECKS = {
         "pc-compare", _config("pc-compare", {"change_prob": {"power": 0.0}}),
         "n=64: params.change_prob.power must be positive",
     ),
+    "trunc-alpha-0": ("trunc-curve", _config("trunc-curve", {"alpha": 0.0}), "alpha and B must be positive"),
+    "trunc-B-negative": ("trunc-curve", _config("trunc-curve", {"B": -1.0}), "alpha and B must be positive"),
     "change-prob-power-bool": (
         "pc-compare", _config("pc-compare", {"change_prob": {"power": True}}),
         "n=64: params.change_prob.power must be a finite number, got True",
@@ -564,6 +566,17 @@ def test_trunc_curve_exponents_finite_for_large_beta(tmp_path):
     assert main(["trunc-curve", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
     rows = json.loads(out.read_text())
     assert rows and all(math.isfinite(row["fitted_exponent"]) for row in rows)
+
+
+@pytest.mark.parametrize("alpha", [100.0, 200.0])
+def test_trunc_curve_runs_at_large_alpha(alpha, tmp_path):
+    # the spike B j0^{-alpha} is subnormal from j0 = 40 or so; no candidate is built as a
+    # signal, so no ball check can reject one that lies on the ball by construction
+    cfg = write_config(tmp_path, "trunc.json", _config("trunc-curve", {"alpha": alpha}))
+    out = tmp_path / "curve.json"
+    assert main(["trunc-curve", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    rows = json.loads(out.read_text())
+    assert len(rows) == 2 and all(math.isfinite(row["fitted_exponent"]) for row in rows)
 
 
 def test_gsm_rate_runs_at_large_alpha(tmp_path):

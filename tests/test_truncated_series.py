@@ -8,6 +8,7 @@ import pytest
 from vblab.errors import InputError
 from vblab.sequence_model import SobolevSignal, make_signal
 from vblab.truncated_series import (
+    _ceil_power,
     exact_risk,
     rate_exponent_curve,
     theory_exponent,
@@ -148,9 +149,57 @@ class TestRateCurve:
         with pytest.raises(InputError):
             rate_exponent_curve(1.0, 1.0, [], [1024, 2048, 4096])
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 200.0])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1000, 65536])
+    def test_vector_k_matches_the_built_candidates(self, n, beta):
+        # worst_case_risk builds no signal; each k's value must be the max exact_risk over
+        # the three candidates that make_signal builds at that k's length
+        ks = sorted({0, 1, min(5, n), _ceil_power(n, 0.5), n - 1, n})
+        j_eff = _ceil_power(n, 1.0 / (2 * beta + 1))
+        for alpha, B in ((1.0, 1.0), (0.3, 5.0), (4.0, 0.5)):
+            risks = worst_case_risk(alpha, beta, n, ks, B)
+            assert risks.shape == (len(ks),)
+            for k, risk in zip(ks, risks):
+                length = max(4 * j_eff, k + 2, 8)
+                candidates = [
+                    make_signal("spike", alpha, B, length, j0=k + 1),
+                    make_signal("spike", alpha, B, length, j0=j_eff),
+                    make_signal("sobolev_boundary", alpha, B, length),
+                ]
+                expected = max(exact_risk(sig, n, beta, k) for sig in candidates)
+                assert risk == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_each_k_independent_of_the_others(self):
+        # the prefix sums are sequential, so a k's entry does not depend on the array's length
+        n, ks = 4096, [0, 3, 17, 90, 600, 4095, 4096]
+        risks = worst_case_risk(1.0, 1.0, n, ks)
+        for k, risk in zip(ks, risks):
+            assert worst_case_risk(1.0, 1.0, n, k) == risk
+            assert worst_case_risk(1.0, 1.0, n, [k]).tolist() == [risk]
+
+    def test_t_run_alone_gives_its_row(self):
+        t_grid = [round(0.1 * i, 1) for i in range(1, 11)]
+        n_grid = [2**m for m in range(10, 17)]
+        rows = rate_exponent_curve(1.0, 1.0, t_grid, n_grid)
+        for t, row in zip(t_grid, rows):
+            assert rate_exponent_curve(1.0, 1.0, [t], n_grid) == [row]
+
     def test_powers_validated_before_use(self):
         # t > 1 would overflow n^t and beta = -1/2 would divide by zero
         with pytest.raises(InputError):
             rate_exponent_curve(1.0, 1.0, [64.0], [1024, 2048, 4096])
         with pytest.raises(InputError):
             worst_case_risk(1.0, -0.5, 1024, 8)
+
+    @pytest.mark.parametrize(
+        "alpha, B, k, message",
+        [
+            (0.0, 1.0, 8, "alpha and B must be positive"),
+            (1.0, -1.0, [8], "alpha and B must be positive"),
+            (1.0, 1.0, [8, 1025], r"k=1025 outside 0\.\.1024"),
+            (1.0, 1.0, [8, 2.5], "k must be non-negative and an integer"),
+        ],
+    )
+    def test_worst_case_inputs_checked(self, alpha, B, k, message):
+        with pytest.raises(InputError, match=message):
+            worst_case_risk(alpha, 1.0, 1024, k, B)
