@@ -431,30 +431,8 @@ _TOL = 1e-8
 _MAX_SWEEPS = 500
 # markov_chain_risks streams emission blocks of at most _SMOOTH_CELLS (site, value, replication) cells.
 _SMOOTH_CELLS = 1 << 18
-# GridChain._forward takes its step factors in blocks of at most _FORWARD_CELLS (step, value) cells.
+# GridChain._steps takes its step rows in blocks of at most _FORWARD_CELLS (step, value) cells.
 _FORWARD_CELLS = 1 << 15
-
-
-def _step_factors(stay: np.ndarray, move: np.ndarray, weights: np.ndarray):
-    """Weighted kernel factors of one chain step and their row sums.
-
-    Row a of the step carries stay[b] * weights[b] on its diagonal and
-    move[b] * weights[b] everywhere else; every term is non-negative, and
-    a floating-point sum of non-negatives is no smaller than any of its
-    terms, so the row sums never go negative through cancellation.
-    """
-    st = stay * weights
-    mv = move * weights
-    return st, mv, st + (mv.sum(axis=-1, keepdims=True) - mv)
-
-
-def _dense_transitions(stay: np.ndarray, move: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Row-normalized G x G matrices of the steps given by (..., G) factors."""
-    st, mv, norm = _step_factors(stay, move, weights)
-    G = st.shape[-1]
-    T = np.repeat(mv[..., None, :], G, axis=-2)
-    T[..., np.arange(G), np.arange(G)] = st
-    return T / norm[..., :, None]
 
 
 @dataclass(frozen=True)
@@ -468,8 +446,8 @@ class GridChain:
     change prior, 1 and e^lambda g_b in the tangent sweep of fit_markov_vb.
     The weights are the backward weights of the smoother: the emission at
     site i+1 times its backward message.  Marginals, pairwise tables,
-    change counts and samples are derived on demand in O(G) per step; the
-    dense log_transitions tensor is built only when asked for.
+    change counts and samples are derived on demand in O(G) per step, all
+    from the step rows of _steps.
     """
 
     grid: np.ndarray
@@ -500,32 +478,28 @@ class GridChain:
     def initial(self) -> np.ndarray:
         return np.exp(self.log_initial)
 
-    @property
-    def transitions(self) -> np.ndarray:
-        """Dense (n-1, G, G) row-normalized transition matrices."""
-        return _dense_transitions(self.stay, self.move, self.weights)
+    def _steps(self, lo: int, hi: int):
+        """Yield each step lo..hi-1's rows stay * w and move * w and its row sums, a block of steps at a time.
 
-    @property
-    def log_transitions(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self.transitions)
-
-    def _forward(self):
-        """Yield each later site's marginal and the part of it that arrived by a change.
-
-        The step factors are taken a block of steps at a time, so the pass
-        holds no (n-1, G) table; each step's factors are its own row's.
+        Row a's entries, stay * w[a] on the diagonal and move * w[b] off it, are non-negative, so
+        no row sum goes negative by cancellation; a zero one, of an unreachable value, is clamped.
         """
-        m = self.initial
         steps = max(1, _FORWARD_CELLS // self.grid.size)
-        for lo in range(0, self.n_sites - 1, steps):
-            st, mv, norm = _step_factors(self.stay, self.move, self.weights[lo : lo + steps])
-            np.maximum(norm, _TINY, out=norm)  # a row with zero sum is unreachable
-            for i in range(st.shape[0]):
-                u = m / norm[i]
-                moved = mv[i] * (u.sum() - u)
-                m = st[i] * u + moved
-                yield m, moved
+        for a in range(lo, hi, steps):
+            w = self.weights[a : min(a + steps, hi)]
+            st, mv = self.stay * w, self.move * w
+            norm = st + (mv.sum(axis=-1, keepdims=True) - mv)
+            np.maximum(norm, _TINY, out=norm)
+            yield from zip(st, mv, norm)
+
+    def _forward(self, hi: Optional[int] = None):
+        """Yield each site 1..hi's marginal (to n - 1 by default) and the part of it that arrived by a change."""
+        m = self.initial
+        for st, mv, norm in self._steps(0, self.n_sites - 1 if hi is None else hi):
+            u = m / norm
+            moved = mv * (u.sum() - u)
+            m = st * u + moved
+            yield m, moved
 
     def marginals(self) -> np.ndarray:
         """Site marginals by forward propagation of the transitions."""
@@ -536,32 +510,35 @@ class GridChain:
         return out
 
     def pairwise(self, i: int) -> np.ndarray:
-        """Joint distribution of (site i, site i+1), 0-based, for 0 <= i < n-1."""
+        """Joint distribution of (site i, site i+1), 0-based, for 0 <= i < n-1; the forward pass stops at i."""
         if not 0 <= i < self.n_sites - 1:
             raise InputError(f"pairwise needs 0 <= i < {self.n_sites - 1}, got {i}")
         i = count(i, "i")
-        T = _dense_transitions(self.stay, self.move, self.weights[i])
-        return self.marginals()[i][:, None] * T
+        m = self.initial
+        for m, _ in self._forward(i):
+            pass
+        st, mv, norm = next(self._steps(i, i + 1))
+        T = np.repeat(mv[None, :], mv.size, axis=0)
+        np.fill_diagonal(T, st)
+        return m[:, None] * (T / norm[:, None])
 
     def expected_change_count(self) -> float:
         return float(sum(moved.sum() for _, moved in self._forward()))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         size = count(size, "size")
-        G = self.grid.size
         out = np.empty((size, self.n_sites))
         init = self.initial
-        states = rng.choice(G, size=size, p=init / init.sum())
+        states = rng.choice(self.grid.size, size=size, p=init / init.sum())
         out[:, 0] = self.grid[states]
         rows = np.arange(size)
-        for i in range(self.n_sites - 1):
-            st, mv, _ = _step_factors(self.stay, self.move, self.weights[i])
+        for i, (st, mv, _) in enumerate(self._steps(0, self.n_sites - 1), start=1):
             cum = np.tile(mv, (size, 1))
             cum[rows, states] = st[states]
             np.cumsum(cum, axis=1, out=cum)
             u = rng.random(size) * cum[:, -1]
             states = (u[:, None] > cum).sum(axis=1)
-            out[:, i + 1] = self.grid[states]
+            out[:, i] = self.grid[states]
         return out
 
 

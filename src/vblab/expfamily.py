@@ -4,11 +4,11 @@ A density is exp(sum_j theta_j h_j(x) - c(theta)) against Lebesgue
 measure, where the basis pairs sqrt(2) cos(2 pi l x) with
 sqrt(2) sin(2 pi l x); the constant function is index 0 and its
 coefficient is fixed to zero, so theta_1, theta_2, ... fully determine
-the density.  The divergences are functions of normalizers alone
-(Wainwright & Jordan 2008, section 3): the Hellinger affinity is
-exp(c((theta_a + theta_b) / 2) - (c_a + c_b) / 2), KL(a || b) is
-(theta_a - theta_b) . E_a[h] - c_a + c_b and D_2(a || b) is
-c(2 theta_a - theta_b) - 2 c_a + c_b.  Each c and E[h] is a sum over one
+the density.  KL(a || b) = (theta_a - theta_b) . E_a[h] - c_a + c_b and
+D_2(a || b) = c(2 theta_a - theta_b) - 2 c_a + c_b are functions of
+normalizers alone (Wainwright & Jordan 2008, section 3); H^2, which 1 minus
+their affinity would lose at small distances, is a sum of non-negative terms
+on one rule (hellinger_numeric).  Each c and E[h] is a sum over one
 fixed N-point trapezoidal rule, the nodes i / N each of weight 1 / N:
 exp(theta . h) is 1-periodic and entire, so the rule converges
 geometrically (Trefethen & Weideman, SIAM Rev. 2014).  N is the fewest,
@@ -105,13 +105,18 @@ def _exact_stats(theta: np.ndarray):
     """c(theta) and E_theta[h] for one checked coefficient vector, on the rule sized for its ||theta||_1."""
     if not theta.any():  # the uniform density
         return 0.0, np.zeros(theta.size)
+    c, moments = _normalizer_stats(theta, _sized_nodes(theta))
+    return float(c), moments
+
+
+def _sized_nodes(theta: np.ndarray) -> int:
+    """Nodes of the rule for c(theta) at theta's ||theta||_1; NumericError past _EXACT_MAX_NODES."""
     with np.errstate(over="ignore"):  # a norm past float range needs too many nodes anyway
         norm = float(np.abs(theta).sum())
     nodes = 2.0 * norm < math.inf and _exact_nodes(theta.size, max(_ELBO_CAP, math.ceil(2.0 * norm) / 2.0))
     if not nodes:
         raise NumericError(f"||theta||_1 = {norm:g} needs more than {_EXACT_MAX_NODES} quadrature nodes")
-    c, moments = _normalizer_stats(theta, nodes)
-    return float(c), moments
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -162,10 +167,27 @@ def _pair(theta_a, theta_b):
 
 
 def hellinger_numeric(theta_a, theta_b) -> float:
-    """Hellinger distance between two basis densities, from their normalizers."""
+    """Hellinger distance between two basis densities, on one rule, from their coefficient difference.
+
+    On the rule sized for the larger ||theta||_1, with w = log(p_b / p_a) =
+    (theta_b - theta_a) . h - (c_b - c_a), c_b - c_a corrected there by
+    log E_a[e^w], H^2 = E_a[expm1(w / 2)^2] / 2: its terms are non-negative,
+    so nothing cancels at small H^2, and each is written over max(p_a, p_b)
+    as e^max(w, 0) times a factor below one, so none overflows.
+    """
     ta, tb, c_a, c_b = _pair(theta_a, theta_b)
-    log_affinity = _exact_stats(0.5 * (ta + tb))[0] - 0.5 * (c_a + c_b)
-    return math.sqrt(min(max(-math.expm1(log_affinity), 0.0), 1.0))
+    if np.array_equal(ta, tb):  # two empty vectors too, which no rule is sized for
+        return 0.0
+    nodes = max(_sized_nodes(ta), _sized_nodes(tb))
+    H = _elbo_rule(ta.size, nodes)
+    log_pa = H @ ta - float(_normalizer_stats(ta, nodes)[0])
+
+    def over_max(w, factor):  # E_a[e^max(w, 0) factor]: each term's density is max(p_a, p_b)
+        return float(np.mean(np.exp(log_pa + np.maximum(w, 0.0)) * factor))
+
+    w = H @ (tb - ta) - (c_b - c_a)
+    w -= math.log1p(over_max(w, -np.sign(w) * np.expm1(-np.abs(w))))  # log E_a[e^w] = log1p(E_a[expm1(w)])
+    return math.sqrt(min(0.5 * over_max(w, np.expm1(-0.5 * np.abs(w)) ** 2), 1.0))
 
 
 def kl_numeric(theta_a, theta_b) -> float:

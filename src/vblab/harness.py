@@ -351,19 +351,16 @@ def _pc_common(p, n):
     sigma, B = p["sigma"], p["B"]
     grid = changepoint.make_grid(B, sigma, p["G"])
     signal_opts = p["signal"]
-    kind = signal_opts["kind"]
+    kind, k_star, amplitude = signal_opts["kind"], signal_opts["k_star"], signal_opts["amplitude"]
     if kind == "zero":
-        signal = changepoint.PiecewiseSignal(values=np.zeros(n), k_star=1, B=B)
-    elif kind == "prefix":
-        signal = changepoint.make_prefix_signal(
-            n, signal_opts["k_star"], B, signal_opts["seg_len"], signal_opts["amplitude"]
-        )
-        signal = changepoint.snap_to_grid(signal, grid)
-    else:
-        signal = changepoint.snap_to_grid(
-            changepoint.make_piecewise_signal(n, signal_opts["k_star"], B), grid
-        )
-    return sigma, B, grid, signal
+        return sigma, B, grid, changepoint.PiecewiseSignal(values=np.zeros(n), k_star=1, B=B)
+    if kind == "prefix":
+        signal = changepoint.make_prefix_signal(n, k_star, B, signal_opts["seg_len"], amplitude)
+    else:  # equal_segments, at the levels +/- amplitude as for prefix
+        if not 0 < amplitude <= B:
+            raise InputError(f"params.signal.amplitude must lie in (0, B] for equal_segments, got {amplitude!r}")
+        signal = changepoint.make_piecewise_signal(n, k_star, B, amplitude / B)
+    return sigma, B, grid, changepoint.snap_to_grid(signal, grid)
 
 
 def _pc_draw(signal, sigma: float, rngs, edges) -> list:

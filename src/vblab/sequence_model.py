@@ -279,14 +279,13 @@ class SobolevSignal:
         object.__setattr__(self, "theta", data_array(self.theta, "theta"))
         if not (self.alpha > 0 and self.B > 0):
             raise InputError("alpha and B must be positive")
-        # in log space, where neither side overflows at a huge B
-        if np.logaddexp.reduce(self._log_ball_terms(), initial=-np.inf) > 2.0 * math.log(self.B) + 1e-9:
-            raise InputError("signal violates the smoothness ball constraint")
-
-    def _log_ball_terms(self) -> np.ndarray:
-        # log j^{2 alpha} theta_j^2 over the nonzero theta_j, since j^{2 alpha} alone overflows at large alpha
+        # in log space over the nonzero theta_j, since B^2 and j^{2 alpha} overflow, each |theta_j| lowered
+        # by half its ulp, the rounding it may carry: under 1.2e-16 relative unless theta_j is subnormal
         nz = np.flatnonzero(self.theta)
-        return 2 * (self.alpha * np.log(nz + 1.0) + np.log(np.abs(self.theta[nz])))
+        a = np.abs(self.theta[nz])
+        terms = 2 * (self.alpha * np.log(nz + 1.0) + np.log(a) + np.log1p(-np.spacing(a) / a / 2))
+        if np.logaddexp.reduce(terms, initial=-np.inf) > 2.0 * math.log(self.B) + 1e-9:
+            raise InputError("signal violates the smoothness ball constraint")
 
 
 @dataclass(frozen=True)

@@ -122,9 +122,23 @@ def dense_markov_vb(X, sigma, prior: UniformPositionsPrior, grid, tol=1e-8, max_
     return log_q1, log_T, log_m, trace, max_tilt
 
 
+def dense_log_transitions(chain) -> np.ndarray:
+    """The chain's (n-1, G, G) log transition matrices, built densely from stay, move and weights.
+
+    Step i's row a is K(a, .) * weights[i], normalized to sum one, with K
+    stay on the diagonal and move off it.
+    """
+    G = chain.grid.size
+    kernel = np.tile(np.broadcast_to(chain.move, (G,)), (G, 1))
+    np.fill_diagonal(kernel, np.broadcast_to(chain.stay, (G,)))
+    T = kernel[None, :, :] * chain.weights[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(T / T.sum(axis=2, keepdims=True))
+
+
 def assert_chain_matches(chain, log_q1, log_T, log_m):
     np.testing.assert_allclose(chain.log_initial, log_q1, rtol=0, atol=TOL)
-    np.testing.assert_allclose(chain.log_transitions, log_T, rtol=0, atol=TOL)
+    np.testing.assert_allclose(dense_log_transitions(chain), log_T, rtol=0, atol=TOL)
     m = np.exp(log_m)
     np.testing.assert_allclose(chain.marginals(), m, rtol=0, atol=TOL)
     T = np.exp(log_T)
@@ -417,19 +431,24 @@ class TestImpossibleData:
 
 
 class TestBlockedForward:
-    def test_step_blocks_keep_the_marginals(self, monkeypatch):
-        # 3 steps a block leaves a ragged last block; every step's factors are its own row's
+    def test_step_blocks_keep_every_view(self, monkeypatch):
+        # 3 steps a block leaves a ragged last block; every step's rows are its own weights'
         n, sigma, grid = 50, 0.8, make_grid(1.0, 0.8, 24)
         X = np.random.default_rng(4).normal(0.0, 1.0, n)
         chains = [
             grid_posterior(X, sigma, MarkovSitePrior(0.05, UniformDensity(-2.0, 2.0)), grid),
             fit_markov_vb(X, sigma, UniformPositionsPrior.power(n, GaussianDensity(0.0, 1.0)), grid),
         ]
-        whole = [(c.marginals(), c.expected_change_count()) for c in chains]
+
+        def views(chain):
+            pairs = np.stack([chain.pairwise(i) for i in range(n - 1)])
+            draws = chain.sample(np.random.default_rng(9), 64)
+            return chain.marginals().tobytes(), chain.expected_change_count(), pairs.tobytes(), draws.tobytes()
+
+        whole = [views(c) for c in chains]
         monkeypatch.setattr(changepoint, "_FORWARD_CELLS", 3 * grid.size)
-        for chain, (m, count) in zip(chains, whole):
-            assert chain.marginals().tobytes() == m.tobytes()
-            assert chain.expected_change_count() == count
+        for chain, want in zip(chains, whole):
+            assert views(chain) == want
 
     def test_risk_holds_no_table_of_step_factors(self):
         # the marginals, the scaled errors and their product: three (n, G) tables, where the
@@ -446,3 +465,17 @@ class TestBlockedForward:
         finally:
             tracemalloc.stop()
         assert peak < 3 * n * G * 8
+
+    def test_pairwise_holds_no_table_of_marginals(self):
+        # the forward pass stops at site i and keeps one marginal; only step i is a (G, G) table
+        n, G, sigma, B = 4096, 64, 1.0, 1.25
+        grid = make_grid(B, sigma, G)
+        X = np.random.default_rng(6).normal(0.0, 1.0, n)
+        chain = grid_posterior(X, sigma, MarkovSitePrior(1.0 / n, UniformDensity(-B - 1, B + 1)), grid)
+        tracemalloc.start()
+        try:
+            chain.pairwise(n - 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * G * 8

@@ -29,6 +29,8 @@ from vblab.changepoint import (
 )
 from vblab.errors import InputError, NumericError
 
+from test_chain_smoother import dense_log_transitions
+
 
 def enumerate_joint(X, sigma, prior: MarkovSitePrior, grid):
     """Brute-force joint over all G^n grid configurations."""
@@ -324,8 +326,7 @@ class TestGridPosterior:
         chain = grid_posterior(X, sigma, prior, grid)
         joint = enumerate_joint(X, sigma, prior, grid)
         q1 = np.exp(chain.log_initial)
-        T1 = np.exp(chain.log_transitions[0])
-        T2 = np.exp(chain.log_transitions[1])
+        T1, T2 = np.exp(dense_log_transitions(chain))
         chain_joint = q1[:, None, None] * T1[:, :, None] * T2[None, :, :]
         np.testing.assert_allclose(chain_joint, joint, atol=1e-12)
 
@@ -354,7 +355,7 @@ class TestGridPosterior:
         grid = make_grid(1.0, 1.0, G=48)
         rng = np.random.default_rng(6)
         chain = grid_posterior(rng.normal(size=40), 1.0, prior, grid)
-        rows = np.exp(chain.log_transitions).sum(axis=2)
+        rows = np.exp(dense_log_transitions(chain)).sum(axis=2)
         np.testing.assert_allclose(rows, 1.0, atol=1e-10)
         np.testing.assert_allclose(chain.marginals().sum(axis=1), 1.0, atol=1e-10)
 
@@ -368,7 +369,7 @@ class TestFitMarkovVb:
         a = grid_posterior(X, 1.0, prior, grid)
         b = fit_markov_vb(X, 1.0, prior, grid)
         np.testing.assert_array_equal(a.log_initial, b.log_initial)
-        np.testing.assert_array_equal(a.log_transitions, b.log_transitions)
+        np.testing.assert_array_equal(dense_log_transitions(a), dense_log_transitions(b))
 
     def test_objective_monotone_on_random_instances(self):
         rng = np.random.default_rng(31415)
@@ -400,6 +401,7 @@ class TestFitMarkovVb:
         grid = np.linspace(-2.0, 2.0, G)
         X = rng.normal(0.0, 1.0, size=n)
         chain = fit_markov_vb(X, 1.0, prior, grid)
+        log_T = dense_log_transitions(chain)
 
         lg = prior.value_density.log_pdf(grid)
         lg = lg - logsumexp(lg)
@@ -409,7 +411,7 @@ class TestFitMarkovVb:
         for states in itertools.product(range(G), repeat=n):
             log_q = chain.log_initial[states[0]]
             for i in range(n - 1):
-                log_q += chain.log_transitions[i][states[i], states[i + 1]]
+                log_q += log_T[i][states[i], states[i + 1]]
             if not np.isfinite(log_q):
                 continue
             changes = sum(1 for i in range(1, n) if states[i] != states[i - 1])
@@ -429,11 +431,12 @@ class TestFitMarkovVb:
         X = rng.normal(size=n)
         chain = grid_posterior(X, 1.0, prior, grid)
 
+        log_T = dense_log_transitions(chain)
         counts = np.zeros(n)
         for states in itertools.product(range(G), repeat=n):
             log_q = chain.log_initial[states[0]]
             for i in range(n - 1):
-                log_q += chain.log_transitions[i][states[i], states[i + 1]]
+                log_q += log_T[i][states[i], states[i + 1]]
             if not np.isfinite(log_q):
                 continue
             c = sum(1 for i in range(1, n) if states[i] != states[i - 1])

@@ -353,6 +353,15 @@ def test_adversary_spike_names_its_key_and_n_at_n_1(tmp_path, capsys):
     assert capsys.readouterr().err == err
 
 
+def test_subnormal_spike_runs(tmp_path):
+    # 2 * 40^-200 is subnormal; its rounding once tripped the ball check
+    params = {"alpha": 200, "B": 2, "signal": {"kind": "spike", "j0": 40}}
+    cfg = write_config(tmp_path, "cfg.json", _config("gsm-lower", params, replications=2, master_seed=1))
+    out = tmp_path / "o.json"
+    assert main(["gsm-lower", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    assert math.isfinite(json.loads(out.read_text())[0]["mean_risk"])
+
+
 @pytest.mark.parametrize("sigma", [1e154, 1e200])
 def test_truth_whose_sample_spread_squares_past_float_range_exits_3(sigma, tmp_path, capsys):
     # the sample variance overflows; no RuntimeWarning (an error in this suite) gets out
@@ -393,6 +402,14 @@ CONFIG_CHECKS = {
     ),
     "trunc-alpha-0": ("trunc-curve", _config("trunc-curve", {"alpha": 0.0}), "alpha and B must be positive"),
     "trunc-B-negative": ("trunc-curve", _config("trunc-curve", {"B": -1.0}), "alpha and B must be positive"),
+    "equal-segments-amplitude-0": (
+        "pc-compare", _config("pc-compare", {"signal": {"kind": "equal_segments", "amplitude": 0.0}}),
+        "n=64: params.signal.amplitude must lie in (0, B] for equal_segments, got 0.0",
+    ),
+    "equal-segments-amplitude-above-B": (
+        "pc-compare", _config("pc-compare", {"signal": {"kind": "equal_segments", "amplitude": 1.5}}),
+        "n=64: params.signal.amplitude must lie in (0, B] for equal_segments, got 1.5",
+    ),
     "change-prob-power-bool": (
         "pc-compare", _config("pc-compare", {"change_prob": {"power": True}}),
         "n=64: params.change_prob.power must be a finite number, got True",
@@ -406,6 +423,18 @@ def test_config_checks_exit_2_with_their_message(case, tmp_path, capsys):
     (tmp_path / "cfg.json").write_text(payload if isinstance(payload, str) else json.dumps(payload))
     assert main([command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o.csv")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_equal_segments_reads_its_amplitude(tmp_path):
+    # the levels are +/- amplitude, so two amplitudes give two tables
+    outs = []
+    for amplitude in (0.3, 0.9):
+        signal = {"kind": "equal_segments", "k_star": 3, "amplitude": amplitude}
+        payload = _config("pc-compare", {"signal": signal}, n_grid=[64, 128], replications=3, master_seed=1)
+        cfg = write_config(tmp_path, f"{amplitude}.json", payload)
+        assert main(["pc-compare", "--config", cfg, "--out", str(tmp_path / f"{amplitude}.csv")]) == 0
+        outs.append((tmp_path / f"{amplitude}.csv").read_bytes())
+    assert outs[0] != outs[1]
 
 
 def test_change_prob_power_one_is_the_reciprocal(tmp_path):

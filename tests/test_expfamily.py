@@ -167,7 +167,65 @@ class TestPdfAndSampling:
         np.testing.assert_array_equal(a, b)
 
 
+# (theta_a, theta_b, H^2) at k = 3, H^2 from 40-digit mpmath sums over the 320-node trapezoidal rule,
+# which agree with 160 nodes to 30 digits; mpmath is not a test dependency, so the values are written here
+SMALL_H2 = [
+    (
+        [-0.7664963940998645, -0.05172321107387502, -0.8413288963341025],
+        [-0.7664943465801143, -0.05172134596112505, -0.8413294699344008],
+        9.5004165321577377e-13,
+    ),
+    (
+        [0.21710424148656898, -0.14288900907344423, 0.6835352845889194],
+        [0.21709957615697545, -0.14289662271051373, 0.6835347676456367],
+        7.9344804341396467e-12,
+    ),
+    (
+        [-0.14210490259702668, 0.0704228255131059, 0.15740608735805423],
+        [-0.14207886148338086, 0.07042725509616433, 0.1573959760181819],
+        1.1414891161847493e-10,
+    ),
+    (
+        [0.190930190852043, 0.36365438164245, -0.8570091406750668],
+        [0.19084820024331103, 0.36361954142098235, -0.8570011595067408],
+        5.6820212046191483e-10,
+    ),
+    (
+        [0.10594670500444228, -0.13631651957969848, 0.017435210326437616],
+        [0.10617913532589954, -0.13645849911004046, 0.017358934782315358],
+        9.7919928430005116e-9,
+    ),
+    (
+        [-0.20801536418068098, 0.6656581094707785, -0.2060737732066937],
+        [-0.20770247467861006, 0.6654582252720943, -0.20526004937970438],
+        9.3726562828450177e-8,
+    ),
+    (
+        [0.3954058238534249, -0.3192635074782042, 0.02282790400233274],
+        [0.397835671126076, -0.31836653050045427, 0.02396424661482981],
+        1.1615682613823245e-6,
+    ),
+    (
+        [0.12675847415406893, -0.16316845123428647, 0.2233231919729967],
+        [0.12391286603500953, -0.1707436170930807, 0.2195127619914196],
+        9.9318508733590049e-6,
+    ),
+    (
+        [0.24169457620236656, -0.12981446229797772, -0.38671936085586894],
+        [0.23540090521309787, -0.10780509588170331, -0.40333193126002403],
+        0.00010605067448167478,
+    ),
+]
+
+
 class TestDivergences:
+    @pytest.mark.parametrize("ta, tb, h2", SMALL_H2, ids=[f"{h2:.0e}" for _, _, h2 in SMALL_H2])
+    def test_hellinger_at_small_h2(self, ta, tb, h2):
+        # from the coefficient difference H^2 cancels nowhere; from c_mid - (c_a + c_b) / 2 it was
+        # off by 8e-5 relative at H^2 = 1e-12, so both orders are held to 1e-9
+        assert abs(hellinger_numeric(ta, tb) ** 2 - h2) <= 1e-9 * h2
+        assert abs(hellinger_numeric(tb, ta) ** 2 - h2) <= 1e-9 * h2
+
     def test_identical_all_zero(self):
         theta = np.array([0.2, -0.4])
         assert hellinger_numeric(theta, theta) == pytest.approx(0.0, abs=1e-7)

@@ -371,6 +371,21 @@ class TestMakeSignal:
         with pytest.raises(InputError):
             SobolevSignal(np.array([10.0]), alpha=1.0, B=1.0)
 
+    @pytest.mark.parametrize(
+        "alpha,K_max,j0", [(200.0, 64, 39), (200.0, 64, 40), (200.0, 64, 41), (100.0, 1502, 1500)]
+    )
+    def test_subnormal_spike_on_the_ball_builds(self, alpha, K_max, j0):
+        # B j0^-alpha is subnormal here, and its rounding, though under half an ulp, is far
+        # more than 1e-16 of it: 41^-200 = 2.77e-323 is stored as 6 ulps, 2.96e-323
+        s = make_signal("spike", alpha, 1.0, K_max, j0=j0)
+        assert 0 < s.theta[j0 - 1] < np.finfo(float).tiny
+
+    def test_normal_spike_past_the_ball_rejected(self):
+        # the half-ulp allowance of a normal theta_j is under 1.2e-16 of it, so 1e-6 over still raises
+        theta = make_signal("spike", 2.0, 1.0, 64, j0=10).theta * (1 + 1e-6)
+        with pytest.raises(InputError, match="signal violates the smoothness ball constraint"):
+            SobolevSignal(theta, alpha=2.0, B=1.0)
+
 
 class TestRescaledFamilies:
     @pytest.mark.parametrize("y", [math.nan, [0.5, math.inf], [[0.5]]], ids=["nan", "inf", "2-d"])
