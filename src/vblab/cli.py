@@ -4,8 +4,8 @@ Every subcommand reads a JSON ExperimentConfig, checks that its model is
 one harness.MODELS assigns to the subcommand, produces the model's table
 (or its rate-exponent fit with --fit, or the subcommand's report), and
 writes the result to --out in CSV or JSON.  Exit codes: 0 on success,
-2 on validation problems (bad config, bad inputs), 3 on numeric or
-optimization failures.
+2 on validation problems (bad config, bad inputs, or a run too large
+for memory), 3 on numeric or optimization failures.
 """
 
 import argparse
@@ -84,6 +84,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # a config too large for this machine, n_grid or replications
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -1,8 +1,7 @@
 """Closed-form divergence calculators and the inequality-chain verifier.
 
 Every divergence here is between finite discrete distributions and has
-an explicit finite formula; ScalarGaussian, the tilt type of the sieve
-posteriors, is defined beside them.  Each divergence is written once, as
+an explicit finite formula.  Each divergence is written once, as
 a row kernel over (m, s) arrays holding one distribution pair per row;
 the scalar functions are its one-row case and chain_audit checks a whole
 block of pairs per call, shorter rows zero-padded, since a cell where
@@ -12,7 +11,6 @@ Infinite values (absolute-continuity failures) are returned in-band as
 values.
 """
 
-import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -22,7 +20,6 @@ from .errors import InputError, data_array
 
 __all__ = [
     "DiscreteDistribution",
-    "ScalarGaussian",
     "DivergenceReport",
     "renyi_discrete",
     "kl_discrete",
@@ -72,23 +69,6 @@ class DiscreteDistribution:
 
     def __len__(self) -> int:
         return self.probabilities.size
-
-
-@dataclass(frozen=True)
-class ScalarGaussian:
-    """A univariate Gaussian; variance 0 denotes a point mass."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
-            raise InputError("mean and variance must be finite")
-        if self.variance < 0:
-            raise InputError("variance must be non-negative")
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.normal(self.mean, math.sqrt(self.variance), size=size)
 
 
 def check_rho_grid(rho_grid) -> np.ndarray:

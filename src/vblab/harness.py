@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 _CONFIG_KEYS = {"model", "n_grid", "replications", "master_seed", "params", "out"}
+# far above any run that fits in memory; beyond it the uint64 replication index misbehaves
+_REPLICATIONS_LIMIT = 1 << 32
 
 
 def _number(value, where: str) -> float:
@@ -71,8 +73,8 @@ class ExperimentConfig:
         for key in ("replications", "master_seed"):
             if type(getattr(self, key)) is not int:
                 raise InputError(f"{key} must be an integer, got {getattr(self, key)!r}")
-        if self.replications < 1:
-            raise InputError("replications must be at least 1")
+        if not 1 <= self.replications <= _REPLICATIONS_LIMIT:
+            raise InputError(f"replications must lie in 1..{_REPLICATIONS_LIMIT}, got {self.replications}")
         if not 0 <= self.master_seed < 2**64:
             raise InputError("master_seed must be a 64-bit unsigned integer")
         if not isinstance(self.params, dict):
@@ -687,24 +689,25 @@ def emit(obj, fmt: str, path: str) -> None:
 
 
 def read_table(path: str, fmt: str = "csv") -> RateTable:
-    """Parse a RateTable previously written by emit (round-trip exact)."""
+    """Parse a RateTable previously written by emit (round-trip exact).
+
+    A file that does not parse as such a table raises InputError naming path.
+    """
     try:
         with open(path, "r", newline="") as fh:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    if fmt == "json":
-        rows = json.loads(text)
-    elif fmt == "csv":
-        reader = csv.DictReader(io.StringIO(text))
-        if reader.fieldnames != ["n", "mean_risk", "stderr", "replications"]:
-            raise InputError(f"unexpected CSV header {reader.fieldnames}")
-        rows = list(reader)
-    else:
+    if fmt not in ("csv", "json"):
         raise InputError(f"format must be 'csv' or 'json', got {fmt!r}")
-    return RateTable(
-        n=np.array([int(r["n"]) for r in rows]),
-        mean_risk=np.array([float(r["mean_risk"]) for r in rows]),
-        stderr=np.array([float(r["stderr"]) for r in rows]),
-        replications=np.array([int(r["replications"]) for r in rows]),
-    )
+    casts = {"n": int, "mean_risk": float, "stderr": float, "replications": int}
+    if fmt == "csv":
+        reader = csv.DictReader(io.StringIO(text))
+        if reader.fieldnames != list(casts):
+            raise InputError(f"unexpected CSV header {reader.fieldnames}")
+    try:  # a JSON object, truncated JSON, a missing column, a bad, missing or oversized cell
+        rows = json.loads(text) if fmt == "json" else list(reader)
+        columns = {key: np.array([cast(r[key]) for r in rows], dtype=cast) for key, cast in casts.items()}
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise InputError(f"{path} is not a {fmt} rate table: {type(exc).__name__}: {exc}") from exc
+    return RateTable(**columns)

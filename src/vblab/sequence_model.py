@@ -7,9 +7,12 @@ evidence integrals is exact: model-dimension weights, the fitted
 posteriors, their risks and their KL gap to the full posterior.
 
 Both fits are one type, ShellPosterior: a product measure on the
-{k-1, k} dimension shells, with tilted coordinate densities below k, a
-mixture of a point mass at zero (weight p) and the tilt at k, and point
-masses at zero above k.  The mean-field optimum over product measures
+{k-1, k} dimension shells, with the exact tilted coordinate densities
+below k, a mixture of a point mass at zero (weight p) and the tilt at k,
+and point masses at zero above k.  A shell holds each tilt as its mean
+and variance, the coordinate family's tilt_moments, which is all its
+risk reads; since its tilts are exact, its KL gap is the binary term in
+the model weights alone.  The mean-field optimum over product measures
 is the shell at k = k_tilde, which maximizes the sum of two adjacent
 posterior dimension weights, with p = p_tilde their ratio; the
 empirical-Bayes posterior is the p = 0 shell at the most probable
@@ -23,8 +26,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ._lse import _logsumexp
-from ._quadrature import panel_nodes
-from .divergences import ScalarGaussian, _normalized
+from .divergences import _normalized
 from .errors import InputError, NumericError, data_array
 
 __all__ = [
@@ -34,7 +36,6 @@ __all__ = [
     "SievePrior",
     "SobolevSignal",
     "SequenceObservation",
-    "GridDensity",
     "ShellPosterior",
     "log_coordinate_evidence",
     "log_model_weights",
@@ -47,10 +48,6 @@ __all__ = [
     "posterior_kl_gap",
 ]
 
-_GRID_POINTS = 2001
-_GRID_HALF_WIDTH = 12.0  # in units of the rescaled likelihood scale
-# tilt() needs a Cauchy scale of 4 grid steps, where its moments are within ~1e-11 of the closed form
-_MIN_GRID_SCALE = 4 * 2 * _GRID_HALF_WIDTH / (_GRID_POINTS - 1)
 # the stacked sieve runners hold at most this many (replication, coordinate) cells a block
 _BLOCK_CELLS = 1 << 15
 _SQRT2 = math.sqrt(2.0)
@@ -71,10 +68,6 @@ class GaussianCoordinates:
         if not self.sigma0_sq > 0:
             raise InputError("sigma0_sq must be positive")
 
-    def log_pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return -0.5 * (x**2 / self.sigma0_sq + math.log(2 * math.pi * self.sigma0_sq))
-
     def log_evidence_ratio(self, y, n: float):
         """log of W(y) * exp(n y^2 / 2), stable for large n y^2.
 
@@ -89,13 +82,8 @@ class GaussianCoordinates:
             out = _in_range(-0.5 * math.log1p(ns) + 0.5 * n * v**2 * (ns / (ns + 1.0)), v)
         return out if np.ndim(y) else float(out[0])
 
-    def tilt(self, y: float, n: float) -> ScalarGaussian:
-        """The prior coordinate reweighted by the Gaussian likelihood at y."""
-        prec = n + 1.0 / self.sigma0_sq
-        return ScalarGaussian(n * y / prec, 1.0 / prec)
-
     def tilt_moments(self, y, n: float) -> tuple:
-        """Means and variances of the tilts at each y, as tilt(y, n) gives them."""
+        """Means and variances of the tilts at each y: the prior coordinate reweighted by the likelihood."""
         y = data_array(y, "y", scalar=True)
         prec = n + 1.0 / self.sigma0_sq
         return n * y / prec, np.full(y.shape, 1.0 / prec)
@@ -121,19 +109,10 @@ class RescaledCauchyCoordinates:
         if not (0 < self.scale < math.inf and self.n > 0):
             raise InputError("scale must be positive and finite, and n positive")
 
-    def _log_g(self, u):
-        s = self.scale
-        return -np.log(math.pi * s) - np.log1p((u / s) ** 2)
-
     def _w(self, v: np.ndarray) -> np.ndarray:
         from scipy.special import wofz  # here, so importing the CLI loads no scipy
 
         return wofz(v / _SQRT2 + 1j * (self.scale / _SQRT2))
-
-    def log_pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        rn = math.sqrt(self.n)
-        return math.log(rn) + self._log_g(rn * x)
 
     def log_evidence_ratio(self, y, n: float):
         """Vectorized log[W(y) exp(n y^2 / 2)] = v^2 / 2 + log Re w over an array of y.
@@ -185,21 +164,6 @@ class RescaledCauchyCoordinates:
         mean[far] = -_SQRT2 * m * r * re_q
         var[far] = -2.0 * r * (bracket / im_q) * np.abs(zh) ** 2
         return np.copysign(mean, v) / math.sqrt(n), var / n
-
-    def tilt(self, y: float, n: float) -> "GridDensity":
-        """The prior coordinate reweighted by the Gaussian likelihood at y, on a grid.
-
-        Only sampling and the KL gap need it: weights exp(log g(u) - (u - v)^2 / 2)
-        on _GRID_POINTS points within _GRID_HALF_WIDTH of v = sqrt(n) y,
-        normalized in log space.  A scale below _MIN_GRID_SCALE raises InputError.
-        """
-        self._check_n(n)
-        if self.scale < _MIN_GRID_SCALE:
-            raise InputError(f"scale {self.scale} is below {_MIN_GRID_SCALE:g}, too narrow for the tilt grid")
-        v = math.sqrt(n) * y
-        u = np.linspace(v - _GRID_HALF_WIDTH, v + _GRID_HALF_WIDTH, _GRID_POINTS)
-        log_q = self._log_g(u) - 0.5 * (u - v) ** 2
-        return GridDensity(points=u / math.sqrt(n), probs=np.exp(log_q - _logsumexp(log_q)))
 
     def _check_n(self, n: float) -> None:
         if not math.isclose(n, self.n, rel_tol=1e-12):
@@ -302,55 +266,25 @@ class SequenceObservation:
 
 
 # ---------------------------------------------------------------------------
-# tilted coordinates and the shell posterior
+# the shell posterior
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GridDensity:
-    """A probability vector over an increasing grid of support points.
-
-    probs must be finite, non-negative and sum to one within 1e-9, the
-    check every probability vector in vblab goes through, and is
-    renormalized.  The mean and variance are computed once, at
-    construction, so a grid density reads like a ScalarGaussian.
-    """
-
-    points: np.ndarray
-    probs: np.ndarray
-    mean: float = field(init=False)
-    variance: float = field(init=False)
-
-    def __post_init__(self):
-        pts = data_array(self.points, "points")
-        pr = np.asarray(self.probs, dtype=float)
-        if pr.shape != pts.shape:
-            raise InputError("points and probs must have equal length")
-        pr = _normalized(pr)
-        mean = float(np.dot(pr, pts))
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "probs", pr)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "variance", float(np.dot(pr, (pts - mean) ** 2)))
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.choice(self.points, size=size, p=self.probs)
 
 
 @dataclass(frozen=True)
 class ShellPosterior:
     """A product measure on the {k-1, k} dimension shells.
 
-    Coordinates below k carry the given tilts, coordinate k mixes a point
-    mass at zero (weight p) with its tilt, and every coordinate above k is
-    a point mass at zero.  The mean-field fit has this form with
-    (k_tilde, p_tilde), the empirical-Bayes fit with (k_hat, 0); fits also
-    keep the normalized log model weights they were chosen from.
+    Coordinates below k carry their tilts, coordinate k mixes a point mass
+    at zero (weight p) with its tilt, and every coordinate above k is a
+    point mass at zero.  tilts is a (k, 2) array, row j the mean and
+    variance of coordinate j + 1's tilt.  The mean-field fit has this form
+    with (k_tilde, p_tilde), the empirical-Bayes fit with (k_hat, 0); fits
+    also keep the normalized log model weights they were chosen from.
     """
 
     k: int
     p: float
-    tilts: tuple
+    tilts: np.ndarray
     K_max: int
     log_weights: Optional[np.ndarray] = field(repr=False, default=None)
 
@@ -361,22 +295,12 @@ class ShellPosterior:
             raise InputError("p must lie in [0, 1)")
         if self.k == 0 and self.p != 0.0:
             raise InputError("p must be 0 when k = 0")
-        if len(self.tilts) != self.k:
-            raise InputError("need exactly k coordinate tilts")
-        for d in self.tilts:
-            if not isinstance(d, (ScalarGaussian, GridDensity)):
-                raise InputError("tilts must be ScalarGaussian or GridDensity")
-            if isinstance(d, ScalarGaussian) and d.variance == 0:
-                raise InputError("degenerate coordinate tilts are not allowed")
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        out = np.zeros((size, self.K_max))
-        for idx, tilt in enumerate(self.tilts):
-            draws = tilt.sample(rng, size)
-            if idx + 1 == self.k and self.p > 0:
-                draws = np.where(rng.random(size) < self.p, 0.0, draws)
-            out[:, idx] = draws
-        return out
+        tilts = data_array(self.tilts, "tilts", ndim=2) if np.size(self.tilts) else np.empty((0, 2))
+        if tilts.shape != (self.k, 2):
+            raise InputError("need exactly k coordinate tilts, one (mean, variance) row each")
+        if not (tilts[:, 1] > 0).all():
+            raise InputError("degenerate coordinate tilts are not allowed")
+        object.__setattr__(self, "tilts", tilts)
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +369,18 @@ def _select_shells(log_weights: np.ndarray, mean_field: bool) -> tuple:
     return k, p
 
 
+def _tilts(prior: SievePrior, obs: SequenceObservation, k: int) -> np.ndarray:
+    """The (k, 2) means and variances of the tilts of obs's first k coordinates."""
+    if k == 0:
+        return np.empty((0, 2))
+    return np.column_stack(prior.coordinate_family.tilt_moments(obs.y[:k], obs.n))
+
+
 def _fit_shell(prior, obs, log_weights, mean_field: bool) -> ShellPosterior:
     lw = log_model_weights(prior, obs) if log_weights is None else log_weights
     k, p = _select_shells(lw[None, :], mean_field)
     k = int(k[0])
-    tilts = tuple(prior.coordinate_family.tilt(float(obs.y[j]), obs.n) for j in range(k))
-    return ShellPosterior(k, float(p[0]), tilts, prior.K_max, lw)
+    return ShellPosterior(k, float(p[0]), _tilts(prior, obs, k), prior.K_max, lw)
 
 
 def fit_mean_field(
@@ -498,8 +428,8 @@ def expected_risk(post: ShellPosterior, signal: SobolevSignal) -> float:
     """E_Q ||theta - theta*||^2 in closed form from the tilt moments."""
     if signal.theta.size != post.K_max:
         raise InputError(f"signal length {signal.theta.size} does not match K_max {post.K_max}")
-    moments = np.array([[[t.mean for t in post.tilts]], [[t.variance for t in post.tilts]]])
-    return float(_shell_risks(np.array([post.k]), np.array([post.p]), *moments, signal.theta)[0])
+    means, variances = post.tilts[None, :, 0], post.tilts[None, :, 1]
+    return float(_shell_risks(np.array([post.k]), np.array([post.p]), means, variances, signal.theta)[0])
 
 
 def _shell_risks(k, p, means, variances, theta: np.ndarray) -> np.ndarray:
@@ -564,42 +494,14 @@ def make_signal(
 # ---------------------------------------------------------------------------
 
 
-def _log_tilt_pdf(prior: SievePrior, obs: SequenceObservation, j: int, x: np.ndarray):
-    """Pointwise log density of the tilted coordinate j (1-based)."""
-    fam = prior.coordinate_family
-    y = float(obs.y[j - 1])
-    log_w = log_coordinate_evidence(prior, j, y, obs.n)
-    return fam.log_pdf(x) - 0.5 * obs.n * (x - y) ** 2 - log_w
-
-
-def _kl_to_tilt(prior, obs, j: int, g) -> float:
-    """KL(g || tilted coordinate j) for a Gaussian or grid candidate."""
-    if isinstance(g, ScalarGaussian):
-        sd = math.sqrt(g.variance)
-        nodes, wts = panel_nodes(g.mean - 10 * sd, g.mean + 10 * sd, panels=24)
-        log_q = -0.5 * ((nodes - g.mean) / sd) ** 2 - math.log(sd * math.sqrt(2 * math.pi))
-        dens = np.exp(log_q)
-        return float(np.dot(wts, dens * (log_q - _log_tilt_pdf(prior, obs, j, nodes))))
-    # grid candidate against the continuous tilt, cellwise
-    h = np.gradient(g.points)
-    mass = g.probs
-    keep = mass > 0
-    return float(
-        np.sum(
-            mass[keep]
-            * (np.log(mass[keep] / h[keep]) - _log_tilt_pdf(prior, obs, j, g.points[keep]))
-        )
-    )
-
-
 def posterior_kl_gap(prior: SievePrior, obs: SequenceObservation, post: ShellPosterior) -> float:
-    """KL(post || posterior), exact through the mixture decomposition.
+    """KL(post || posterior), exact, for a shell (k, p) on obs's own tilts.
 
-    Restricted to the shell support structure, the posterior mass seen by
-    the shell posterior splits between the (k-1)- and k-dimensional
-    shells, so the divergence reduces to a binary mixture term plus
-    per-coordinate KLs to the tilted densities.  For the fits it is their
-    vb_objective: kind 'vb' at k_tilde, kind 'eb' at k_hat.
+    The posterior is the mixture over k of the dimension-k shells with the
+    same exact tilts, so the divergence is the binary term alone:
+    p (log p - lw[k-1]) + (1 - p) (log(1 - p) - lw[k]), or -lw[0] at k = 0.
+    For the fits it is their vb_objective: kind 'vb' at k_tilde, 'eb' at
+    k_hat.  A shell whose tilts are not obs's raises InputError.
     """
     if not isinstance(post, ShellPosterior):
         raise InputError("post must be a ShellPosterior")
@@ -607,13 +509,11 @@ def posterior_kl_gap(prior: SievePrior, obs: SequenceObservation, post: ShellPos
         raise InputError(f"posterior K_max={post.K_max} differs from the prior's {prior.K_max}")
     lw = log_model_weights(prior, obs)
     k, p = post.k, post.p
+    if not np.array_equal(post.tilts, _tilts(prior, obs, k)):
+        raise InputError("post's tilts are not the tilts of obs under this prior")
     if k == 0:
         return float(-lw[0])
-    total = 0.0
+    gap = (1.0 - p) * (math.log1p(-p) - lw[k])
     if p > 0:
-        total += p * (math.log(p) - lw[k - 1])
-    total += (1.0 - p) * (math.log1p(-p) - lw[k])
-    for j in range(1, k):
-        total += _kl_to_tilt(prior, obs, j, post.tilts[j - 1])
-    total += (1.0 - p) * _kl_to_tilt(prior, obs, k, post.tilts[k - 1])
-    return total
+        gap += p * (math.log(p) - lw[k - 1])
+    return float(gap)

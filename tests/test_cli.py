@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -386,7 +387,14 @@ def test_pc_mean_field_at_wide_sigma(sigma, tmp_path):
 
 # (command, config payload, the error it exits 2 with): checks that no shipped config reaches
 CONFIG_CHECKS = {
-    "replications-0": ("gsm-rate", _config("gsm-rate", replications=0), "replications must be at least 1"),
+    "replications-0": ("gsm-rate", _config("gsm-rate", replications=0), "replications must lie in 1..4294967296, got 0"),
+    **{  # past the limit the replication index comes out empty, negative in the table, or past numpy's size limit
+        f"replications-{name}": (
+            "gsm-rate", _config("gsm-rate", replications=reps), f"replications must lie in 1..4294967296, got {reps}"
+        )
+        for name, reps in (("2**32+1", 2**32 + 1), ("10**15", 10**15), ("2**63-1", 2**63 - 1), ("2**63", 2**63),
+                           ("2**64+5", 2**64 + 5))
+    },
     "master-seed-negative": (
         "gsm-rate", _config("gsm-rate", master_seed=-1), "master_seed must be a 64-bit unsigned integer"
     ),
@@ -423,6 +431,23 @@ def test_config_checks_exit_2_with_their_message(case, tmp_path, capsys):
     (tmp_path / "cfg.json").write_text(payload if isinstance(payload, str) else json.dumps(payload))
     assert main([command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o.csv")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [(MemoryError("Unable to allocate 7.28 PiB"), "error: out of memory: Unable to allocate 7.28 PiB\n"),
+     (MemoryError(), "error: out of memory\n")],
+    ids=["numpy", "bare"],
+)
+def test_a_run_out_of_memory_exits_2_with_one_line(exc, line, monkeypatch, tmp_path, capsys):
+    def runner(params, n_grid, rngs):
+        raise exc
+
+    monkeypatch.setitem(MODELS, "gsm_risk", dataclasses.replace(MODELS["gsm_risk"], runner=runner))
+    cfg = write_config(tmp_path, "cfg.json", SMALL_CONFIGS["gsm-rate"])
+    assert main(["gsm-rate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == line
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_equal_segments_reads_its_amplitude(tmp_path):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -432,7 +433,7 @@ class TestStackedRunners:
         for n in (64, 1024):
             rngs = lambda: [generator(29, n, rep) for rep in range(6)]  # noqa: E731
             risks = harness.MODELS["gsm_risk"].runner(params, [n], [rngs()])[0]
-            np.testing.assert_allclose(risks, [ref_gsm_risk(params, n, r) for r in rngs()], rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(risks, [ref_gsm_risk(params, n, r) for r in rngs()])
             dims = harness.MODELS["gsm_dimension"].runner(params, [n], [rngs()])[0]
             np.testing.assert_array_equal(dims, [ref_gsm_dimension(params, n, r) for r in rngs()])
 
@@ -442,7 +443,7 @@ class TestStackedRunners:
         params = parse_params(payload["params"], "gsm_risk")
         rngs = lambda: [generator(13150348164293828904, 256, rep) for rep in range(8)]  # noqa: E731
         got = harness.MODELS["gsm_risk"].runner(params, [256], [rngs()])[0]
-        np.testing.assert_allclose(got, [ref_gsm_risk(params, 256, r) for r in rngs()], rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(got, [ref_gsm_risk(params, 256, r) for r in rngs()])
 
     @pytest.mark.parametrize("posterior", ["mean_field", "empirical_bayes"])
     def test_gsm_row_in_a_batch_is_the_row_alone(self, monkeypatch, posterior):
@@ -465,7 +466,7 @@ class TestStackedRunners:
             got = harness.MODELS["gsm_risk"].runner(params, [64], [rngs()])[0]
         assert [(b["reps"], b["shape"]) for b in blocks] == [([0, 1], (2, 16384)), ([2, 3], (2, 16384)),
                                                               ([4], (1, 16384))]
-        np.testing.assert_allclose(got, [ref_gsm_risk(params, 64, r) for r in rngs()], rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(got, [ref_gsm_risk(params, 64, r) for r in rngs()])
 
         # refits block their rows again at 2 K_max: 52 cells hold two rows of 26, one of 52;
         # row 5 binds in its block and refits before the next block
@@ -479,7 +480,7 @@ class TestStackedRunners:
         assert [(b["reps"], b["shape"]) for b in blocks] == [([0, 1], (2, 26)), ([2, 3], (2, 26)),
                                                               ([4, 5], (2, 26)), ([5], (1, 52)), ([6, 7], (2, 26))]
         assert (np.argmax(blocks[2]["lw"], axis=1) >= 26 // 2).tolist() == [False, True]
-        np.testing.assert_allclose(got, [ref_gsm_risk(params, 256, r) for r in rngs()], rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(got, [ref_gsm_risk(params, 256, r) for r in rngs()])
 
     @pytest.mark.parametrize("signal", [{"kind": "zero"}, {"kind": "prefix", "k_star": 3}], ids=["zero", "prefix"])
     def test_pc_mean_field_is_the_per_replication_runner(self, monkeypatch, signal):
@@ -618,6 +619,24 @@ class TestEmission:
         path.write_text(text)
         with pytest.raises(InputError, match=message):
             read_table(str(path), "csv")
+
+    @pytest.mark.parametrize(
+        "fmt, text, exc_name",
+        [
+            ("json", '{"n": 64}', "TypeError"),
+            ("json", '[{"n": 64, "mean_risk": 0.5', "JSONDecodeError"),
+            ("json", '[{"n": 64, "mean_risk": 0.5, "replications": 3}]', "KeyError"),
+            ("csv", "n,mean_risk,stderr,replications\n64,half,0.1,3\n", "ValueError"),
+            ("csv", "n,mean_risk,stderr,replications\n64,0.5\n", "TypeError"),
+            ("csv", f"n,mean_risk,stderr,replications\n{10**25},0.5,0.1,3\n", "OverflowError"),
+        ],
+        ids=["json-object", "truncated-json", "missing-column", "non-numeric-cell", "short-row", "n-past-int64"],
+    )
+    def test_unparsable_table_file_is_an_input_error_naming_it(self, tmp_path, fmt, text, exc_name):
+        path = tmp_path / f"table.{fmt}"
+        path.write_text(text)
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))} is not a {fmt} rate table: {exc_name}"):
+            read_table(str(path), fmt)
 
     def test_unknown_format_object_or_file_is_an_input_error(self, tmp_path):
         table = make_table([64], [0.5])
