@@ -2,7 +2,7 @@
 
 Two variational routes are implemented against two prior variants,
 the per-site change prior and the uniform-positions prior; under both,
-every piece draws its value from one value density:
+every piece draws its value from one uniform value density:
 
 * product (coordinatewise) posteriors, which ignore the dependence
   between neighbouring sites and therefore keep a risk proportional to
@@ -40,17 +40,16 @@ tables and samples from it on demand.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from ._lse import _logsumexp
-from ._quadrature import fixed_rule
 from .errors import InputError, NumericError, count, data_array
 
 __all__ = [
     "UniformDensity",
-    "GaussianDensity",
     "PiecewiseSignal",
     "MarkovSitePrior",
     "UniformPositionsPrior",
@@ -93,29 +92,6 @@ class UniformDensity:
         return out
 
 
-@dataclass(frozen=True)
-class GaussianDensity:
-    """Gaussian value density, for priors without compact support."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.mean):
-            raise InputError("mean must be finite")
-        if not 0 < self.variance < math.inf:
-            raise InputError("variance must be positive and finite")
-
-    def log_pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return -0.5 * ((x - self.mean) ** 2 / self.variance) - 0.5 * math.log(
-            2 * math.pi * self.variance
-        )
-
-
-ValueDensity = Union[UniformDensity, GaussianDensity]
-
-
 # ---------------------------------------------------------------------------
 # signals and priors
 # ---------------------------------------------------------------------------
@@ -142,7 +118,7 @@ class PiecewiseSignal:
 def make_piecewise_signal(
     n: int, k_star: int, B: float, amplitude: float = 0.75
 ) -> PiecewiseSignal:
-    """Equal-length segments alternating between +/- amplitude * B.
+    """Equal-length segments alternating between the levels +/- amplitude, 0 < amplitude <= B.
 
     Equal jumps keep every change point in the same detection regime, so
     replicated risks measure change-point localization rather than a mix
@@ -150,9 +126,9 @@ def make_piecewise_signal(
     """
     if not 1 <= k_star <= n:
         raise InputError("need 1 <= k_star <= n")
-    if not 0 < amplitude <= 1:
-        raise InputError("amplitude must lie in (0, 1]")
-    levels = amplitude * B * (-1.0) ** np.arange(k_star)
+    if not 0 < amplitude <= B:
+        raise InputError("amplitude must lie in (0, B]")
+    levels = amplitude * (-1.0) ** np.arange(k_star)
     edges = np.linspace(0, n, k_star + 1).astype(int)
     values = np.empty(n)
     for seg in range(k_star):
@@ -208,7 +184,7 @@ class MarkovSitePrior:
     """
 
     change_prob: float
-    value_density: ValueDensity
+    value_density: UniformDensity
 
     def __post_init__(self):
         if not 0.0 < self.change_prob < 1.0:
@@ -226,7 +202,7 @@ class UniformPositionsPrior:
 
     n: int
     log_dimension_weights: np.ndarray
-    value_density: ValueDensity
+    value_density: UniformDensity
 
     def __post_init__(self):
         lw = data_array(self.log_dimension_weights, "log_dimension_weights")
@@ -236,12 +212,11 @@ class UniformPositionsPrior:
         object.__setattr__(self, "log_dimension_weights", lw)
 
     @classmethod
-    def power(cls, n: int, density: ValueDensity, base: Optional[float] = None):
-        """pi(k) proportional to base^{-k} (base defaults to n)."""
-        b = float(n if base is None else base)
-        if b <= 1:
-            raise InputError("base must exceed 1")
-        lw = -np.arange(1, n + 1, dtype=float) * math.log(b)
+    def power(cls, n: int, density: UniformDensity):
+        """pi(k) proportional to n^{-k}."""
+        if count(n, "n") < 1:
+            raise InputError("n must be at least 1")
+        lw = -np.arange(1, n + 1, dtype=float) * math.log(n)
         return cls(n=n, log_dimension_weights=lw, value_density=density)
 
     def pattern_weight(self) -> np.ndarray:
@@ -286,8 +261,8 @@ def make_grid(B: float, sigma: float, G: int = 64) -> np.ndarray:
 class CoordinatewisePosterior:
     """Means and variances of the tilted densities q_i(t) ~ g(t) exp(-(t - X_i)^2 / 2 sigma^2).
 
-    Closed forms: a truncated Gaussian's when g is uniform (by quadrature where
-    that form loses digits), the conjugate Gaussian's when g is Gaussian.
+    g is uniform, so each tilt is a truncated Gaussian: its moments are closed
+    forms, or a fixed quadrature where those lose digits.
     """
 
     means: np.ndarray
@@ -304,7 +279,21 @@ class CoordinatewisePosterior:
 _TAIL = 1.5
 
 
+@cache
+def _unit_rule() -> tuple:
+    """Read-only nodes and weights of the composite order-16 Gauss-Legendre rule on 16 panels of [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(16)  # at first use: numpy.polynomial is slow to import
+    edges = np.linspace(0.0, 1.0, 17)
+    half = np.diff(edges) / 2.0
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    rule = (mid[:, None] + half[:, None] * x[None, :]).ravel(), (half[:, None] * w[None, :]).ravel()
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 def _truncnorm_moments(x: np.ndarray, sigma: float, lo: float, hi: float):
+    """Means and variances of the tilts of the uniform density on [lo, hi] by N(x, sigma^2), for x of any shape."""
     from scipy.special import ndtr
 
     dist = np.maximum(lo - x, x - hi)
@@ -335,7 +324,7 @@ def _truncnorm_moments(x: np.ndarray, sigma: float, lo: float, hi: float):
             e = np.where(above, x - hi, lo - x) / sigma
             p = np.minimum(e * ((hi - lo) / sigma), 50.0)
             width = np.where(p < 50.0, hi - lo, 50.0 * sigma / e)
-        nodes, weights = fixed_rule(0.0, 1.0, 16)
+        nodes, weights = _unit_rule()
         dens = weights * np.exp(-nodes * (p[:, None] + 0.5 * (width / sigma)[:, None] ** 2 * nodes))
         total = dens.sum(axis=1)
         u = (dens * nodes).sum(axis=1) / total
@@ -351,11 +340,11 @@ def fit_mean_field(X: np.ndarray, sigma: float, prior: ChangePointPrior) -> Coor
     Any product candidate with finite divergence to the posterior must
     put zero mass on neighbour-equality events, so the optimum tilts each
     site's value density by its own likelihood and nothing else.  Each
-    tilt's moments are closed forms or a fixed quadrature (_site_moments).
+    tilt's moments are closed forms or a fixed quadrature (_truncnorm_moments).
     """
     X = data_array(X, "X")
-    _check_mean_field(X.size, sigma, prior)
-    mean, var = _site_moments(X, sigma, prior.value_density)
+    g = _check_mean_field(X.size, sigma, prior)
+    mean, var = _truncnorm_moments(X, sigma, g.lo, g.hi)
     return CoordinatewisePosterior(means=mean, variances=var)
 
 
@@ -379,38 +368,26 @@ def mean_field_risks(
     R, n = X_batch.shape
     if signal.values.size != n:
         raise InputError("signal length does not match the data")
-    _check_mean_field(n, sigma, prior)
+    g = _check_mean_field(n, sigma, prior)
     risks = np.empty(R)
     rows = max(1, _MEAN_FIELD_CELLS // n)
     for lo in range(0, R, rows):
-        mean, var = _site_moments(X_batch[lo : lo + rows], sigma, prior.value_density)
+        mean, var = _truncnorm_moments(X_batch[lo : lo + rows], sigma, g.lo, g.hi)
         risks[lo : lo + rows] = _coordinatewise_risk(mean, var, signal.values)
     return risks
 
 
-def _check_mean_field(n: int, sigma: float, prior: ChangePointPrior) -> None:
-    """InputError unless sigma > 0 and the prior and its value density are supported kinds, for n sites."""
+def _check_mean_field(n: int, sigma: float, prior: ChangePointPrior) -> UniformDensity:
+    """The prior's value density, once sigma > 0 and the prior and the density are supported kinds, for n sites."""
     if not sigma > 0:
         raise InputError("sigma must be positive")
     if not isinstance(prior, (MarkovSitePrior, UniformPositionsPrior)):
         raise InputError(f"unsupported prior type {type(prior).__name__}")
     if isinstance(prior, UniformPositionsPrior) and prior.n != n:
         raise InputError(f"prior was built for n={prior.n}, data has n={n}")
-    if not isinstance(prior.value_density, (UniformDensity, GaussianDensity)):
+    if not isinstance(prior.value_density, UniformDensity):
         raise InputError(f"unsupported value density {type(prior.value_density).__name__}")
-
-
-def _site_moments(X: np.ndarray, sigma: float, g: ValueDensity) -> tuple:
-    """Means and variances of each site's tilt q_i, for data X of any shape.
-
-    A truncated Gaussian's when g is uniform; when g is N(mu0, tau^2), the
-    conjugate var = 1 / (1 / tau^2 + 1 / sigma^2) and
-    mean = var (mu0 / tau^2 + X / sigma^2).
-    """
-    if isinstance(g, UniformDensity):
-        return _truncnorm_moments(X, sigma, g.lo, g.hi)
-    var = 1.0 / (1.0 / g.variance + 1.0 / (sigma * sigma))
-    return var * (g.mean / g.variance + X / (sigma * sigma)), np.full(X.shape, var)
+    return prior.value_density
 
 
 def _coordinatewise_risk(means: np.ndarray, variances: np.ndarray, theta: np.ndarray):
@@ -712,7 +689,7 @@ def _log_emissions(X: np.ndarray, sigma: float, grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_pmf(density: ValueDensity, grid: np.ndarray) -> np.ndarray:
+def _grid_pmf(density: UniformDensity, grid: np.ndarray) -> np.ndarray:
     lp = density.log_pdf(grid)
     total = _logsumexp(lp)
     if not np.isfinite(total):

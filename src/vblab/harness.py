@@ -32,8 +32,9 @@ __all__ = [
 ]
 
 _CONFIG_KEYS = {"model", "n_grid", "replications", "master_seed", "params", "out"}
-# far above any run that fits in memory; beyond it the uint64 replication index misbehaves
-_REPLICATIONS_LIMIT = 1 << 32
+# far above any run that fits in memory, for each n and for replications; beyond it an n's
+# arrays pass numpy's size limit and the uint64 replication index misbehaves
+_COUNT_LIMIT = 1 << 32
 
 
 def _number(value, where: str) -> float:
@@ -65,16 +66,16 @@ class ExperimentConfig:
         if not isinstance(ns, (list, tuple)) or any(type(n) is not int for n in ns):
             raise InputError(f"n_grid must be a list of integers, got {ns!r}")
         ns = tuple(ns)
-        if len(ns) == 0 or any(n <= 0 for n in ns):
-            raise InputError("n_grid must contain positive integers")
+        if len(ns) == 0 or any(not 1 <= n <= _COUNT_LIMIT for n in ns):
+            raise InputError(f"n_grid must hold integers in 1..{_COUNT_LIMIT}, got {list(ns)!r}")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise InputError("n_grid must be strictly increasing")
         object.__setattr__(self, "n_grid", ns)
         for key in ("replications", "master_seed"):
             if type(getattr(self, key)) is not int:
                 raise InputError(f"{key} must be an integer, got {getattr(self, key)!r}")
-        if not 1 <= self.replications <= _REPLICATIONS_LIMIT:
-            raise InputError(f"replications must lie in 1..{_REPLICATIONS_LIMIT}, got {self.replications}")
+        if not 1 <= self.replications <= _COUNT_LIMIT:
+            raise InputError(f"replications must lie in 1..{_COUNT_LIMIT}, got {self.replications}")
         if not 0 <= self.master_seed < 2**64:
             raise InputError("master_seed must be a 64-bit unsigned integer")
         if not isinstance(self.params, dict):
@@ -361,7 +362,7 @@ def _pc_common(p, n):
     else:  # equal_segments, at the levels +/- amplitude as for prefix
         if not 0 < amplitude <= B:
             raise InputError(f"params.signal.amplitude must lie in (0, B] for equal_segments, got {amplitude!r}")
-        signal = changepoint.make_piecewise_signal(n, k_star, B, amplitude / B)
+        signal = changepoint.make_piecewise_signal(n, k_star, B, amplitude)
     return sigma, B, grid, changepoint.snap_to_grid(signal, grid)
 
 
@@ -688,10 +689,18 @@ def emit(obj, fmt: str, path: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+def _json_cell(value, cast, where: str):
+    """A JSON table cell: a finite number in a float column, an integer (not bool) in an int one."""
+    if type(value) is int or (cast is float and isinstance(value, float) and math.isfinite(value)):
+        return cast(value)
+    raise InputError(f"{where} must be {'a finite number' if cast is float else 'an integer'}, got {value!r}")
+
+
 def read_table(path: str, fmt: str = "csv") -> RateTable:
     """Parse a RateTable previously written by emit (round-trip exact).
 
-    A file that does not parse as such a table raises InputError naming path.
+    A file that does not parse as such a table, a JSON cell of the wrong
+    type included, raises InputError naming path.
     """
     try:
         with open(path, "r", newline="") as fh:
@@ -705,9 +714,13 @@ def read_table(path: str, fmt: str = "csv") -> RateTable:
         reader = csv.DictReader(io.StringIO(text))
         if reader.fieldnames != list(casts):
             raise InputError(f"unexpected CSV header {reader.fieldnames}")
-    try:  # a JSON object, truncated JSON, a missing column, a bad, missing or oversized cell
+    cell = _json_cell if fmt == "json" else lambda value, cast, where: cast(value)
+    try:  # a JSON object, truncated JSON, a missing column, a bad, mistyped, missing or oversized cell
         rows = json.loads(text) if fmt == "json" else list(reader)
-        columns = {key: np.array([cast(r[key]) for r in rows], dtype=cast) for key, cast in casts.items()}
+        columns = {
+            key: np.array([cell(r[key], cast, f"row {i} {key}") for i, r in enumerate(rows)], dtype=cast)
+            for key, cast in casts.items()
+        }
     except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise InputError(f"{path} is not a {fmt} rate table: {type(exc).__name__}: {exc}") from exc
     return RateTable(**columns)

@@ -20,7 +20,7 @@ dimension k_hat.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -37,7 +37,6 @@ __all__ = [
     "SobolevSignal",
     "SequenceObservation",
     "ShellPosterior",
-    "log_coordinate_evidence",
     "log_model_weights",
     "fit_mean_field",
     "fit_empirical_bayes",
@@ -278,15 +277,13 @@ class ShellPosterior:
     at zero (weight p) with its tilt, and every coordinate above k is a
     point mass at zero.  tilts is a (k, 2) array, row j the mean and
     variance of coordinate j + 1's tilt.  The mean-field fit has this form
-    with (k_tilde, p_tilde), the empirical-Bayes fit with (k_hat, 0); fits
-    also keep the normalized log model weights they were chosen from.
+    with (k_tilde, p_tilde), the empirical-Bayes fit with (k_hat, 0).
     """
 
     k: int
     p: float
     tilts: np.ndarray
     K_max: int
-    log_weights: Optional[np.ndarray] = field(repr=False, default=None)
 
     def __post_init__(self):
         if not 0 <= self.k <= self.K_max:
@@ -306,14 +303,6 @@ class ShellPosterior:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-
-def log_coordinate_evidence(prior: SievePrior, j: int, y_j: float, n: float) -> float:
-    """log W_j = log integral f(t) exp(-n (t - y_j)^2 / 2) dt."""
-    if not 1 <= j <= prior.K_max:
-        raise InputError(f"coordinate index {j} outside 1..{prior.K_max}")
-    fam = prior.coordinate_family
-    return float(fam.log_evidence_ratio(y_j, n) - 0.5 * n * y_j**2)
 
 
 def log_model_weights(prior: SievePrior, obs: SequenceObservation) -> np.ndarray:
@@ -376,34 +365,24 @@ def _tilts(prior: SievePrior, obs: SequenceObservation, k: int) -> np.ndarray:
     return np.column_stack(prior.coordinate_family.tilt_moments(obs.y[:k], obs.n))
 
 
-def _fit_shell(prior, obs, log_weights, mean_field: bool) -> ShellPosterior:
-    lw = log_model_weights(prior, obs) if log_weights is None else log_weights
-    k, p = _select_shells(lw[None, :], mean_field)
+def _fit_shell(prior, obs, mean_field: bool) -> ShellPosterior:
+    k, p = _select_shells(log_model_weights(prior, obs)[None, :], mean_field)
     k = int(k[0])
-    return ShellPosterior(k, float(p[0]), _tilts(prior, obs, k), prior.K_max, lw)
+    return ShellPosterior(k, float(p[0]), _tilts(prior, obs, k), prior.K_max)
 
 
-def fit_mean_field(
-    prior: SievePrior, obs: SequenceObservation, log_weights: Optional[np.ndarray] = None
-) -> ShellPosterior:
+def fit_mean_field(prior: SievePrior, obs: SequenceObservation) -> ShellPosterior:
     """Exact mean-field variational posterior, the shell at (k_tilde, p_tilde).
 
     k_tilde maximizes pi(k-1|y) + pi(k|y) (with pi(-1|y) = 0, ties to the
-    smaller index) and p_tilde = pi(k_tilde-1|y) / that sum.  log_weights,
-    when given, is log_model_weights(prior, obs) already computed.
+    smaller index) and p_tilde = pi(k_tilde-1|y) / that sum.
     """
-    return _fit_shell(prior, obs, log_weights, mean_field=True)
+    return _fit_shell(prior, obs, mean_field=True)
 
 
-def fit_empirical_bayes(
-    prior: SievePrior, obs: SequenceObservation, log_weights: Optional[np.ndarray] = None
-) -> ShellPosterior:
-    """Marginal-likelihood posterior, the shell at (k_hat, 0).
-
-    k_hat maximizes pi(k|y), ties to the smaller k; log_weights as in
-    fit_mean_field.
-    """
-    return _fit_shell(prior, obs, log_weights, mean_field=False)
+def fit_empirical_bayes(prior: SievePrior, obs: SequenceObservation) -> ShellPosterior:
+    """Marginal-likelihood posterior, the shell at (k_hat, 0): k_hat maximizes pi(k|y), ties to the smaller k."""
+    return _fit_shell(prior, obs, mean_field=False)
 
 
 def vb_objective(prior: SievePrior, obs: SequenceObservation, k: int, kind: str) -> float:

@@ -7,6 +7,7 @@ so it only runs on small instances here.
 
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from scipy.special import logsumexp
 
 from vblab import changepoint
 from vblab.changepoint import (
-    GaussianDensity,
     MarkovSitePrior,
     UniformDensity,
     UniformPositionsPrior,
@@ -31,6 +31,23 @@ from vblab.changepoint import (
 from vblab.errors import InputError, NumericError
 
 TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class GaussianDensity:
+    """A Gaussian value density: a chain reads only log_pdf, and this one gives it a non-constant move row."""
+
+    mean: float
+    variance: float
+
+    def log_pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        return -0.5 * (x - self.mean) ** 2 / self.variance - 0.5 * math.log(2 * math.pi * self.variance)
+
+
+def power_prior(n: int, density, base: float) -> UniformPositionsPrior:
+    """The uniform-positions prior with pi(k) proportional to base^-k."""
+    return UniformPositionsPrior(n, -np.arange(1, n + 1, dtype=float) * math.log(base), density)
 
 
 def dense_forward_backward(log_init: np.ndarray, log_pair: np.ndarray):
@@ -263,7 +280,7 @@ class TestTiltedKernel:
         # the tangent slope makes e^lam g_b exceed 1 for the central values
         n, sigma = 10, 0.1
         grid = np.linspace(-1.0, 1.0, 9)
-        prior = UniformPositionsPrior.power(n, GaussianDensity(0.0, 0.05), base=2.0)
+        prior = power_prior(n, GaussianDensity(0.0, 0.05), 2.0)
         X = 0.25 * (-1.0) ** np.arange(n)
         chain = fit_markov_vb(X, sigma, prior, grid)
         log_q1, log_T, log_m, trace, max_tilt = dense_markov_vb(X, sigma, prior, grid)
@@ -294,7 +311,7 @@ class TestTiltedKernel:
         grid = np.linspace(-3.0, 3.0, 12)
         for _ in range(10):
             n = int(rng.integers(3, 16))
-            prior = UniformPositionsPrior.power(n, UniformDensity(-2.0, 2.0), base=float(rng.uniform(1.5, n + 1.0)))
+            prior = power_prior(n, UniformDensity(-2.0, 2.0), float(rng.uniform(1.5, n + 1.0)))
             X = rng.normal(0.0, 1.0, size=n) + np.where(np.arange(n) < n // 2, 1.0, -1.0)
             chain = fit_markov_vb(X, 1.0, prior, grid)
             log_q1, log_T, log_m, trace, _ = dense_markov_vb(X, 1.0, prior, grid)
@@ -396,7 +413,7 @@ class TestGridPass:
 
     def test_priors_share_their_value_density(self):
         X, priors, grid, signals = self.groups(3, UniformDensity(-2.25, 2.25))
-        priors[1] = MarkovSitePrior(1.0 / 75, GaussianDensity(0.0, 1.0))
+        priors[1] = MarkovSitePrior(1.0 / 75, UniformDensity(-2.0, 2.0))
         with pytest.raises(InputError, match="value density"):
             self.risks(X, priors, grid, signals)
 

@@ -10,7 +10,6 @@ from scipy.special import logsumexp
 from vblab import changepoint
 from vblab.changepoint import (
     CoordinatewisePosterior,
-    GaussianDensity,
     GridChain,
     MarkovSitePrior,
     PiecewiseSignal,
@@ -99,17 +98,6 @@ class TestMeanField:
             risks.append(risk(fit_mean_field(X, 1.0, prior), signal))
         assert np.mean(risks) >= 0.5 * n * sigma_trunc
 
-    @pytest.mark.parametrize("mean, variance, sigma", [(0.0, 1.0, 1.0), (0.3, 2.5, 0.7), (-4.0, 0.01, 3.0)])
-    def test_gaussian_density_is_the_conjugate_tilt(self, mean, variance, sigma):
-        # N(mean, variance) times the likelihood N(X, sigma^2) is Gaussian with precision
-        # 1 / variance + 1 / sigma^2 and the precision-weighted mean
-        X = np.array([-2.0, 0.0, 0.4, 1.5, 30.0])
-        post = fit_mean_field(X, sigma, MarkovSitePrior(0.1, GaussianDensity(mean, variance)))
-        var = variance * sigma**2 / (variance + sigma**2)
-        np.testing.assert_allclose(post.variances, var, rtol=1e-15, atol=0)
-        np.testing.assert_allclose(post.means, (mean * sigma**2 + X * variance) / (variance + sigma**2),
-                                   rtol=1e-15, atol=1e-15)
-
 
 class TestMeanFieldRisks:
     def test_rows_are_their_fits_alone(self, monkeypatch):
@@ -132,12 +120,9 @@ class TestMeanFieldRisks:
         monkeypatch.undo()
         np.testing.assert_array_equal(got, [risk(fit_mean_field(x, 0.8, prior), signal) for x in X])
 
-    @pytest.mark.parametrize(
-        "density", [UniformDensity(-2.0, 2.0), GaussianDensity(0.3, 2.0)], ids=["uniform", "gaussian"]
-    )
-    def test_rows_have_the_bits_of_their_fits(self, monkeypatch, density):
+    def test_rows_have_the_bits_of_their_fits(self, monkeypatch):
         monkeypatch.setattr(changepoint, "_MEAN_FIELD_CELLS", 2 * 12)  # two rows a block
-        prior = MarkovSitePrior(0.5, density)
+        prior = MarkovSitePrior(0.5, UniformDensity(-2.0, 2.0))
         signal = make_prefix_signal(12, 2, 1.0, seg_len=6)
         X = signal.values + np.random.default_rng(9).standard_normal((5, 12))
         got = mean_field_risks(X, 1.0, prior, signal)
@@ -263,14 +248,6 @@ def test_mean_field_moments_a_few_sigmas_outside_support(x, want_mean, want_var)
     assert post.variances[0] == pytest.approx(want_var, rel=1e-15, abs=0)
 
 
-@pytest.mark.parametrize("sigma, want_var", [(1e3, 2.0 / (1.0 + 2e-6)), (1e200, 2.0)])
-def test_gaussian_density_at_wide_sigma(sigma, want_var):
-    # past sigma = 1.3e154 the likelihood's precision is 0 and the tilt is the prior itself
-    post = fit_mean_field(np.array([0.5, 1e300]), sigma, MarkovSitePrior(0.5, GaussianDensity(0.3, 2.0)))
-    np.testing.assert_allclose(post.variances, want_var, rtol=1e-15)
-    np.testing.assert_allclose(post.means, want_var * (0.15 + np.array([0.5, 1e300]) / sigma / sigma), rtol=1e-15)
-
-
 def PiecewiseSignalZero(n):
     from vblab.changepoint import PiecewiseSignal
 
@@ -385,7 +362,7 @@ class TestFitMarkovVb:
             assert chain.converged
 
     def test_single_site_positions_prior(self):
-        prior = UniformPositionsPrior.power(1, UniformDensity(-2.0, 2.0), base=2.0)
+        prior = UniformPositionsPrior(1, [-math.log(2.0)], UniformDensity(-2.0, 2.0))
         grid = np.linspace(-4.0, 4.0, 16)
         chain = fit_markov_vb(np.array([0.4]), 1.0, prior, grid)
         assert chain.converged
@@ -682,15 +659,6 @@ class TestDataValidated:
         prior = MarkovSitePrior(0.1, UniformDensity(-2.0, 2.0))
         with pytest.raises(InputError, match="X_batch must be"):
             mean_field_risks(X_batch, 1.0, prior, PiecewiseSignalZero(3))
-
-
-@pytest.mark.parametrize(
-    "mean,variance",
-    [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf), (0.0, math.nan), (0.0, 0.0)],
-)
-def test_gaussian_density_must_be_finite(mean, variance):
-    with pytest.raises(InputError, match="mean|variance"):
-        GaussianDensity(mean, variance)
 
 
 def test_tiny_sigma_concentrates_without_overflow():

@@ -34,7 +34,7 @@ def test_ragged_input_is_an_input_error_and_a_scalar_is_one_point(entry):
 # entry point -> (call with a malformed input, the InputError message it must raise)
 MALFORMED_INPUTS = {
     "UniformPositionsPrior nan weight": (
-        lambda: changepoint.UniformPositionsPrior(2, [np.nan, 0.0], changepoint.GaussianDensity(0, 1)),
+        lambda: changepoint.UniformPositionsPrior(2, [np.nan, 0.0], changepoint.UniformDensity(-1.0, 1.0)),
         "log_dimension_weights must be",
     ),
     "expfamily.sample m=-1": (lambda: expfamily.sample([0.3, -0.2], -1, 0), "m must be non-negative"),
@@ -77,7 +77,7 @@ MALFORMED_INPUTS.update({
     ),
     "make_piecewise_signal k_star=0": (lambda: changepoint.make_piecewise_signal(8, 0, 1.0), "need 1 <= k_star"),
     "make_piecewise_signal amplitude=1.5": (
-        lambda: changepoint.make_piecewise_signal(8, 2, 1.0, amplitude=1.5), r"amplitude must lie in \(0, 1\]"
+        lambda: changepoint.make_piecewise_signal(8, 2, 1.0, amplitude=1.5), r"amplitude must lie in \(0, B\]"
     ),
     "make_prefix_signal k_star=9": (lambda: changepoint.make_prefix_signal(8, 9, 1.0), "need 1 <= k_star"),
     "make_prefix_signal too long": (
@@ -89,8 +89,8 @@ MALFORMED_INPUTS.update({
     "UniformPositionsPrior short weights": (
         lambda: changepoint.UniformPositionsPrior(3, [0.0, 0.0], _UNIFORM), "one dimension weight per piece"
     ),
-    "UniformPositionsPrior.power base=1": (
-        lambda: changepoint.UniformPositionsPrior.power(4, _UNIFORM, base=1.0), "base must exceed 1"
+    "UniformPositionsPrior.power n=0": (
+        lambda: changepoint.UniformPositionsPrior.power(0, _UNIFORM), "n must be at least 1"
     ),
     "UniformPositionsPrior concave pattern": (
         lambda: changepoint.UniformPositionsPrior(3, [0.0, 5.0, 0.0], _UNIFORM).pattern_weight(),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vblab._quadrature import fixed_rule
+from vblab.changepoint import _unit_rule
 from vblab.errors import InputError, NumericError
 from vblab.expfamily import (
     FourierDensity,
@@ -339,7 +339,7 @@ class TestCachedRules:
 
     def test_cached_arrays_are_read_only(self):
         # the ELBO rule and the change-point tail rule are shared by every call
-        for arr in (_elbo_rule(2, 21), *fixed_rule(0.0, 1.0, 16)):
+        for arr in (_elbo_rule(2, 21), *_unit_rule()):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 

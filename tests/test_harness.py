@@ -300,7 +300,7 @@ class TestSieveRefit:
         direct = sequence_model.fit_mean_field(prior, obs)
         np.testing.assert_array_equal(refit["theta"], direct_signal.theta)
         np.testing.assert_array_equal(np.concatenate((first["added"][0], refit["added"][0])), obs.y)
-        np.testing.assert_array_equal(refit["lw"][0], direct.log_weights)
+        np.testing.assert_array_equal(refit["lw"][0], sequence_model.log_model_weights(prior, obs))
         assert risk[0] == sequence_model.expected_risk(direct, direct_signal)
 
     def test_refit_keeps_the_signal_and_its_noise(self, monkeypatch):
@@ -392,8 +392,8 @@ def ref_fit_gsm(p, n, rng):
         obs = sequence_model.SequenceObservation(np.concatenate((obs.y, noise)), obs.n)
         K_max *= 2
     if p["posterior"] == "mean_field":
-        return sequence_model.fit_mean_field(prior, obs, log_weights), signal
-    return sequence_model.fit_empirical_bayes(prior, obs, log_weights), signal
+        return sequence_model.fit_mean_field(prior, obs), signal
+    return sequence_model.fit_empirical_bayes(prior, obs), signal
 
 
 def ref_gsm_risk(p, n, rng):
@@ -629,8 +629,24 @@ class TestEmission:
             ("csv", "n,mean_risk,stderr,replications\n64,half,0.1,3\n", "ValueError"),
             ("csv", "n,mean_risk,stderr,replications\n64,0.5\n", "TypeError"),
             ("csv", f"n,mean_risk,stderr,replications\n{10**25},0.5,0.1,3\n", "OverflowError"),
+            # a JSON cell is typed as params are: n and replications integers, not bools, and the
+            # mean and stderr finite numbers
+            ("json", '[{"n": 1.7, "mean_risk": "0.5", "stderr": true, "replications": 3}]',
+             "InputError: row 0 n must be an integer, got 1.7$"),
+            ("json", '[{"n": true, "mean_risk": 0.5, "stderr": 0.1, "replications": 2.9}]',
+             "InputError: row 0 n must be an integer, got True$"),
+            ("json", '[{"n": 64, "mean_risk": 0.5, "stderr": 0.1, "replications": 2.9}]',
+             "InputError: row 0 replications must be an integer, got 2.9$"),
+            ("json", '[{"n": 64, "mean_risk": "0.5", "stderr": 0.1, "replications": 3}]',
+             "InputError: row 0 mean_risk must be a finite number, got '0.5'$"),
+            ("json", '[{"n": 64, "mean_risk": 0.5, "stderr": true, "replications": 3}]',
+             "InputError: row 0 stderr must be a finite number, got True$"),
+            ("json", '[{"n": 64, "mean_risk": NaN, "stderr": 0.1, "replications": 3}]',
+             "InputError: row 0 mean_risk must be a finite number, got nan$"),
         ],
-        ids=["json-object", "truncated-json", "missing-column", "non-numeric-cell", "short-row", "n-past-int64"],
+        ids=["json-object", "truncated-json", "missing-column", "non-numeric-cell", "short-row", "n-past-int64",
+             "json-n-float", "json-n-bool", "json-replications-float", "json-mean-string", "json-stderr-bool",
+             "json-mean-nan"],
     )
     def test_unparsable_table_file_is_an_input_error_naming_it(self, tmp_path, fmt, text, exc_name):
         path = tmp_path / f"table.{fmt}"

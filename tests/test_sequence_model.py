@@ -21,7 +21,6 @@ from vblab.sequence_model import (
     expected_risk,
     fit_empirical_bayes,
     fit_mean_field,
-    log_coordinate_evidence,
     log_model_weights,
     make_signal,
     posterior_kl_gap,
@@ -98,13 +97,18 @@ def quad_cauchy_tilt(v, s):
     return 0.5 * v * v + math.log(Z), c + m, var
 
 
+def log_evidence(prior: SievePrior, y: float, n: float) -> float:
+    """log W = log integral f(t) exp(-n (t - y)^2 / 2) dt, from the coordinate family's evidence ratio."""
+    return prior.coordinate_family.log_evidence_ratio(y, n) - 0.5 * n * y**2
+
+
 class TestCoordinateEvidence:
     def test_standard_normal_at_zero(self):
         # Gaussian convolution identity: integral N(0,1) e^{-t^2/2} = 1/sqrt(2)
         prior = gaussian_prior()
         oracle = quad_log_evidence(0.0, 1.0)
         assert oracle == pytest.approx(math.log(1 / math.sqrt(2)), abs=1e-10)
-        assert log_coordinate_evidence(prior, 1, 0.0, 1.0) == pytest.approx(oracle, abs=1e-10)
+        assert log_evidence(prior, 0.0, 1.0) == pytest.approx(oracle, abs=1e-10)
 
     def test_laplace_limit_for_wide_prior(self):
         # for a nearly flat prior, W ~ f(y) * sqrt(2 pi / n)
@@ -112,7 +116,7 @@ class TestCoordinateEvidence:
         prior = gaussian_prior(sigma0_sq=sigma0_sq)
         log_f_y = -0.5 * (y * y / sigma0_sq + math.log(2 * math.pi * sigma0_sq))
         approx = log_f_y + 0.5 * math.log(2 * math.pi / n)
-        assert log_coordinate_evidence(prior, 1, y, n) == pytest.approx(approx, abs=1e-3)
+        assert log_evidence(prior, y, n) == pytest.approx(approx, abs=1e-3)
 
     def test_conjugate_matches_quadrature(self):
         rng = np.random.default_rng(31)
@@ -120,7 +124,7 @@ class TestCoordinateEvidence:
         for _ in range(100):
             y = float(rng.uniform(-3, 3))
             n = float(rng.uniform(0.5, 1000.0))
-            assert log_coordinate_evidence(prior, 1, y, n) == pytest.approx(
+            assert log_evidence(prior, y, n) == pytest.approx(
                 quad_log_evidence(y, n, 0.7), abs=1e-7
             )
 
@@ -137,11 +141,6 @@ class TestCoordinateEvidence:
         ratios = fam.log_evidence_ratio([0.1, 0.2], 4.0)
         assert ratios.shape == (2,)
         assert ratios[0] == fam.log_evidence_ratio(0.1, 4.0)
-
-    def test_index_validated(self):
-        prior = gaussian_prior(K_max=3, tau=1.0)
-        with pytest.raises(InputError):
-            log_coordinate_evidence(prior, 4, 0.0, 1.0)
 
 
 class TestModelWeights:
@@ -442,16 +441,6 @@ class TestRescaledFamilies:
         raw = np.exp(-0.7 * np.arange(41.0))
         got = SievePrior.geometric(0.7, 40, GaussianCoordinates(1.0)).dimension_weights
         np.testing.assert_array_equal(got, sequence_model._normalized(raw / raw.sum()))
-
-    def test_fits_take_the_weights_already_computed(self):
-        prior = SievePrior.geometric(1.0, 12, RescaledCauchyCoordinates(1.0, 64.0))
-        obs = sample_observation(make_signal("sobolev_boundary", 1.0, 2.0, 12), 64.0, 8)
-        lw = log_model_weights(prior, obs)
-        for fit in (fit_mean_field, fit_empirical_bayes):
-            a, b = fit(prior, obs), fit(prior, obs, lw)
-            assert (a.k, a.p) == (b.k, b.p)
-            np.testing.assert_array_equal(a.log_weights, b.log_weights)
-            np.testing.assert_array_equal(a.tilts, b.tilts)
 
     def test_rescaled_gaussian_is_conjugate(self):
         fam = RescaledGaussianCoordinates(4.0, 16.0)
